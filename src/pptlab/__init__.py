@@ -36,10 +36,7 @@ from .ideals import (
     Echelon,
     ResIdeal,
     echelon_reduce,
-    ideal_add,
-    ideal_add_principal,
     ideal_in_frobenius_power,
-    ideal_mul_poly,
     member_frobenius_power,
     principal_ideal,
     u_image,

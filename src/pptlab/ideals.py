@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ContextMismatchError, InputError, ResourceLimitError
-from .ring import FIELD_BITS, FIELD_MASK, Context, ResPoly
+from .ring import FIELD_BITS, FIELD_MASK, Context, ResPoly, exponent_cap
 
 
 class Echelon:
@@ -291,48 +291,9 @@ def u_image(ideal: ResIdeal) -> ResIdeal:
     return ResIdeal._from_echelon(ctx, ech)
 
 
-def ideal_mul_poly(ideal: ResIdeal, g: ResPoly) -> ResIdeal:
-    """The ideal generated by h*g for generators h."""
-    ideal.ctx.check_same(g.ctx)
-    ech = Echelon(ideal.ctx)
-    for h in ideal.gens:
-        ech.insert((h * g).terms)
-    return ResIdeal._from_echelon(ideal.ctx, ech)
-
-
-def ideal_add(a: ResIdeal, b: ResIdeal) -> ResIdeal:
-    a.ctx.check_same(b.ctx)
-    ech = Echelon(a.ctx)
-    for g in a.gens:
-        ech.insert(g.terms)
-    for g in b.gens:
-        ech.insert(g.terms)
-    return ResIdeal._from_echelon(a.ctx, ech)
-
-
-def ideal_add_principal(a: ResIdeal, g: ResPoly) -> ResIdeal:
-    a.ctx.check_same(g.ctx)
-    ech = Echelon(a.ctx)
-    for h in a.gens:
-        ech.insert(h.terms)
-    ech.insert(g.terms)
-    return ResIdeal._from_echelon(a.ctx, ech)
-
-
 def _terms_in_frobenius_power(ctx: Context, terms: dict[int, int], e: int) -> bool:
-    q = ctx.p ** e
-    n = ctx.n_vars
-    for m in terms:
-        rest = m
-        hit = False
-        for _ in range(n):
-            if rest & FIELD_MASK >= q:
-                hit = True
-                break
-            rest >>= FIELD_BITS
-        if not hit:
-            return False
-    return True
+    add, high = exponent_cap(ctx, ctx.p**e)
+    return all((m + add) & high for m in terms)
 
 
 def member_frobenius_power(g: ResPoly, e: int) -> bool:

@@ -11,13 +11,13 @@ The sequence entry s_n is the largest s in 0..p whose ladder ideal for
 downward-closed in s because the base ideal grows with the last slot and
 every recursion step preserves inclusions; the scan asserts that.
 
-``compute_ladder`` returns the exact ideal.  The scans inside ``next_s``
-instead run a truncated chain: with k applications of u still ahead, a
-monomial with any exponent >= p^(k+1) can only ever produce final
-monomials with some exponent >= p, and all the chain's stages are
-F_p-linear in the generators, so dropping those monomials never changes
-the final containment answer.  Caps are rounded up to powers of two so
-the drop test is a single bit mask.
+One chain, ``_chain``, computes that recursion.  ``compute_ladder`` runs
+it exactly.  The scans inside ``next_s`` run it with caps: with k
+applications of u still ahead, a monomial with any exponent >= p^(k+1)
+can only ever produce final monomials with some exponent >= p, and all
+the chain's stages are F_p-linear in the generators, so dropping those
+monomials never changes the final containment answer.  The caps are the
+exact powers p^(k+1), tested with ``ring.exponent_cap``.
 """
 
 from __future__ import annotations
@@ -27,18 +27,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .delta import Hypersurface
-from .errors import InputError, InvalidIndexError, MonotonicityViolationError
-from .ideals import (
-    Echelon,
-    ResIdeal,
-    _terms_in_frobenius_power,
-    _u_buckets,
-    ideal_add_principal,
-    ideal_mul_poly,
-    principal_ideal,
-    u_image,
+from .errors import (
+    InputError,
+    InvalidIndexError,
+    MonotonicityViolationError,
+    ResourceLimitError,
 )
-from .ring import FIELD_BITS, Context
+from .ideals import Echelon, ResIdeal, _terms_in_frobenius_power, _u_buckets
+from .ring import exponent_cap
 
 
 @dataclass(frozen=True)
@@ -99,61 +95,39 @@ def _check_index(p: int, entries: Sequence[int]) -> tuple[int, ...]:
 
 def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
     """Exact ladder ideal for the given index, echelon-reduced."""
-    p = h.ctx.p
-    entries = _check_index(p, entries)
-    ideal = principal_ideal(h.f_res_power(p - entries[-1]))
-    for j in range(len(entries) - 2, -1, -1):
-        l = entries[j]
-        ideal = ideal_add_principal(
-            ideal_mul_poly(
-                u_image(ideal_mul_poly(ideal, h.delta_power(l))),
-                h.f_res_power(p - l - 1),
-            ),
-            h.f_res_power(p - l),
-        )
-    return ideal
+    entries = _check_index(h.ctx.p, entries)
+    ech = Echelon(h.ctx)
+    for row in _chain(_Workspace(h), entries, capped=False):
+        ech.insert(row)
+    return ResIdeal._from_echelon(h.ctx, ech)
 
 
-# -- truncated scan machinery ----------------------------------------------
+# -- the chain ----------------------------------------------------------------
 
 
-def _dead_mask(ctx: Context, cap: int) -> int:
-    """Bit mask selecting monomials with some exponent >= 2**ceil(log2 cap).
-
-    Zero when the rounded cap leaves the supported exponent range, which
-    disables truncation at that level.
-    """
-    b = (cap - 1).bit_length()
-    if b >= 31:
-        return 0
-    field_high = ((1 << (FIELD_BITS - b)) - 1) << b
-    mask = 0
-    for i in range(ctx.n_vars):
-        mask |= field_high << (FIELD_BITS * i)
-    return mask
-
-
-def _truncate(terms: dict[int, int], mask: int) -> dict[int, int]:
-    if not mask:
+def _truncate(terms: dict[int, int], add: int, high: int) -> dict[int, int]:
+    if not high:
         return terms
-    return {m: c for m, c in terms.items() if not m & mask}
+    return {m: c for m, c in terms.items() if not (m + add) & high}
 
 
 def _mul_terms(
-    a: dict[int, int], b: dict[int, int], mod: int, mask: int
+    a: dict[int, int], b: dict[int, int], mod: int, add: int, high: int
 ) -> dict[int, int]:
+    """Product of two term dicts, dropping monomials flagged by the cap."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
     out: dict[int, int] = {}
     get = out.get
-    if mask:
+    if high:
         for ma, ca in a.items():
+            shifted = ma + add
             for mb, cb in b.items():
-                m = ma + mb
-                if m & mask:
+                if (shifted + mb) & high:
                     continue
+                m = ma + mb
                 out[m] = get(m, 0) + ca * cb
     else:
         for ma, ca in a.items():
@@ -164,64 +138,97 @@ def _mul_terms(
 
 
 class _Workspace:
-    """Per-run cache of truncated delta- and f-power term dicts."""
+    """Per-run cache of capped delta- and f-power term dicts."""
 
     __slots__ = ("h", "_cache")
 
     def __init__(self, h: Hypersurface):
         self.h = h
-        self._cache: dict[tuple[str, int, int], dict[int, int]] = {}
+        self._cache: dict[tuple, dict[int, int]] = {}
 
-    def delta_terms(self, l: int, mask: int) -> dict[int, int]:
-        key = ("d", l, mask)
+    def delta_terms(self, l: int, cap: tuple[int, int]) -> dict[int, int]:
+        key = ("d", l, cap)
         got = self._cache.get(key)
         if got is None:
-            got = _truncate(self.h.delta_power(l).terms, mask)
+            got = _truncate(self.h.delta_power(l).terms, *cap)
             self._cache[key] = got
         return got
 
-    def f_terms(self, k: int, mask: int) -> dict[int, int]:
-        key = ("f", k, mask)
+    def f_terms(self, k: int, cap: tuple[int, int]) -> dict[int, int]:
+        key = ("f", k, cap)
         got = self._cache.get(key)
         if got is None:
-            got = _truncate(self.h.f_res_power(k).terms, mask)
+            got = _truncate(self.h.f_res_power(k).terms, *cap)
             self._cache[key] = got
         return got
+
+
+def _chain(
+    ws: _Workspace, entries: tuple[int, ...], capped: bool
+) -> list[dict[int, int]]:
+    """Generators of the ladder ideal for ``entries``, in RREF from the
+    first recursion step on.
+
+    With ``capped``, every stage drops the monomials that the remaining u
+    applications can only send into (x_1^p, ..., x_N^p), and the chain
+    stops early once nothing is left.  The exact chain instead reduces
+    the delta-products to RREF before the u stage and bounds the u
+    fan-out over them by ``max_generators``.
+    """
+    ctx = ws.h.ctx
+    p = ctx.p
+    n = len(entries)
+
+    def cap(k: int) -> tuple[int, int]:
+        return exponent_cap(ctx, p**k) if capped else (0, 0)
+
+    # not cached: the cap p^n serves only the candidates at this depth
+    base = _truncate(ws.f_terms(p - entries[-1], (0, 0)), *cap(n))
+    gens = [base] if base else []
+    for j in range(n - 2, -1, -1):
+        if not gens:
+            break
+        l = entries[j]
+        prod_cap, out_cap = cap(j + 2), cap(j + 1)
+        prods = gens
+        if l:
+            w = ws.delta_terms(l, prod_cap)
+            prods = (_mul_terms(g, w, p, *prod_cap) for g in gens)
+            if not capped:
+                reduced = Echelon(ctx)
+                for prod in prods:
+                    reduced.insert(prod)
+                prods = reduced.basis_terms()
+        ech = Echelon(ctx)
+        fan_out = 0
+        for prod in prods:
+            buckets = _u_buckets(ctx, prod)
+            fan_out += len(buckets)
+            if not capped and fan_out > ctx.max_generators:
+                raise ResourceLimitError(
+                    f"u-image fan-out exceeded {ctx.max_generators} generators"
+                )
+            for key in sorted(buckets):
+                ech.insert(_truncate(buckets[key], *out_cap))
+        fmul = ws.f_terms(p - l - 1, out_cap)
+        out = Echelon(ctx)
+        for row in ech.basis_terms():
+            out.insert(_mul_terms(row, fmul, p, *out_cap))
+        out.insert(ws.f_terms(p - l, out_cap))
+        gens = out.basis_terms()
+    return gens
 
 
 def _truncated_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
     """Whether the ladder ideal for ``entries`` lies in (x_1^p, .., x_N^p).
 
-    Runs the chain with level caps; the masks only ever drop monomials
-    that are already certain to end up inside the target ideal, so the
-    final exact membership test on the survivors gives the same answer
-    as the untruncated chain.
+    Runs the capped chain; the caps only ever drop monomials that are
+    already certain to end up inside the target ideal, so the exact
+    membership test on the survivors gives the same answer as the
+    uncapped chain.
     """
     ctx = ws.h.ctx
-    p = ctx.p
-    n = len(entries)
-    base_mask = _dead_mask(ctx, p**n)
-    base = _truncate(ws.f_terms(p - entries[-1], 0), base_mask)
-    gens = [base] if base else []
-    for j in range(n - 2, -1, -1):
-        if not gens:
-            return True
-        l = entries[j]
-        prod_mask = _dead_mask(ctx, p ** (j + 2))
-        out_mask = _dead_mask(ctx, p ** (j + 1))
-        w = ws.delta_terms(l, prod_mask) if l else None
-        ech = Echelon(ctx)
-        for g in gens:
-            prod = _mul_terms(g, w, p, prod_mask) if l else g
-            for key in sorted(buckets := _u_buckets(ctx, prod)):
-                ech.insert(_truncate(buckets[key], out_mask))
-        fmul = ws.f_terms(p - l - 1, out_mask)
-        out = Echelon(ctx)
-        for row in ech.basis_terms():
-            out.insert(_mul_terms(row, fmul, p, out_mask))
-        out.insert(ws.f_terms(p - l, out_mask))
-        gens = out.basis_terms()
-    return all(_terms_in_frobenius_power(ctx, g, 1) for g in gens)
+    return all(_terms_in_frobenius_power(ctx, g, 1) for g in _chain(ws, entries, True))
 
 
 def _scan_next(ws: _Workspace, prefix: tuple[int, ...]) -> int:

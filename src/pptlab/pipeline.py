@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .delta import Hypersurface
-from .errors import CrossCheckFailureError
+from .errors import CrossCheckFailureError, InternalCheckError
 from .ladder import SplitSequence, splitting_sequence
 from .verdict import (
     QfsResult,
@@ -95,20 +95,6 @@ def _family_period(h: Hypersurface, certificate: str) -> tuple[int, int]:
     return 0, order
 
 
-def _closed_form(p: int, values: tuple[int, ...], a: int, pi: int) -> Fraction:
-    head = Fraction(0)
-    q = 1
-    for i in range(1, a + 1):
-        q *= p
-        head += Fraction(p - 1 - values[i], q)
-    block = Fraction(0)
-    q = 1
-    for j in range(1, pi + 1):
-        q *= p
-        block += Fraction(p - 1 - values[a + j], q)
-    return head + block * Fraction(p**pi, p**pi - 1) / p**a
-
-
 def analyze(
     h: Hypersurface, depth: int, *, strict_r1: bool = False, trace: bool = False
 ) -> Analysis:
@@ -127,14 +113,19 @@ def analyze(
         if found is None and certificate is not None:
             preperiod, period = _family_period(h, certificate)
             predicted = _predicted_tail(h, certificate, criteria, preperiod + 2 * period)
-            exact = _closed_form(h.ctx.p, predicted, preperiod, period)
+            tail = SplitSequence(
+                p=h.ctx.p, depth=len(predicted) - 1, values=predicted, terminated_at_p=None
+            )
+            exact = ppt_closed_form(tail, preperiod, period)
         elif found is not None:
             preperiod, period = found
             exact = ppt_closed_form(seq, preperiod, period)
         if exact is not None:
             conjectural = certificate is None
-        assert partial is None or 0 <= partial <= 1
-        assert exact is None or exact >= partial
+        if not 0 <= partial <= 1 or (exact is not None and exact < partial):
+            raise InternalCheckError(
+                f"threshold out of order: partial {partial}, exact {exact}"
+            )
     return Analysis(
         seq=seq,
         verdict=verdict,

@@ -151,6 +151,25 @@ class Context:
             raise ContextMismatchError(f"cannot mix {self!r} and {other!r}")
 
 
+def exponent_cap(ctx: Context, q: int) -> tuple[int, int]:
+    """Masks (add, high) with ``(m + add) & high`` nonzero iff some
+    exponent of the packed monomial m is >= q.
+
+    Every exponent field gets 2**31 - q added and is tested on bits
+    31..63, so a field is flagged exactly when it reaches q; the addition
+    cannot carry out of a 64-bit field while exponents stay below 2**31,
+    and the degree field is left alone.  When q >= 2**31 no exponent can
+    reach q and the masks are (0, 0).
+    """
+    if q >= EXPONENT_LIMIT:
+        return 0, 0
+    add = high = 0
+    for _ in range(ctx.n_vars):
+        add = (add << FIELD_BITS) | (EXPONENT_LIMIT - q)
+        high = (high << FIELD_BITS) | (FIELD_MASK ^ (EXPONENT_LIMIT - 1))
+    return add, high
+
+
 def _require_same_ring(a: "Poly", b: "Poly") -> None:
     if type(a) is not type(b):
         raise ContextMismatchError(

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .ideals import member_frobenius_power
 from .ladder import SplitSequence
-from .ring import FIELD_BITS, FIELD_MASK, LiftPoly, ResPoly
+from .ring import LiftPoly, ResPoly, exponent_cap
 
 VERDICT_PERFECTOID_PURE = "perfectoid_pure"
 VERDICT_NOT_PERFECTOID_PURE = "not_perfectoid_pure"
@@ -184,18 +184,8 @@ def _truncate_res(g: ResPoly, q: int) -> ResPoly:
     """Drop monomials with some exponent >= q (they stay inside the
     monomial ideal under further multiplication, so products of truncated
     polynomials stay correct modulo that ideal)."""
-    n = g.ctx.n_vars
-    out = {}
-    for m, c in g.terms.items():
-        rest = m
-        live = True
-        for _ in range(n):
-            if rest & FIELD_MASK >= q:
-                live = False
-                break
-            rest >>= FIELD_BITS
-        if live:
-            out[m] = c
+    add, high = exponent_cap(g.ctx, q)
+    out = {m: c for m, c in g.terms.items() if not (m + add) & high}
     return ResPoly._raw(g.ctx, out, min(g.max_exponent, q - 1))
 
 

@@ -177,7 +177,8 @@ def suite_mod_p_squared_invariance(seed: int, cases: int) -> int:
 
 def suite_downward_closure(seed: int, cases: int) -> int:
     """At every committed step the containment set is an interval [0, s_n],
-    checked through the exact ladder rather than the scan's own route."""
+    checked through the exact ladder: the same chain as the scan, without
+    its caps or its early exit."""
     rng = random.Random(seed)
     for _ in range(cases):
         ctx = random_context(rng)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -104,6 +105,26 @@ def test_trace_prints_ladder_ideals(capsys):
     assert code == 0
     assert "ladder ideal at step 1: (x^2 + y^2)" in out
     assert "ladder ideal at step 2" in out
+
+
+@pytest.mark.parametrize(
+    "p, depth, digest",
+    [
+        (7, 2, "1476e243e7f0d72b7624ec8192d8a41d660da887db5d065019d997ca682809ed"),
+        (3, 3, "18187710bea2708daaec17575e446791ca618194936a82b832cbad1baece2d6e"),
+    ],
+)
+def test_trace_ideals_are_frozen(capsys, p, depth, digest):
+    code, rec, _ = run_json(
+        capsys,
+        [
+            "sequence", "--p", str(p), "--vars", "x1..x4",
+            "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", str(depth), "--trace",
+        ],
+    )
+    assert code == 0
+    blob = json.dumps(rec["trace"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_invalid_input_exits_2(capsys):

@@ -8,10 +8,7 @@ from pptlab.ideals import (
     Echelon,
     ResIdeal,
     echelon_reduce,
-    ideal_add,
-    ideal_add_principal,
     ideal_in_frobenius_power,
-    ideal_mul_poly,
     member_frobenius_power,
     principal_ideal,
     u_image,
@@ -190,24 +187,7 @@ def test_monomial_cap_enforced():
         echelon_reduce(ctx, gens)
 
 
-# -- ideal operations --------------------------------------------------------
-
-
-def test_ideal_mul_poly():
-    ctx = ctx2()
-    x = ResPoly.variable(ctx, "x")
-    y = ResPoly.variable(ctx, "y")
-    assert ideal_mul_poly(principal_ideal(x), y) == principal_ideal(x * y)
-    assert ideal_mul_poly(principal_ideal(x), ResPoly.zero(ctx)).is_zero()
-
-
-def test_ideal_add():
-    ctx = ctx2()
-    x = ResPoly.variable(ctx, "x")
-    y = ResPoly.variable(ctx, "y")
-    got = ideal_add(principal_ideal(x), principal_ideal(y))
-    assert got == ResIdeal(ctx, [x, y])
-    assert ideal_add_principal(principal_ideal(x), y) == got
+# -- membership ----------------------------------------------------------------
 
 
 def test_membership_examples():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pptlab.delta import validate
-from pptlab.errors import InputError, InvalidIndexError
+from pptlab.errors import InputError, InvalidIndexError, ResourceLimitError
 from pptlab.ideals import ResIdeal, ideal_in_frobenius_power, principal_ideal
 from pptlab.ladder import (
     SplitSequence,
@@ -161,3 +161,23 @@ def test_sequence_of_fermat_quartic_p3():
     h = hypersurface(3, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
     seq = splitting_sequence(h, 4)
     assert seq.values == (0, 2, 0, 2, 0)
+
+
+def test_exact_ladder_fan_out_guard():
+    # the u fan-out is counted over the echelon-reduced delta-products
+    ctx = Context(3, ["x0"], max_generators=2)
+    h = validate(ctx, parse_poly("x0^2 + 7*x0", ctx))
+    with pytest.raises(ResourceLimitError):
+        compute_ladder(h, (1, 0))
+    ctx = Context(3, ["x0"], max_generators=8)
+    h = validate(ctx, parse_poly("8*x0^3 + 8*x0", ctx))
+    want = ResIdeal(
+        ctx,
+        [
+            ResPoly(ctx, {(7,): 1, (3,): 2}),
+            ResPoly(ctx, {(6,): 1, (2,): 2}),
+            ResPoly(ctx, {(5,): 1, (3,): 1}),
+            ResPoly(ctx, {(4,): 1, (2,): 1}),
+        ],
+    )
+    assert compute_ladder(h, (1, 1, 2)) == want

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
+import pptlab.pipeline
 from pptlab.delta import validate
+from pptlab.errors import InternalCheckError
 from pptlab.parser import expand_var_spec, parse_poly
 from pptlab.pipeline import analyze
 from pptlab.ring import Context
@@ -67,3 +71,9 @@ def test_exact_bounds_partial_on_certified_families():
         a = analyze(prepare(p, vars_spec, expr), depth)
         assert a.partial is not None and a.exact is not None
         assert 0 <= a.partial <= a.exact <= 1
+
+
+def test_threshold_bounds_raise_internal_check(monkeypatch):
+    monkeypatch.setattr(pptlab.pipeline, "ppt_partial", lambda seq: Fraction(2))
+    with pytest.raises(InternalCheckError):
+        analyze(prepare(2, "x,y,z", "x^3 + y^3 + z^3"), 3)

@@ -14,8 +14,15 @@ import itertools
 import random
 
 from pptlab.delta import validate
-from pptlab.ladder import splitting_sequence
-from pptlab.ring import Context, LiftPoly
+from pptlab.ideals import ideal_in_frobenius_power
+from pptlab.ladder import (
+    _Workspace,
+    _truncated_contained,
+    compute_ladder,
+    splitting_sequence,
+)
+from pptlab.parser import parse_poly
+from pptlab.ring import Context, LiftPoly, exponent_cap
 
 from oracles import delta_int, int_mul, int_pow, random_int_poly, reduce_mod
 
@@ -107,6 +114,57 @@ def test_sequences_match_naive_reference():
         got = splitting_sequence(h, depth).values
         want = naive_sequence(f_int, p, n, depth)
         assert got == want, (p, n, f_int, got, want)
+
+
+def test_larger_primes_match_naive_reference():
+    # p = 7 takes the binary-search branch of the scan; depth 4 at p = 5
+    # exercises the deeper caps
+    rng = random.Random(601)
+    for p, depth, cases in ((5, 4, 30), (7, 3, 30)):
+        for _ in range(cases):
+            n = rng.randrange(1, 3)
+            f_int = random_valid_input(rng, p, n)
+            ctx = Context(p, [f"x{i}" for i in range(n)])
+            h = validate(ctx, LiftPoly(ctx, f_int))
+            got = splitting_sequence(h, depth).values
+            want = naive_sequence(f_int, p, n, depth)
+            assert got == want, (p, n, f_int, got, want)
+
+
+def test_capped_chain_matches_naive_on_arbitrary_indices():
+    # committed prefixes at N <= 2 rarely hold a nonzero entry before the
+    # last, so random indices are what reach the delta stages under caps
+    rng = random.Random(602)
+    runs = ((5, 2, 4, 60), (7, 2, 2, 30), (7, 1, 3, 20), (13, 1, 3, 20))
+    for p, most_vars, longest, cases in runs:
+        for _ in range(cases):
+            n = rng.randrange(1, most_vars + 1)
+            f_int = random_valid_input(rng, p, n)
+            ctx = Context(p, [f"x{i}" for i in range(n)])
+            h = validate(ctx, LiftPoly(ctx, f_int))
+            k = rng.randrange(2, longest + 1)
+            entries = tuple(rng.randrange(p) for _ in range(k - 1))
+            entries += (rng.randrange(p + 1),)
+            want = naive_ladder_contained(
+                reduce_mod(f_int, p), delta_int(f_int, p, n), entries, p, n
+            )
+            got = _truncated_contained(_Workspace(h), entries)
+            assert got == want, (p, f_int, entries)
+
+
+def test_uncapped_depths_agree_with_exact_ladder():
+    # 13^9 >= 2^31, so from depth 9 on the outer caps of the scan are off;
+    # the naive reference is far too slow there, the exact ladder is not
+    ctx = Context(13, ["x", "y"])
+    h = validate(ctx, parse_poly("x + y^3", ctx))
+    assert exponent_cap(ctx, 13**9) == (0, 0)
+    seq = splitting_sequence(h, 10)
+    ws = _Workspace(h)
+    for n in (9, 10):
+        for s in range(14):
+            entries = seq.values[1:n] + (s,)
+            exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
+            assert _truncated_contained(ws, entries) == exact, (entries, seq.values)
 
 
 def test_known_inputs_match_naive_reference():

@@ -9,10 +9,12 @@ from pptlab.errors import (
     NotDivisibleError,
 )
 from pptlab.ring import (
+    EXPONENT_LIMIT,
     Context,
     LiftPoly,
     ResPoly,
     exact_div_p,
+    exponent_cap,
     frobenius_substitute,
     lift_of,
     project_mod_p,
@@ -196,3 +198,33 @@ def test_delta_oracle_consistency_of_kernel_ops():
         assert project_mod_p(numerator).is_zero()
         # and the exact quotient matches the all-integer reference
         assert exact_div_p(numerator) == ResPoly(ctx, delta_int(a, p, 2))
+
+
+def test_exponent_cap_matches_per_field_decoding():
+    rng = random.Random(120)
+    caps = {1, 2, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 1 << 40}
+    caps |= {p**k for p in (2, 3, 5, 7, 13) for k in (1, 2, 5, 8, 9)}
+    for n in range(1, 7):
+        ctx = Context(2, [f"x{i}" for i in range(n)])
+        for q in sorted(caps):
+            add, high = exponent_cap(ctx, q)
+            if q >= EXPONENT_LIMIT:
+                assert (add, high) == (0, 0)
+
+            def flagged(m):
+                return bool((m + add) & high)
+
+            def reaches(m):
+                return any(e >= q for e in ctx.decode_monomial(m))
+
+            values = [e for e in (0, q - 1, q, EXPONENT_LIMIT - 1) if 0 <= e < EXPONENT_LIMIT]
+            for _ in range(60):
+                m = ctx.encode_monomial([rng.choice(values) for _ in range(n)])
+                assert flagged(m) == reaches(m), (n, q, ctx.decode_monomial(m))
+            # products of two below-cap monomials, kept inside the 2**31 range
+            below = sorted({min(e, EXPONENT_LIMIT // 2 - 1) for e in (0, (q - 1) // 2, q - 1)})
+            for _ in range(60):
+                a = ctx.encode_monomial([rng.choice(below) for _ in range(n)])
+                b = ctx.encode_monomial([rng.choice(below) for _ in range(n)])
+                assert not flagged(a) and not flagged(b)
+                assert flagged(a + b) == reaches(a + b), (n, q, ctx.decode_monomial(a + b))
