@@ -38,27 +38,30 @@ class Echelon:
     the unique RREF of the span regardless of insertion order.
     """
 
-    __slots__ = ("ctx", "p", "_rows", "_pivots_desc", "_seen")
+    __slots__ = ("ctx", "p", "_rows", "_seen")
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self.p = ctx.p
         self._rows: dict[int, dict[int, int]] = {}
-        self._pivots_desc: list[int] = []
         self._seen: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def reduce(self, terms: dict[int, int]) -> dict[int, int]:
-        """Remainder of a term dict after reduction against the basis."""
+        """Remainder of a term dict after reduction against the basis.
+
+        Only pivots that ``terms`` already holds are ever hit: a stored row
+        has coefficient 1 at its own pivot and 0 at every other pivot, so
+        subtracting it clears that one pivot and leaves the coefficients
+        of all others as they were in ``terms``.
+        """
         p = self.p
         rows = self._rows
         h = dict(terms)
-        for pivot in self._pivots_desc:
-            c = h.get(pivot)
-            if not c:
-                continue
+        for pivot in [m for m in terms if m in rows]:
+            c = terms[pivot]
             for m, rc in rows[pivot].items():
                 v = (h.get(m, 0) - c * rc) % p
                 if v:
@@ -92,18 +95,8 @@ class Echelon:
                     row[m] = v
                 else:
                     row.pop(m, None)
-            self._seen.update(row)
         self._rows[pivot] = h
         self._note_monomials(h)
-        # maintain descending pivot order
-        lo, hi = 0, len(self._pivots_desc)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._pivots_desc[mid] > pivot:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._pivots_desc.insert(lo, pivot)
         return True
 
     def _note_monomials(self, terms: Iterable[int]) -> None:
@@ -116,7 +109,8 @@ class Echelon:
 
     def basis_terms(self) -> list[dict[int, int]]:
         """Rows in descending pivot order (copies)."""
-        return [dict(self._rows[pivot]) for pivot in self._pivots_desc]
+        rows = self._rows
+        return [dict(rows[pivot]) for pivot in sorted(rows, reverse=True)]
 
     def basis_polys(self) -> list[ResPoly]:
         return [

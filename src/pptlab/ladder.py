@@ -12,12 +12,15 @@ downward-closed in s because the base ideal grows with the last slot and
 every recursion step preserves inclusions; the scan asserts that.
 
 One chain, ``_chain``, computes that recursion.  ``compute_ladder`` runs
-it exactly.  The scans inside ``next_s`` run it with caps: with k
-applications of u still ahead, a monomial with any exponent >= p^(k+1)
-can only ever produce final monomials with some exponent >= p, and all
-the chain's stages are F_p-linear in the generators, so dropping those
-monomials never changes the final containment answer.  The caps are the
-exact powers p^(k+1), tested with ``ring.exponent_cap``.
+it exactly.  The scans inside ``next_s`` run it with live-box caps: only
+the final answer "inside (x_1^p, ..., x_N^p) or not" is wanted, so each
+stage keeps just the monomials that can still reach a final monomial
+with every exponent below p.  Working backward from that box (p, ..., p),
+each stage's multiplier fbar^(p-l-1) and its u step shrink the box the
+stage before it must keep, per variable; with fbar^(p-l-1) = 1 the box is
+(p^(k+1), ..., p^(k+1)) with k applications of u ahead.  ``_chain`` says
+why dropping the rest never changes the answer.  Every cap is one
+``ring.exponent_cap`` test.
 """
 
 from __future__ import annotations
@@ -138,13 +141,36 @@ def _mul_terms(
 
 
 class _Workspace:
-    """Per-run cache of capped delta- and f-power term dicts."""
+    """Per-run cache of capped delta- and f-power term dicts and of live
+    boxes."""
 
     __slots__ = ("h", "_cache")
 
     def __init__(self, h: Hypersurface):
         self.h = h
-        self._cache: dict[tuple, dict[int, int]] = {}
+        self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
+
+    def live_box(self, k: int, out: tuple[int, ...]) -> tuple[int, ...]:
+        """Per-variable bounds U with x^b * fbar^k inside the monomial ideal
+        (x_1^out_1, ..., x_N^out_N) as soon as some b_i >= U_i.
+
+        U_i = max(out_i - m_i) over the monomials m of fbar^k with m < out
+        componentwise; all zeros when fbar^k has no such monomial.
+        """
+        key = ("u", k, out)
+        got = self._cache.get(key)
+        if got is None:
+            decode = self.h.ctx.decode_monomial
+            below = [
+                e
+                for e in map(decode, self.h.f_res_power(k).terms)
+                if all(ei < bi for ei, bi in zip(e, out))
+            ]
+            got = tuple(
+                max((b - e[i] for e in below), default=0) for i, b in enumerate(out)
+            )
+            self._cache[key] = got
+        return got
 
     def delta_terms(self, l: int, cap: tuple[int, int]) -> dict[int, int]:
         key = ("d", l, cap)
@@ -169,27 +195,66 @@ def _chain(
     """Generators of the ladder ideal for ``entries``, in RREF from the
     first recursion step on.
 
-    With ``capped``, every stage drops the monomials that the remaining u
-    applications can only send into (x_1^p, ..., x_N^p), and the chain
-    stops early once nothing is left.  The exact chain instead reduces
-    the delta-products to RREF before the u stage and bounds the u
-    fan-out over them by ``max_generators``.
+    Stage j (j = n-2 down to 0) maps the generators K of stage j+1 to
+
+        fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K))  +  (fbar^(p-l_j)).
+
+    With ``capped``, the chain keeps only what decides containment of the
+    final ideal in (x_1^p, ..., x_N^p) and stops early once nothing is
+    left.  Write D(B) for the monomial ideal (x_1^B_1, ..., x_N^B_N).
+    Stage j's output is taken modulo D(Out_j), with Out_0 = (p, ..., p).
+    Let U_j = ``live_box(p-l_j-1, Out_j)``, so x^b * fbar^(p-l_j-1) lies in
+    D(Out_j) once some b_i >= U_j,i, and set Out_(j+1) = p * U_j.  Then
+
+    - u(F_* D(p * U_j)) lies in D(U_j), because u(F_*(x^(p*c) g)) =
+      x^c * u(F_* g) and every term of an element of D(p * U_j) has some
+      exponent >= p * U_j,i;
+    - fbar^(p-l_j-1) * D(U_j) lies in D(Out_j), by the choice of U_j;
+    - delta^(l_j) * D(Out_(j+1)) lies in D(Out_(j+1)), an ideal.
+
+    The stage is additive in K and the u-image of a sum of ideals is the
+    sum of the u-images, so changing K by anything in D(Out_(j+1))
+    changes the output only by something in D(Out_j).  Hence the stage
+    may drop, with no effect on the final answer, every monomial of a
+    delta-product that reaches p * U_j, of a u-image that reaches U_j, of
+    an f-multiplied row or of fbar^(p-l_j) that reaches Out_j, and of the
+    base fbar^(p-s) that reaches Out_(n-1).  Each drop is a projection
+    onto the monomials below a box, which is F_p-linear, so it commutes
+    with the echelon steps.  With fbar^(p-l_j-1) = 1 the live box is
+    U_j = Out_j and the caps are the uniform p^(k+1) with k applications
+    of u ahead.
+
+    The exact chain instead reduces the delta-products to RREF before the
+    u stage and bounds the u fan-out over them by ``max_generators``.
     """
     ctx = ws.h.ctx
     p = ctx.p
     n = len(entries)
+    no_cap = (0, 0)
+    # per stage j: the caps of its delta-product, u-image and output
+    stage_caps = [(no_cap, no_cap, no_cap)] * (n - 1)
+    base_cap = no_cap
+    if capped:
+        out_box = (p,) * ctx.n_vars
+        for j in range(n - 1):
+            live = ws.live_box(p - entries[j] - 1, out_box)
+            in_box = tuple(p * b for b in live)
+            stage_caps[j] = (
+                exponent_cap(ctx, in_box),
+                exponent_cap(ctx, live),
+                exponent_cap(ctx, out_box),
+            )
+            out_box = in_box
+        base_cap = exponent_cap(ctx, out_box)
 
-    def cap(k: int) -> tuple[int, int]:
-        return exponent_cap(ctx, p**k) if capped else (0, 0)
-
-    # not cached: the cap p^n serves only the candidates at this depth
-    base = _truncate(ws.f_terms(p - entries[-1], (0, 0)), *cap(n))
+    # not cached: the base cap serves only the candidates at this depth
+    base = _truncate(ws.f_terms(p - entries[-1], no_cap), *base_cap)
     gens = [base] if base else []
     for j in range(n - 2, -1, -1):
         if not gens:
             break
         l = entries[j]
-        prod_cap, out_cap = cap(j + 2), cap(j + 1)
+        prod_cap, u_cap, out_cap = stage_caps[j]
         prods = gens
         if l:
             w = ws.delta_terms(l, prod_cap)
@@ -209,7 +274,7 @@ def _chain(
                     f"u-image fan-out exceeded {ctx.max_generators} generators"
                 )
             for key in sorted(buckets):
-                ech.insert(_truncate(buckets[key], *out_cap))
+                ech.insert(_truncate(buckets[key], *u_cap))
         fmul = ws.f_terms(p - l - 1, out_cap)
         out = Echelon(ctx)
         for row in ech.basis_terms():

@@ -151,22 +151,26 @@ class Context:
             raise ContextMismatchError(f"cannot mix {self!r} and {other!r}")
 
 
-def exponent_cap(ctx: Context, q: int) -> tuple[int, int]:
+def exponent_cap(ctx: Context, q: int | Iterable[int]) -> tuple[int, int]:
     """Masks (add, high) with ``(m + add) & high`` nonzero iff some
-    exponent of the packed monomial m is >= q.
+    exponent of the packed monomial m reaches its bound.
 
-    Every exponent field gets 2**31 - q added and is tested on bits
-    31..63, so a field is flagged exactly when it reaches q; the addition
-    cannot carry out of a 64-bit field while exponents stay below 2**31,
-    and the degree field is left alone.  When q >= 2**31 no exponent can
-    reach q and the masks are (0, 0).
+    ``q`` is one bound for every variable or a sequence of per-variable
+    bounds (q_1, ..., q_N) in variable order.  Field i gets 2**31 - q_i
+    added and is tested on bits 31..63, so it is flagged exactly when its
+    exponent is >= q_i; the addition cannot carry out of a 64-bit field
+    while exponents stay below 2**31, and the degree field is left alone.
+    A field whose bound is >= 2**31 can never be reached and stays
+    unflagged; when no field is flagged the masks are (0, 0).
     """
-    if q >= EXPONENT_LIMIT:
-        return 0, 0
+    bounds = (q,) * ctx.n_vars if isinstance(q, int) else q
     add = high = 0
-    for _ in range(ctx.n_vars):
-        add = (add << FIELD_BITS) | (EXPONENT_LIMIT - q)
-        high = (high << FIELD_BITS) | (FIELD_MASK ^ (EXPONENT_LIMIT - 1))
+    for b in bounds:
+        add <<= FIELD_BITS
+        high <<= FIELD_BITS
+        if b < EXPONENT_LIMIT:
+            add |= EXPONENT_LIMIT - b
+            high |= FIELD_MASK ^ (EXPONENT_LIMIT - 1)
     return add, high
 
 

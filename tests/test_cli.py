@@ -146,14 +146,16 @@ def test_json_error_object(capsys):
 
 
 def test_resource_limit_exits_3(capsys):
+    # the scan's live-box caps keep small inputs far below any cap, so the
+    # workspace cap is tripped on an input that still needs a large stage
     code, _, err = run_cli(
         capsys,
         [
             "sequence",
-            "--p", "3",
-            "--vars", "x,y,z",
-            "--f", "x^3 + x*y*z + y^3 + z^3",
-            "--depth", "6",
+            "--p", "7",
+            "--vars", "x1,x2,x3,x4",
+            "--f", "x1^4 + x2^4 + x3^4 + x4^4",
+            "--depth", "3",
             "--max-monomials", "10",
         ],
     )

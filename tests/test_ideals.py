@@ -173,6 +173,42 @@ def test_echelon_rows_are_fully_reduced():
             assert not others & set(g.terms)
 
 
+def full_pivot_scan_reduce(ech, terms):
+    """Reduction against every stored row, in descending pivot order."""
+    p = ech.p
+    h = dict(terms)
+    for row in ech.basis_terms():
+        c = h.get(max(row))
+        if not c:
+            continue
+        for m, rc in row.items():
+            v = (h.get(m, 0) - c * rc) % p
+            if v:
+                h[m] = v
+            else:
+                h.pop(m, None)
+    return h
+
+
+def test_reduce_matches_full_pivot_scan():
+    # rows mixing stored rows with noise hit several pivots at once
+    rng = random.Random(304)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7])
+        ctx = Context(p, ["x", "y", "z"])
+        ech = Echelon(ctx)
+        for _ in range(rng.randrange(1, 9)):
+            ech.insert(dict(random_res_poly(rng, ctx, max_terms=6, max_exp=3).terms))
+        basis = ech.basis_terms()
+        for _ in range(5):
+            row = random_res_poly(rng, ctx, max_terms=3, max_exp=3)
+            for stored in rng.sample(basis, rng.randrange(len(basis) + 1)):
+                row = row + ResPoly._raw(ctx, stored, 3).scale(rng.randrange(1, p))
+            want = full_pivot_scan_reduce(ech, row.terms)
+            assert ech.reduce(row.terms) == want
+            assert ech.spans(row.terms) == (not want)
+
+
 def test_generator_cap_enforced():
     ctx = Context(2, ["x"], max_generators=3)
     gens = [ResPoly(ctx, {(i,): 1}) for i in range(5)]

@@ -15,7 +15,9 @@ from pptlab.ladder import (
     splitting_sequence,
 )
 from pptlab.parser import parse_poly
-from pptlab.ring import Context, ResPoly
+from pptlab.ring import Context, LiftPoly, ResPoly
+
+from oracles import random_int_poly, reduce_mod
 
 
 def hypersurface(p, names, expr):
@@ -181,3 +183,75 @@ def test_exact_ladder_fan_out_guard():
         ],
     )
     assert compute_ladder(h, (1, 1, 2)) == want
+
+
+def random_hypersurface(rng, p, n, **caps):
+    while True:
+        f = random_int_poly(rng, n, max_terms=4, max_exp=4, max_coeff=8)
+        f.pop((0,) * n, None)
+        if f and reduce_mod(f, p):
+            ctx = Context(p, [f"x{i}" for i in range(n)], **caps)
+            return validate(ctx, LiftPoly(ctx, f))
+
+
+def test_live_box_is_sound():
+    # brute force over [0, out)^N: a u-image monomial b outside the live
+    # box U dies against every monomial of fbar^k, and each U_i is tight
+    rng = random.Random(410)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(1, 4)
+        h = random_hypersurface(rng, p, n)
+        k = p - rng.randrange(p) - 1
+        out = tuple(rng.randrange(2 * p + 2) for _ in range(n))
+        live = _Workspace(h).live_box(k, out)
+        support = [h.ctx.decode_monomial(m) for m in h.f_res_power(k).terms]
+
+        def dead(b):
+            return all(any(bi + mi >= oi for bi, mi, oi in zip(b, m, out)) for m in support)
+
+        for b in itertools.product(*(range(o) for o in out)):
+            if any(bi >= ui for bi, ui in zip(b, live)):
+                assert dead(b), (p, h.f_res, k, out, live, b)
+        for i, ui in enumerate(live):
+            if ui:
+                assert not dead(tuple(ui - 1 if j == i else 0 for j in range(n)))
+
+
+def test_capped_chain_matches_exact_ladder_in_three_and_four_variables():
+    # fbar^(p-l-1) with mixed low-degree terms makes the live boxes far
+    # smaller than the uniform p^k here, unlike the N <= 2 reference tests;
+    # the exact ladder's u fan-out needs more room than the default cap
+    rng = random.Random(411)
+    runs = ((2, 3, 5, 100), (3, 3, 4, 100), (5, 3, 3, 60), (2, 4, 5, 60), (3, 4, 4, 60), (5, 4, 3, 30))
+    outcomes = set()
+    for p, n, longest, cases in runs:
+        for _ in range(cases):
+            h = random_hypersurface(rng, p, n, max_generators=100_000)
+            k = rng.randrange(2, longest + 1)
+            entries = tuple(rng.randrange(p) for _ in range(k - 1))
+            entries += (rng.randrange(p + 1),)
+            exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
+            assert _truncated_contained(_Workspace(h), entries) == exact, (
+                p,
+                h.f_lift,
+                entries,
+            )
+            outcomes.add((p, n, exact))
+    assert len(outcomes) == 2 * len(runs)
+
+
+@pytest.mark.parametrize(
+    "p, names, expr, values",
+    [
+        (2, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4", (0,) * 7),
+        (5, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4 + 5*x1*x2*x3*x4", (0,) * 6),
+        (5, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4 + x1*x2*x3*x4", (0, 1, 1, 1)),
+        (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4 + 7*x1*x2*x3*x4", (0, 2, 0, 2, 0)),
+        (5, "x,y,z", "x^3 + y^3 + z^3 + x*y*z", (0, 1, 0, 1, 0, 1)),
+    ],
+)
+def test_deformed_sequences_are_frozen(p, names, expr, values):
+    # frozen from the scan with uniform p^k caps
+    h = hypersurface(p, names.split(","), expr)
+    assert splitting_sequence(h, len(values) - 1).values == values

@@ -153,8 +153,10 @@ def test_capped_chain_matches_naive_on_arbitrary_indices():
 
 
 def test_uncapped_depths_agree_with_exact_ladder():
-    # 13^9 >= 2^31, so from depth 9 on the outer caps of the scan are off;
-    # the naive reference is far too slow there, the exact ladder is not
+    # the live boxes of x + y^3 cut only x's bound, from 13^k to 5*13^(k-1),
+    # so from depth 9 on both bounds of the base box are >= 2^31 and the
+    # caps of the base and of the innermost delta-product are off; the
+    # naive reference is far too slow there, the exact ladder is not
     ctx = Context(13, ["x", "y"])
     h = validate(ctx, parse_poly("x + y^3", ctx))
     assert exponent_cap(ctx, 13**9) == (0, 0)

@@ -228,3 +228,27 @@ def test_exponent_cap_matches_per_field_decoding():
                 b = ctx.encode_monomial([rng.choice(below) for _ in range(n)])
                 assert not flagged(a) and not flagged(b)
                 assert flagged(a + b) == reaches(a + b), (n, q, ctx.decode_monomial(a + b))
+
+
+def test_exponent_cap_per_variable_bounds():
+    # mixed bounds, including 0 (every exponent reaches it) and bounds no
+    # exponent can reach; one bound per variable, in variable order
+    rng = random.Random(121)
+    choices = (0, 1, 3, 7, 49, 343, 13**8, EXPONENT_LIMIT - 1, EXPONENT_LIMIT, 13**9)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        ctx = Context(2, [f"x{i}" for i in range(n)])
+        bounds = tuple(rng.choice(choices) for _ in range(n))
+        add, high = exponent_cap(ctx, bounds)
+        if all(b >= EXPONENT_LIMIT for b in bounds):
+            assert (add, high) == (0, 0)
+        if len(set(bounds)) == 1:
+            assert (add, high) == exponent_cap(ctx, bounds[0])
+        for _ in range(20):
+            exps = [
+                rng.choice([e for e in (0, b - 1, b, EXPONENT_LIMIT - 1) if 0 <= e < EXPONENT_LIMIT])
+                for b in bounds
+            ]
+            m = ctx.encode_monomial(exps)
+            want = any(e >= b for e, b in zip(exps, bounds))
+            assert bool((m + add) & high) == want, (bounds, exps)
