@@ -28,8 +28,11 @@ def delta(f: LiftPoly) -> ResPoly:
 
 class Hypersurface:
     """A validated hypersurface input: f mod p^2 with its reduction and
-    delta image, plus insert-once memo tables for the powers the ladder
-    requests repeatedly.
+    delta image, plus insert-once memo tables for full powers.
+
+    The memos serve the exact ladder (``compute_ladder``, ``--trace``) and
+    scan stages whose box is uncapped; the capped scan builds its powers
+    inside the box it keeps (``ladder._Workspace``).
 
     Immutable except for the memos, which are guarded by a lock and only
     ever filled idempotently.

@@ -20,7 +20,8 @@ each stage's multiplier fbar^(p-l-1) and its u step shrink the box the
 stage before it must keep, per variable; with fbar^(p-l-1) = 1 the box is
 (p^(k+1), ..., p^(k+1)) with k applications of u ahead.  ``_chain`` says
 why dropping the rest never changes the answer.  Every cap is one
-``ring.exponent_cap`` test.
+``ring.exponent_cap`` test, and the capped delta^l and fbar^k are built
+from capped factors inside their box (``_Workspace``), never in full.
 """
 
 from __future__ import annotations
@@ -141,8 +142,16 @@ def _mul_terms(
 
 
 class _Workspace:
-    """Per-run cache of capped delta- and f-power term dicts and of live
-    boxes."""
+    """Per-run memo of capped delta- and f-power term dicts and of live
+    boxes.
+
+    A capped power is built from capped factors, inside the cap it is
+    truncated to, and never in full: dropping the monomials at or past a
+    box is reduction modulo a monomial ideal, which is a ring map, so
+    trunc(a * b) = trunc(trunc(a) * trunc(b)) and by induction
+    trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).  Only k <= 1 and the
+    uncapped (0, 0) read the full powers memoised on ``Hypersurface``.
+    """
 
     __slots__ = ("h", "_cache")
 
@@ -160,12 +169,8 @@ class _Workspace:
         key = ("u", k, out)
         got = self._cache.get(key)
         if got is None:
-            decode = self.h.ctx.decode_monomial
-            below = [
-                e
-                for e in map(decode, self.h.f_res_power(k).terms)
-                if all(ei < bi for ei, bi in zip(e, out))
-            ]
+            ctx = self.h.ctx
+            below = [ctx.decode_monomial(m) for m in self.f_terms(k, exponent_cap(ctx, out))]
             got = tuple(
                 max((b - e[i] for e in below), default=0) for i, b in enumerate(out)
             )
@@ -173,18 +178,27 @@ class _Workspace:
         return got
 
     def delta_terms(self, l: int, cap: tuple[int, int]) -> dict[int, int]:
-        key = ("d", l, cap)
-        got = self._cache.get(key)
-        if got is None:
-            got = _truncate(self.h.delta_power(l).terms, *cap)
-            self._cache[key] = got
-        return got
+        return self._power("d", l, cap)
 
     def f_terms(self, k: int, cap: tuple[int, int]) -> dict[int, int]:
-        key = ("f", k, cap)
+        return self._power("f", k, cap)
+
+    def _power(self, kind: str, k: int, cap: tuple[int, int]) -> dict[int, int]:
+        """delta^k (kind "d") or fbar^k (kind "f"), truncated by ``cap``."""
+        key = (kind, k, cap)
         got = self._cache.get(key)
         if got is None:
-            got = _truncate(self.h.f_res_power(k).terms, *cap)
+            if k <= 1 or not cap[1]:
+                h = self.h
+                full = h.delta_power(k) if kind == "d" else h.f_res_power(k)
+                got = _truncate(full.terms, *cap)
+            else:
+                got = _mul_terms(
+                    self._power(kind, k - 1, cap),
+                    self._power(kind, 1, cap),
+                    self.h.ctx.p,
+                    *cap,
+                )
             self._cache[key] = got
         return got
 
@@ -247,8 +261,7 @@ def _chain(
             out_box = in_box
         base_cap = exponent_cap(ctx, out_box)
 
-    # not cached: the base cap serves only the candidates at this depth
-    base = _truncate(ws.f_terms(p - entries[-1], no_cap), *base_cap)
+    base = ws.f_terms(p - entries[-1], base_cap)
     gens = [base] if base else []
     for j in range(n - 2, -1, -1):
         if not gens:

@@ -3,19 +3,20 @@ import random
 
 import pytest
 
-from pptlab.delta import validate
+from pptlab.delta import Hypersurface, validate
 from pptlab.errors import InputError, InvalidIndexError, ResourceLimitError
 from pptlab.ideals import ResIdeal, ideal_in_frobenius_power, principal_ideal
 from pptlab.ladder import (
     SplitSequence,
     _Workspace,
+    _truncate,
     _truncated_contained,
     compute_ladder,
     next_s,
     splitting_sequence,
 )
 from pptlab.parser import parse_poly
-from pptlab.ring import Context, LiftPoly, ResPoly
+from pptlab.ring import EXPONENT_LIMIT, Context, LiftPoly, ResPoly, exponent_cap
 
 from oracles import random_int_poly, reduce_mod
 
@@ -216,6 +217,51 @@ def test_live_box_is_sound():
         for i, ui in enumerate(live):
             if ui:
                 assert not dead(tuple(ui - 1 if j == i else 0 for j in range(n)))
+
+
+def test_capped_powers_match_truncated_full_powers():
+    # the workspace builds delta^l and fbar^k from capped factors; that must
+    # equal truncating the full power, for per-variable boxes, for boxes
+    # with one field past 2^31 and for the uncapped (0, 0)
+    rng = random.Random(412)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 3 if p == 7 else 4)
+        while True:
+            f = random_int_poly(rng, n, max_terms=4, max_exp=3, max_coeff=8)
+            f.pop((0,) * n, None)
+            if f and reduce_mod(f, p):
+                break
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        h = validate(ctx, LiftPoly(ctx, f))
+        ws = _Workspace(h)
+        boxes = [tuple(rng.randrange(p * p + 2) for _ in range(n)) for _ in range(2)]
+        boxes.append((EXPONENT_LIMIT,) + tuple(rng.randrange(1, p * p) for _ in range(n - 1)))
+        for cap in [exponent_cap(ctx, b) for b in boxes] + [(0, 0)]:
+            for l in range(p):
+                want = _truncate(h.delta_power(l).terms, *cap)
+                assert ws.delta_terms(l, cap) == want, (p, h.f_lift, cap, l)
+            for k in range(p + 1):
+                want = _truncate(h.f_res_power(k).terms, *cap)
+                assert ws.f_terms(k, cap) == want, (p, h.f_lift, cap, k)
+
+
+def test_capped_scan_never_forms_full_powers(monkeypatch):
+    # the p = 13 scan needs delta^7 only inside a small box; the full power
+    # has degree 7 * 13 * 5 = 455
+    for name in ("delta_power", "f_res_power"):
+        full = getattr(Hypersurface, name)
+
+        def guarded(self, k, full=full, name=name):
+            if k >= 2:
+                raise AssertionError(f"{name}({k}) formed in full")
+            return full(self, k)
+
+        monkeypatch.setattr(Hypersurface, name, guarded)
+    h = hypersurface(
+        13, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + p*x1*x2"
+    )
+    assert splitting_sequence(h, 3).values == (0, 7, 13, 13)
 
 
 def test_capped_chain_matches_exact_ladder_in_three_and_four_variables():

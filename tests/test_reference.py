@@ -152,6 +152,33 @@ def test_capped_chain_matches_naive_on_arbitrary_indices():
             assert got == want, (p, f_int, entries)
 
 
+def test_capped_chain_matches_exact_ladder_at_large_primes_in_two_variables():
+    # a non-last slot >= 2 makes the scan build delta^l (l >= 2) from capped
+    # factors inside a two-variable box.  f is quadratic, plus p times a
+    # linear part, so that the exact ladder, which forms delta^l in full,
+    # stays fast; a last slot of 0 is drawn often, as most others fail
+    rng = random.Random(603)
+    quadratic = [(2, 0), (1, 1), (0, 2)]
+    outcomes = set()
+    for p in (11, 13):
+        ctx = Context(p, ["x", "y"], max_generators=100_000)
+        for _ in range(15):
+            f_int = {e: rng.randrange(1, p * p) for e in rng.sample(quadratic, rng.randrange(1, 4))}
+            for e in rng.sample([(1, 0), (0, 1)], rng.randrange(3)):
+                f_int[e] = p * rng.randrange(1, p)
+            if not reduce_mod(f_int, p):
+                continue
+            h = validate(ctx, LiftPoly(ctx, f_int))
+            entries = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 3)))
+            if max(entries) < 2:
+                entries = (rng.randrange(2, p),) + entries[1:]
+            entries += (rng.choice([0, rng.randrange(p + 1)]),)
+            exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
+            assert _truncated_contained(_Workspace(h), entries) == exact, (p, f_int, entries)
+            outcomes.add((p, exact))
+    assert len(outcomes) == 4
+
+
 def test_uncapped_depths_agree_with_exact_ladder():
     # the live boxes of x + y^3 cut only x's bound, from 13^k to 5*13^(k-1),
     # so from depth 9 on both bounds of the base box are >= 2^31 and the

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from pptlab.delta import validate
+from pptlab.delta import delta, validate
 from pptlab.errors import InputError, PNotGreaterThanNError, SequenceHitPError
 from pptlab.ladder import SplitSequence, splitting_sequence
 from pptlab.parser import parse_poly
-from pptlab.ring import Context, ResPoly
+from pptlab.ring import Context, LiftPoly, ResPoly
 from pptlab.verdict import (
     QFS_EXCEEDS_DEPTH,
     QFS_HEIGHT,
@@ -245,6 +246,61 @@ def test_criteria_match_ladder_predictions():
         assert criterion in crit.fired
         assert crit.predicted_values(criterion, p, 4) == values
         assert splitting_sequence(h, 4).values == values
+
+
+def full_power_criteria(h):
+    """Fired set and hypothesis of the quick criteria, from the full powers
+    of fbar and delta, truncated afterwards by their decoded exponents."""
+    ctx = h.ctx
+    p = ctx.p
+    q = p * p
+
+    def below(g, bound):
+        return {m for m in g.terms if all(e < bound for e in ctx.decode_monomial(m))}
+
+    if below(h.f_res, p):
+        return frozenset(), False
+    fired = set()
+    d = h.delta_power(p - 1)
+    if below(h.f_res_power(p - 1) * d, q) == {ctx.encode_monomial((q - 1,) * ctx.n_vars)}:
+        fired.add("C1")
+    if not below(d, q):
+        fired.add("C2")
+    f_prime = h.f_lift - LiftPoly.monomial(ctx, (1,) * ctx.n_vars, p)
+    if not below(delta(f_prime), q):
+        fired.add("C3")
+    return frozenset(fired), True
+
+
+def test_criteria_on_truncated_powers_match_full_powers():
+    # the criteria build fbar^(p-1) and delta^(p-1) truncated mod (x_i^(p^2));
+    # random inputs meet the hypothesis by scaling every term of f with all
+    # exponents below p by p
+    fixed = [
+        (2, ["x", "y", "z"], "x^3 + y^3 + z^3"),
+        (2, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4"),
+        (2, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4 + p*x1*x2*x3*x4"),
+        (2, ["x", "y"], "x^2 + y^2"),
+    ]
+    cases = [hypersurface(p, names, expr) for p, names, expr in fixed]
+    rng = random.Random(413)
+    while len(cases) < len(fixed) + 320:
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(1, 3 if p == 5 else 4)
+        f = {}
+        for _ in range(rng.randrange(1, 4)):
+            e = tuple(rng.randrange(p + 2) for _ in range(n))
+            f[e] = rng.randrange(1, 8) * (p if max(e) < p else 1)
+        if any(c % p for c in f.values()):
+            ctx = Context(p, [f"x{i}" for i in range(n)])
+            cases.append(validate(ctx, LiftPoly(ctx, f)))
+    fired = set()
+    for h in cases:
+        crit = check_quick_criteria(h)
+        assert (crit.fired, crit.hypothesis_met) == full_power_criteria(h), h
+        assert crit.hypothesis_met
+        fired |= crit.fired
+    assert fired == {"C1", "C2", "C3"}
 
 
 # -- fermat predictor ---------------------------------------------------------
