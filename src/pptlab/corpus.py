@@ -321,9 +321,10 @@ def run_row(row: CorpusRow) -> RowOutcome:
         bad("exact threshold", expect["exact"], analysis.exact)
     if "period" in expect and (analysis.preperiod, analysis.period) != expect["period"]:
         bad("period", expect["period"], (analysis.preperiod, analysis.period))
-    if expect.get("nu_identity"):
-        p = row.p
+    p = row.p
+    if expect.get("nu_identity") or "fpt" in expect:
         table = nu_table(h.f_res, row.depth)
+    if expect.get("nu_identity"):
         for n in range(1, row.depth + 1):
             lhs = sum(
                 Fraction(p - 1 - s, p**i)
@@ -333,8 +334,6 @@ def run_row(row: CorpusRow) -> RowOutcome:
             if lhs != rhs:
                 bad(f"nu identity at n={n}", rhs, lhs)
     if "fpt" in expect:
-        p = row.p
-        table = nu_table(h.f_res, row.depth)
         got = Fraction(table[row.depth], p**row.depth)
         if got != expect["fpt"]:
             bad("fpt approximant", expect["fpt"], got)

@@ -38,7 +38,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .ideals import Echelon, ResIdeal, _terms_in_frobenius_power, _u_buckets
-from .ring import exponent_cap
+# ladder-level names: perfbench times the scan's products as ladder._mul_terms
+from .ring import exponent_cap, mul_terms as _mul_terms, truncate_terms as _truncate
 
 
 @dataclass(frozen=True)
@@ -107,38 +108,6 @@ def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
 
 
 # -- the chain ----------------------------------------------------------------
-
-
-def _truncate(terms: dict[int, int], add: int, high: int) -> dict[int, int]:
-    if not high:
-        return terms
-    return {m: c for m, c in terms.items() if not (m + add) & high}
-
-
-def _mul_terms(
-    a: dict[int, int], b: dict[int, int], mod: int, add: int, high: int
-) -> dict[int, int]:
-    """Product of two term dicts, dropping monomials flagged by the cap."""
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict[int, int] = {}
-    get = out.get
-    if high:
-        for ma, ca in a.items():
-            shifted = ma + add
-            for mb, cb in b.items():
-                if (shifted + mb) & high:
-                    continue
-                m = ma + mb
-                out[m] = get(m, 0) + ca * cb
-    else:
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                out[m] = get(m, 0) + ca * cb
-    return {m: v for m, c in out.items() if (v := c % mod)}
 
 
 class _Workspace:

@@ -19,6 +19,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()]))")
 
 _INT, _NAME, _OP, _END = "int", "name", "op", "end"
 
+# Parentheses and unary minus both recurse; past this depth the parser
+# raises ParseError instead of exhausting the interpreter's stack.
+MAX_NESTING = 100
+
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -47,6 +51,15 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.ctx = ctx
         self.i = 0
+        self.depth = 0
+
+    def nested(self, pos: int, parse) -> LiftPoly:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        value = parse()
+        self.depth -= 1
+        return value
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -81,7 +94,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == _OP and text == "-":
             self.advance()
-            return -self.factor()
+            return -self.nested(pos, self.factor)
         base = self.atom()
         kind, text, pos = self.peek()
         if kind == _OP and text == "^":
@@ -103,7 +116,7 @@ class _Parser:
                 return LiftPoly.constant(self.ctx, self.ctx.p)
             raise UnknownVariableError(text, pos)
         if kind == _OP and text == "(":
-            value = self.expr()
+            value = self.nested(pos, self.expr)
             kind, text, pos = self.advance()
             if not (kind == _OP and text == ")"):
                 raise ParseError("expected ')'", pos)

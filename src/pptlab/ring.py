@@ -174,6 +174,40 @@ def exponent_cap(ctx: Context, q: int | Iterable[int]) -> tuple[int, int]:
     return add, high
 
 
+def truncate_terms(terms: dict[int, int], add: int, high: int) -> dict[int, int]:
+    """The terms whose monomials the ``exponent_cap`` masks do not flag."""
+    if not high:
+        return terms
+    return {m: c for m, c in terms.items() if not (m + add) & high}
+
+
+def mul_terms(
+    a: dict[int, int], b: dict[int, int], mod: int, add: int = 0, high: int = 0
+) -> dict[int, int]:
+    """Product of two term dicts mod ``mod``, dropping the monomials the
+    ``exponent_cap`` masks (add, high) flag; (0, 0) drops nothing."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, int] = {}
+    get = out.get
+    if high:
+        for ma, ca in a.items():
+            shifted = ma + add
+            for mb, cb in b.items():
+                if (shifted + mb) & high:
+                    continue
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+    else:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+    return {m: v for m, c in out.items() if (v := c % mod)}
+
+
 def _require_same_ring(a: "Poly", b: "Poly") -> None:
     if type(a) is not type(b):
         raise ContextMismatchError(
@@ -308,16 +342,7 @@ class Poly:
         return self._raw(self.ctx, out, max(self.max_exponent, other.max_exponent))
 
     def __sub__(self, other):
-        _require_same_ring(self, other)
-        mod = self.modulus
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (out.get(m, 0) - c) % mod
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return self._raw(self.ctx, out, max(self.max_exponent, other.max_exponent))
+        return self + -other
 
     def __neg__(self):
         mod = self.modulus
@@ -338,18 +363,7 @@ class Poly:
             raise ExponentOverflowError(
                 f"product exponents may reach {bound} >= 2**31"
             )
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        mod = self.modulus
-        out: dict[int, int] = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                out[m] = get(m, 0) + ca * cb
-        out = {m: v for m, c in out.items() if (v := c % mod)}
-        return self._raw(self.ctx, out, bound)
+        return self._raw(self.ctx, mul_terms(self.terms, other.terms, self.modulus), bound)
 
     __rmul__ = __mul__
 

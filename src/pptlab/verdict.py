@@ -10,6 +10,12 @@ and when the sequence is eventually periodic the closed form of the full
 series is evaluated exactly.  A detected period is only ever reported as
 proven when the input belongs to a family with a certificate (a quick
 criterion or the Fermat predictor); otherwise it is conjectural.
+
+nu(p^e) climbs the levels 1..e: over F_p, fbar^(p*n) is the Frobenius
+image of fbar^n, and that image maps the truncation below
+(x_i^(p^(k-1))) exactly onto the truncation below (x_i^(p^k)), so each
+level starts at p times the previous level's nu.  All capped products,
+here and in the quick criteria, are ``ring.mul_terms``.
 """
 
 from __future__ import annotations
@@ -19,14 +25,16 @@ from fractions import Fraction
 
 from .delta import Hypersurface, delta
 from .errors import (
+    ExponentOverflowError,
+    FIsUnitError,
     InputError,
     InternalCheckError,
     PNotGreaterThanNError,
     SequenceHitPError,
 )
 from .ideals import member_frobenius_power
-from .ladder import SplitSequence
-from .ring import LiftPoly, ResPoly, exponent_cap
+from .ladder import SplitSequence, _Workspace
+from .ring import EXPONENT_LIMIT, LiftPoly, ResPoly, exponent_cap, mul_terms, truncate_terms
 
 VERDICT_PERFECTOID_PURE = "perfectoid_pure"
 VERDICT_NOT_PERFECTOID_PURE = "not_perfectoid_pure"
@@ -180,56 +188,48 @@ def qfs_height(seq: SplitSequence) -> QfsResult:
 # -- nu-functions and the F-pure threshold ----------------------------------
 
 
-def _truncate_res(g: ResPoly, q: int) -> ResPoly:
-    """Drop monomials with some exponent >= q (they stay inside the
-    monomial ideal under further multiplication, so products of truncated
-    polynomials stay correct modulo that ideal)."""
-    add, high = exponent_cap(g.ctx, q)
-    out = {m: c for m, c in g.terms.items() if not (m + add) & high}
-    return ResPoly._raw(g.ctx, out, min(g.max_exponent, q - 1))
-
-
-def _truncated_power(g: ResPoly, k: int, q: int) -> ResPoly:
-    result = _truncate_res(ResPoly.one(g.ctx), q)
-    base = _truncate_res(g, q)
-    while k:
-        if k & 1:
-            result = _truncate_res(result * base, q)
-        k >>= 1
-        if k:
-            base = _truncate_res(base * base, q)
-    return result
-
-
-def nu(f_res: ResPoly, e: int, *, start: int = 0) -> int:
+def nu(f_res: ResPoly, e: int) -> int:
     """nu(p^e) = max N with fbar^N outside (x_1^(p^e), ..., x_N^(p^e)).
 
-    Iterated multiplication with truncation: any monomial already inside
-    the target monomial ideal is dropped, which cannot resurrect a
-    membership-relevant term.  ``start`` seeds the search from a known
-    lower bound.
+    Climbs the levels k = 1..e.  Write trunc_k for dropping the monomials
+    with some exponent >= p^k, reduction modulo a monomial ideal and so a
+    ring map.  Over F_p, fbar^(p*n) is the Frobenius image of fbar^n
+    (monomials times p, coefficients c^p = c), and m has some exponent
+    >= p^(k-1) iff p*m has some exponent >= p^k; so trunc_k(fbar^(p*n))
+    is the Frobenius image of trunc_(k-1)(fbar^n), exactly.  Level k thus
+    starts from the image of level k-1's last nonzero capped power, at
+    N = p * nu(p^(k-1)), and multiplies by trunc_k(fbar) until the capped
+    product is empty.  Level 1 starts from fbar^0 = 1.
     """
     if f_res.is_zero():
         raise InputError("nu requires a nonzero reduction")
+    if f_res.constant_coefficient():
+        raise FIsUnitError("nu requires fbar with no constant term")
     if e < 1:
         raise InputError(f"e must be >= 1, got {e}")
-    q = f_res.ctx.p ** e
-    base = _truncate_res(f_res, q)
-    power = _truncated_power(f_res, start, q)
-    if power.is_zero():
-        raise InternalCheckError(
-            f"seed {start} for nu(p^{e}) is already inside the ideal"
-        )
-    n = start
-    while True:
-        power = _truncate_res(power * base, q)
-        if power.is_zero():
-            return n
-        n += 1
+    ctx = f_res.ctx
+    p = ctx.p
+    if p**e >= EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"p^e = {p}^{e} >= 2**31")
+    power = {0: 1}
+    n = 0
+    for k in range(1, e + 1):
+        cap = exponent_cap(ctx, p**k)
+        base = truncate_terms(f_res.terms, *cap)
+        power = {m * p: c for m, c in power.items()}
+        if not power or len(truncate_terms(power, *cap)) != len(power):
+            raise InternalCheckError(
+                f"Frobenius seed for nu(p^{k}) is empty or leaves the box"
+            )
+        n *= p
+        while nxt := mul_terms(power, base, p, *cap):
+            power = nxt
+            n += 1
+    return n
 
 
 def nu_table(f_res: ResPoly, e_max: int) -> dict[int, int]:
-    """nu(p^e) for e = 1..e_max, each search seeded from p * nu(p^(e-1)).
+    """nu(p^e) for e = 1..e_max.
 
     The standard monotonicity nu(p^(e+1)) >= p * nu(p^e) is asserted.
     """
@@ -237,15 +237,13 @@ def nu_table(f_res: ResPoly, e_max: int) -> dict[int, int]:
         raise InputError(f"e_max must be >= 1, got {e_max}")
     p = f_res.ctx.p
     table: dict[int, int] = {}
-    prev = 0
     for e in range(1, e_max + 1):
-        value = nu(f_res, e, start=p * prev)
-        if value < p * prev:
+        table[e] = nu(f_res, e)
+        bound = p * table.get(e - 1, 0)
+        if table[e] < bound:
             raise InternalCheckError(
-                f"nu(p^{e}) = {value} below the monotone bound {p * prev}"
+                f"nu(p^{e}) = {table[e]} below the monotone bound {bound}"
             )
-        table[e] = value
-        prev = value
     return table
 
 
@@ -326,19 +324,21 @@ def check_quick_criteria(h: Hypersurface) -> QuickCriteria:
     fired = set()
     # every test is modulo (x_i^(p^2)), so the powers are built truncated
     q = p * p
-    delta_pow = _truncated_power(h.delta_f, p - 1, q)
+    cap = exponent_cap(ctx, q)
+    ws = _Workspace(h)
+    delta_pow = ws.delta_terms(p - 1, cap)
     # C1: compare against the single monomial (x_1...x_N)^(p^2-1)
-    residue = _truncate_res(_truncated_power(h.f_res, p - 1, q) * delta_pow, q)
+    residue = mul_terms(ws.f_terms(p - 1, cap), delta_pow, p, *cap)
     target = ctx.encode_monomial((q - 1,) * ctx.n_vars)
-    if set(residue.terms) == {target}:
+    if set(residue) == {target}:
         fired.add("C1")
     # C2
-    if delta_pow.is_zero():
+    if not delta_pow:
         fired.add("C2")
     # C3
     full_product = LiftPoly.monomial(ctx, (1,) * ctx.n_vars, p)
     f_prime = h.f_lift - full_product
-    if _truncate_res(delta(f_prime), q).is_zero():
+    if not truncate_terms(delta(f_prime).terms, *cap):
         fired.add("C3")
     return QuickCriteria(fired=frozenset(fired), hypothesis_met=True)
 

@@ -97,6 +97,17 @@ def test_fpt_command(capsys):
     assert record["fpt"]["regular"] is True
 
 
+def test_fpt_exponent_range_edge(capsys):
+    # nu(p^e) needs p^e < 2**31, the exponent range of a packed monomial
+    argv = ["fpt", "--p", "2", "--vars", "x", "--f", "x", "--emax"]
+    code, record, _ = run_json(capsys, argv + ["30"])
+    assert code == 0
+    assert record["nu_table"]["30"] == 1073741823
+    code, record, _ = run_json(capsys, argv + ["31"])
+    assert code == 2
+    assert record["error"]["type"] == "ExponentOverflowError"
+
+
 def test_trace_prints_ladder_ideals(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -135,6 +146,20 @@ def test_invalid_input_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["sequence", "--p", "2", "--vars", "x", "--f", "x +"])
     assert code == 2
+
+
+@pytest.mark.parametrize("f", ["(" * 300 + "x" + ")" * 300, "-" * 1500 + "x"])
+def test_deep_nesting_is_a_parse_error(capsys, f):
+    code, record, _ = run_json(capsys, ["sequence", "--p", "2", "--vars", "x", f"--f={f}"])
+    assert code == 2
+    assert record["error"]["type"] == "ParseError"
+
+
+def test_fifty_nested_parentheses_parse(capsys):
+    f = "(" * 50 + "x^2" + ")" * 50
+    code, record, _ = run_json(capsys, ["sequence", "--p", "2", "--vars", "x", "--f", f])
+    assert code == 0
+    assert record["input"]["f"] == "x^2"
 
 
 def test_json_error_object(capsys):

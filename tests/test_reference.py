@@ -22,7 +22,8 @@ from pptlab.ladder import (
     splitting_sequence,
 )
 from pptlab.parser import parse_poly
-from pptlab.ring import Context, LiftPoly, exponent_cap
+from pptlab.ring import Context, LiftPoly, ResPoly, exponent_cap
+from pptlab.verdict import nu, nu_table
 
 from oracles import delta_int, int_mul, int_pow, random_int_poly, reduce_mod
 
@@ -210,3 +211,38 @@ def test_known_inputs_match_naive_reference():
         got = splitting_sequence(h, depth).values
         want = naive_sequence(f_int, p, n, depth)
         assert got == want, (p, n, f_int, got, want)
+
+
+def naive_nu_table(f, p, n, e_max):
+    """nu(p^e) for e = 1..e_max from untruncated powers of f: the largest N
+    with some monomial of f^N having every exponent below p^e."""
+    table, power, first_inside = {}, {(0,) * n: 1}, 0
+    for e in range(1, e_max + 1):
+        q = p**e
+        while not all(any(x >= q for x in exps) for exps in power):
+            power = naive_mul(power, f, p)
+            first_inside += 1
+        table[e] = first_inside - 1
+    return table
+
+
+def test_nu_matches_naive_untruncated_powers():
+    # the Frobenius climb against untruncated powers of f; the untruncated
+    # f^N grows like N^n monomials, so p^e_max shrinks as n grows
+    max_q = {1: 7**3, 2: 125, 3: 27}
+    rng = random.Random(602)
+    cases = 0
+    while cases < 90:
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 4)
+        e_max = max(e for e in (1, 2, 3) if p**e <= max_q[n])
+        f = reduce_mod(random_int_poly(rng, n, max_terms=4, max_exp=3, max_coeff=8), p)
+        f.pop((0,) * n, None)
+        if not f:
+            continue
+        cases += 1
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        f_res = ResPoly(ctx, f)
+        want = naive_nu_table(f, p, n, e_max)
+        assert nu_table(f_res, e_max) == want, (p, n, f, want)
+        assert {e: nu(f_res, e) for e in want} == want, (p, n, f, want)

@@ -187,6 +187,11 @@ def test_nu_rejects_zero():
     ctx = Context(2, ["x"])
     with pytest.raises(InputError):
         nu(ResPoly.zero(ctx), 1)
+    # a unit never enters the ideal, so the climb would not end
+    unit = ResPoly(Context(3, ["x"]), {(0,): 1, (1,): 1})
+    for call in (lambda: nu(unit, 1), lambda: nu_table(unit, 2), lambda: fpt_approx(unit, 2)):
+        with pytest.raises(InputError):
+            call()
 
 
 # -- regularity ---------------------------------------------------------------
