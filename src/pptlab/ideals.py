@@ -22,7 +22,8 @@ multipliers.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import functools
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContextMismatchError, InputError, ResourceLimitError
 from .ring import FIELD_BITS, FIELD_MASK, Context, ResPoly, exponent_cap
@@ -117,6 +118,84 @@ class Echelon:
             ResPoly._raw(self.ctx, row, _max_exponent_of(self.ctx, row))
             for row in self.basis_terms()
         ]
+
+
+@functools.lru_cache(maxsize=None)
+def _divisibility_masks(n_vars: int) -> tuple[int, int]:
+    """(low, guard): ``low`` keeps the exponent fields and drops the degree
+    field, ``guard`` sets the top bit of every exponent field."""
+    low = (1 << (FIELD_BITS * n_vars)) - 1
+    guard = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(n_vars))
+    return low, guard
+
+
+class MonomialAntichain:
+    """Minimal generators of a monomial ideal M, kept beside an ``Echelon``.
+
+    No member divides another.  ``reduce`` drops the terms of a row that
+    lie in M; membership in a monomial ideal is decided term by term, so
+    the ideals (M, r) and (M, reduce(r)) agree for every row r.
+
+    Divisibility is one subtraction on packed monomials: with the degree
+    field masked off and the top bit of every exponent field of b set, a
+    divides b iff every such guard bit survives b - a (exponents stay
+    below 2**31, so no field borrows from the next).  Members count
+    against the workspace cap of the echelon they sit beside.
+    """
+
+    __slots__ = ("_ech", "_low", "_guard", "_members")
+
+    def __init__(self, ech: Echelon):
+        self._ech = ech
+        self._low, self._guard = _divisibility_masks(ech.ctx.n_vars)
+        self._members: dict[int, int] = {}  # packed monomial -> exponent fields
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._members)
+
+    def divides(self, m: int) -> bool:
+        """Whether some member divides the packed monomial m."""
+        guard = self._guard
+        b = (m & self._low) | guard
+        for a in self._members.values():
+            if (b - a) & guard == guard:
+                return True
+        return False
+
+    def add(self, m: int) -> bool:
+        """Add the monomial m unless a member divides it, dropping the
+        members it divides; True when m was added."""
+        if self.divides(m):
+            return False
+        guard = self._guard
+        a = m & self._low
+        members = self._members
+        for k in [k for k, e in members.items() if ((e | guard) - a) & guard == guard]:
+            del members[k]
+        members[m] = a
+        self._ech._note_monomials((m,))
+        return True
+
+    def reduce(self, terms: dict[int, int]) -> dict[int, int]:
+        """The terms of ``terms`` that no member divides."""
+        members = self._members
+        if not members:
+            return terms
+        low = self._low
+        guard = self._guard
+        exps = members.values()
+        out = {}
+        for m, c in terms.items():
+            b = (m & low) | guard
+            for a in exps:
+                if (b - a) & guard == guard:
+                    break
+            else:
+                out[m] = c
+        return out
 
 
 def _max_exponent_of(ctx: Context, terms: dict[int, int]) -> int:

@@ -22,6 +22,11 @@ stage before it must keep, per variable; with fbar^(p-l-1) = 1 the box is
 why dropping the rest never changes the answer.  Every cap is one
 ``ring.exponent_cap`` test, and the capped delta^l and fbar^k are built
 from capped factors inside their box (``_Workspace``), never in full.
+A capped stage also needs only the ideal its u step generates, not the
+F_p-span of its rows: it keeps single-term rows as minimal monomials
+(``ideals.MonomialAntichain``) and strips from every other row the terms
+those monomials divide, which leaves the ideal unchanged because
+membership in a monomial ideal is decided term by term.
 """
 
 from __future__ import annotations
@@ -37,7 +42,13 @@ from .errors import (
     MonotonicityViolationError,
     ResourceLimitError,
 )
-from .ideals import Echelon, ResIdeal, _terms_in_frobenius_power, _u_buckets
+from .ideals import (
+    Echelon,
+    MonomialAntichain,
+    ResIdeal,
+    _terms_in_frobenius_power,
+    _u_buckets,
+)
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms
 from .ring import exponent_cap, mul_terms as _mul_terms, truncate_terms as _truncate
 
@@ -207,8 +218,23 @@ def _chain(
     U_j = Out_j and the caps are the uniform p^(k+1) with k applications
     of u ahead.
 
-    The exact chain instead reduces the delta-products to RREF before the
-    u stage and bounds the u fan-out over them by ``max_generators``.
+    The capped u stage keeps the ideal u(F_*(delta^(l_j) * K)) rather than
+    the F_p-span of its rows.  That is enough: a stage depends only on the
+    ideal K, modulo the box, and the bucket rows u(F_*(x^e * delta^(l_j)
+    * g)) over the generators g of K generate that ideal.  So a row with
+    one term joins an antichain M of minimal monomials, not the echelon.
+    Every other row first loses its terms that a member of M divides; it
+    is skipped if nothing is left, joins M if one term is left, and goes
+    into the echelon otherwise.  Once all rows are in, the echelon rows
+    get one more pass of the same reduction, and the f-multiply runs over
+    the members of M and the reduced rows.  None of this changes the
+    ideal, because (M, r) = (M, r - r|_M), where r|_M is the part of r in
+    the monomial ideal (M): membership in a monomial ideal is decided term
+    by term.
+
+    The exact chain instead keeps every row's span, reduces the
+    delta-products to RREF before the u stage and bounds the u fan-out
+    over them by ``max_generators``.
     """
     ctx = ws.h.ctx
     p = ctx.p
@@ -247,6 +273,7 @@ def _chain(
                     reduced.insert(prod)
                 prods = reduced.basis_terms()
         ech = Echelon(ctx)
+        mins = MonomialAntichain(ech) if capped else None
         fan_out = 0
         for prod in prods:
             buckets = _u_buckets(ctx, prod)
@@ -256,10 +283,21 @@ def _chain(
                     f"u-image fan-out exceeded {ctx.max_generators} generators"
                 )
             for key in sorted(buckets):
-                ech.insert(_truncate(buckets[key], *u_cap))
+                row = _truncate(buckets[key], *u_cap)
+                if mins is None:
+                    ech.insert(row)
+                    continue
+                row = mins.reduce(row)
+                if len(row) > 1:
+                    ech.insert(row)
+                elif row:
+                    mins.add(*row)
+        rows = ech.basis_terms()
+        if mins:
+            rows = [{m: 1} for m in mins] + [r for r in map(mins.reduce, rows) if r]
         fmul = ws.f_terms(p - l - 1, out_cap)
         out = Echelon(ctx)
-        for row in ech.basis_terms():
+        for row in rows:
             out.insert(_mul_terms(row, fmul, p, *out_cap))
         out.insert(ws.f_terms(p - l, out_cap))
         gens = out.basis_terms()

@@ -30,6 +30,7 @@ from .errors import (
     InputError,
     InternalCheckError,
     PNotGreaterThanNError,
+    ResourceLimitError,
     SequenceHitPError,
 )
 from .ideals import member_frobenius_power
@@ -199,7 +200,8 @@ def nu(f_res: ResPoly, e: int) -> int:
     is the Frobenius image of trunc_(k-1)(fbar^n), exactly.  Level k thus
     starts from the image of level k-1's last nonzero capped power, at
     N = p * nu(p^(k-1)), and multiplies by trunc_k(fbar) until the capped
-    product is empty.  Level 1 starts from fbar^0 = 1.
+    product is empty.  Level 1 starts from fbar^0 = 1.  A capped power with
+    more than ``max_workspace_monomials`` terms raises ``ResourceLimitError``.
     """
     if f_res.is_zero():
         raise InputError("nu requires a nonzero reduction")
@@ -223,6 +225,11 @@ def nu(f_res: ResPoly, e: int) -> int:
             )
         n *= p
         while nxt := mul_terms(power, base, p, *cap):
+            if len(nxt) > ctx.max_workspace_monomials:
+                raise ResourceLimitError(
+                    f"capped power fbar^{n + 1} holds {len(nxt)} monomials, "
+                    f"over the cap {ctx.max_workspace_monomials}"
+                )
             power = nxt
             n += 1
     return n

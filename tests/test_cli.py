@@ -108,6 +108,17 @@ def test_fpt_exponent_range_edge(capsys):
     assert record["error"]["type"] == "ExponentOverflowError"
 
 
+def test_fpt_monomial_cap_exits_3(capsys):
+    # the capped power nu climbs through holds 420 terms at level 7 and
+    # 1260 at level 8
+    argv = ["fpt", "--p", "2", "--vars", "x,y,z", "--f", "x^3+y^3+z^3", "--max-monomials", "1000"]
+    code, _, _ = run_json(capsys, argv + ["--emax", "7"])
+    assert code == 0
+    code, record, _ = run_json(capsys, argv + ["--emax", "8"])
+    assert code == 3
+    assert record["error"]["type"] == "ResourceLimitError"
+
+
 def test_trace_prints_ladder_ideals(capsys):
     code, out, _ = run_cli(
         capsys,

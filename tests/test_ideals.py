@@ -6,6 +6,7 @@ import pytest
 from pptlab.errors import InputError, ResourceLimitError
 from pptlab.ideals import (
     Echelon,
+    MonomialAntichain,
     ResIdeal,
     echelon_reduce,
     ideal_in_frobenius_power,
@@ -14,7 +15,7 @@ from pptlab.ideals import (
     u_image,
     u_single,
 )
-from pptlab.ring import Context, ResPoly
+from pptlab.ring import EXPONENT_LIMIT, FIELD_BITS, Context, ResPoly
 
 from oracles import u_image_bruteforce
 
@@ -221,6 +222,61 @@ def test_monomial_cap_enforced():
     gens = [ResPoly(ctx, {(i, 0): 1, (0, i + 1): 1}) for i in range(4)]
     with pytest.raises(ResourceLimitError):
         echelon_reduce(ctx, gens)
+
+
+def test_antichain_matches_decoded_divisibility():
+    # exponents 0 and 2^31 - 1 test the guard bits at both ends of a field;
+    # a random degree field on every monomial must be ignored
+    rng = random.Random(620)
+    top = EXPONENT_LIMIT - 1
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        ctx = Context(2, [f"x{i}" for i in range(n)])
+        pool = [0, 1, 2, 3, top - 1, top]
+
+        def packed(exps):
+            degree = rng.randrange(4 * EXPONENT_LIMIT)
+            m = ctx.encode_monomial(exps)
+            return (degree << (FIELD_BITS * n)) | (m & ((1 << (FIELD_BITS * n)) - 1))
+
+        def divides(a, b):
+            return all(x <= y for x, y in zip(a, b))
+
+        mins = MonomialAntichain(Echelon(ctx))
+        added = []
+        for _ in range(rng.randrange(1, 25)):
+            exps = tuple(rng.choice(pool) for _ in range(n))
+            members = [ctx.decode_monomial(m)[:n] for m in mins]
+            want = any(divides(a, exps) for a in members)
+            assert mins.divides(packed(exps)) == want, (members, exps)
+            assert mins.add(packed(exps)) == (not want)
+            added.append(exps)
+            members = [ctx.decode_monomial(m)[:n] for m in mins]
+            for i, a in enumerate(members):
+                assert not any(divides(a, b) for j, b in enumerate(members) if j != i)
+            for b in added:
+                assert any(divides(a, b) for a in members), (members, b)
+
+
+def test_antichain_reduce_drops_exactly_the_divisible_terms():
+    rng = random.Random(621)
+    for _ in range(100):
+        n = rng.randrange(1, 5)
+        ctx = Context(3, [f"x{i}" for i in range(n)])
+        mins = MonomialAntichain(Echelon(ctx))
+        for _ in range(rng.randrange(4)):
+            mins.add(ctx.encode_monomial(rng.randrange(4) for _ in range(n)))
+        row = {ctx.encode_monomial(rng.randrange(6) for _ in range(n)): 1 for _ in range(8)}
+        assert mins.reduce(row) == {m: c for m, c in row.items() if not mins.divides(m)}
+
+
+def test_antichain_counts_against_the_monomial_cap():
+    ctx = Context(2, ["x", "y"], max_workspace_monomials=3)
+    mins = MonomialAntichain(Echelon(ctx))
+    for i in range(3):
+        assert mins.add(ctx.encode_monomial((i, 3 - i)))
+    with pytest.raises(ResourceLimitError):
+        mins.add(ctx.encode_monomial((3, 0)))
 
 
 # -- membership ----------------------------------------------------------------

@@ -5,7 +5,13 @@ import pytest
 
 from pptlab.delta import Hypersurface, validate
 from pptlab.errors import InputError, InvalidIndexError, ResourceLimitError
-from pptlab.ideals import ResIdeal, ideal_in_frobenius_power, principal_ideal
+from pptlab.ideals import (
+    Echelon,
+    MonomialAntichain,
+    ResIdeal,
+    ideal_in_frobenius_power,
+    principal_ideal,
+)
 from pptlab.ladder import (
     SplitSequence,
     _Workspace,
@@ -301,3 +307,106 @@ def test_deformed_sequences_are_frozen(p, names, expr, values):
     # frozen from the scan with uniform p^k caps
     h = hypersurface(p, names.split(","), expr)
     assert splitting_sequence(h, len(values) - 1).values == values
+
+
+def test_capped_u_stage_inserts_few_rows(monkeypatch):
+    # the capped u stage keeps monomial rows as minimal monomials and
+    # reduces the other rows by them before the echelon sees them; keeping
+    # the whole F_p-span of every u-row took 54,781 inserts here
+    inserts = []
+    insert = Echelon.insert
+
+    def counted(self, terms):
+        inserts.append(len(terms))
+        return insert(self, terms)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    h = hypersurface(7, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
+    assert splitting_sequence(h, 4).values == (0, 2, 0, 2, 0)
+    assert len(inserts) < 5000
+
+
+def test_capped_u_stage_monomials_count_against_the_cap():
+    # the first u stage of this scan yields monomial rows only, so the cap
+    # trips while the antichain, not the echelon, takes them
+    ctx = Context(7, ["x1", "x2", "x3", "x4"], max_workspace_monomials=3)
+    h = validate(ctx, parse_poly("x1^4 + x2^4 + x3^4 + x4^4", ctx))
+    with pytest.raises(ResourceLimitError) as err:
+        splitting_sequence(h, 3)
+    assert "add" in [entry.name for entry in err.traceback]
+
+
+def deformed_fermat(rng, p, n, d):
+    # the Fermat polynomial of degree d plus one or two other degree-d terms,
+    # with coefficients that are units, multiples of p, or both across terms
+    f = {tuple(d if j == i else 0 for j in range(n)): 1 for i in range(n)}
+    for _ in range(rng.randrange(1, 3)):
+        e = [0] * n
+        for _ in range(d):
+            e[rng.randrange(n)] += 1
+        if max(e) < d:
+            f[tuple(e)] = rng.choice([1, 2, rng.randrange(1, p), p, p * rng.randrange(1, p)])
+    ctx = Context(p, [f"x{i}" for i in range(n)], max_generators=100_000)
+    return validate(ctx, LiftPoly(ctx, f))
+
+
+def count_dropped_terms(monkeypatch):
+    dropped = []
+    reduce = MonomialAntichain.reduce
+
+    def counted(self, terms):
+        out = reduce(self, terms)
+        dropped.append(len(terms) - len(out))
+        return out
+
+    monkeypatch.setattr(MonomialAntichain, "reduce", counted)
+    return dropped
+
+
+def test_capped_u_stage_reduction_matches_exact_ladder(monkeypatch):
+    # deformed Fermat inputs give u-rows of both kinds: the Fermat part
+    # gives monomials, the other terms rows with several terms, some of
+    # which the monomials then divide; the exact ladder keeps every row
+    dropped = count_dropped_terms(monkeypatch)
+    rng = random.Random(7)
+    runs = ((3, 3, 3, 4, 20), (3, 4, 4, 3, 12), (5, 3, 3, 2, 12), (5, 4, 3, 2, 6), (7, 3, 4, 2, 8))
+    outcomes = set()
+    for p, n, d, longest, cases in runs:
+        for _ in range(cases):
+            h = deformed_fermat(rng, p, n, d)
+            k = rng.randrange(2, longest + 1)
+            entries = tuple(rng.randrange(p) for _ in range(k - 1))
+            entries += (rng.choice([0, rng.randrange(p + 1)]),)
+            exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
+            assert _truncated_contained(_Workspace(h), entries) == exact, (
+                p,
+                h.f_lift,
+                entries,
+            )
+            outcomes.add((p, n, exact))
+    assert len(outcomes) == 2 * len(runs)
+    assert sum(dropped) > 0
+
+
+def test_scanned_deformed_fermat_sequences_match_exact_ladder(monkeypatch):
+    # the scan's own prefixes sit where containment changes, which is where
+    # a u-row lost by the capped stage would change an entry: each s_k must
+    # be contained after s_1..s_(k-1) in the exact ladder, and s_k + 1 not
+    dropped = count_dropped_terms(monkeypatch)
+    rng = random.Random(5)
+    runs = ((3, 3, 3, 5, 16), (3, 4, 4, 4, 8), (5, 3, 3, 4, 8), (5, 4, 3, 3, 4), (7, 3, 4, 3, 4))
+    entries_seen = set()
+    for p, n, d, depth, cases in runs:
+        for _ in range(cases):
+            h = deformed_fermat(rng, p, n, d)
+            values = splitting_sequence(h, depth).values
+            for k in range(1, depth + 1):
+                prefix, s = values[1:k], values[k]
+                assert ideal_in_frobenius_power(compute_ladder(h, prefix + (s,)), 1)
+                if s == p:
+                    break
+                above = compute_ladder(h, prefix + (s + 1,))
+                assert not ideal_in_frobenius_power(above, 1), (p, h.f_lift, values, k)
+                entries_seen.add((p, s))
+    assert {p for p, s in entries_seen if s} == {3, 5, 7}
+    assert sum(dropped) > 0
