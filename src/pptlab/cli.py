@@ -27,6 +27,7 @@ from .errors import (
     PptlabError,
     ResourceLimitError,
 )
+from .ladder import compute_ladder
 from .parser import expand_var_spec, parse_poly
 from .pipeline import Analysis, analyze
 from .ring import Context, render
@@ -133,7 +134,7 @@ def build_record(args: argparse.Namespace) -> dict:
 
     t0 = time.perf_counter()
     if args.command in ANALYSIS_COMMANDS:
-        analysis = analyze(h, args.depth, strict_r1=args.strict_r1, trace=args.trace)
+        analysis = analyze(h, args.depth, strict_r1=args.strict_r1)
         record["sequence"] = _sequence_block(analysis)
         record["verdict"] = _verdict_block(analysis)
         record["ppt"] = _ppt_block(analysis)
@@ -142,9 +143,11 @@ def build_record(args: argparse.Namespace) -> dict:
         record["timings"]["per_depth_ms"] = [
             round(ms, 3) for ms in analysis.seq.per_depth_ms or ()
         ]
-        if args.trace and analysis.seq.per_step_ideals is not None:
+        if args.trace:
+            seq = analysis.seq
             record["trace"] = [
-                [str(g) for g in ideal.gens] for ideal in analysis.seq.per_step_ideals
+                [str(g) for g in compute_ladder(h, seq.values[1 : n + 1]).gens]
+                for n in range(1, (seq.terminated_at_p or seq.depth) + 1)
             ]
     elif args.command == "fpt":
         table = nu_table(h.f_res, args.emax)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 from .errors import FDivisibleByPError, FIsUnitError, InputError
 from .ring import (
     Context,
@@ -27,47 +25,34 @@ def delta(f: LiftPoly) -> ResPoly:
 
 
 class Hypersurface:
-    """A validated hypersurface input: f mod p^2 with its reduction and
-    delta image, plus insert-once memo tables for full powers.
+    """A validated hypersurface input: f mod p^2, its reduction fbar over
+    F_p and delta(f); a plain value that memoises nothing.
 
-    The memos serve the exact ladder (``compute_ladder``, ``--trace``) and
-    scan stages whose box is uncapped; the capped scan builds its powers
-    inside the box it keeps (``ladder._Workspace``).
-
-    Immutable except for the memos, which are guarded by a lock and only
-    ever filled idempotently.
+    ``delta_power`` and ``f_res_power`` form full powers for the exact
+    ladder (``compute_ladder``, ``--trace``), the powers k <= 1 and
+    uncapped scan stages; ``ladder._Workspace`` memoises them per run and
+    builds the capped powers inside the box it keeps.
     """
 
-    __slots__ = ("ctx", "f_lift", "f_res", "delta_f", "_lock", "_delta_pows", "_f_pows")
+    __slots__ = ("ctx", "f_lift", "f_res", "delta_f")
 
     def __init__(self, ctx: Context, f_lift: LiftPoly, f_res: ResPoly, delta_f: ResPoly):
         self.ctx = ctx
         self.f_lift = f_lift
         self.f_res = f_res
         self.delta_f = delta_f
-        self._lock = threading.Lock()
-        self._delta_pows: dict[int, ResPoly] = {0: ResPoly.one(ctx), 1: delta_f}
-        self._f_pows: dict[int, ResPoly] = {0: ResPoly.one(ctx), 1: f_res}
 
     def delta_power(self, l: int) -> ResPoly:
-        """delta(f)^l over F_p for 0 <= l <= p-1, memoized."""
+        """delta(f)^l over F_p for 0 <= l <= p-1."""
         if not 0 <= l <= self.ctx.p - 1:
             raise InputError(f"delta power {l} outside 0..{self.ctx.p - 1}")
-        return self._power(self._delta_pows, self.delta_f, l)
+        return self.delta_f ** l
 
     def f_res_power(self, k: int) -> ResPoly:
-        """fbar^k over F_p for 0 <= k <= p, memoized."""
+        """fbar^k over F_p for 0 <= k <= p."""
         if not 0 <= k <= self.ctx.p:
             raise InputError(f"f power {k} outside 0..{self.ctx.p}")
-        return self._power(self._f_pows, self.f_res, k)
-
-    def _power(self, memo: dict[int, ResPoly], base: ResPoly, k: int) -> ResPoly:
-        got = memo.get(k)
-        if got is not None:
-            return got
-        value = base ** k
-        with self._lock:
-            return memo.setdefault(k, value)
+        return self.f_res ** k
 
     def __repr__(self) -> str:
         return f"Hypersurface(p={self.ctx.p}, f={self.f_lift})"

@@ -284,28 +284,11 @@ def u_single(g: ResPoly) -> ResPoly:
 
     Keeps monomials x^a with a = (p-1,...,p-1) mod p componentwise and
     sends them to x^((a-(p-1,...,p-1))/p); everything else dies.  Over F_p
-    the coefficient p-th root is the identity.
+    the coefficient p-th root is the identity.  These are the monomials
+    the multiplier e = 0 selects, bucket 0 of ``_u_buckets``.
     """
     ctx = g.ctx
-    p = ctx.p
-    n = ctx.n_vars
-    out: dict[int, int] = {}
-    for m, c in g.terms.items():
-        packed = 0
-        degree = 0
-        rest = m
-        ok = True
-        for i in range(n):
-            e = rest & FIELD_MASK
-            rest >>= FIELD_BITS
-            if e % p != p - 1:
-                ok = False
-                break
-            q = e // p
-            degree += q
-            packed |= q << (FIELD_BITS * i)
-        if ok:
-            out[(degree << (FIELD_BITS * n)) | packed] = c
+    out = _u_buckets(ctx, g.terms).get(0, {})
     return ResPoly._raw(ctx, out, _max_exponent_of(ctx, out))
 
 

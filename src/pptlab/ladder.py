@@ -42,13 +42,7 @@ from .errors import (
     MonotonicityViolationError,
     ResourceLimitError,
 )
-from .ideals import (
-    Echelon,
-    MonomialAntichain,
-    ResIdeal,
-    _terms_in_frobenius_power,
-    _u_buckets,
-)
+from .ideals import Echelon, MonomialAntichain, ResIdeal, _u_buckets
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms
 from .ring import exponent_cap, mul_terms as _mul_terms, truncate_terms as _truncate
 
@@ -58,18 +52,14 @@ class SplitSequence:
     """Computed sequence s_0, ..., s_depth with s_0 = 0.
 
     Once an entry equals p, all later entries are p; ``terminated_at_p``
-    records the first such index.  ``per_step_ideals`` (debug only) holds
-    the exact final ladder ideal of each computed step.
+    records the first such index.  ``per_depth_ms`` holds the scan time of
+    each computed depth and takes no part in comparisons.
     """
 
     p: int
     depth: int
     values: tuple[int, ...]
     terminated_at_p: int | None
-    hypersurface: Hypersurface | None = field(default=None, compare=False, repr=False)
-    per_step_ideals: tuple[ResIdeal, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
     per_depth_ms: tuple[float, ...] | None = field(
         default=None, compare=False, repr=False
     )
@@ -130,7 +120,8 @@ class _Workspace:
     box is reduction modulo a monomial ideal, which is a ring map, so
     trunc(a * b) = trunc(trunc(a) * trunc(b)) and by induction
     trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).  Only k <= 1 and the
-    uncapped (0, 0) read the full powers memoised on ``Hypersurface``.
+    uncapped (0, 0) read the full powers from ``Hypersurface``, once per
+    run.
     """
 
     __slots__ = ("h", "_cache")
@@ -308,12 +299,14 @@ def _truncated_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
     """Whether the ladder ideal for ``entries`` lies in (x_1^p, .., x_N^p).
 
     Runs the capped chain; the caps only ever drop monomials that are
-    already certain to end up inside the target ideal, so the exact
-    membership test on the survivors gives the same answer as the
-    uncapped chain.
+    already certain to end up inside the target ideal, so the survivors
+    decide containment as the uncapped chain would.  The chain's last box
+    is Out_0 = (p, ..., p): every monomial it returns has all exponents
+    below p, so lies outside the target, and a generator lies in a
+    monomial ideal iff each of its monomials does.  The ideal is therefore
+    contained iff the capped chain returns no rows.
     """
-    ctx = ws.h.ctx
-    return all(_terms_in_frobenius_power(ctx, g, 1) for g in _chain(ws, entries, True))
+    return not _chain(ws, entries, True)
 
 
 def _scan_next(ws: _Workspace, prefix: tuple[int, ...]) -> int:
@@ -367,8 +360,13 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     return _scan_next(_Workspace(h), prefix)
 
 
-def splitting_sequence(h: Hypersurface, depth: int, trace: bool = False) -> SplitSequence:
-    """Compute s_0..s_depth; once an entry hits p the tail is filled with p."""
+def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
+    """Compute s_0..s_depth by the capped scan, timing each depth; once an
+    entry hits p the tail is filled with p.
+
+    The exact ladder ideal of a step n is ``compute_ladder(h,
+    values[1:n+1])``; ``cli`` builds ``--trace`` from it.
+    """
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     p = h.ctx.p
@@ -388,18 +386,10 @@ def splitting_sequence(h: Hypersurface, depth: int, trace: bool = False) -> Spli
         prefix = prefix + (s,)
     while len(values) < depth + 1:
         values.append(p)
-    ideals = None
-    if trace:
-        ideals = tuple(
-            compute_ladder(h, tuple(values[1 : n + 1]))
-            for n in range(1, (terminated or depth) + 1)
-        )
     return SplitSequence(
         p=p,
         depth=depth,
         values=tuple(values),
         terminated_at_p=terminated,
-        hypersurface=h,
-        per_step_ideals=ideals,
         per_depth_ms=tuple(timings),
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .errors import InputError, ParseError, UnknownVariableError
-from .ring import Context, LiftPoly
+from .ring import MAX_VARS, Context, LiftPoly
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*^()]))")
 
@@ -153,6 +153,10 @@ def expand_var_spec(spec: str) -> list[str]:
             lo_i, hi_i = int(lo), int(hi)
             if lo_i > hi_i:
                 raise InputError(f"empty range {part!r}")
+            if hi_i - lo_i >= MAX_VARS:
+                raise InputError(
+                    f"range {part!r} names {hi_i - lo_i + 1} variables, more than {MAX_VARS}"
+                )
             names.extend(f"{prefix}{i}" for i in range(lo_i, hi_i + 1))
         else:
             names.append(part)

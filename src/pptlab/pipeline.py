@@ -95,10 +95,8 @@ def _family_period(h: Hypersurface, certificate: str) -> tuple[int, int]:
     return 0, order
 
 
-def analyze(
-    h: Hypersurface, depth: int, *, strict_r1: bool = False, trace: bool = False
-) -> Analysis:
-    seq = splitting_sequence(h, depth, trace=trace)
+def analyze(h: Hypersurface, depth: int, *, strict_r1: bool = False) -> Analysis:
+    seq = splitting_sequence(h, depth)
     criteria = check_quick_criteria(h)
     _cross_check(h, seq, criteria)
     certificate = _certificate(h, seq, criteria)

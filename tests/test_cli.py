@@ -134,6 +134,7 @@ def test_trace_prints_ladder_ideals(capsys):
     [
         (7, 2, "1476e243e7f0d72b7624ec8192d8a41d660da887db5d065019d997ca682809ed"),
         (3, 3, "18187710bea2708daaec17575e446791ca618194936a82b832cbad1baece2d6e"),
+        (2, 3, "4ba75792fd8cb97c9aa1907ee00da29385e6406d3cc1e1e05d625a0246470af9"),
     ],
 )
 def test_trace_ideals_are_frozen(capsys, p, depth, digest):

@@ -101,3 +101,5 @@ def test_expand_var_spec():
         expand_var_spec("x1..y5")
     with pytest.raises(InputError):
         expand_var_spec("")
+    with pytest.raises(InputError, match=r"x1\.\.x7"):
+        expand_var_spec("x1..x7")
