@@ -325,6 +325,32 @@ def _u_buckets(ctx: Context, terms: dict[int, int]) -> dict[int, dict[int, int]]
     return buckets
 
 
+def frobenius_root(
+    ctx: Context, gens: Iterable[dict[int, int]], max_fan_out: int | None = None
+) -> Echelon:
+    """Echelon basis of the p-th-root ideal of the ideal that ``gens`` generate.
+
+    The root I_1(J) is the smallest ideal K with J inside K^[p].  Writing
+    a generator as g = sum_r x^r * g_r^p over residues r in {0..p-1}^N,
+    I_1((g)) is generated by the g_r, and I_1 of a sum of ideals is the
+    sum of the roots (Blickle-Mustata-Smith).  Over F_p, g_r is the
+    bucket of ``_u_buckets`` for the residue class r, so I_1(J) is the
+    u-image of J.  ``max_fan_out`` caps the total bucket count.
+    """
+    ech = Echelon(ctx)
+    pending = 0
+    for terms in gens:
+        buckets = _u_buckets(ctx, terms)
+        pending += len(buckets)
+        if max_fan_out is not None and pending > max_fan_out:
+            raise ResourceLimitError(
+                f"u-image fan-out exceeded {max_fan_out} generators"
+            )
+        for key in sorted(buckets):
+            ech.insert(buckets[key])
+    return ech
+
+
 def u_image(ideal: ResIdeal) -> ResIdeal:
     """Image ideal u(F_* J), echelon-reduced.
 
@@ -333,18 +359,8 @@ def u_image(ideal: ResIdeal) -> ResIdeal:
     residue-class bucketing above.
     """
     ctx = ideal.ctx
-    ech = Echelon(ctx)
-    pending = 0
-    for g in ideal.gens:
-        buckets = _u_buckets(ctx, g.terms)
-        pending += len(buckets)
-        if pending > ctx.max_generators:
-            raise ResourceLimitError(
-                f"u-image fan-out exceeded {ctx.max_generators} generators"
-            )
-        for key in sorted(buckets):
-            ech.insert(buckets[key])
-    return ResIdeal._from_echelon(ctx, ech)
+    gens = (g.terms for g in ideal.gens)
+    return ResIdeal._from_echelon(ctx, frobenius_root(ctx, gens, ctx.max_generators))
 
 
 def _terms_in_frobenius_power(ctx: Context, terms: dict[int, int], e: int) -> bool:

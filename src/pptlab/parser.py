@@ -24,6 +24,15 @@ _INT, _NAME, _OP, _END = "int", "name", "op", "end"
 MAX_NESTING = 100
 
 
+def _literal(text: str, pos: int) -> int:
+    """The value of a digit string; one longer than Python converts (4,300
+    digits by default) is a ParseError, not an uncaught ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
+
+
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
@@ -102,13 +111,13 @@ class _Parser:
             kind, text, pos = self.advance()
             if kind != _INT:
                 raise ParseError("exponent must be a non-negative integer", pos)
-            return base ** int(text)
+            return base ** _literal(text, pos)
         return base
 
     def atom(self) -> LiftPoly:
         kind, text, pos = self.advance()
         if kind == _INT:
-            return LiftPoly.constant(self.ctx, int(text))
+            return LiftPoly.constant(self.ctx, _literal(text, pos))
         if kind == _NAME:
             if text in self.ctx.var_names:
                 return LiftPoly.variable(self.ctx, text)
@@ -150,7 +159,12 @@ def expand_var_spec(spec: str) -> list[str]:
             prefix, lo, prefix2, hi = m.groups()
             if prefix != prefix2:
                 raise InputError(f"range ends disagree in {part!r}")
-            lo_i, hi_i = int(lo), int(hi)
+            try:
+                lo_i, hi_i = int(lo), int(hi)
+            except ValueError:
+                raise InputError(
+                    f"range bound of {max(len(lo), len(hi))} digits is too long"
+                ) from None
             if lo_i > hi_i:
                 raise InputError(f"empty range {part!r}")
             if hi_i - lo_i >= MAX_VARS:

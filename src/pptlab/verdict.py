@@ -11,11 +11,11 @@ series is evaluated exactly.  A detected period is only ever reported as
 proven when the input belongs to a family with a certificate (a quick
 criterion or the Fermat predictor); otherwise it is conjectural.
 
-nu(p^e) climbs the levels 1..e: over F_p, fbar^(p*n) is the Frobenius
-image of fbar^n, and that image maps the truncation below
-(x_i^(p^(k-1))) exactly onto the truncation below (x_i^(p^k)), so each
-level starts at p times the previous level's nu.  All capped products,
-here and in the quick criteria, are ``ring.mul_terms``.
+nu(p^e) is read from short chains of p-th-root ideals, one step per
+base-p digit of the exponent, so no power of fbar beyond fbar^(p-1) is
+ever formed; the argument is in ``nu``.  p^e stays below 2^31, the
+exponent range of a packed monomial.  All products, here and in the
+quick criteria, are ``ring.mul_terms``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from .errors import (
     InputError,
     InternalCheckError,
     PNotGreaterThanNError,
-    ResourceLimitError,
     SequenceHitPError,
 )
-from .ideals import member_frobenius_power
+from .ideals import frobenius_root, member_frobenius_power
 from .ladder import SplitSequence, _Workspace
 from .ring import EXPONENT_LIMIT, LiftPoly, ResPoly, exponent_cap, mul_terms, truncate_terms
 
@@ -189,63 +188,131 @@ def qfs_height(seq: SplitSequence) -> QfsResult:
 # -- nu-functions and the F-pure threshold ----------------------------------
 
 
-def nu(f_res: ResPoly, e: int) -> int:
-    """nu(p^e) = max N with fbar^N outside (x_1^(p^e), ..., x_N^(p^e)).
+_UNIT_ROWS = (((0, 1),),)  # RREF rows of the unit ideal; packed monomial 0 is 1
 
-    Climbs the levels k = 1..e.  Write trunc_k for dropping the monomials
-    with some exponent >= p^k, reduction modulo a monomial ideal and so a
-    ring map.  Over F_p, fbar^(p*n) is the Frobenius image of fbar^n
-    (monomials times p, coefficients c^p = c), and m has some exponent
-    >= p^(k-1) iff p*m has some exponent >= p^k; so trunc_k(fbar^(p*n))
-    is the Frobenius image of trunc_(k-1)(fbar^n), exactly.  Level k thus
-    starts from the image of level k-1's last nonzero capped power, at
-    N = p * nu(p^(k-1)), and multiplies by trunc_k(fbar) until the capped
-    product is empty.  Level 1 starts from fbar^0 = 1.  A capped power with
-    more than ``max_workspace_monomials`` terms raises ``ResourceLimitError``.
+
+class _RootChains:
+    """The levels nu(p^1), nu(p^2), ... of one fbar, each found once.
+
+    Steps of the root chains are memoised on (RREF rows, d) for as long as
+    the object lives: across the levels of one ``nu_table`` call.
     """
-    if f_res.is_zero():
-        raise InputError("nu requires a nonzero reduction")
-    if f_res.constant_coefficient():
-        raise FIsUnitError("nu requires fbar with no constant term")
+
+    def __init__(self, f_res: ResPoly):
+        if f_res.is_zero():
+            raise InputError("nu requires a nonzero reduction")
+        if f_res.constant_coefficient():
+            raise FIsUnitError("nu requires fbar with no constant term")
+        self.ctx = f_res.ctx
+        p = self.ctx.p
+        self.powers = [{0: 1}]  # fbar^d for d < p
+        for _ in range(1, p):
+            self.powers.append(mul_terms(self.powers[-1], f_res.terms, p))
+        self.steps: dict[tuple, tuple] = {}
+        self.levels = [0]  # nu(p^0) = 0: fbar has no constant term
+
+    def step(self, rows: tuple, d: int) -> tuple:
+        """Rows of I_1(J * fbar^d) for J with RREF rows ``rows``, or of the
+        unit ideal when some generator has a nonzero constant term."""
+        key = (rows, d)
+        if key not in self.steps:
+            p = self.ctx.p
+            products = (mul_terms(dict(row), self.powers[d], p) for row in rows)
+            root = frobenius_root(self.ctx, products).basis_terms()
+            if any(0 in row for row in root):
+                self.steps[key] = _UNIT_ROWS
+            else:
+                self.steps[key] = tuple(tuple(sorted(row.items())) for row in root)
+        return self.steps[key]
+
+    def outside(self, digits: list[int]) -> bool:
+        """Whether fbar^N leaves m^[p^k], N with the k base-p digits
+        ``digits``, lowest first."""
+        rows = _UNIT_ROWS
+        for d in digits:
+            rows = self.step(rows, d)
+            if not rows:
+                return False
+        return rows == _UNIT_ROWS
+
+    def level(self, e: int) -> int:
+        """nu(p^e), finding the levels up to e not found yet."""
+        p = self.ctx.p
+        levels = self.levels
+        while len(levels) <= e:
+            k = len(levels)
+            prev = levels[-1]
+            high = [prev // p**j % p for j in range(k - 1)]
+            if not self.outside([0] + high):
+                raise InternalCheckError(f"fbar^(p*nu(p^{k - 1})) lies inside m^[p^{k}]")
+            lo, hi = 0, p - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if self.outside([mid] + high):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            levels.append(p * prev + lo)
+        return levels[e]
+
+
+def _check_exponent(p: int, e: int) -> None:
     if e < 1:
         raise InputError(f"e must be >= 1, got {e}")
-    ctx = f_res.ctx
-    p = ctx.p
     if p**e >= EXPONENT_LIMIT:
         raise ExponentOverflowError(f"p^e = {p}^{e} >= 2**31")
-    power = {0: 1}
-    n = 0
-    for k in range(1, e + 1):
-        cap = exponent_cap(ctx, p**k)
-        base = truncate_terms(f_res.terms, *cap)
-        power = {m * p: c for m, c in power.items()}
-        if not power or len(truncate_terms(power, *cap)) != len(power):
-            raise InternalCheckError(
-                f"Frobenius seed for nu(p^{k}) is empty or leaves the box"
-            )
-        n *= p
-        while nxt := mul_terms(power, base, p, *cap):
-            if len(nxt) > ctx.max_workspace_monomials:
-                raise ResourceLimitError(
-                    f"capped power fbar^{n + 1} holds {len(nxt)} monomials, "
-                    f"over the cap {ctx.max_workspace_monomials}"
-                )
-            power = nxt
-            n += 1
-    return n
+
+
+def nu(f_res: ResPoly, e: int, *, chains: _RootChains | None = None) -> int:
+    """nu(p^e) = max N with fbar^N outside m^[p^e] = (x_1^(p^e), ..., x_N^(p^e)).
+
+    Computed from short chains of p-th-root ideals (Blickle-Mustata-Smith,
+    *Discreteness and rationality of F-thresholds*).  I_k(g) is the
+    smallest ideal J with g in J^[p^k], so g lies in m^[p^k] iff I_k(g)
+    lies in m, and I_1 of an ideal is the sum of the roots of its
+    generators (``ideals.frobenius_root``).  Two identities give I_k of a
+    power without forming it: I_1(g * h^p) = I_1(g) * h, and
+    I_k = I_(k-1) o I_1.  So for N = d_0 + d_1*p + ... + d_(k-1)*p^(k-1)
+    with digits d_j < p, the chain J_0 = (1), J_(j+1) = I_1(J_j * fbar^(d_j))
+    ends in J_k = I_k(fbar^N), and fbar^N is outside m^[p^k] iff some
+    generator of J_k has a nonzero constant term.  Each step multiplies by
+    one of the precomputed fbar^d, d < p.
+
+    A step whose ideal has a generator u with a nonzero constant term is
+    replaced by the unit ideal.  That is exact for the final test: writing
+    M for the rest of N, J_k is I_(k-j)(J_j * fbar^M), so the test asks
+    whether J_j * fbar^M leaves m^[p^(k-j)].  That ideal lies inside
+    (fbar^M) and contains u * fbar^M, and u * fbar^M leaves the m-primary
+    m^[p^(k-j)] iff fbar^M does, u being a unit modulo it; so J_j and (1)
+    give the same answer.  A step whose ideal is zero stays zero, so the
+    chain ends with "inside".
+
+    Level k starts from N = p * nu(p^(k-1)): fbar^(p*n) = (fbar^n)^p lies in
+    m^[p^k] iff fbar^n lies in m^[p^(k-1)], so nu(p^k) lies in
+    p * nu(p^(k-1)) + {0, ..., p-1}, its lowest digit d is the only new one,
+    and once fbar^N is inside so is fbar^(N+1), so a binary search finds d.  ``chains``
+    carries the levels already found and the step memo from one call to the
+    next, which is how ``nu_table`` computes every level once.  A step's
+    echelon touching more than ``max_workspace_monomials`` monomials raises
+    ``ResourceLimitError``.
+    """
+    _check_exponent(f_res.ctx.p, e)
+    if chains is None:
+        chains = _RootChains(f_res)
+    return chains.level(e)
 
 
 def nu_table(f_res: ResPoly, e_max: int) -> dict[int, int]:
-    """nu(p^e) for e = 1..e_max.
+    """nu(p^e) for e = 1..e_max, one ``nu`` call per level on shared chains.
 
     The standard monotonicity nu(p^(e+1)) >= p * nu(p^e) is asserted.
     """
-    if e_max < 1:
-        raise InputError(f"e_max must be >= 1, got {e_max}")
     p = f_res.ctx.p
+    _check_exponent(p, e_max)
+    chains = _RootChains(f_res)
     table: dict[int, int] = {}
     for e in range(1, e_max + 1):
-        table[e] = nu(f_res, e)
+        table[e] = nu(f_res, e, chains=chains)
         bound = p * table.get(e - 1, 0)
         if table[e] < bound:
             raise InternalCheckError(

@@ -70,6 +70,31 @@ def u_image_bruteforce(ideal):
     return ResIdeal(ctx, gens)
 
 
+def capped_power_nu_table(f_res, e_max: int) -> dict:
+    """nu(p^e) for e = 1..e_max by climbing capped powers of fbar.
+
+    Over F_p, fbar^(p*n) is the Frobenius image of fbar^n, and that image
+    maps the truncation below (x_i^(p^(k-1))) exactly onto the truncation
+    below (x_i^(p^k)).  So level k starts from the image of level k-1's
+    last nonzero capped power, at N = p * nu(p^(k-1)), and multiplies by
+    fbar inside the box (x_i^(p^k)) until the capped product is empty.
+    """
+    from pptlab.ring import exponent_cap, mul_terms, truncate_terms
+
+    p = f_res.ctx.p
+    table, power, n = {}, {0: 1}, 0
+    for k in range(1, e_max + 1):
+        cap = exponent_cap(f_res.ctx, p**k)
+        base = truncate_terms(f_res.terms, *cap)
+        power = {m * p: c for m, c in power.items()}
+        n *= p
+        while nxt := mul_terms(power, base, p, *cap):
+            power = nxt
+            n += 1
+        table[k] = n
+    return table
+
+
 def random_int_poly(rng, n_vars, max_terms=5, max_exp=4, max_coeff=30) -> dict:
     terms = {}
     for _ in range(rng.randrange(max_terms + 1)):

@@ -109,12 +109,13 @@ def test_fpt_exponent_range_edge(capsys):
 
 
 def test_fpt_monomial_cap_exits_3(capsys):
-    # the capped power nu climbs through holds 420 terms at level 7 and
-    # 1260 at level 8
-    argv = ["fpt", "--p", "2", "--vars", "x,y,z", "--f", "x^3+y^3+z^3", "--max-monomials", "1000"]
-    code, _, _ = run_json(capsys, argv + ["--emax", "7"])
+    # the widest root-chain step for the p = 7 Fermat cubic, an echelon of
+    # p-th roots, touches 10 distinct monomials
+    argv = ["fpt", "--p", "7", "--vars", "x,y,z", "--f", "x^3+y^3+z^3", "--emax", "6"]
+    code, record, _ = run_json(capsys, argv + ["--max-monomials", "10"])
     assert code == 0
-    code, record, _ = run_json(capsys, argv + ["--emax", "8"])
+    assert record["nu_table"]["6"] == 7**6 - 1
+    code, record, _ = run_json(capsys, argv + ["--max-monomials", "9"])
     assert code == 3
     assert record["error"]["type"] == "ResourceLimitError"
 
@@ -165,6 +166,25 @@ def test_deep_nesting_is_a_parse_error(capsys, f):
     code, record, _ = run_json(capsys, ["sequence", "--p", "2", "--vars", "x", f"--f={f}"])
     assert code == 2
     assert record["error"]["type"] == "ParseError"
+
+
+NINES = "9" * 5000  # past the 4,300 digits Python's int() converts by default
+
+
+@pytest.mark.parametrize(
+    "vars_spec, f, error",
+    [
+        (f"x1..x{NINES}", "x1", "InputError"),
+        ("x,y", f"{NINES}*x", "ParseError"),
+        ("x,y", f"x^{NINES}", "ParseError"),
+    ],
+    ids=["range-bound", "coefficient", "exponent"],
+)
+def test_overlong_digit_strings_are_input_errors(capsys, vars_spec, f, error):
+    argv = ["sequence", "--p", "2", "--vars", vars_spec, "--f", f]
+    code, record, _ = run_json(capsys, argv)
+    assert code == 2
+    assert record["error"]["type"] == error
 
 
 def test_fifty_nested_parentheses_parse(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -8,6 +9,7 @@ from pptlab.errors import InputError, PNotGreaterThanNError, SequenceHitPError
 from pptlab.ladder import SplitSequence, splitting_sequence
 from pptlab.parser import parse_poly
 from pptlab.ring import Context, LiftPoly, ResPoly
+from pptlab import verdict
 from pptlab.verdict import (
     QFS_EXCEEDS_DEPTH,
     QFS_HEIGHT,
@@ -28,6 +30,8 @@ from pptlab.verdict import (
     qfs_height,
     regularity_test,
 )
+
+from oracles import capped_power_nu_table, random_int_poly, reduce_mod
 
 
 def seq_of(p, values, terminated=None):
@@ -192,6 +196,60 @@ def test_nu_rejects_zero():
     for call in (lambda: nu(unit, 1), lambda: nu_table(unit, 2), lambda: fpt_approx(unit, 2)):
         with pytest.raises(InputError):
             call()
+
+
+
+def test_nu_table_matches_capped_power_climb():
+    # the root chains against the climb through capped powers of fbar; the
+    # capped powers grow quickly with N, so p^e_max shrinks as N grows
+    max_q = {1: 10**5, 2: 1000, 3: 200}
+    rng = random.Random(808)
+    cases = 0
+    while cases < 320:
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        n = rng.randrange(1, 4)
+        e_max = max([e for e in range(1, 20) if p**e <= max_q[n]] or [1])
+        f = reduce_mod(random_int_poly(rng, n, max_terms=4, max_exp=3, max_coeff=8), p)
+        f.pop((0,) * n, None)
+        if not f:
+            continue
+        cases += 1
+        f_res = ResPoly(Context(p, [f"x{i}" for i in range(n)]), f)
+        want = capped_power_nu_table(f_res, e_max)
+        assert nu_table(f_res, e_max) == want, (p, n, f, want)
+
+
+@pytest.mark.parametrize(
+    "p, names, expr, e_max, fpt",
+    [
+        (7, ["x", "y", "z"], "x^3 + y^3 + z^3", 6, Fraction(1)),
+        (2, ["x", "y", "z"], "x^3 + y^3 + z^3", 20, Fraction(1, 2)),
+        (5, ["x", "y"], "x^2 + y^3", 10, Fraction(4, 5)),
+    ],
+)
+def test_nu_table_past_the_capped_climb_reach(p, names, expr, e_max, fpt):
+    # nu(p^e) = ceil(fpt * p^e) - 1 for the known F-pure thresholds:
+    # 7^e - 1, 2^(e-1) - 1 and 4 * 5^(e-1) - 1
+    f = hypersurface(p, names, expr).f_res
+    want = {e: ceil(fpt * p**e) - 1 for e in range(1, e_max + 1)}
+    assert nu_table(f, e_max) == want
+    assert nu(f, e_max) == want[e_max]
+
+
+def test_nu_never_forms_large_powers(monkeypatch):
+    # the capped power of the p = 2 Fermat cubic holds 101,268 terms at
+    # e = 12; the root chains multiply small ideal generators by fbar^d, d < p
+    full = verdict.mul_terms
+    sizes = []
+
+    def guarded(a, b, *args):
+        sizes.append(max(len(a), len(b)))
+        return full(a, b, *args)
+
+    monkeypatch.setattr(verdict, "mul_terms", guarded)
+    f = hypersurface(2, ["x", "y", "z"], "x^3 + y^3 + z^3").f_res
+    assert nu_table(f, 12)[12] == 2**11 - 1
+    assert sizes and max(sizes) <= 200, max(sizes, default=None)
 
 
 # -- regularity ---------------------------------------------------------------
