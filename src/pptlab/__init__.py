@@ -72,4 +72,5 @@ from .verdict import (
     ppt_partial,
     qfs_height,
     regularity_test,
+    series,
 )

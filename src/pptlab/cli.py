@@ -31,7 +31,7 @@ from .ladder import compute_ladder
 from .parser import expand_var_spec, parse_poly
 from .pipeline import Analysis, analyze
 from .ring import Context, render
-from .verdict import nu_table, regularity_test
+from .verdict import check_quick_criteria, nu_table, regularity_test
 
 SCHEMA_ID = "pptlab/result/1"
 
@@ -98,15 +98,9 @@ def _criteria_block(criteria) -> dict:
     }
 
 
-def build_record(args: argparse.Namespace) -> dict:
-    """Compute one analysis request into a schema-stable record."""
-    ctx = Context(
-        args.p,
-        expand_var_spec(args.vars),
-        max_workspace_monomials=args.max_monomials,
-        max_generators=args.max_generators,
-    )
-    f = parse_poly(args.f, ctx)
+def build_record(args: argparse.Namespace, ctx: Context, f, input_hash: str) -> dict:
+    """Compute one analysis request, f parsed in ctx, into a schema-stable
+    record."""
     h = validate(ctx, f)
 
     record = {
@@ -120,7 +114,7 @@ def build_record(args: argparse.Namespace) -> dict:
             "depth": args.depth,
             "flags": _flags_dict(args),
         },
-        "input_hash": _input_hash(args, ctx, f),
+        "input_hash": input_hash,
         "sequence": None,
         "verdict": None,
         "ppt": None,
@@ -158,8 +152,6 @@ def build_record(args: argparse.Namespace) -> dict:
             "regular": regularity_test(h),
         }
     elif args.command == "criteria":
-        from .verdict import check_quick_criteria
-
         record["criteria"] = _criteria_block(check_quick_criteria(h))
     record["timings"]["total_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     return record
@@ -299,15 +291,14 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pptlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(cmd, needs_input=True):
-        if needs_input:
-            cmd.add_argument("--p", type=int, required=True, help="the prime")
-            cmd.add_argument(
-                "--vars",
-                required=True,
-                help="comma-separated variable names; ranges like x1..x5 expand",
-            )
-            cmd.add_argument("--f", required=True, help="polynomial expression")
+    def add_common(cmd):
+        cmd.add_argument("--p", type=int, required=True, help="the prime")
+        cmd.add_argument(
+            "--vars",
+            required=True,
+            help="comma-separated variable names; ranges like x1..x5 expand",
+        )
+        cmd.add_argument("--f", required=True, help="polynomial expression")
         cmd.add_argument("--depth", type=int, default=8, help="sequence depth (default 8, max 24)")
         cmd.add_argument("--json", action="store_true", help="emit the JSON record")
         cmd.add_argument("--trace", action="store_true", help="include per-step ideals")
@@ -355,15 +346,21 @@ def run(args: argparse.Namespace) -> tuple[dict | None, int]:
         raise InputError(f"emax must be >= 1, got {args.emax}")
 
     cache = ResultCache.from_environment(args.cache_dir)
-    key = None
+    ctx = Context(
+        args.p,
+        expand_var_spec(args.vars),
+        max_workspace_monomials=args.max_monomials,
+        max_generators=args.max_generators,
+    )
+    f = parse_poly(args.f, ctx)
+    input_hash = _input_hash(args, ctx, f)
     if cache is not None:
-        ctx = Context(args.p, expand_var_spec(args.vars))
-        key = _cache_key(_input_hash(args, ctx, parse_poly(args.f, ctx)))
+        key = _cache_key(input_hash)
         cached = cache.get(key, __version__)
         if cached is not None:
             return cached, EXIT_OK
-    record = build_record(args)
-    if cache is not None and key is not None:
+    record = build_record(args, ctx, f, input_hash)
+    if cache is not None:
         cache.put(key, __version__, record)
     return record, EXIT_OK
 

@@ -13,7 +13,7 @@ from .delta import validate
 from .parser import expand_var_spec, parse_poly
 from .pipeline import Analysis, analyze
 from .ring import Context
-from .verdict import nu_table
+from .verdict import nu_table, series
 
 K3_CROSS = (
     "x1^4 + x2^4 + x3^4 + x4^4 + x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2"
@@ -326,10 +326,7 @@ def run_row(row: CorpusRow) -> RowOutcome:
         table = nu_table(h.f_res, row.depth)
     if expect.get("nu_identity"):
         for n in range(1, row.depth + 1):
-            lhs = sum(
-                Fraction(p - 1 - s, p**i)
-                for i, s in enumerate(seq.values[1 : n + 1], start=1)
-            )
+            lhs = series(p, seq.values[1 : n + 1])
             rhs = Fraction(table[n], p**n)
             if lhs != rhs:
                 bad(f"nu identity at n={n}", rhs, lhs)

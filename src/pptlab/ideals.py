@@ -230,23 +230,20 @@ class ResIdeal:
 
     ``gens`` is the canonical RREF basis of the span of whatever
     generators the ideal was built from, in descending leading-monomial
-    order.  ``degree_bound`` caches the maximal total degree among them.
+    order.
     """
 
-    __slots__ = ("ctx", "gens", "degree_bound")
+    __slots__ = ("ctx", "gens")
 
     def __init__(self, ctx: Context, gens: Sequence[ResPoly]):
-        reduced = echelon_reduce(ctx, list(gens))
         self.ctx = ctx
-        self.gens = tuple(reduced)
-        self.degree_bound = max((g.total_degree() for g in reduced), default=0)
+        self.gens = tuple(echelon_reduce(ctx, list(gens)))
 
     @classmethod
     def _from_echelon(cls, ctx: Context, ech: Echelon) -> "ResIdeal":
         self = object.__new__(cls)
         self.ctx = ctx
         self.gens = tuple(ech.basis_polys())
-        self.degree_bound = max((g.total_degree() for g in self.gens), default=0)
         return self
 
     @classmethod

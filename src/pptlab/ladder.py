@@ -40,9 +40,8 @@ from .errors import (
     InputError,
     InvalidIndexError,
     MonotonicityViolationError,
-    ResourceLimitError,
 )
-from .ideals import Echelon, MonomialAntichain, ResIdeal, _u_buckets
+from .ideals import Echelon, MonomialAntichain, ResIdeal, _u_buckets, frobenius_root
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms
 from .ring import exponent_cap, mul_terms as _mul_terms, truncate_terms as _truncate
 
@@ -223,9 +222,10 @@ def _chain(
     the monomial ideal (M): membership in a monomial ideal is decided term
     by term.
 
-    The exact chain instead keeps every row's span, reduces the
-    delta-products to RREF before the u stage and bounds the u fan-out
-    over them by ``max_generators``.
+    The exact chain instead keeps every row's span: it reduces the
+    delta-products to RREF and takes their u-image with
+    ``ideals.frobenius_root``, which bounds the fan-out by
+    ``max_generators``.
     """
     ctx = ws.h.ctx
     p = ctx.p
@@ -263,29 +263,20 @@ def _chain(
                 for prod in prods:
                     reduced.insert(prod)
                 prods = reduced.basis_terms()
-        ech = Echelon(ctx)
-        mins = MonomialAntichain(ech) if capped else None
-        fan_out = 0
-        for prod in prods:
-            buckets = _u_buckets(ctx, prod)
-            fan_out += len(buckets)
-            if not capped and fan_out > ctx.max_generators:
-                raise ResourceLimitError(
-                    f"u-image fan-out exceeded {ctx.max_generators} generators"
-                )
-            for key in sorted(buckets):
-                row = _truncate(buckets[key], *u_cap)
-                if mins is None:
-                    ech.insert(row)
-                    continue
-                row = mins.reduce(row)
-                if len(row) > 1:
-                    ech.insert(row)
-                elif row:
-                    mins.add(*row)
-        rows = ech.basis_terms()
-        if mins:
-            rows = [{m: 1} for m in mins] + [r for r in map(mins.reduce, rows) if r]
+        if not capped:
+            rows = frobenius_root(ctx, prods, ctx.max_generators).basis_terms()
+        else:
+            ech = Echelon(ctx)
+            mins = MonomialAntichain(ech)
+            for prod in prods:
+                buckets = _u_buckets(ctx, prod)
+                for key in sorted(buckets):
+                    row = mins.reduce(_truncate(buckets[key], *u_cap))
+                    if len(row) > 1:
+                        ech.insert(row)
+                    elif row:
+                        mins.add(*row)
+            rows = [{m: 1} for m in mins] + [r for r in map(mins.reduce, ech.basis_terms()) if r]
         fmul = ws.f_terms(p - l - 1, out_cap)
         out = Echelon(ctx)
         for row in rows:

@@ -1,15 +1,18 @@
 """Verdicts, exact threshold values, quasi-F-split heights, nu-functions,
 quick criteria, and the Fermat-type predictor.
 
-Threshold values are exact ``fractions.Fraction``s throughout.  The
-partial threshold of a sequence bounded by p-1 is
+Threshold values are exact ``fractions.Fraction``s throughout, and one
+evaluator, ``series``, sums every one of them.  A sequence bounded by
+p-1 is written as a pattern (head, block): s_0 = 0, then ``head``, then
+``block`` repeated forever (a finite window has no block).  Its threshold
 
-    sum_(i=1..depth) (p - 1 - s_i) / p^i,
+    sum_(n>=1) (p - 1 - s_n) / p^n
 
-and when the sequence is eventually periodic the closed form of the full
-series is evaluated exactly.  A detected period is only ever reported as
-proven when the input belongs to a family with a certificate (a quick
-criterion or the Fermat predictor); otherwise it is conjectural.
+is the base-p fraction with those digits, evaluated exactly.  Every
+certificate (a fired quick criterion or the Fermat predictor) predicts
+such a pattern; ``unroll`` writes it out to a depth.  A period detected
+in a window is only ever reported as proven when the input has a
+certificate; otherwise it is conjectural.
 
 nu(p^e) is read from short chains of p-th-root ideals, one step per
 base-p digit of the exponent, so no power of fbar beyond fbar^(p-1) is
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
 from .delta import Hypersurface, delta
 from .errors import (
@@ -95,17 +100,44 @@ def classify(
     return Verdict(kind=VERDICT_INCONCLUSIVE, reason=REASON_UNCLASSIFIED_PATTERN)
 
 
+def series(p: int, head: Sequence[int], block: Sequence[int] = ()) -> Fraction:
+    """Threshold series of the pattern s = (0, *head, *block, *block, ...).
+
+    With c_n = p - 1 - s_n the digits, the head contributes
+    (c_1 ... c_a in base p) / p^a, and a block of length pi repeats to
+    (c_(a+1) ... c_(a+pi) in base p) / ((p^pi - 1) * p^a).  An empty block
+    leaves the finite sum over the head.
+    """
+
+    def digits(values: Sequence[int]) -> int:
+        n = 0
+        for s in values:
+            if not 0 <= s < p:
+                raise SequenceHitPError("threshold series requires all entries <= p-1")
+            n = n * p + (p - 1 - s)
+        return n
+
+    shift = p ** len(head)
+    total = Fraction(digits(head), shift)
+    if block:
+        total += Fraction(digits(block), (p ** len(block) - 1) * shift)
+    return total
+
+
+def unroll(head: Sequence[int], block: Sequence[int], depth: int) -> tuple[int, ...]:
+    """s_0, ..., s_depth of the pattern: 0, then ``head``, then ``block``
+    repeated."""
+    values = [0, *head]
+    while len(values) <= depth:
+        if not block:
+            raise InputError(f"a pattern with no block stops at depth {len(head)}")
+        values.extend(block)
+    return tuple(values[: depth + 1])
+
+
 def ppt_partial(seq: SplitSequence) -> Fraction:
     """Exact partial sum of the threshold series down to the computed depth."""
-    p = seq.p
-    if seq.terminated_at_p is not None:
-        raise SequenceHitPError("threshold series requires all entries <= p-1")
-    total = Fraction(0)
-    q = 1
-    for s in seq.values[1:]:
-        q *= p
-        total += Fraction(p - 1 - s, q)
-    return total
+    return series(seq.p, seq.values[1:])
 
 
 def detect_period(seq: SplitSequence) -> tuple[int, int] | None:
@@ -128,28 +160,14 @@ def detect_period(seq: SplitSequence) -> tuple[int, int] | None:
 
 
 def ppt_closed_form(seq: SplitSequence, a: int, pi: int) -> Fraction:
-    """Exact value of the full threshold series for a periodic pattern.
-
-    With c_i = p - 1 - s_i:  sum_(i<=a) c_i/p^i
-    + p^(-a) * (sum_(j<=pi) c_(a+j)/p^j) * p^pi/(p^pi - 1).
-    """
-    p = seq.p
+    """Exact value of the full threshold series when s_1..s_a is the head
+    and s_(a+1)..s_(a+pi) repeats forever."""
     if a < 0 or pi < 1 or a + pi > seq.depth:
         raise InputError(f"period ({a}, {pi}) does not fit depth {seq.depth}")
     if seq.terminated_at_p is not None:
         raise SequenceHitPError("threshold series requires all entries <= p-1")
-    head = Fraction(0)
-    q = 1
-    for i in range(1, a + 1):
-        q *= p
-        head += Fraction(p - 1 - seq.values[i], q)
-    block = Fraction(0)
-    q = 1
-    for j in range(1, pi + 1):
-        q *= p
-        block += Fraction(p - 1 - seq.values[a + j], q)
-    tail = block * Fraction(p**pi, p**pi - 1) / p**a
-    return head + tail
+    values = seq.values
+    return series(seq.p, values[1 : a + 1], values[a + 1 : a + pi + 1])
 
 
 QFS_HEIGHT = "height"
@@ -349,9 +367,9 @@ class QuickCriteria:
     """Outcome of the three fast congruence checks.
 
     All three require fbar inside (x_1^p, ..., x_N^p); when that fails
-    ``fired`` is empty and ``note`` says why.  Fired criteria come with
-    sequence/threshold predictions used both as certificates and as
-    cross-checks of the ladder:
+    ``fired`` is empty and ``note`` says why.  A fired criterion predicts
+    a sequence pattern (``criterion_pattern``), used both as a certificate
+    and as a cross-check of the ladder:
 
     * C1: fbar^(p-1)*delta(f)^(p-1) congruent to a nonzero multiple of
       (x_1...x_N)^(p^2-1) modulo (x_i^(p^2))  =>  s = (0, p-1, 0, p-1, ...)
@@ -366,23 +384,17 @@ class QuickCriteria:
     hypothesis_met: bool
     note: str | None = None
 
-    def predicted_values(self, criterion: str, p: int, depth: int) -> tuple[int, ...]:
-        if criterion not in self.fired:
-            raise InputError(f"criterion {criterion} did not fire")
-        if criterion == "C1":
-            return tuple(0 if i % 2 == 0 else p - 1 for i in range(depth + 1))
-        if criterion == "C3":
-            return (0,) + (p - 1,) * depth
-        # C2: the run ends at p on the second step
-        values = [0, p - 1] + [p] * (depth - 1)
-        return tuple(values[: depth + 1])
 
-    def predicted_exact(self, criterion: str, p: int) -> Fraction | None:
-        if criterion == "C1":
-            return Fraction(1, p + 1)
-        if criterion == "C3":
-            return Fraction(0)
-        return None
+def criterion_pattern(criterion: str, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (head, block) a fired quick criterion predicts."""
+    if criterion == "C1":
+        return (), (p - 1, 0)
+    if criterion == "C3":
+        return (), (p - 1,)
+    if criterion == "C2":
+        # the run ends at p on the second step
+        return (p - 1,), (p,)
+    raise InputError(f"unknown criterion {criterion!r}")
 
 
 def check_quick_criteria(h: Hypersurface) -> QuickCriteria:
@@ -440,16 +452,22 @@ def fermat_degree(h: Hypersurface) -> int | None:
     return deg
 
 
-def fermat_predict(n_vars: int, p: int, depth: int) -> tuple[int, ...]:
-    """Predicted sequence for x_1^N + ... + x_N^N (N = n_vars, p > N):
-    s_e is the unique value in 0..N-2 with s_e + 1 = p^e mod N."""
+def fermat_block(n_vars: int, p: int) -> tuple[int, ...]:
+    """One period of the sequence of x_1^N + ... + x_N^N (N = n_vars,
+    p > N): s_e is the unique value in 0..N-2 with s_e + 1 = p^e mod N,
+    so the block has the length of the order of p mod N."""
     if not (p > n_vars >= 2):
         raise PNotGreaterThanNError(
             f"the predictor needs p > N >= 2, got p = {p}, N = {n_vars}"
         )
-    values = [0]
-    power = 1
-    for _ in range(depth):
-        power = power * p % n_vars
-        values.append((power - 1) % n_vars)
-    return tuple(values)
+    if gcd(p, n_vars) != 1:
+        raise InputError(f"the predictor needs p prime to N, got p = {p}, N = {n_vars}")
+    block = [p % n_vars - 1]
+    while block[-1] != 0:
+        block.append((block[-1] + 1) * p % n_vars - 1)
+    return tuple(block)
+
+
+def fermat_predict(n_vars: int, p: int, depth: int) -> tuple[int, ...]:
+    """Predicted s_0..s_depth for x_1^N + ... + x_N^N (N = n_vars, p > N)."""
+    return unroll((), fermat_block(n_vars, p), depth)

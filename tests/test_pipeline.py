@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 import pptlab.pipeline
+from pptlab import cli
 from pptlab.delta import validate
-from pptlab.errors import InternalCheckError
+from pptlab.errors import CrossCheckFailureError, InternalCheckError
 from pptlab.parser import expand_var_spec, parse_poly
 from pptlab.pipeline import analyze
 from pptlab.ring import Context
@@ -77,3 +78,35 @@ def test_threshold_bounds_raise_internal_check(monkeypatch):
     monkeypatch.setattr(pptlab.pipeline, "ppt_partial", lambda seq: Fraction(2))
     with pytest.raises(InternalCheckError):
         analyze(prepare(2, "x,y,z", "x^3 + y^3 + z^3"), 3)
+
+
+WRONG_PREDICTIONS = [
+    # C1 fires; the patched pattern predicts (0, 1, 1, 1) against (0, 1, 0, 1)
+    (
+        "criterion_pattern",
+        lambda criterion, p: ((), (p - 1,)),
+        2, "x,y,z", "x^3 + y^3 + z^3", "C1",
+    ),
+    # Fermat shape; the patched block predicts (0, 1, 1, 1) against (0, 0, 0, 0)
+    (
+        "fermat_block",
+        lambda n, p: (1,),
+        5, "x1..x4", "x1^4 + x2^4 + x3^4 + x4^4", "fermat",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, wrong, p, vars_spec, expr, label",
+    WRONG_PREDICTIONS,
+    ids=[case[0] for case in WRONG_PREDICTIONS],
+)
+def test_wrong_prediction_is_a_cross_check_failure(
+    monkeypatch, capsys, name, wrong, p, vars_spec, expr, label
+):
+    monkeypatch.setattr(pptlab.pipeline, name, wrong)
+    with pytest.raises(CrossCheckFailureError, match=f"^{label} predicts"):
+        analyze(prepare(p, vars_spec, expr), 3)
+    argv = ["sequence", "--p", str(p), "--vars", vars_spec, "--f", expr, "--depth", "3"]
+    assert cli.main(argv) == 4
+    assert "ladder computed" in capsys.readouterr().err

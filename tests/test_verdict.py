@@ -19,7 +19,9 @@ from pptlab.verdict import (
     VERDICT_PERFECTOID_PURE,
     check_quick_criteria,
     classify,
+    criterion_pattern,
     detect_period,
+    fermat_block,
     fermat_degree,
     fermat_predict,
     fpt_approx,
@@ -29,6 +31,8 @@ from pptlab.verdict import (
     ppt_partial,
     qfs_height,
     regularity_test,
+    series,
+    unroll,
 )
 
 from oracles import capped_power_nu_table, random_int_poly, reduce_mod
@@ -138,6 +142,73 @@ def test_ppt_closed_form_with_preperiod():
 def test_closed_form_bounds_partial():
     seq = seq_of(2, (0, 1, 0, 1, 0, 1))
     assert ppt_partial(seq) <= ppt_closed_form(seq, 0, 2) <= 1
+
+
+DIGIT_CHARS = "0123456789abc"
+
+
+def base_p_fraction(p, head, block):
+    """The repeating base-p fraction 0.(head digits)(block digits)(block
+    digits)... with digits p-1-s, read through int(text, p)."""
+
+    def number(values):
+        text = "".join(DIGIT_CHARS[p - 1 - s] for s in values)
+        return int(text, p) if text else 0
+
+    a = len(head)
+    value = Fraction(number(head), p**a)
+    if block:
+        value += Fraction(number(block), (p ** len(block) - 1) * p**a)
+    return value
+
+
+def test_series_matches_the_repeating_base_p_fraction():
+    rng = random.Random(20260)
+    for _ in range(320):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        head = tuple(rng.randrange(p) for _ in range(rng.randrange(6)))
+        block = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 5)))
+        want = base_p_fraction(p, head, block)
+        assert series(p, head, block) == want
+        assert series(p, head) == base_p_fraction(p, head, ())
+        # the window of D entries falls short of the full series by at most p^-D
+        d = rng.randrange(1, 16)
+        gap = want - series(p, unroll(head, block, d)[1:])
+        assert 0 <= gap <= Fraction(1, p**d)
+
+
+def test_series_rejects_entries_outside_the_digit_range():
+    with pytest.raises(SequenceHitPError):
+        series(2, (1, 2))
+    with pytest.raises(SequenceHitPError):
+        series(3, (), (0, -1))
+
+
+def test_unroll_needs_a_block_past_the_head():
+    assert unroll((1, 2), (), 2) == (0, 1, 2)
+    assert unroll((1,), (0, 2), 5) == (0, 1, 0, 2, 0, 2)
+    with pytest.raises(InputError):
+        unroll((1, 2), (), 3)
+
+
+def certified_patterns():
+    """Every C1/C3 pattern for p <= 13 and every Fermat pattern for N <= 6."""
+    primes = (2, 3, 5, 7, 11, 13)
+    for p in primes:
+        for criterion in ("C1", "C3"):
+            yield p, criterion_pattern(criterion, p)
+        for n in range(2, min(p, 7)):
+            yield p, ((), fermat_block(n, p))
+
+
+def test_detect_period_on_certified_patterns_finds_the_pattern_or_nothing():
+    cases = 0
+    for p, (head, block) in certified_patterns():
+        for depth in range(1, 31):
+            found = detect_period(seq_of(p, unroll(head, block, depth)))
+            assert found in (None, (len(head), len(block))), (p, head, block, depth)
+            cases += 1
+    assert cases == 930
 
 
 # -- qfs height ---------------------------------------------------------------
@@ -278,15 +349,15 @@ def test_criteria_c3_fires_for_deformed_quartic_p2():
     )
     crit = check_quick_criteria(h)
     assert "C3" in crit.fired
-    assert crit.predicted_exact("C3", 2) == 0
+    assert series(2, *criterion_pattern("C3", 2)) == 0
 
 
 def test_criteria_c1_fires_for_fermat_cubic_p2():
     h = hypersurface(2, ["x", "y", "z"], "x^3 + y^3 + z^3")
     crit = check_quick_criteria(h)
     assert crit.fired == frozenset({"C1"})
-    assert crit.predicted_exact("C1", 2) == Fraction(1, 3)
-    assert crit.predicted_values("C1", 2, 4) == (0, 1, 0, 1, 0)
+    assert series(2, *criterion_pattern("C1", 2)) == Fraction(1, 3)
+    assert unroll(*criterion_pattern("C1", 2), 4) == (0, 1, 0, 1, 0)
 
 
 def test_criteria_hypothesis_gate():
@@ -307,7 +378,7 @@ def test_criteria_match_ladder_predictions():
         h = hypersurface(p, names, expr)
         crit = check_quick_criteria(h)
         assert criterion in crit.fired
-        assert crit.predicted_values(criterion, p, 4) == values
+        assert unroll(*criterion_pattern(criterion, p), 4) == values
         assert splitting_sequence(h, 4).values == values
 
 
@@ -373,6 +444,20 @@ def test_fermat_predict_values():
     assert fermat_predict(4, 5, 5) == (0, 0, 0, 0, 0, 0)
     assert fermat_predict(4, 7, 4) == (0, 2, 0, 2, 0)
     assert fermat_predict(3, 5, 4) == (0, 1, 0, 1, 0)
+
+
+def test_fermat_block_is_one_period_of_the_per_e_formula():
+    for p in (3, 5, 7, 11, 13):
+        for n in range(2, p):
+            block = fermat_block(n, p)
+            # s_e + 1 = p^e mod N, one period long: the order of p mod N
+            assert block == tuple(pow(p, e, n) - 1 for e in range(1, len(block) + 1))
+            assert len(block) == min(k for k in range(1, n + 1) if pow(p, k, n) == 1)
+            per_e = tuple((pow(p, e, n) - 1) % n for e in range(1, 31))
+            assert fermat_predict(n, p, 30) == (0,) + per_e
+    # p = 6 shares a factor with N = 4, so p^e mod N never returns to 1
+    with pytest.raises(InputError):
+        fermat_block(4, 6)
 
 
 def test_fermat_predict_requires_p_greater_than_n():
