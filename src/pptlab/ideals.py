@@ -79,13 +79,12 @@ class Echelon:
         h = self.reduce(terms)
         if not h:
             return False
+        p = self.p
         pivot = max(h)
-        inv = pow(h[pivot], -1, self.p)
+        inv = pow(h[pivot], -1, p)
         if inv != 1:
-            p = self.p
             h = {m: c * inv % p for m, c in h.items()}
         # keep reduced form: clear the new pivot from every stored row
-        p = self.p
         for other_pivot, row in self._rows.items():
             c = row.get(pivot)
             if not c:
@@ -150,9 +149,6 @@ class MonomialAntichain:
         self._low, self._guard = _divisibility_masks(ech.ctx.n_vars)
         self._members: dict[int, int] = {}  # packed monomial -> exponent fields
 
-    def __len__(self) -> int:
-        return len(self._members)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self._members)
 
@@ -178,6 +174,21 @@ class MonomialAntichain:
         members[m] = a
         self._ech._note_monomials((m,))
         return True
+
+    def absorb(self, terms: dict[int, int]) -> None:
+        """Add a row to the ideal of M and the echelon rows: what ``reduce``
+        leaves of it joins M if it is one term, the echelon if it is more."""
+        row = self.reduce(terms)
+        if len(row) > 1:
+            self._ech.insert(row)
+        elif row:
+            self.add(*row)
+
+    def generators(self) -> list[dict[int, int]]:
+        """The members of M, then the echelon rows reduced once more, as M
+        may have grown since they went in."""
+        rows = map(self.reduce, self._ech.basis_terms())
+        return [{m: 1} for m in self._members] + [r for r in rows if r]
 
     def reduce(self, terms: dict[int, int]) -> dict[int, int]:
         """The terms of ``terms`` that no member divides."""
@@ -360,11 +371,6 @@ def u_image(ideal: ResIdeal) -> ResIdeal:
     return ResIdeal._from_echelon(ctx, frobenius_root(ctx, gens, ctx.max_generators))
 
 
-def _terms_in_frobenius_power(ctx: Context, terms: dict[int, int], e: int) -> bool:
-    add, high = exponent_cap(ctx, ctx.p**e)
-    return all((m + add) & high for m in terms)
-
-
 def member_frobenius_power(g: ResPoly, e: int) -> bool:
     """Exact membership of g in (x_1^(p^e), ..., x_N^(p^e)).
 
@@ -373,7 +379,8 @@ def member_frobenius_power(g: ResPoly, e: int) -> bool:
     """
     if e < 1:
         raise InputError(f"Frobenius power exponent must be >= 1, got {e}")
-    return _terms_in_frobenius_power(g.ctx, g.terms, e)
+    add, high = exponent_cap(g.ctx, g.ctx.p**e)
+    return all((m + add) & high for m in g.terms)
 
 
 def ideal_in_frobenius_power(ideal: ResIdeal, e: int) -> bool:

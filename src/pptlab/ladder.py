@@ -11,22 +11,18 @@ The sequence entry s_n is the largest s in 0..p whose ladder ideal for
 downward-closed in s because the base ideal grows with the last slot and
 every recursion step preserves inclusions; the scan asserts that.
 
-One chain, ``_chain``, computes that recursion.  ``compute_ladder`` runs
-it exactly.  The scans inside ``next_s`` run it with live-box caps: only
-the final answer "inside (x_1^p, ..., x_N^p) or not" is wanted, so each
-stage keeps just the monomials that can still reach a final monomial
-with every exponent below p.  Working backward from that box (p, ..., p),
-each stage's multiplier fbar^(p-l-1) and its u step shrink the box the
-stage before it must keep, per variable; with fbar^(p-l-1) = 1 the box is
-(p^(k+1), ..., p^(k+1)) with k applications of u ahead.  ``_chain`` says
-why dropping the rest never changes the answer.  Every cap is one
-``ring.exponent_cap`` test, and the capped delta^l and fbar^k are built
-from capped factors inside their box (``_Workspace``), never in full.
-A capped stage also needs only the ideal its u step generates, not the
-F_p-span of its rows: it keeps single-term rows as minimal monomials
-(``ideals.MonomialAntichain``) and strips from every other row the terms
-those monomials divide, which leaves the ideal unchanged because
-membership in a monomial ideal is decided term by term.
+Two loops run that recursion.  ``compute_ladder`` runs it exactly, on
+F_p-spans and with every added generator; that is the ideal ``--trace``
+prints.  The scan inside ``next_s`` tests only what the last slot adds,
+the linear chain applied to (fbar^(p - s)), since every stage is additive
+and the prefix's own ladder ideal is already known to be contained.
+``_new_part_contained`` runs that chain with live-box caps, which keep
+only the monomials that can still reach a final monomial with every
+exponent below p, and keeps each step's ideal rather than its F_p-span
+(``ideals.MonomialAntichain``); its docstring says why both are sound.
+Every cap is one ``ring.exponent_cap`` test, and the capped delta^l and
+fbar^k are built from capped factors inside their box (``_Workspace``),
+never in full.
 """
 
 from __future__ import annotations
@@ -51,8 +47,9 @@ class SplitSequence:
     """Computed sequence s_0, ..., s_depth with s_0 = 0.
 
     Once an entry equals p, all later entries are p; ``terminated_at_p``
-    records the first such index.  ``per_depth_ms`` holds the scan time of
-    each computed depth and takes no part in comparisons.
+    records the first such index, and is None when no entry is p.
+    ``per_depth_ms`` holds the scan time of each computed depth and takes
+    no part in comparisons.
     """
 
     p: int
@@ -68,13 +65,14 @@ class SplitSequence:
             raise InputError("sequence length must be depth + 1")
         if self.values[0] != 0:
             raise InputError("s_0 must be 0")
-        hit = False
         for i, s in enumerate(self.values):
             if not 0 <= s <= self.p:
                 raise InputError(f"s_{i} = {s} outside 0..{self.p}")
-            if hit and s != self.p:
-                raise InputError("entries after the first p must all be p")
-            hit = hit or s == self.p
+        first = self.values.index(self.p) if self.p in self.values else None
+        if first is not None and set(self.values[first:]) != {self.p}:
+            raise InputError("entries after the first p must all be p")
+        if self.terminated_at_p != first:
+            raise InputError(f"terminated_at_p must be {first}, the index of the first p")
 
     def computed_values(self) -> tuple[int, ...]:
         """Values up to and including the first p (drops the p-fill)."""
@@ -96,18 +94,6 @@ def _check_index(p: int, entries: Sequence[int]) -> tuple[int, ...]:
                 + ("" if last else " (only the last slot may reach p)")
             )
     return entries
-
-
-def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
-    """Exact ladder ideal for the given index, echelon-reduced."""
-    entries = _check_index(h.ctx.p, entries)
-    ech = Echelon(h.ctx)
-    for row in _chain(_Workspace(h), entries, capped=False):
-        ech.insert(row)
-    return ResIdeal._from_echelon(h.ctx, ech)
-
-
-# -- the chain ----------------------------------------------------------------
 
 
 class _Workspace:
@@ -173,22 +159,60 @@ class _Workspace:
         return got
 
 
-def _chain(
-    ws: _Workspace, entries: tuple[int, ...], capped: bool
-) -> list[dict[int, int]]:
-    """Generators of the ladder ideal for ``entries``, in RREF from the
-    first recursion step on.
+def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
+    """Exact ladder ideal for the given index, echelon-reduced: the span
+    of every stage's generators, fbar^(p-l) included, with the u step's
+    fan-out bounded by ``max_generators`` (``ideals.frobenius_root``)."""
+    entries = _check_index(h.ctx.p, entries)
+    ctx = h.ctx
+    p = ctx.p
+    ws = _Workspace(h)
+    no_cap = (0, 0)
+    ech = Echelon(ctx)
+    ech.insert(ws.f_terms(p - entries[-1], no_cap))
+    for l in reversed(entries[:-1]):
+        prods = ech.basis_terms()
+        if l:
+            w = ws.delta_terms(l, no_cap)
+            reduced = Echelon(ctx)
+            for g in prods:
+                reduced.insert(_mul_terms(g, w, p))
+            prods = reduced.basis_terms()
+        rows = frobenius_root(ctx, prods, ctx.max_generators).basis_terms()
+        fmul = ws.f_terms(p - l - 1, no_cap)
+        ech = Echelon(ctx)
+        for row in rows:
+            ech.insert(_mul_terms(row, fmul, p))
+        ech.insert(ws.f_terms(p - l, no_cap))
+    return ResIdeal._from_echelon(ctx, ech)
 
-    Stage j (j = n-2 down to 0) maps the generators K of stage j+1 to
 
-        fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K))  +  (fbar^(p-l_j)).
+# -- the scan -----------------------------------------------------------------
 
-    With ``capped``, the chain keeps only what decides containment of the
-    final ideal in (x_1^p, ..., x_N^p) and stops early once nothing is
-    left.  Write D(B) for the monomial ideal (x_1^B_1, ..., x_N^B_N).
-    Stage j's output is taken modulo D(Out_j), with Out_0 = (p, ..., p).
-    Let U_j = ``live_box(p-l_j-1, Out_j)``, so x^b * fbar^(p-l_j-1) lies in
-    D(Out_j) once some b_i >= U_j,i, and set Out_(j+1) = p * U_j.  Then
+
+def _new_part_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
+    """Whether the new part of the ladder ideal for ``entries`` lies in
+    (x_1^p, ..., x_N^p).
+
+    Write the index as (l_0, ..., l_(n-2), s) and the linear part of stage
+    j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)), so stage j maps
+    K to T_j(K) + (fbar^(p-l_j)).  T_j is additive in K, because the
+    u-image of a sum of ideals is the sum of the u-images, so
+
+        L(l_0, ..., l_(n-2), s) = T_0 ... T_(n-2) (fbar^(p-s))
+                                  + L(l_0, ..., l_(n-2)).
+
+    The new part is the first summand.  A sum of ideals lies in a monomial
+    ideal iff each summand does, so once the prefix's ladder ideal is known
+    to be contained, the new part alone decides containment, and this
+    chain never forms the generators fbar^(p-l_j).
+
+    The chain keeps only what decides containment and stops early once
+    nothing is left.  Write D(B) for the monomial ideal
+    (x_1^B_1, ..., x_N^B_N).  Stage j's output is taken modulo D(Out_j),
+    with Out_0 = (p, ..., p).  Let U_j = ``live_box(p-l_j-1, Out_j)``, so
+    x^b * fbar^(p-l_j-1) lies in D(Out_j) once some b_i >= U_j,i, and set
+    Out_(j+1) = p * U_j.  Then
 
     - u(F_* D(p * U_j)) lies in D(U_j), because u(F_*(x^(p*c) g)) =
       x^c * u(F_* g) and every term of an element of D(p * U_j) has some
@@ -196,121 +220,82 @@ def _chain(
     - fbar^(p-l_j-1) * D(U_j) lies in D(Out_j), by the choice of U_j;
     - delta^(l_j) * D(Out_(j+1)) lies in D(Out_(j+1)), an ideal.
 
-    The stage is additive in K and the u-image of a sum of ideals is the
-    sum of the u-images, so changing K by anything in D(Out_(j+1))
-    changes the output only by something in D(Out_j).  Hence the stage
-    may drop, with no effect on the final answer, every monomial of a
-    delta-product that reaches p * U_j, of a u-image that reaches U_j, of
-    an f-multiplied row or of fbar^(p-l_j) that reaches Out_j, and of the
-    base fbar^(p-s) that reaches Out_(n-1).  Each drop is a projection
-    onto the monomials below a box, which is F_p-linear, so it commutes
-    with the echelon steps.  With fbar^(p-l_j-1) = 1 the live box is
-    U_j = Out_j and the caps are the uniform p^(k+1) with k applications
-    of u ahead.
+    As T_j is additive, T_j(K) + D(Out_j) depends only on K + D(Out_(j+1)).
+    Hence the stage may drop, with no effect on the final answer, every
+    monomial of a delta-product that reaches p * U_j, of a u-image that
+    reaches U_j, of an f-multiplied row that reaches Out_j, and of the base
+    fbar^(p-s) that reaches Out_(n-1).  With fbar^(p-l_j-1) = 1 the live
+    box is U_j = Out_j and the caps are the uniform p^(k+1) with k
+    applications of u ahead.
 
-    The capped u stage keeps the ideal u(F_*(delta^(l_j) * K)) rather than
-    the F_p-span of its rows.  That is enough: a stage depends only on the
-    ideal K, modulo the box, and the bucket rows u(F_*(x^e * delta^(l_j)
-    * g)) over the generators g of K generate that ideal.  So a row with
-    one term joins an antichain M of minimal monomials, not the echelon.
-    Every other row first loses its terms that a member of M divides; it
-    is skipped if nothing is left, joins M if one term is left, and goes
-    into the echelon otherwise.  Once all rows are in, the echelon rows
-    get one more pass of the same reduction, and the f-multiply runs over
-    the members of M and the reduced rows.  None of this changes the
-    ideal, because (M, r) = (M, r - r|_M), where r|_M is the part of r in
-    the monomial ideal (M): membership in a monomial ideal is decided term
-    by term.
+    Both steps of a stage keep the ideal of their rows, not its F_p-span
+    (``MonomialAntichain.absorb``, whose class says why its reduction
+    keeps the ideal).  That is enough: T_j(K) depends only on the ideal K
+    modulo the box, the bucket rows u(F_*(x^e * delta^(l_j) * g)) over the
+    generators g of K generate the u-image, and fbar^(p-l_j-1) times
+    generators of the u-image generate T_j(K).
 
-    The exact chain instead keeps every row's span: it reduces the
-    delta-products to RREF and takes their u-image with
-    ``ideals.frobenius_root``, which bounds the fan-out by
-    ``max_generators``.
+    The last box is Out_0 = (p, ..., p): every monomial that survives has
+    all exponents below p, so lies outside the target, and a generator
+    lies in a monomial ideal iff each of its monomials does.  The new part
+    is therefore contained iff nothing survives.
     """
     ctx = ws.h.ctx
     p = ctx.p
-    n = len(entries)
-    no_cap = (0, 0)
-    # per stage j: the caps of its delta-product, u-image and output
-    stage_caps = [(no_cap, no_cap, no_cap)] * (n - 1)
-    base_cap = no_cap
-    if capped:
-        out_box = (p,) * ctx.n_vars
-        for j in range(n - 1):
-            live = ws.live_box(p - entries[j] - 1, out_box)
-            in_box = tuple(p * b for b in live)
-            stage_caps[j] = (
-                exponent_cap(ctx, in_box),
-                exponent_cap(ctx, live),
-                exponent_cap(ctx, out_box),
-            )
-            out_box = in_box
-        base_cap = exponent_cap(ctx, out_box)
-
-    base = ws.f_terms(p - entries[-1], base_cap)
+    # per stage j: l_j and the caps of its delta-product, u-image and output
+    stages = []
+    out_box = (p,) * ctx.n_vars
+    for l in entries[:-1]:
+        live = ws.live_box(p - l - 1, out_box)
+        in_box = tuple(p * b for b in live)
+        caps = (exponent_cap(ctx, in_box), exponent_cap(ctx, live), exponent_cap(ctx, out_box))
+        stages.append((l, *caps))
+        out_box = in_box
+    base = ws.f_terms(p - entries[-1], exponent_cap(ctx, out_box))
     gens = [base] if base else []
-    for j in range(n - 2, -1, -1):
+    for l, prod_cap, u_cap, out_cap in reversed(stages):
         if not gens:
             break
-        l = entries[j]
-        prod_cap, u_cap, out_cap = stage_caps[j]
         prods = gens
         if l:
             w = ws.delta_terms(l, prod_cap)
             prods = (_mul_terms(g, w, p, *prod_cap) for g in gens)
-            if not capped:
-                reduced = Echelon(ctx)
-                for prod in prods:
-                    reduced.insert(prod)
-                prods = reduced.basis_terms()
-        if not capped:
-            rows = frobenius_root(ctx, prods, ctx.max_generators).basis_terms()
-        else:
-            ech = Echelon(ctx)
-            mins = MonomialAntichain(ech)
-            for prod in prods:
-                buckets = _u_buckets(ctx, prod)
-                for key in sorted(buckets):
-                    row = mins.reduce(_truncate(buckets[key], *u_cap))
-                    if len(row) > 1:
-                        ech.insert(row)
-                    elif row:
-                        mins.add(*row)
-            rows = [{m: 1} for m in mins] + [r for r in map(mins.reduce, ech.basis_terms()) if r]
+        image = MonomialAntichain(Echelon(ctx))
+        for prod in prods:
+            buckets = _u_buckets(ctx, prod)
+            for key in sorted(buckets):
+                image.absorb(_truncate(buckets[key], *u_cap))
         fmul = ws.f_terms(p - l - 1, out_cap)
-        out = Echelon(ctx)
-        for row in rows:
-            out.insert(_mul_terms(row, fmul, p, *out_cap))
-        out.insert(ws.f_terms(p - l, out_cap))
-        gens = out.basis_terms()
-    return gens
+        out = MonomialAntichain(Echelon(ctx))
+        for row in image.generators():
+            out.absorb(_mul_terms(row, fmul, p, *out_cap))
+        gens = out.generators()
+    return not gens
 
 
 def _truncated_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
     """Whether the ladder ideal for ``entries`` lies in (x_1^p, .., x_N^p).
 
-    Runs the capped chain; the caps only ever drop monomials that are
-    already certain to end up inside the target ideal, so the survivors
-    decide containment as the uncapped chain would.  The chain's last box
-    is Out_0 = (p, ..., p): every monomial it returns has all exponents
-    below p, so lies outside the target, and a generator lies in a
-    monomial ideal iff each of its monomials does.  The ideal is therefore
-    contained iff the capped chain returns no rows.
+    Unwinding the split in ``_new_part_contained``, the ladder ideal is the
+    sum of the new parts of the prefixes entries[:k], k = 1..n, so it is
+    contained iff each of them is.
     """
-    return not _chain(ws, entries, True)
+    return all(_new_part_contained(ws, entries[:k]) for k in range(1, len(entries) + 1))
 
 
 def _scan_next(ws: _Workspace, prefix: tuple[int, ...]) -> int:
     """Largest s with the ladder ideal for prefix + (s,) contained.
 
-    For small p every candidate is evaluated and the containment set is
-    asserted to be an interval [0, s]; for larger p a binary search rides
-    the monotonicity instead.
+    The prefix's own ladder ideal must be contained; then the new part
+    decides containment (``_new_part_contained``).  For small p every
+    candidate is evaluated and the containment set is asserted to be an
+    interval [0, s]; for larger p a binary search rides the monotonicity
+    instead.
     """
     p = ws.h.ctx.p
 
     def contained(s: int) -> bool:
-        return _truncated_contained(ws, prefix + (s,))
+        return _new_part_contained(ws, prefix + (s,))
 
     if p <= 5:
         results = {s: contained(s) for s in range(p, -1, -1)}
@@ -342,13 +327,22 @@ def _scan_next(ws: _Workspace, prefix: tuple[int, ...]) -> int:
 
 
 def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
-    """The next sequence entry after a committed prefix s_1..s_(n-1)."""
+    """The next sequence entry after a committed prefix s_1..s_(n-1).
+
+    The prefix's ladder ideal must lie in (x_1^p, ..., x_N^p), as every
+    committed prefix's does; the scan only tests what the last slot adds.
+    """
     p = h.ctx.p
     prefix = tuple(prefix)
     for i, l in enumerate(prefix):
         if not 0 <= l <= p - 1:
             raise InvalidIndexError(f"prefix entry s_{i + 1} = {l} outside 0..{p - 1}")
-    return _scan_next(_Workspace(h), prefix)
+    ws = _Workspace(h)
+    if not _truncated_contained(ws, prefix):
+        raise InvalidIndexError(
+            f"the ladder ideal of prefix {prefix} is not inside (x_1^p, ..., x_N^p)"
+        )
+    return _scan_next(ws, prefix)
 
 
 def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:

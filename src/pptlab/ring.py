@@ -99,10 +99,6 @@ class Context:
     def n_vars(self) -> int:
         return len(self.var_names)
 
-    @property
-    def p_squared(self) -> int:
-        return self.p * self.p
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Context)

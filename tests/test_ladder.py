@@ -70,6 +70,10 @@ def test_next_s_examples():
     assert next_s(h, (1,)) == 1
     with pytest.raises(InvalidIndexError):
         next_s(h, (2,))
+    # the prefix's own ladder ideal (fbar) is not inside (x_i^7)
+    h = hypersurface(7, ["x1", "x2", "x3"], "x1^3 + x2^3 + x3^3")
+    with pytest.raises(InvalidIndexError):
+        next_s(h, (6,))
 
 
 def test_next_s_floor_is_zero():
@@ -114,6 +118,10 @@ def test_sequence_invariants_enforced():
         SplitSequence(p=2, depth=2, values=(0, 2, 1), terminated_at_p=1)
     with pytest.raises(InputError):
         SplitSequence(p=2, depth=2, values=(0, 1), terminated_at_p=None)
+    with pytest.raises(InputError):
+        SplitSequence(p=2, depth=3, values=(0, 1, 2, 2), terminated_at_p=None)
+    with pytest.raises(InputError):
+        SplitSequence(p=2, depth=3, values=(0, 1, 1, 1), terminated_at_p=2)
 
 
 def test_sequence_rejects_bad_depth():

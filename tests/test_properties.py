@@ -3,8 +3,8 @@
 import random
 
 from pptlab.ideals import Echelon, ideal_in_frobenius_power, principal_ideal, u_image
-from pptlab.ladder import _Workspace, _truncated_contained, compute_ladder
-from pptlab.ring import ResPoly, frobenius_substitute, project_mod_p
+from pptlab.ladder import _Workspace, _new_part_contained, _truncated_contained, compute_ladder
+from pptlab.ring import Context, ResPoly, frobenius_substitute, project_mod_p
 
 import property_suites as ps
 
@@ -125,6 +125,30 @@ def test_truncated_scan_matches_exact_on_random_inputs():
         )
         exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
         assert _truncated_contained(ws, entries) == exact
+
+
+def test_new_part_decides_containment_after_a_contained_prefix():
+    # the scan tests only what the last slot adds: once the prefix's exact
+    # ladder ideal lies in (x_i^p), that test must give the exact containment
+    # of the whole ladder ideal, for every last slot
+    rng = random.Random(25)
+    outcomes = set()
+    prefixes = 0
+    while prefixes < CASES:
+        p = rng.choice((2, 3, 5, 7))
+        ctx = Context(p, [f"x{i}" for i in range(rng.randrange(1, 4))], max_generators=100_000)
+        h = ps.random_hypersurface(rng, ctx)
+        prefix = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 3)))
+        if not ideal_in_frobenius_power(compute_ladder(h, prefix), 1):
+            continue
+        prefixes += 1
+        ws = _Workspace(h)
+        for s in range(p + 1):
+            entries = prefix + (s,)
+            exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
+            assert _new_part_contained(ws, entries) == exact, (p, h.f_lift, entries)
+            outcomes.add((len(prefix), any(prefix), exact))
+    assert len(outcomes) == 8
 
 
 def test_sequence_values_always_in_range():
