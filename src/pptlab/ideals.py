@@ -104,7 +104,7 @@ class Echelon:
         if len(self._seen) > self.ctx.max_workspace_monomials:
             raise ResourceLimitError(
                 f"echelon workspace exceeded {self.ctx.max_workspace_monomials} "
-                f"distinct monomials"
+                f"distinct monomials; raise max_workspace_monomials (--max-monomials)"
             )
 
     def basis_terms(self) -> list[dict[int, int]]:
@@ -225,7 +225,8 @@ def echelon_reduce(ctx: Context, gens: Sequence[ResPoly]) -> list[ResPoly]:
     """Row-echelon basis of the F_p-span of ``gens``: same span, same ideal."""
     if len(gens) > ctx.max_generators:
         raise ResourceLimitError(
-            f"{len(gens)} generators exceed the cap {ctx.max_generators}"
+            f"{len(gens)} generators exceed the cap {ctx.max_generators}; "
+            f"raise max_generators (--max-generators)"
         )
     ech = Echelon(ctx)
     for g in gens:
@@ -352,7 +353,8 @@ def frobenius_root(
         pending += len(buckets)
         if max_fan_out is not None and pending > max_fan_out:
             raise ResourceLimitError(
-                f"u-image fan-out exceeded {max_fan_out} generators"
+                f"u-image fan-out exceeded {max_fan_out} generators; "
+                f"raise max_generators (--max-generators)"
             )
         for key in sorted(buckets):
             ech.insert(buckets[key])

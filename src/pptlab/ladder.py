@@ -16,10 +16,12 @@ F_p-spans and with every added generator; that is the ideal ``--trace``
 prints.  The scan inside ``next_s`` tests only what the last slot adds,
 the linear chain applied to (fbar^(p - s)), since every stage is additive
 and the prefix's own ladder ideal is already known to be contained.
-``_new_part_contained`` runs that chain with live-box caps, which keep
-only the monomials that can still reach a final monomial with every
-exponent below p, and keeps each step's ideal rather than its F_p-span
-(``ideals.MonomialAntichain``); its docstring says why both are sound.
+``_new_part_contained`` runs that chain as one capped product and one u
+step per live box: between two u steps it multiplies once, by
+fbar^k * delta^l truncated to the box, which keeps only the monomials
+that can still reach a final monomial with every exponent below p, and
+each u step keeps the ideal of its rows rather than their F_p-span
+(``ideals.MonomialAntichain``); its docstring says why this is exact.
 Every cap is one ``ring.exponent_cap`` test, and the capped delta^l and
 fbar^k are built from capped factors inside their box (``_Workspace``),
 never in full.
@@ -207,70 +209,59 @@ def _new_part_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
     to be contained, the new part alone decides containment, and this
     chain never forms the generators fbar^(p-l_j).
 
-    The chain keeps only what decides containment and stops early once
-    nothing is left.  Write D(B) for the monomial ideal
-    (x_1^B_1, ..., x_N^B_N).  Stage j's output is taken modulo D(Out_j),
-    with Out_0 = (p, ..., p).  Let U_j = ``live_box(p-l_j-1, Out_j)``, so
-    x^b * fbar^(p-l_j-1) lies in D(Out_j) once some b_i >= U_j,i, and set
-    Out_(j+1) = p * U_j.  Then
+    Write D(B) for the monomial ideal (x_1^B_1, ..., x_N^B_N), take
+    B_0 = (p, ..., p) and B_(j+1) = p * U_j with U_j =
+    ``live_box(p-l_j-1, B_j)``, so x^b * fbar^(p-l_j-1) lies in D(B_j) once
+    some b_i >= U_j,i.  Then u(F_* D(p * U_j)) lies in D(U_j), as
+    u(F_*(x^(p*c) g)) = x^c * u(F_* g); fbar^(p-l_j-1) * D(U_j) lies in
+    D(B_j); and delta^(l_j) * D(B_(j+1)) lies in D(B_(j+1)).  So
+    T_j(K) + D(B_j) depends only on K + D(B_(j+1)), and every product may
+    drop what reaches the box it lands in.  With k_j = p-l_j-1 for j < n-1
+    and k_(n-1) = p-s, the chain is one product and one u step per box:
 
-    - u(F_* D(p * U_j)) lies in D(U_j), because u(F_*(x^(p*c) g)) =
-      x^c * u(F_* g) and every term of an element of D(p * U_j) has some
-      exponent >= p * U_j,i;
-    - fbar^(p-l_j-1) * D(U_j) lies in D(Out_j), by the choice of U_j;
-    - delta^(l_j) * D(Out_(j+1)) lies in D(Out_(j+1)), an ideal.
+        I_(n-1) = (1),   I_(j-1) = u(F_*(I_j * w_j mod D(B_j)))  (j = n-1..1),
+        w_j = fbar^(k_j) * delta^(l_(j-1)) mod D(B_j),
 
-    As T_j is additive, T_j(K) + D(Out_j) depends only on K + D(Out_(j+1)).
-    Hence the stage may drop, with no effect on the final answer, every
-    monomial of a delta-product that reaches p * U_j, of a u-image that
-    reaches U_j, of an f-multiplied row that reaches Out_j, and of the base
-    fbar^(p-s) that reaches Out_(n-1).  With fbar^(p-l_j-1) = 1 the live
-    box is U_j = Out_j and the caps are the uniform p^(k+1) with k
-    applications of u ahead.
+    and the new part modulo D(B_0) is I_0 * fbar^(k_0).  Three facts make
+    that equal to multiplying by each power in turn, as the ladder does:
 
-    Both steps of a stage keep the ideal of their rows, not its F_p-span
-    (``MonomialAntichain.absorb``, whose class says why its reduction
-    keeps the ideal).  That is enough: T_j(K) depends only on the ideal K
-    modulo the box, the bucket rows u(F_*(x^e * delta^(l_j) * g)) over the
-    generators g of K generate the u-image, and fbar^(p-l_j-1) times
-    generators of the u-image generate T_j(K).
+    - fused products: truncation modulo D(B_j) is a ring map, so
+      trunc(trunc(g * a) * b) = trunc(g * trunc(a * b));
+    - no reduction in between: (K * a) * b = K * (a * b), and reducing the
+      rows of K * a on their own could only ever keep that ideal;
+    - no cap on the u-image: an exponent a_i < p * U_i has u-image exponent
+      ((a_i + e_i) - (p-1)) / p <= U_i - 1, so a cap at U drops nothing.
 
-    The last box is Out_0 = (p, ..., p): every monomial that survives has
-    all exponents below p, so lies outside the target, and a generator
-    lies in a monomial ideal iff each of its monomials does.  The new part
-    is therefore contained iff nothing survives.
+    Each u step keeps the ideal of its rows, not their F_p-span
+    (``MonomialAntichain.absorb``, whose class says why that is sound): the
+    bucket rows u(F_*(x^e * g * w_j)) over generators g of I_j generate the
+    u-image.  Every monomial below B_0 lies outside the target, and a
+    generator lies in a monomial ideal iff each of its monomials does, so
+    the new part is contained iff I_0 * fbar^(k_0) is empty mod D(B_0).
     """
     ctx = ws.h.ctx
     p = ctx.p
-    # per stage j: l_j and the caps of its delta-product, u-image and output
-    stages = []
-    out_box = (p,) * ctx.n_vars
-    for l in entries[:-1]:
-        live = ws.live_box(p - l - 1, out_box)
-        in_box = tuple(p * b for b in live)
-        caps = (exponent_cap(ctx, in_box), exponent_cap(ctx, live), exponent_cap(ctx, out_box))
-        stages.append((l, *caps))
-        out_box = in_box
-    base = ws.f_terms(p - entries[-1], exponent_cap(ctx, out_box))
-    gens = [base] if base else []
-    for l, prod_cap, u_cap, out_cap in reversed(stages):
-        if not gens:
-            break
-        prods = gens
-        if l:
-            w = ws.delta_terms(l, prod_cap)
-            prods = (_mul_terms(g, w, p, *prod_cap) for g in gens)
+    *ls, s = entries
+    boxes = [(p,) * ctx.n_vars]
+    for l in ls:
+        boxes.append(tuple(p * b for b in ws.live_box(p - l - 1, boxes[-1])))
+    caps = [exponent_cap(ctx, box) for box in boxes]
+    gens = [{0: 1}]  # the unit ideal: the monomial 1 packs to 0
+    k = p - s
+    for j in range(len(ls), 0, -1):
+        cap = caps[j]
+        w = _mul_terms(ws.f_terms(k, cap), ws.delta_terms(ls[j - 1], cap), p, *cap)
         image = MonomialAntichain(Echelon(ctx))
-        for prod in prods:
-            buckets = _u_buckets(ctx, prod)
+        for g in gens:
+            buckets = _u_buckets(ctx, _mul_terms(g, w, p, *cap))
             for key in sorted(buckets):
-                image.absorb(_truncate(buckets[key], *u_cap))
-        fmul = ws.f_terms(p - l - 1, out_cap)
-        out = MonomialAntichain(Echelon(ctx))
-        for row in image.generators():
-            out.absorb(_mul_terms(row, fmul, p, *out_cap))
-        gens = out.generators()
-    return not gens
+                image.absorb(buckets[key])
+        gens = image.generators()
+        if not gens:
+            return True
+        k = p - ls[j - 1] - 1
+    fmul = ws.f_terms(k, caps[0])
+    return not any(_mul_terms(g, fmul, p, *caps[0]) for g in gens)
 
 
 def _truncated_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:

@@ -203,8 +203,10 @@ def test_json_error_object(capsys):
 
 
 def test_resource_limit_exits_3(capsys):
-    # the scan's live-box caps keep small inputs far below any cap, so the
-    # workspace cap is tripped on an input that still needs a large stage
+    # the scan's live-box caps keep small inputs far below any cap: at depth
+    # 3 this quartic touches at most 4 monomials per workspace, so the
+    # workspace cap is tripped one depth further, where a stage still needs
+    # more than 10
     code, _, err = run_cli(
         capsys,
         [
@@ -212,11 +214,23 @@ def test_resource_limit_exits_3(capsys):
             "--p", "7",
             "--vars", "x1,x2,x3,x4",
             "--f", "x1^4 + x2^4 + x3^4 + x4^4",
-            "--depth", "3",
+            "--depth", "4",
             "--max-monomials", "10",
         ],
     )
     assert code == 3
+    assert "--max-monomials" in err
+
+
+def test_trace_generator_cap_exits_3(capsys):
+    # the scan counts no generators; the exact ladder that --trace prints
+    # bounds each u step's fan-out by --max-generators
+    argv = ["sequence", "--p", "5", "--vars", "x,y,z", "--f", "x^3+y^3+z^3", "--depth", "2"]
+    code, _, _ = run_cli(capsys, argv + ["--max-generators", "4"])
+    assert code == 0
+    code, _, err = run_cli(capsys, argv + ["--max-generators", "4", "--trace"])
+    assert code == 3
+    assert "--max-generators" in err
 
 
 def test_depth_out_of_range_rejected(capsys):

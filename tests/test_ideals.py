@@ -8,6 +8,7 @@ from pptlab.ideals import (
     Echelon,
     MonomialAntichain,
     ResIdeal,
+    _u_buckets,
     echelon_reduce,
     ideal_in_frobenius_power,
     member_frobenius_power,
@@ -323,3 +324,23 @@ def test_fedder_duality_on_samples():
         image = u_image(ideal)
         in_max_ideal = all(g.constant_coefficient() == 0 for g in image.gens)
         assert in_max_ideal == ideal_in_frobenius_power(ideal, 1)
+
+
+def test_u_buckets_stay_below_the_box_a_product_was_capped_at():
+    # the scan caps a product at D(p * U) and never caps its u-image: an
+    # exponent a < p * U has u-image exponent ((a + e) - (p - 1)) / p <= U - 1,
+    # reached at the edge a = p * U - 1
+    rng = random.Random(43)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        ctx = Context(p, [f"x{i}" for i in range(rng.randrange(1, 5))])
+        box = tuple(rng.randrange(1, 5) for _ in range(ctx.n_vars))
+        edge = tuple(p * b - 1 for b in box)
+        terms = {ctx.encode_monomial(edge): 1}
+        for _ in range(rng.randrange(8)):
+            exps = (rng.choice((p * b - 1, rng.randrange(p * b))) for b in box)
+            terms[ctx.encode_monomial(exps)] = rng.randrange(1, p)
+        images = [ctx.decode_monomial(m) for b in _u_buckets(ctx, terms).values() for m in b]
+        assert len(images) == len(terms)
+        assert all(q < b for exps in images for q, b in zip(exps, box)), (p, box, terms)
+        assert tuple(b - 1 for b in box) in images

@@ -3,8 +3,15 @@ import random
 
 import pytest
 
+from pptlab import ladder
+from pptlab.cli import main
 from pptlab.delta import Hypersurface, validate
-from pptlab.errors import InputError, InvalidIndexError, ResourceLimitError
+from pptlab.errors import (
+    InputError,
+    InvalidIndexError,
+    MonotonicityViolationError,
+    ResourceLimitError,
+)
 from pptlab.ideals import (
     Echelon,
     MonomialAntichain,
@@ -122,6 +129,26 @@ def test_sequence_invariants_enforced():
         SplitSequence(p=2, depth=3, values=(0, 1, 2, 2), terminated_at_p=None)
     with pytest.raises(InputError):
         SplitSequence(p=2, depth=3, values=(0, 1, 1, 1), terminated_at_p=2)
+
+
+@pytest.mark.parametrize(
+    "p, names, expr, hits, message",
+    [
+        # p <= 5 evaluates every candidate and asserts the interval [0, s]
+        (3, "x,y", "x^2 + y^2", {0, 2}, "is not the interval"),
+        # larger p binary-searches and checks the floor s = 0
+        (7, "x,y,z", "x^3 + y^3 + z^3", set(), "fails at s = 0"),
+    ],
+)
+def test_scan_monotonicity_checks(monkeypatch, capsys, p, names, expr, hits, message):
+    # a containment set that is not an interval [0, s] can only come from a
+    # fault in the scan, which both checks report as an internal error
+    monkeypatch.delenv("PPTLAB_CACHE", raising=False)
+    monkeypatch.setattr(ladder, "_new_part_contained", lambda ws, entries: entries[-1] in hits)
+    with pytest.raises(MonotonicityViolationError, match=message):
+        splitting_sequence(hypersurface(p, names.split(","), expr), 2)
+    assert main(["sequence", "--p", str(p), "--vars", names, "--f", expr, "--depth", "2"]) == 4
+    assert message in capsys.readouterr().err
 
 
 def test_sequence_rejects_bad_depth():
