@@ -30,8 +30,9 @@ class Hypersurface:
 
     ``delta_power`` and ``f_res_power`` form full powers for the exact
     ladder (``compute_ladder``, ``--trace``), the powers k <= 1 and
-    uncapped scan stages; ``ladder._Workspace`` memoises them per run and
-    builds the capped powers inside the box it keeps.
+    uncapped boxes; ``ladder._Workspace`` memoises them per run and builds
+    the capped powers that the sequence's dual element and its capped scan
+    use inside the boxes they keep.
     """
 
     __slots__ = ("ctx", "f_lift", "f_res", "delta_f")

@@ -11,16 +11,57 @@ The sequence entry s_n is the largest s in 0..p whose ladder ideal for
 downward-closed in s because the base ideal grows with the last slot and
 every recursion step preserves inclusions; the scan asserts that.
 
-Two loops run that recursion.  ``compute_ladder`` runs it exactly, on
-F_p-spans and with every added generator; that is the ideal ``--trace``
-prints.  The scan inside ``next_s`` tests only what the last slot adds,
-the linear chain applied to (fbar^(p - s)), since every stage is additive
-and the prefix's own ladder ideal is already known to be contained.
-``_new_part_contained`` runs that chain as one capped product and one u
-step per live box: between two u steps it multiplies once, by
-fbar^k * delta^l truncated to the box, which keeps only the monomials
-that can still reach a final monomial with every exponent below p, and
-each u step keeps the ideal of its rows rather than their F_p-span
+``compute_ladder`` runs that recursion exactly, on F_p-spans and with
+every added generator; that is the ideal ``--trace`` prints.  The
+sequence tests only what the last slot adds, the linear chain applied
+to (fbar^(p - s)), since every stage is additive and the prefix's own
+ladder ideal is already known to be contained.
+
+The sequence state is one dual element.  Write the linear part of stage
+j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)) and, for a
+committed prefix (l_0, ..., l_(k-1)),
+
+    P_k = {g : T_0 ... T_(k-1)(g) lies in (x_1^p, ..., x_N^p)},
+
+an ideal because every stage is additive; s_(k+1) is the largest s with
+fbar^(p-s) in P_k.  The adjunction u(F_* I) in J <=> I in J^[p] (Fedder;
+Blickle-Mustata-Smith) gives
+
+    P_(k+1) = ((P_k : fbar^(p-l_k-1))^[p] : delta^(l_k)).
+
+Every P_k contains a power of (x_1, ..., x_N), as (x_i^p) does and
+colons and Frobenius powers keep that.  In the inverse system
+E = F_p[y_1..y_N], where y^b pairs with x^b and x^t ⌟ y^b = y^(b-t)
+when t <= b (0 otherwise), Matlis duality then gives
+Ann_E(J : g) = g ⌟ Ann_E(J) and Ann_E(J^[p]) = R * F(Ann_E(J)) for the
+Frobenius F(y^b) = y^(p*b + p-1) of E (Katzman-Schwede), and
+R * F(R * theta) = R * F(theta).  Ann_E(P_0) is generated by
+theta_0 = y^(p-1, ..., p-1), so Ann_E(P_k) = R * theta_k stays cyclic,
+
+    theta_(k+1) = delta ⌟ ... ⌟ delta ⌟ F(fbar^(p-l_k-1) ⌟ theta_k)
+
+with l_k single contractions by delta, and g lies in P_k iff
+g ⌟ theta_k = 0.  So ``splitting_sequence`` carries theta from depth to
+depth (``_Frontier``, ``_advance``): each candidate s is one contraction
+fbar^(p-s) ⌟ theta_k, and each depth one step of theta.  From theta_0
+this is the capped scan's own final test: x^t ⌟ theta_0 is nonzero iff
+every t_i < p, and distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0
+iff g is empty modulo (x_i^p).
+
+theta grows about p-fold per depth on some inputs, so a step gives up,
+and the run goes on from theta_0 with the whole prefix as the tail, when
+
+- the kept theta would have more than p^N terms, the size of the
+  theta_0 scan's base box;
+- an intermediate of the step would have more than
+  ``max_workspace_monomials`` terms;
+- F would push an exponent to 2^31 or beyond, past what a packed
+  monomial, its caps and the contraction's guard bits hold.
+
+From theta_0, ``_new_part_contained`` is the capped scan: one capped
+product and one u step per live box, which keeps only the monomials that
+can still reach a final monomial below theta's box, each u step keeping
+the ideal of its rows rather than their F_p-span
 (``ideals.MonomialAntichain``); its docstring says why this is exact.
 Every cap is one ``ring.exponent_cap`` test, and the capped delta^l and
 fbar^k are built from capped factors inside their box (``_Workspace``),
@@ -31,7 +72,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .delta import Hypersurface
 from .errors import (
@@ -41,7 +82,15 @@ from .errors import (
 )
 from .ideals import Echelon, MonomialAntichain, ResIdeal, _u_buckets, frobenius_root
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms
-from .ring import exponent_cap, mul_terms as _mul_terms, truncate_terms as _truncate
+from .ring import (
+    EXPONENT_LIMIT,
+    FIELD_BITS,
+    FIELD_MASK,
+    contract_terms as _contract,
+    exponent_cap,
+    mul_terms as _mul_terms,
+    truncate_terms as _truncate,
+)
 
 
 @dataclass(frozen=True)
@@ -50,8 +99,11 @@ class SplitSequence:
 
     Once an entry equals p, all later entries are p; ``terminated_at_p``
     records the first such index, and is None when no entry is p.
-    ``per_depth_ms`` holds the scan time of each computed depth and takes
-    no part in comparisons.
+    ``per_depth_ms`` holds the time of each computed depth, and
+    ``frontier_depth`` the k of the deepest dual element theta_k the run
+    kept: s_1..s_(k+1) were each read off contractions against one theta,
+    later entries came from the theta_0 scan.  Neither takes part in
+    comparisons.
     """
 
     p: int
@@ -61,6 +113,7 @@ class SplitSequence:
     per_depth_ms: tuple[float, ...] | None = field(
         default=None, compare=False, repr=False
     )
+    frontier_depth: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth < 1 or len(self.values) != self.depth + 1:
@@ -100,7 +153,9 @@ def _check_index(p: int, entries: Sequence[int]) -> tuple[int, ...]:
 
 class _Workspace:
     """Per-run memo of capped delta- and f-power term dicts and of live
-    boxes.
+    boxes.  The capped scan takes its powers inside its live boxes, and
+    theta's steps and contractions take fbar^k and delta inside theta's
+    box.
 
     A capped power is built from capped factors, inside the cap it is
     truncated to, and never in full: dropping the monomials at or past a
@@ -189,37 +244,124 @@ def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
     return ResIdeal._from_echelon(ctx, ech)
 
 
-# -- the scan -----------------------------------------------------------------
+# -- the sequence -------------------------------------------------------------
 
 
-def _new_part_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
-    """Whether the new part of the ladder ideal for ``entries`` lies in
-    (x_1^p, ..., x_N^p).
+class _Frontier(NamedTuple):
+    """The dual element theta_k of a committed prefix's first ``depth``
+    entries, as packed y-monomials, and ``box``: 1 + its largest exponent
+    in each variable, all zeros once theta is 0."""
 
-    Write the index as (l_0, ..., l_(n-2), s) and the linear part of stage
+    depth: int
+    theta: dict[int, int]
+    box: tuple[int, ...]
+
+
+def _theta_0(ctx) -> _Frontier:
+    p = ctx.p
+    return _Frontier(0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars)
+
+
+def _box(ctx, terms: dict[int, int]) -> tuple[int, ...]:
+    n = ctx.n_vars
+    return tuple(
+        max(((m >> FIELD_BITS * (n - 1 - i)) & FIELD_MASK for m in terms), default=-1) + 1
+        for i in range(n)
+    )
+
+
+def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
+    """Whether g ⌟ theta = 0.
+
+    The packed order is graded-lex, a monomial order, so b - t <= b* - t*
+    for every t in g and b in theta, with equality only at t* = min(g) and
+    b* = max(theta).  When t* divides b*, y^(b* - t*) is a term of the
+    contraction that no other pair reaches, so it is not 0 and need not
+    be formed.
+    """
+    if not g or not theta:
+        return True
+    low, top = ctx.decode_monomial(min(g)), ctx.decode_monomial(max(theta))
+    if all(t <= b for t, b in zip(low, top)):
+        return False
+    return not _contract(g, theta, ctx.n_vars, ctx.p)
+
+
+def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
+    """theta_(k+1) = delta ⌟ ... ⌟ delta ⌟ F(fbar^(p-l-1) ⌟ theta_k) for
+    the next entry l < p, or None when the step meets a drop-back trigger
+    (module docstring).
+
+    fbar^(p-l-1) is taken inside theta_k's box, as x^t ⌟ theta_k = 0 once
+    some t_i reaches it; F multiplies the box by p, and the delta
+    contractions only shrink it, so one capped delta serves all of them.
+    """
+    ctx = ws.h.ctx
+    p, n = ctx.p, ctx.n_vars
+    limit, keep = ctx.max_workspace_monomials, p**n
+    theta = _contract(ws.f_terms(p - l - 1, exponent_cap(ctx, front.box)), front.theta, n, p)
+    # F keeps the term count: with no delta contraction this is the kept size
+    if len(theta) > limit or (not l and len(theta) > keep):
+        return None
+    box = tuple(p * b for b in _box(ctx, theta))
+    if max(box) > EXPONENT_LIMIT:
+        return None
+    shift = ctx.encode_monomial((p - 1,) * n)
+    theta = {m * p + shift: c for m, c in theta.items()}
+    delta = ws.delta_terms(1, exponent_cap(ctx, box))
+    for _ in range(l):
+        theta = _contract(delta, theta, n, p)
+        if len(theta) > limit:
+            return None
+    if len(theta) > keep:
+        return None
+    return _Frontier(front.depth + 1, theta, _box(ctx, theta))
+
+
+def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Frontier:
+    """The frontier for ``prefix`` from the one for prefix[:-1]: theta
+    advanced over the last entry while it keeps up with the prefix, and
+    theta_0 for the rest of the run once a step drops back."""
+    if front.depth < len(prefix) - 1:
+        return front
+    return _advance(ws, front, prefix[-1]) or _theta_0(ws.h.ctx)
+
+
+def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ...]) -> bool:
+    """Whether the new part of the ladder ideal for the index
+    (committed prefix) + ``tail`` lies in (x_1^p, ..., x_N^p), where
+    ``frontier`` is theta_k of the prefix's first k entries and ``tail``
+    the rest of the index.
+
+    Write the tail as (l_0, ..., l_(m-2), s), the linear part of its stage
     j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)), so stage j maps
-    K to T_j(K) + (fbar^(p-l_j)).  T_j is additive in K, because the
-    u-image of a sum of ideals is the sum of the u-images, so
+    K to T_j(K) + (fbar^(p-l_j)), and P for the ideal of theta.  T_j is
+    additive in K, because the u-image of a sum of ideals is the sum of
+    the u-images, so with the frontier at theta_0
 
-        L(l_0, ..., l_(n-2), s) = T_0 ... T_(n-2) (fbar^(p-s))
-                                  + L(l_0, ..., l_(n-2)).
+        L(l_0, ..., l_(m-2), s) = T_0 ... T_(m-2) (fbar^(p-s))
+                                  + L(l_0, ..., l_(m-2)).
 
     The new part is the first summand.  A sum of ideals lies in a monomial
     ideal iff each summand does, so once the prefix's ladder ideal is known
     to be contained, the new part alone decides containment, and this
-    chain never forms the generators fbar^(p-l_j).
+    chain never forms the generators fbar^(p-l_j).  From theta_k the first
+    k stages are folded into P (module docstring): the new part is
+    contained iff T_0 ... T_(m-2)(fbar^(p-s)) lies in P.  With m = 1 that
+    is the one contraction fbar^(p-s) ⌟ theta = 0.
 
     Write D(B) for the monomial ideal (x_1^B_1, ..., x_N^B_N), take
-    B_0 = (p, ..., p) and B_(j+1) = p * U_j with U_j =
-    ``live_box(p-l_j-1, B_j)``, so x^b * fbar^(p-l_j-1) lies in D(B_j) once
-    some b_i >= U_j,i.  Then u(F_* D(p * U_j)) lies in D(U_j), as
-    u(F_*(x^(p*c) g)) = x^c * u(F_* g); fbar^(p-l_j-1) * D(U_j) lies in
-    D(B_j); and delta^(l_j) * D(B_(j+1)) lies in D(B_(j+1)).  So
-    T_j(K) + D(B_j) depends only on K + D(B_(j+1)), and every product may
-    drop what reaches the box it lands in.  With k_j = p-l_j-1 for j < n-1
-    and k_(n-1) = p-s, the chain is one product and one u step per box:
+    B_0 = the frontier's box, so x^a ⌟ theta = 0 and D(B_0) lies in P,
+    and B_(j+1) = p * U_j with U_j = ``live_box(p-l_j-1, B_j)``, so
+    x^b * fbar^(p-l_j-1) lies in D(B_j) once some b_i >= U_j,i.  Then
+    u(F_* D(p * U_j)) lies in D(U_j), as u(F_*(x^(p*c) g)) = x^c * u(F_* g);
+    fbar^(p-l_j-1) * D(U_j) lies in D(B_j); and delta^(l_j) * D(B_(j+1))
+    lies in D(B_(j+1)).  So T_j(K) + D(B_j) depends only on
+    K + D(B_(j+1)), and every product may drop what reaches the box it
+    lands in.  With k_j = p-l_j-1 for j < m-1 and k_(m-1) = p-s, the chain
+    is one product and one u step per box:
 
-        I_(n-1) = (1),   I_(j-1) = u(F_*(I_j * w_j mod D(B_j)))  (j = n-1..1),
+        I_(m-1) = (1),   I_(j-1) = u(F_*(I_j * w_j mod D(B_j)))  (j = m-1..1),
         w_j = fbar^(k_j) * delta^(l_(j-1)) mod D(B_j),
 
     and the new part modulo D(B_0) is I_0 * fbar^(k_0).  Three facts make
@@ -235,14 +377,15 @@ def _new_part_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
     Each u step keeps the ideal of its rows, not their F_p-span
     (``MonomialAntichain.absorb``, whose class says why that is sound): the
     bucket rows u(F_*(x^e * g * w_j)) over generators g of I_j generate the
-    u-image.  Every monomial below B_0 lies outside the target, and a
-    generator lies in a monomial ideal iff each of its monomials does, so
-    the new part is contained iff I_0 * fbar^(k_0) is empty mod D(B_0).
+    u-image.  R * theta is an R-module, (r * g) ⌟ theta = r ⌟ (g ⌟ theta),
+    so the new part is contained iff (g * fbar^(k_0)) ⌟ theta = 0 for
+    every generator g of I_0, and the truncation mod D(B_0) changes none
+    of these contractions.
     """
     ctx = ws.h.ctx
     p = ctx.p
-    *ls, s = entries
-    boxes = [(p,) * ctx.n_vars]
+    *ls, s = tail
+    boxes = [frontier.box]
     for l in ls:
         boxes.append(tuple(p * b for b in ws.live_box(p - l - 1, boxes[-1])))
     caps = [exponent_cap(ctx, box) for box in boxes]
@@ -261,7 +404,7 @@ def _new_part_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
             return True
         k = p - ls[j - 1] - 1
     fmul = ws.f_terms(k, caps[0])
-    return not any(_mul_terms(g, fmul, p, *caps[0]) for g in gens)
+    return all(_kills(_mul_terms(g, fmul, p, *caps[0]), frontier.theta, ctx) for g in gens)
 
 
 def _truncated_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
@@ -269,24 +412,27 @@ def _truncated_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
 
     Unwinding the split in ``_new_part_contained``, the ladder ideal is the
     sum of the new parts of the prefixes entries[:k], k = 1..n, so it is
-    contained iff each of them is.
+    contained iff each of them is.  This runs each of them as a whole
+    chain from theta_0: the whole-ladder oracle of the tests.
     """
-    return all(_new_part_contained(ws, entries[:k]) for k in range(1, len(entries) + 1))
+    base = _theta_0(ws.h.ctx)
+    return all(_new_part_contained(ws, base, entries[:k]) for k in range(1, len(entries) + 1))
 
 
-def _scan_next(ws: _Workspace, prefix: tuple[int, ...]) -> int:
+def _scan_next(ws: _Workspace, frontier: _Frontier, prefix: tuple[int, ...]) -> int:
     """Largest s with the ladder ideal for prefix + (s,) contained.
 
-    The prefix's own ladder ideal must be contained; then the new part
-    decides containment (``_new_part_contained``).  For small p every
-    candidate is evaluated and the containment set is asserted to be an
-    interval [0, s]; for larger p a binary search rides the monotonicity
-    instead.
+    The prefix's own ladder ideal must be contained and ``frontier`` be
+    theta_k of its first k entries; then the new part decides containment
+    (``_new_part_contained``).  For small p every candidate is evaluated
+    and the containment set is asserted to be an interval [0, s]; for
+    larger p a binary search rides the monotonicity instead.
     """
     p = ws.h.ctx.p
+    tail = prefix[frontier.depth :]
 
     def contained(s: int) -> bool:
-        return _new_part_contained(ws, prefix + (s,))
+        return _new_part_contained(ws, frontier, tail + (s,))
 
     if p <= 5:
         results = {s: contained(s) for s in range(p, -1, -1)}
@@ -321,7 +467,9 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     """The next sequence entry after a committed prefix s_1..s_(n-1).
 
     The prefix's ladder ideal must lie in (x_1^p, ..., x_N^p), as every
-    committed prefix's does; the scan only tests what the last slot adds.
+    committed prefix's does; each entry is checked by what it adds, one
+    contraction against theta while theta keeps up, on the way to the
+    prefix's theta.
     """
     p = h.ctx.p
     prefix = tuple(prefix)
@@ -329,16 +477,19 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
         if not 0 <= l <= p - 1:
             raise InvalidIndexError(f"prefix entry s_{i + 1} = {l} outside 0..{p - 1}")
     ws = _Workspace(h)
-    if not _truncated_contained(ws, prefix):
-        raise InvalidIndexError(
-            f"the ladder ideal of prefix {prefix} is not inside (x_1^p, ..., x_N^p)"
-        )
-    return _scan_next(ws, prefix)
+    front = _theta_0(h.ctx)
+    for k in range(1, len(prefix) + 1):
+        if not _new_part_contained(ws, front, prefix[front.depth : k]):
+            raise InvalidIndexError(
+                f"the ladder ideal of prefix {prefix[:k]} is not inside (x_1^p, ..., x_N^p)"
+            )
+        front = _follow(ws, front, prefix[:k])
+    return _scan_next(ws, front, prefix)
 
 
 def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
-    """Compute s_0..s_depth by the capped scan, timing each depth; once an
-    entry hits p the tail is filled with p.
+    """Compute s_0..s_depth, carrying theta from depth to depth and timing
+    each depth; once an entry hits p the tail is filled with p.
 
     The exact ladder ideal of a step n is ``compute_ladder(h,
     values[1:n+1])``; ``cli`` builds ``--trace`` from it.
@@ -347,25 +498,27 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
         raise InputError(f"depth must be >= 1, got {depth}")
     p = h.ctx.p
     ws = _Workspace(h)
-    values = [0]
+    front = _theta_0(h.ctx)
+    deepest = 0
     timings = []
     terminated = None
     prefix: tuple[int, ...] = ()
     for n in range(1, depth + 1):
         t0 = time.perf_counter()
-        s = _scan_next(ws, prefix)
+        s = _scan_next(ws, front, prefix)
+        prefix += (s,)
+        if s < p and n < depth:
+            front = _follow(ws, front, prefix)
+            deepest = max(deepest, front.depth)
         timings.append((time.perf_counter() - t0) * 1000.0)
-        values.append(s)
         if s == p:
             terminated = n
             break
-        prefix = prefix + (s,)
-    while len(values) < depth + 1:
-        values.append(p)
     return SplitSequence(
         p=p,
         depth=depth,
-        values=tuple(values),
+        values=(0,) + prefix + (p,) * (depth - len(prefix)),
         terminated_at_p=terminated,
         per_depth_ms=tuple(timings),
+        frontier_depth=deepest,
     )

@@ -204,6 +204,36 @@ def mul_terms(
     return {m: v for m, c in out.items() if (v := c % mod)}
 
 
+def contract_terms(
+    g: dict[int, int], theta: dict[int, int], n_vars: int, mod: int
+) -> dict[int, int]:
+    """The contraction g ⌟ theta mod ``mod`` of an inverse-system element.
+
+    ``theta`` holds packed monomials y^b of F_p[y_1..y_N], which pairs
+    with x^b; x^t ⌟ y^b = y^(b - t) when t <= b componentwise and 0
+    otherwise.  t <= b is the ``exponent_cap`` trick run backwards: adding
+    2**31 to every field of b - t leaves bit 31 of field i set iff
+    b_i >= t_i, and no field borrows from the next while exponents stay
+    below 2**31.
+    """
+    if not g or not theta:
+        return {}
+    guard = 0
+    for _ in range(n_vars):
+        guard = guard << FIELD_BITS | EXPONENT_LIMIT
+    out: dict[int, int] = {}
+    get = out.get
+    items = theta.items()
+    # keys stay offset by the guard until the end
+    for t, ct in g.items():
+        shift = guard - t
+        for b, cb in items:
+            d = b + shift
+            if d & guard == guard:
+                out[d] = get(d, 0) + ct * cb
+    return {d - guard: v for d, c in out.items() if (v := c % mod)}
+
+
 def _require_same_ring(a: "Poly", b: "Poly") -> None:
     if type(a) is not type(b):
         raise ContextMismatchError(

@@ -101,3 +101,18 @@ def random_int_poly(rng, n_vars, max_terms=5, max_exp=4, max_coeff=30) -> dict:
         e = tuple(rng.randrange(max_exp + 1) for _ in range(n_vars))
         terms[e] = rng.randrange(-max_coeff, max_coeff + 1)
     return {e: c for e, c in terms.items() if c}
+
+
+def capped_scan_sequence(h, depth: int) -> tuple:
+    """s_0..s_depth from the capped scan alone: every entry is read off the
+    whole chain from theta_0 (``ladder._new_part_contained`` with the full
+    prefix as its tail), as the sequence was before it carried theta."""
+    from pptlab.ladder import _scan_next, _theta_0, _Workspace
+
+    p = h.ctx.p
+    ws = _Workspace(h)
+    base = _theta_0(h.ctx)
+    prefix: tuple = ()
+    while len(prefix) < depth and p not in prefix:
+        prefix += (_scan_next(ws, base, prefix),)
+    return (0,) + prefix + (p,) * (depth - len(prefix))

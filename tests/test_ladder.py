@@ -21,17 +21,27 @@ from pptlab.ideals import (
 )
 from pptlab.ladder import (
     SplitSequence,
-    _Workspace,
+    _advance,
+    _kills,
+    _theta_0,
     _truncate,
     _truncated_contained,
+    _Workspace,
     compute_ladder,
     next_s,
     splitting_sequence,
 )
 from pptlab.parser import parse_poly
-from pptlab.ring import EXPONENT_LIMIT, Context, LiftPoly, ResPoly, exponent_cap
+from pptlab.ring import (
+    EXPONENT_LIMIT,
+    Context,
+    LiftPoly,
+    ResPoly,
+    contract_terms,
+    exponent_cap,
+)
 
-from oracles import random_int_poly, reduce_mod
+from oracles import capped_scan_sequence, random_int_poly, reduce_mod
 
 
 def hypersurface(p, names, expr):
@@ -142,9 +152,14 @@ def test_sequence_invariants_enforced():
 )
 def test_scan_monotonicity_checks(monkeypatch, capsys, p, names, expr, hits, message):
     # a containment set that is not an interval [0, s] can only come from a
-    # fault in the scan, which both checks report as an internal error
+    # fault in the scan, which both checks report as an internal error; s_1
+    # is 0 and the faulty set comes from the test against theta_1
     monkeypatch.delenv("PPTLAB_CACHE", raising=False)
-    monkeypatch.setattr(ladder, "_new_part_contained", lambda ws, entries: entries[-1] in hits)
+
+    def faulty(ws, frontier, tail):
+        return tail[-1] in hits if frontier.depth else tail[-1] == 0
+
+    monkeypatch.setattr(ladder, "_new_part_contained", faulty)
     with pytest.raises(MonotonicityViolationError, match=message):
         splitting_sequence(hypersurface(p, names.split(","), expr), 2)
     assert main(["sequence", "--p", str(p), "--vars", names, "--f", expr, "--depth", "2"]) == 4
@@ -354,8 +369,8 @@ def test_capped_u_stage_inserts_few_rows(monkeypatch):
 
     monkeypatch.setattr(Echelon, "insert", counted)
     h = hypersurface(7, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
-    assert splitting_sequence(h, 4).values == (0, 2, 0, 2, 0)
-    assert len(inserts) < 5000
+    assert capped_scan_sequence(h, 4) == (0, 2, 0, 2, 0)
+    assert 0 < len(inserts) < 5000
 
 
 def test_capped_u_stage_monomials_count_against_the_cap():
@@ -423,7 +438,8 @@ def test_capped_u_stage_reduction_matches_exact_ladder(monkeypatch):
 def test_scanned_deformed_fermat_sequences_match_exact_ladder(monkeypatch):
     # the scan's own prefixes sit where containment changes, which is where
     # a u-row lost by the capped stage would change an entry: each s_k must
-    # be contained after s_1..s_(k-1) in the exact ladder, and s_k + 1 not
+    # be contained after s_1..s_(k-1) in the exact ladder, and s_k + 1 not;
+    # the theta_0 scan runs every stage, and carrying theta must agree
     dropped = count_dropped_terms(monkeypatch)
     rng = random.Random(5)
     runs = ((3, 3, 3, 5, 16), (3, 4, 4, 4, 8), (5, 3, 3, 4, 8), (5, 4, 3, 3, 4), (7, 3, 4, 3, 4))
@@ -431,7 +447,8 @@ def test_scanned_deformed_fermat_sequences_match_exact_ladder(monkeypatch):
     for p, n, d, depth, cases in runs:
         for _ in range(cases):
             h = deformed_fermat(rng, p, n, d)
-            values = splitting_sequence(h, depth).values
+            values = capped_scan_sequence(h, depth)
+            assert splitting_sequence(h, depth).values == values, (p, h.f_lift)
             for k in range(1, depth + 1):
                 prefix, s = values[1:k], values[k]
                 assert ideal_in_frobenius_power(compute_ladder(h, prefix + (s,)), 1)
@@ -442,3 +459,100 @@ def test_scanned_deformed_fermat_sequences_match_exact_ladder(monkeypatch):
                 entries_seen.add((p, s))
     assert {p for p, s in entries_seen if s} == {3, 5, 7}
     assert sum(dropped) > 0
+
+
+def test_theta_drops_back_when_it_outgrows_the_base_box():
+    # theta_3 has 733 terms against p^N = 169, so depths 4.. are the theta_0
+    # scan; the exponents stay far below 2^31 and the step far below the cap
+    h = hypersurface(13, ["x", "y"], "x + y^3")
+    seq = splitting_sequence(h, 12)
+    assert seq.values == (0,) * 13 == capped_scan_sequence(h, 12)
+    assert seq.frontier_depth == 2
+
+
+def test_theta_drops_back_when_a_step_outgrows_the_workspace_cap():
+    # with the default cap theta keeps up to depth 3; with a cap of 10 the
+    # first step's delta contractions exceed it, and the theta_0 scan still
+    # fits under the same cap
+    names = ["x1", "x2", "x3", "x4"]
+    expr = "x1^4 + x2^4 + x3^4 + x4^4"
+    assert splitting_sequence(hypersurface(7, names, expr), 3).frontier_depth == 2
+    ctx = Context(7, names, max_workspace_monomials=10)
+    seq = splitting_sequence(validate(ctx, parse_poly(expr, ctx)), 3)
+    assert seq.values == (0, 2, 0, 2)
+    assert seq.frontier_depth == 0
+
+
+def test_theta_drops_back_before_an_exponent_reaches_2_31():
+    # theta keeps at most 125 terms here, but F multiplies its box by p at
+    # every depth: theta_13 would hold the exponent 5^14 - 1 > 2^31, past
+    # what the contraction's guard bits read
+    h = hypersurface(5, ["x0", "x1", "x2"], "13*x1^5*x2 + 9*x0^3*x1 + 21*x0*x1")
+    seq = splitting_sequence(h, 16)
+    assert seq.values == (0,) * 17 == capped_scan_sequence(h, 16)
+    assert seq.frontier_depth == 12
+    ws = _Workspace(h)
+    front = _theta_0(h.ctx)
+    for _ in range(12):
+        front = _advance(ws, front, 0)
+        assert len(front.theta) <= 125
+    assert max(front.box) * 5 > EXPONENT_LIMIT
+    assert _advance(ws, front, 0) is None
+
+
+def test_theta_zero_makes_the_next_entry_p():
+    # this input took about a minute on the capped scan alone, nearly all
+    # of it in products by large delta^l; theta_2 = 0, so P_2 is the unit
+    # ideal and s_3 = p
+    h = hypersurface(
+        7, ["x", "y", "z"], "27*x^4 + 38*y^4 + 20*z^4 + 31*x*y^2*z + 6*y^2*z + 7*x^2*y*z^3"
+    )
+    seq = splitting_sequence(h, 3)
+    assert seq.values == (0, 2, 6, 7)
+    assert seq.frontier_depth == 2
+    ws = _Workspace(h)
+    theta_1 = _advance(ws, _theta_0(h.ctx), 2)
+    assert theta_1.theta
+    assert _advance(ws, theta_1, 6).theta == {}
+
+
+@pytest.mark.parametrize(
+    "p, names, expr, depth",
+    [
+        (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 5),
+        # theta drops back at depth 3: later entries are checked by the scan
+        (13, "x,y", "x + y^3", 6),
+    ],
+)
+def test_next_s_validates_each_entry_of_the_prefix(p, names, expr, depth):
+    h = hypersurface(p, names.split(","), expr)
+    values = splitting_sequence(h, depth).values
+    for k in range(1, depth + 1):
+        assert next_s(h, values[1:k]) == values[k]
+        if values[k] < p - 1:
+            with pytest.raises(InvalidIndexError):
+                next_s(h, values[1:k] + (values[k] + 1,))
+
+
+def test_kills_agrees_with_the_whole_contraction():
+    # the leading-term shortcut may only ever answer "not 0"
+    rng = random.Random(413)
+    outcomes = set()
+    for _ in range(400):
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(1, 4)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+
+        def terms(count):
+            return {
+                ctx.encode_monomial(tuple(rng.randrange(4) for _ in range(n))): rng.randrange(1, p)
+                for _ in range(count)
+            }
+
+        g, theta = terms(rng.randrange(1, 5)), terms(rng.randrange(1, 6))
+        zero = not contract_terms(g, theta, n, p)
+        assert _kills(g, theta, ctx) == zero, (p, g, theta)
+        low, top = ctx.decode_monomial(min(g)), ctx.decode_monomial(max(theta))
+        shortcut = all(a <= b for a, b in zip(low, top))
+        outcomes.add((zero, shortcut))
+    assert outcomes == {(True, False), (False, False), (False, True)}

@@ -2,11 +2,21 @@
 
 import random
 
+from pptlab.delta import validate
 from pptlab.ideals import Echelon, ideal_in_frobenius_power, principal_ideal, u_image
-from pptlab.ladder import _Workspace, _new_part_contained, _truncated_contained, compute_ladder
-from pptlab.ring import Context, ResPoly, frobenius_substitute, project_mod_p
+from pptlab.ladder import (
+    _advance,
+    _new_part_contained,
+    _theta_0,
+    _truncated_contained,
+    _Workspace,
+    compute_ladder,
+    splitting_sequence,
+)
+from pptlab.ring import Context, LiftPoly, ResPoly, frobenius_substitute, project_mod_p
 
 import property_suites as ps
+from oracles import capped_scan_sequence, reduce_mod
 
 CASES = 200
 
@@ -130,9 +140,11 @@ def test_truncated_scan_matches_exact_on_random_inputs():
 def test_new_part_decides_containment_after_a_contained_prefix():
     # the scan tests only what the last slot adds: once the prefix's exact
     # ladder ideal lies in (x_i^p), that test must give the exact containment
-    # of the whole ladder ideal, for every last slot
+    # of the whole ladder ideal, for every last slot, from theta_k of every
+    # k entries of the prefix as well as from theta_0 with the whole prefix
     rng = random.Random(25)
     outcomes = set()
+    frontier_depths = set()
     prefixes = 0
     while prefixes < CASES:
         p = rng.choice((2, 3, 5, 7))
@@ -143,12 +155,51 @@ def test_new_part_decides_containment_after_a_contained_prefix():
             continue
         prefixes += 1
         ws = _Workspace(h)
+        fronts = [_theta_0(ctx)]
+        for l in prefix:
+            nxt = _advance(ws, fronts[-1], l)
+            if nxt is None:
+                break
+            fronts.append(nxt)
         for s in range(p + 1):
             entries = prefix + (s,)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert _new_part_contained(ws, entries) == exact, (p, h.f_lift, entries)
+            for front in fronts:
+                got = _new_part_contained(ws, front, entries[front.depth :])
+                assert got == exact, (p, h.f_lift, entries, front.depth)
+                frontier_depths.add(front.depth)
             outcomes.add((len(prefix), any(prefix), exact))
     assert len(outcomes) == 8
+    assert frontier_depths == {0, 1, 2}
+
+
+def test_sequence_matches_capped_scan_oracle():
+    # carrying theta must give the entries of the scan that reads each one
+    # off the whole chain from theta_0; both paths must run, and the theta
+    # path must reach past the first few depths
+    rng = random.Random(26)
+    kept = []
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randrange(1, 5)
+        while True:
+            # terms of degree 2..5, with unit or p-multiple coefficients
+            f = {}
+            for _ in range(rng.randrange(1, 5)):
+                e = [0] * n
+                for _ in range(rng.randrange(2, 6)):
+                    e[rng.randrange(n)] += 1
+                f[tuple(e)] = rng.choice([1, rng.randrange(1, 30), p * rng.randrange(1, p)])
+            if reduce_mod(f, p):
+                break
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        h = validate(ctx, LiftPoly(ctx, f))
+        depth = rng.randrange(2, 9)
+        seq = splitting_sequence(h, depth)
+        assert seq.values == capped_scan_sequence(h, depth), (p, h.f_lift, depth)
+        kept.append((seq.frontier_depth, len(seq.computed_values()) - 2))
+    assert any(k < last for k, last in kept)
+    assert max(k for k, _ in kept) == 7
 
 
 def test_sequence_values_always_in_range():

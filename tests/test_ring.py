@@ -13,6 +13,7 @@ from pptlab.ring import (
     Context,
     LiftPoly,
     ResPoly,
+    contract_terms,
     exact_div_p,
     exponent_cap,
     frobenius_substitute,
@@ -252,3 +253,32 @@ def test_exponent_cap_per_variable_bounds():
             m = ctx.encode_monomial(exps)
             want = any(e >= b for e, b in zip(exps, bounds))
             assert bool((m + add) & high) == want, (bounds, exps)
+
+
+def test_contract_terms_matches_per_field_contraction():
+    # x^t ⌟ y^b = y^(b - t) when t <= b field by field, else 0; the guard
+    # bits must read that right up to exponents of 2^31 - 1
+    rng = random.Random(214)
+    top = EXPONENT_LIMIT - 1
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 5)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+
+        def exps():
+            return tuple(rng.choice([rng.randrange(4), top - rng.randrange(3)]) for _ in range(n))
+
+        g = {exps(): rng.randrange(1, p) for _ in range(rng.randrange(4))}
+        theta = {exps(): rng.randrange(1, p) for _ in range(rng.randrange(6))}
+        want: dict = {}
+        for t, ct in g.items():
+            for b, cb in theta.items():
+                if all(ti <= bi for ti, bi in zip(t, b)):
+                    d = tuple(bi - ti for ti, bi in zip(t, b))
+                    want[d] = (want.get(d, 0) + ct * cb) % p
+        want = {ctx.encode_monomial(d): c for d, c in want.items() if c}
+        pack = ctx.encode_monomial
+        got = contract_terms(
+            {pack(t): c for t, c in g.items()}, {pack(b): c for b, c in theta.items()}, n, p
+        )
+        assert got == want, (p, g, theta)
