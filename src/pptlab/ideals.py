@@ -22,11 +22,18 @@ multipliers.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ContextMismatchError, InputError, ResourceLimitError
-from .ring import FIELD_BITS, FIELD_MASK, Context, ResPoly, exponent_cap
+from .ring import (
+    FIELD_BITS,
+    FIELD_MASK,
+    Context,
+    ResPoly,
+    exponent_box,
+    exponent_cap,
+    exponent_guard,
+)
 
 
 class Echelon:
@@ -119,15 +126,6 @@ class Echelon:
         ]
 
 
-@functools.lru_cache(maxsize=None)
-def _divisibility_masks(n_vars: int) -> tuple[int, int]:
-    """(low, guard): ``low`` keeps the exponent fields and drops the degree
-    field, ``guard`` sets the top bit of every exponent field."""
-    low = (1 << (FIELD_BITS * n_vars)) - 1
-    guard = sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(n_vars))
-    return low, guard
-
-
 class MonomialAntichain:
     """Minimal generators of a monomial ideal M, kept beside an ``Echelon``.
 
@@ -135,19 +133,17 @@ class MonomialAntichain:
     lie in M; membership in a monomial ideal is decided term by term, so
     the ideals (M, r) and (M, reduce(r)) agree for every row r.
 
-    Divisibility is one subtraction on packed monomials: with the degree
-    field masked off and the top bit of every exponent field of b set, a
-    divides b iff every such guard bit survives b - a (exponents stay
-    below 2**31, so no field borrows from the next).  Members count
-    against the workspace cap of the echelon they sit beside.
+    Divisibility is the one packed-monomial test ``ring.exponent_guard``.
+    Members keep their insertion order and count against the workspace
+    cap of the echelon they sit beside.
     """
 
-    __slots__ = ("_ech", "_low", "_guard", "_members")
+    __slots__ = ("_ech", "_guard", "_members")
 
     def __init__(self, ech: Echelon):
         self._ech = ech
-        self._low, self._guard = _divisibility_masks(ech.ctx.n_vars)
-        self._members: dict[int, int] = {}  # packed monomial -> exponent fields
+        self._guard = exponent_guard(ech.ctx.n_vars)
+        self._members: list[int] = []
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._members)
@@ -155,8 +151,8 @@ class MonomialAntichain:
     def divides(self, m: int) -> bool:
         """Whether some member divides the packed monomial m."""
         guard = self._guard
-        b = (m & self._low) | guard
-        for a in self._members.values():
+        b = m + guard
+        for a in self._members:
             if (b - a) & guard == guard:
                 return True
         return False
@@ -167,11 +163,9 @@ class MonomialAntichain:
         if self.divides(m):
             return False
         guard = self._guard
-        a = m & self._low
-        members = self._members
-        for k in [k for k, e in members.items() if ((e | guard) - a) & guard == guard]:
-            del members[k]
-        members[m] = a
+        shift = guard - m
+        self._members = [e for e in self._members if (e + shift) & guard != guard]
+        self._members.append(m)
         self._ech._note_monomials((m,))
         return True
 
@@ -195,13 +189,11 @@ class MonomialAntichain:
         members = self._members
         if not members:
             return terms
-        low = self._low
         guard = self._guard
-        exps = members.values()
         out = {}
         for m, c in terms.items():
-            b = (m & low) | guard
-            for a in exps:
+            b = m + guard
+            for a in members:
                 if (b - a) & guard == guard:
                     break
             else:
@@ -210,15 +202,7 @@ class MonomialAntichain:
 
 
 def _max_exponent_of(ctx: Context, terms: dict[int, int]) -> int:
-    n = ctx.n_vars
-    best = 0
-    for m in terms:
-        for _ in range(n):
-            e = m & FIELD_MASK
-            if e > best:
-                best = e
-            m >>= FIELD_BITS
-    return best
+    return max(1, *exponent_box(terms, ctx.n_vars)) - 1
 
 
 def echelon_reduce(ctx: Context, gens: Sequence[ResPoly]) -> list[ResPoly]:
@@ -257,10 +241,6 @@ class ResIdeal:
         self.ctx = ctx
         self.gens = tuple(ech.basis_polys())
         return self
-
-    @classmethod
-    def zero(cls, ctx: Context) -> "ResIdeal":
-        return cls(ctx, [])
 
     @classmethod
     def unit(cls, ctx: Context) -> "ResIdeal":

@@ -84,10 +84,10 @@ from .ideals import Echelon, MonomialAntichain, ResIdeal, _u_buckets, frobenius_
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms
 from .ring import (
     EXPONENT_LIMIT,
-    FIELD_BITS,
-    FIELD_MASK,
     contract_terms as _contract,
+    exponent_box,
     exponent_cap,
+    exponent_guard,
     mul_terms as _mul_terms,
     truncate_terms as _truncate,
 )
@@ -262,14 +262,6 @@ def _theta_0(ctx) -> _Frontier:
     return _Frontier(0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars)
 
 
-def _box(ctx, terms: dict[int, int]) -> tuple[int, ...]:
-    n = ctx.n_vars
-    return tuple(
-        max(((m >> FIELD_BITS * (n - 1 - i)) & FIELD_MASK for m in terms), default=-1) + 1
-        for i in range(n)
-    )
-
-
 def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
     """Whether g ⌟ theta = 0.
 
@@ -281,8 +273,8 @@ def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
     """
     if not g or not theta:
         return True
-    low, top = ctx.decode_monomial(min(g)), ctx.decode_monomial(max(theta))
-    if all(t <= b for t, b in zip(low, top)):
+    guard = exponent_guard(ctx.n_vars)
+    if (max(theta) + guard - min(g)) & guard == guard:
         return False
     return not _contract(g, theta, ctx.n_vars, ctx.p)
 
@@ -303,7 +295,7 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
     # F keeps the term count: with no delta contraction this is the kept size
     if len(theta) > limit or (not l and len(theta) > keep):
         return None
-    box = tuple(p * b for b in _box(ctx, theta))
+    box = tuple(p * b for b in exponent_box(theta, n))
     if max(box) > EXPONENT_LIMIT:
         return None
     shift = ctx.encode_monomial((p - 1,) * n)
@@ -315,7 +307,7 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
             return None
     if len(theta) > keep:
         return None
-    return _Frontier(front.depth + 1, theta, _box(ctx, theta))
+    return _Frontier(front.depth + 1, theta, exponent_box(theta, n))
 
 
 def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Frontier:

@@ -13,6 +13,11 @@ substitution x_i -> x_i^p is integer multiplication by p; neither can
 carry between fields while every exponent stays below 2**31, which is
 enforced at construction and guarded on every product.
 
+The same headroom makes two field-wise tests one integer operation each,
+and this module is the only home of both: ``exponent_cap`` (some
+exponent reaches a bound) and ``exponent_guard`` (x^a divides x^b).
+``exponent_box`` reads the per-variable maxima of a set of monomials.
+
 A polynomial is a dict mapping packed monomials to nonzero coefficients
 in the least non-negative residue system.  ``LiftPoly`` holds
 coefficients mod p^2 (classes of elements of W(F_p)[[x]]), ``ResPoly``
@@ -22,7 +27,7 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import (
     ContextMismatchError,
@@ -170,6 +175,26 @@ def exponent_cap(ctx: Context, q: int | Iterable[int]) -> tuple[int, int]:
     return add, high
 
 
+def exponent_guard(n_vars: int) -> int:
+    """2**31 in every exponent field: x^a divides x^b iff
+    ``(b + guard - a) & guard == guard``.
+
+    Field i of b + guard - a is b_i - a_i + 2**31, which keeps bit 31 set
+    iff b_i >= a_i and, while exponents stay below 2**31, never borrows
+    from or carries into the next field; the degree fields play no part.
+    """
+    return sum(EXPONENT_LIMIT << (FIELD_BITS * i) for i in range(n_vars))
+
+
+def exponent_box(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
+    """1 + the largest exponent of each variable over the packed monomials
+    ``terms``, in variable order; all zeros for no terms."""
+    return tuple(
+        max(((m >> FIELD_BITS * (n_vars - 1 - i)) & FIELD_MASK for m in terms), default=-1) + 1
+        for i in range(n_vars)
+    )
+
+
 def truncate_terms(terms: dict[int, int], add: int, high: int) -> dict[int, int]:
     """The terms whose monomials the ``exponent_cap`` masks do not flag."""
     if not high:
@@ -211,16 +236,11 @@ def contract_terms(
 
     ``theta`` holds packed monomials y^b of F_p[y_1..y_N], which pairs
     with x^b; x^t ⌟ y^b = y^(b - t) when t <= b componentwise and 0
-    otherwise.  t <= b is the ``exponent_cap`` trick run backwards: adding
-    2**31 to every field of b - t leaves bit 31 of field i set iff
-    b_i >= t_i, and no field borrows from the next while exponents stay
-    below 2**31.
+    otherwise, decided by ``exponent_guard``.
     """
     if not g or not theta:
         return {}
-    guard = 0
-    for _ in range(n_vars):
-        guard = guard << FIELD_BITS | EXPONENT_LIMIT
+    guard = exponent_guard(n_vars)
     out: dict[int, int] = {}
     get = out.get
     items = theta.items()

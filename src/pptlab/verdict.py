@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .delta import Hypersurface, delta
+from .delta import Hypersurface
 from .errors import (
     ExponentOverflowError,
     FIsUnitError,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .ideals import frobenius_root, member_frobenius_power
 from .ladder import SplitSequence, _Workspace
-from .ring import EXPONENT_LIMIT, LiftPoly, ResPoly, exponent_cap, mul_terms, truncate_terms
+from .ring import EXPONENT_LIMIT, ResPoly, exponent_cap, mul_terms, truncate_terms
 
 VERDICT_PERFECTOID_PURE = "perfectoid_pure"
 VERDICT_NOT_PERFECTOID_PURE = "not_perfectoid_pure"
@@ -421,10 +421,10 @@ def check_quick_criteria(h: Hypersurface) -> QuickCriteria:
     # C2
     if not delta_pow:
         fired.add("C2")
-    # C3
-    full_product = LiftPoly.monomial(ctx, (1,) * ctx.n_vars, p)
-    f_prime = h.f_lift - full_product
-    if not truncate_terms(delta(f_prime).terms, *cap):
+    # C3: (f - p*m)^p = f^p mod p^2 and phi(p*m) = p*m^p for m = x_1...x_N,
+    # so delta(f') = delta(f) + m^p, which vanishes mod (x_i^(p^2)) iff
+    # delta(f) truncates to -m^p
+    if truncate_terms(h.delta_f.terms, *cap) == {ctx.encode_monomial((p,) * ctx.n_vars): p - 1}:
         fired.add("C3")
     return QuickCriteria(fired=frozenset(fired), hypothesis_met=True)
 

@@ -10,11 +10,13 @@ from pptlab.errors import (
 )
 from pptlab.ring import (
     EXPONENT_LIMIT,
+    FIELD_BITS,
     Context,
     LiftPoly,
     ResPoly,
     contract_terms,
     exact_div_p,
+    exponent_box,
     exponent_cap,
     frobenius_substitute,
     lift_of,
@@ -282,3 +284,23 @@ def test_contract_terms_matches_per_field_contraction():
             {pack(t): c for t, c in g.items()}, {pack(b): c for b, c in theta.items()}, n, p
         )
         assert got == want, (p, g, theta)
+
+
+def test_exponent_box_matches_decoded_maxima():
+    # a random degree field on every monomial must be ignored, and a field
+    # of 2^31 - 1 must not spill into its neighbour
+    rng = random.Random(215)
+    top = EXPONENT_LIMIT - 1
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        ctx = Context(2, [f"x{i}" for i in range(n)])
+        low = (1 << (FIELD_BITS * n)) - 1
+        assert exponent_box({}, n) == (0,) * n
+        vectors = [
+            tuple(rng.choice([0, 1, rng.randrange(50), top - 1, top]) for _ in range(n))
+            for _ in range(rng.randrange(1, 8))
+        ]
+        degrees = [rng.randrange(4 * EXPONENT_LIMIT) << (FIELD_BITS * n) for _ in vectors]
+        terms = {d | (ctx.encode_monomial(e) & low): 1 for d, e in zip(degrees, vectors)}
+        want = tuple(1 + max(col) for col in zip(*map(ctx.decode_monomial, terms)))
+        assert exponent_box(terms, n) == want, vectors
