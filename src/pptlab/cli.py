@@ -98,22 +98,16 @@ def _criteria_block(criteria) -> dict:
     }
 
 
-def build_record(args: argparse.Namespace, ctx: Context, f, input_hash: str) -> dict:
+def build_record(args: argparse.Namespace, ctx: Context, f, inp: dict, input_hash: str) -> dict:
     """Compute one analysis request, f parsed in ctx, into a schema-stable
-    record."""
+    record around its ``_input_block`` and that block's ``input_hash``."""
     h = validate(ctx, f)
 
     record = {
         "schema": SCHEMA_ID,
         "tool_version": __version__,
         "command": args.command,
-        "input": {
-            "p": ctx.p,
-            "vars": list(ctx.var_names),
-            "f": render(f),
-            "depth": args.depth,
-            "flags": _flags_dict(args),
-        },
+        "input": inp,
         "input_hash": input_hash,
         "sequence": None,
         "verdict": None,
@@ -167,17 +161,15 @@ def _flags_dict(args: argparse.Namespace) -> dict:
     }
 
 
-def _input_hash(args: argparse.Namespace, ctx: Context, f) -> str:
-    return content_hash(
-        {
-            "p": ctx.p,
-            "vars": list(ctx.var_names),
-            "f": render(f),
-            "depth": args.depth,
-            "command": args.command,
-            "flags": _flags_dict(args),
-        }
-    )
+def _input_block(args: argparse.Namespace, ctx: Context, f) -> dict:
+    """The record's ``input`` block; ``input_hash`` hashes it with the command."""
+    return {
+        "p": ctx.p,
+        "vars": list(ctx.var_names),
+        "f": render(f),
+        "depth": args.depth,
+        "flags": _flags_dict(args),
+    }
 
 
 def _cache_key(record_input_hash: str) -> str:
@@ -353,13 +345,14 @@ def run(args: argparse.Namespace) -> tuple[dict | None, int]:
         max_generators=args.max_generators,
     )
     f = parse_poly(args.f, ctx)
-    input_hash = _input_hash(args, ctx, f)
+    inp = _input_block(args, ctx, f)
+    input_hash = content_hash({**inp, "command": args.command})
     if cache is not None:
         key = _cache_key(input_hash)
         cached = cache.get(key, __version__)
         if cached is not None:
             return cached, EXIT_OK
-    record = build_record(args, ctx, f, input_hash)
+    record = build_record(args, ctx, f, inp, input_hash)
     if cache is not None:
         cache.put(key, __version__, record)
     return record, EXIT_OK

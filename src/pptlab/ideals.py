@@ -17,7 +17,7 @@ u(F_*(a^p g)) = a * u(F_* g), the images of x^e * g for the p^N shift
 multipliers e in {0..p-1}^N generate the image ideal; each monomial of g
 is selected by exactly one multiplier, so the fan-out is computed by
 bucketing the support by residue class instead of enumerating all p^N
-multipliers.
+multipliers; that split reads packed fields, so it is ``ring.u_buckets``.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ContextMismatchError, InputError, ResourceLimitError
+# perfbench times the u-bucket split as ideals._u_buckets
 from .ring import (
-    FIELD_BITS,
-    FIELD_MASK,
     Context,
     ResPoly,
-    exponent_box,
     exponent_cap,
     exponent_guard,
+    u_buckets as _u_buckets,
 )
 
 
@@ -120,10 +119,7 @@ class Echelon:
         return [dict(rows[pivot]) for pivot in sorted(rows, reverse=True)]
 
     def basis_polys(self) -> list[ResPoly]:
-        return [
-            ResPoly._raw(self.ctx, row, _max_exponent_of(self.ctx, row))
-            for row in self.basis_terms()
-        ]
+        return [ResPoly._raw(self.ctx, row) for row in self.basis_terms()]
 
 
 class MonomialAntichain:
@@ -201,10 +197,6 @@ class MonomialAntichain:
         return out
 
 
-def _max_exponent_of(ctx: Context, terms: dict[int, int]) -> int:
-    return max(1, *exponent_box(terms, ctx.n_vars)) - 1
-
-
 def echelon_reduce(ctx: Context, gens: Sequence[ResPoly]) -> list[ResPoly]:
     """Row-echelon basis of the F_p-span of ``gens``: same span, same ideal."""
     if len(gens) > ctx.max_generators:
@@ -276,42 +268,7 @@ def u_single(g: ResPoly) -> ResPoly:
     the coefficient p-th root is the identity.  These are the monomials
     the multiplier e = 0 selects, bucket 0 of ``_u_buckets``.
     """
-    ctx = g.ctx
-    out = _u_buckets(ctx, g.terms).get(0, {})
-    return ResPoly._raw(ctx, out, _max_exponent_of(ctx, out))
-
-
-def _u_buckets(ctx: Context, terms: dict[int, int]) -> dict[int, dict[int, int]]:
-    """Split a support by shift multiplier.
-
-    Each monomial x^a is selected by exactly one multiplier
-    e = (p-1-a) mod p; bucket key is the packed e, bucket value maps the
-    u-image monomial x^((a+e)/p) to the coefficient.  Distinct monomials
-    in one bucket have distinct images, so no collisions occur.
-    """
-    p = ctx.p
-    n = ctx.n_vars
-    shift_n = FIELD_BITS * n
-    buckets: dict[int, dict[int, int]] = {}
-    for m, c in terms.items():
-        rest = m
-        e_packed = 0
-        e_degree = 0
-        q_packed = 0
-        q_degree = 0
-        for i in range(n):
-            a = rest & FIELD_MASK
-            rest >>= FIELD_BITS
-            e = (p - 1 - a) % p
-            q = (a + e) // p
-            e_degree += e
-            q_degree += q
-            e_packed |= e << (FIELD_BITS * i)
-            q_packed |= q << (FIELD_BITS * i)
-        key = (e_degree << shift_n) | e_packed
-        out_m = (q_degree << shift_n) | q_packed
-        buckets.setdefault(key, {})[out_m] = c
-    return buckets
+    return ResPoly._raw(g.ctx, _u_buckets(g.ctx, g.terms).get(0, {}))
 
 
 def frobenius_root(

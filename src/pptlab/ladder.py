@@ -65,7 +65,8 @@ the ideal of its rows rather than their F_p-span
 (``ideals.MonomialAntichain``); its docstring says why this is exact.
 Every cap is one ``ring.exponent_cap`` test, and the capped delta^l and
 fbar^k are built from capped factors inside their box (``_Workspace``),
-never in full.
+never in full.  The contraction, F, the products and the u-bucket split
+are ``ring`` kernels, beside the packed monomial whose fields they read.
 """
 
 from __future__ import annotations
@@ -80,16 +81,18 @@ from .errors import (
     InvalidIndexError,
     MonotonicityViolationError,
 )
-from .ideals import Echelon, MonomialAntichain, ResIdeal, _u_buckets, frobenius_root
-# ladder-level names: perfbench times the scan's products as ladder._mul_terms
+from .ideals import Echelon, MonomialAntichain, ResIdeal, frobenius_root
+# ladder-level names: perfbench times the scan's ladder._mul_terms and ladder._u_buckets
 from .ring import (
     EXPONENT_LIMIT,
     contract_terms as _contract,
+    dual_frobenius,
     exponent_box,
     exponent_cap,
     exponent_guard,
     mul_terms as _mul_terms,
     truncate_terms as _truncate,
+    u_buckets as _u_buckets,
 )
 
 
@@ -298,8 +301,7 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
     box = tuple(p * b for b in exponent_box(theta, n))
     if max(box) > EXPONENT_LIMIT:
         return None
-    shift = ctx.encode_monomial((p - 1,) * n)
-    theta = {m * p + shift: c for m, c in theta.items()}
+    theta = dual_frobenius(ctx, theta)
     delta = ws.delta_terms(1, exponent_cap(ctx, box))
     for _ in range(l):
         theta = _contract(delta, theta, n, p)

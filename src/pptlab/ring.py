@@ -10,13 +10,16 @@ graded-lex order (degree first, then x1 > x2 > ... > xN), so leading
 monomials are ``max(terms)`` and canonical term sorting is plain integer
 sorting.  Multiplying monomials is integer addition, and the Frobenius
 substitution x_i -> x_i^p is integer multiplication by p; neither can
-carry between fields while every exponent stays below 2**31, which is
-enforced at construction and guarded on every product.
+carry between fields while every exponent stays below 2**31.  That is
+checked on the actual exponents: ``encode_monomial`` rejects larger ones,
+and products and ``frobenius_substitute`` test the total degree and, only
+when it could reach 2**31, each variable's maxima (``exponent_box``).
 
-The same headroom makes two field-wise tests one integer operation each,
-and this module is the only home of both: ``exponent_cap`` (some
-exponent reaches a bound) and ``exponent_guard`` (x^a divides x^b).
-``exponent_box`` reads the per-variable maxima of a set of monomials.
+The same headroom makes two field-wise tests one integer operation each:
+``exponent_cap`` (some exponent reaches a bound) and ``exponent_guard``
+(x^a divides x^b).  No other module reads packed fields, so the kernels
+live here too: ``mul_terms``, ``contract_terms``, ``u_buckets`` (the
+split by Frobenius shift) and ``dual_frobenius`` (F of the inverse system).
 
 A polynomial is a dict mapping packed monomials to nonzero coefficients
 in the least non-negative residue system.  ``LiftPoly`` holds
@@ -254,6 +257,46 @@ def contract_terms(
     return {d - guard: v for d, c in out.items() if (v := c % mod)}
 
 
+def u_buckets(ctx: Context, terms: dict[int, int]) -> dict[int, dict[int, int]]:
+    """Split a support by shift multiplier.
+
+    Each monomial x^a is selected by exactly one multiplier
+    e = (p-1-a) mod p; bucket key is the packed e, bucket value maps the
+    u-image monomial x^((a+e)/p) to the coefficient.  Distinct monomials
+    in one bucket have distinct images, so no collisions occur.
+    """
+    p = ctx.p
+    n = ctx.n_vars
+    shift_n = FIELD_BITS * n
+    buckets: dict[int, dict[int, int]] = {}
+    for m, c in terms.items():
+        rest = m
+        e_packed = 0
+        e_degree = 0
+        q_packed = 0
+        q_degree = 0
+        for i in range(n):
+            a = rest & FIELD_MASK
+            rest >>= FIELD_BITS
+            e = (p - 1 - a) % p
+            q = (a + e) // p
+            e_degree += e
+            q_degree += q
+            e_packed |= e << (FIELD_BITS * i)
+            q_packed |= q << (FIELD_BITS * i)
+        key = (e_degree << shift_n) | e_packed
+        out_m = (q_degree << shift_n) | q_packed
+        buckets.setdefault(key, {})[out_m] = c
+    return buckets
+
+
+def dual_frobenius(ctx: Context, theta: dict[int, int]) -> dict[int, int]:
+    """F(y^b) = y^(p*b + p-1) on an inverse-system element; the caller
+    keeps the image exponents below 2**31."""
+    shift = ctx.encode_monomial((ctx.p - 1,) * ctx.n_vars)
+    return {m * ctx.p + shift: c for m, c in theta.items()}
+
+
 def _require_same_ring(a: "Poly", b: "Poly") -> None:
     if type(a) is not type(b):
         raise ContextMismatchError(
@@ -263,31 +306,29 @@ def _require_same_ring(a: "Poly", b: "Poly") -> None:
 
 
 class Poly:
-    """Shared machinery for both coefficient rings; do not instantiate."""
+    """Shared machinery for both coefficient rings; do not instantiate.
 
-    __slots__ = ("ctx", "terms", "max_exponent")
+    A value is its context and its terms; terms that cancelled leave no
+    trace, so they never count against the 2**31 exponent range."""
+
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, coeffs: Mapping[tuple[int, ...], int]):
         mod = self._modulus(ctx)
         terms: dict[int, int] = {}
-        max_exp = 0
         for exps, c in coeffs.items():
             c %= mod
             if c == 0:
                 continue
             terms[ctx.encode_monomial(exps)] = c
-            max_exp = max(max_exp, max(exps, default=0))
         self.ctx = ctx
         self.terms = terms
-        # conservative per-variable exponent bound, maintained through ops
-        self.max_exponent = max_exp
 
     @classmethod
-    def _raw(cls, ctx: Context, terms: dict[int, int], max_exponent: int):
+    def _raw(cls, ctx: Context, terms: dict[int, int]):
         self = object.__new__(cls)
         self.ctx = ctx
         self.terms = terms
-        self.max_exponent = max_exponent
         return self
 
     @staticmethod
@@ -302,7 +343,7 @@ class Poly:
 
     @classmethod
     def zero(cls, ctx: Context):
-        return cls._raw(ctx, {}, 0)
+        return cls._raw(ctx, {})
 
     @classmethod
     def one(cls, ctx: Context):
@@ -311,7 +352,7 @@ class Poly:
     @classmethod
     def constant(cls, ctx: Context, c: int):
         c %= cls._modulus(ctx)
-        return cls._raw(ctx, {0: c} if c else {}, 0)
+        return cls._raw(ctx, {0: c} if c else {})
 
     @classmethod
     def variable(cls, ctx: Context, name: str):
@@ -385,31 +426,30 @@ class Poly:
                 out[m] = v
             else:
                 out.pop(m, None)
-        return self._raw(self.ctx, out, max(self.max_exponent, other.max_exponent))
+        return self._raw(self.ctx, out)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
         mod = self.modulus
-        return self._raw(
-            self.ctx,
-            {m: mod - c for m, c in self.terms.items()},
-            self.max_exponent,
-        )
+        return self._raw(self.ctx, {m: mod - c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         _require_same_ring(self, other)
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return self.zero(self.ctx)
-        bound = self.max_exponent + other.max_exponent
-        if bound >= EXPONENT_LIMIT:
-            raise ExponentOverflowError(
-                f"product exponents may reach {bound} >= 2**31"
-            )
-        return self._raw(self.ctx, mul_terms(self.terms, other.terms, self.modulus), bound)
+        # the degree bounds every exponent, so the maxima are read only when the
+        # degrees sum to 2**31: the top field of max(a) + max(b), as fields never carry
+        n = self.ctx.n_vars
+        if max(a) + max(b) >= EXPONENT_LIMIT << (FIELD_BITS * n):
+            for name, ea, eb in zip(self.ctx.var_names, exponent_box(a, n), exponent_box(b, n)):
+                if ea + eb - 2 >= EXPONENT_LIMIT:
+                    raise ExponentOverflowError(f"exponents of {name} reach {ea + eb - 2} >= 2**31")
+        return self._raw(self.ctx, mul_terms(a, b, self.modulus))
 
     __rmul__ = __mul__
 
@@ -421,7 +461,7 @@ class Poly:
             return self
         mod = self.modulus
         out = {m: v for m, old in self.terms.items() if (v := old * c % mod)}
-        return self._raw(self.ctx, out, self.max_exponent)
+        return self._raw(self.ctx, out)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -478,9 +518,11 @@ def frobenius_substitute(a: LiftPoly) -> LiftPoly:
     if not isinstance(a, LiftPoly):
         raise ContextMismatchError("frobenius_substitute expects a LiftPoly")
     p = a.ctx.p
-    if a.max_exponent * p >= EXPONENT_LIMIT:
-        raise ExponentOverflowError("Frobenius image exceeds exponent range")
-    return LiftPoly._raw(a.ctx, {m * p: c for m, c in a.terms.items()}, a.max_exponent * p)
+    if a.total_degree() * p >= EXPONENT_LIMIT:
+        top = max(exponent_box(a.terms, a.ctx.n_vars)) - 1
+        if top * p >= EXPONENT_LIMIT:
+            raise ExponentOverflowError(f"Frobenius image exponent {top * p} >= 2**31")
+    return LiftPoly._raw(a.ctx, {m * p: c for m, c in a.terms.items()})
 
 
 def project_mod_p(a: LiftPoly) -> ResPoly:
@@ -489,7 +531,7 @@ def project_mod_p(a: LiftPoly) -> ResPoly:
         raise ContextMismatchError("project_mod_p expects a LiftPoly")
     p = a.ctx.p
     out = {m: v for m, c in a.terms.items() if (v := c % p)}
-    return ResPoly._raw(a.ctx, out, a.max_exponent)
+    return ResPoly._raw(a.ctx, out)
 
 
 def exact_div_p(a: LiftPoly) -> ResPoly:
@@ -509,14 +551,14 @@ def exact_div_p(a: LiftPoly) -> ResPoly:
                 f"coefficient {c} of {a.ctx.decode_monomial(m)} is not divisible by {p}"
             )
         out[m] = c // p
-    return ResPoly._raw(a.ctx, out, a.max_exponent)
+    return ResPoly._raw(a.ctx, out)
 
 
 def lift_of(a: ResPoly) -> LiftPoly:
     """The tautological lift to Z/p^2 with the same least residues."""
     if not isinstance(a, ResPoly):
         raise ContextMismatchError("lift_of expects a ResPoly")
-    return LiftPoly._raw(a.ctx, dict(a.terms), a.max_exponent)
+    return LiftPoly._raw(a.ctx, dict(a.terms))
 
 
 def render(a: Poly) -> str:

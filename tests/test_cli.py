@@ -283,6 +283,31 @@ def test_input_hash_present_and_stable(capsys):
     assert re.fullmatch(r"[0-9a-f]{64}", one["input_hash"])
 
 
+@pytest.mark.parametrize(
+    "command", ["sequence", "ppt", "classify", "qfs-height", "fpt", "criteria"]
+)
+def test_input_hash_is_the_input_block_with_the_command(capsys, command):
+    argv = [command, "--p", "2", "--vars", "x,y", "--f", "x^2+y^3", "--depth", "3", "--emax", "2"]
+    code, record, _ = run_json(capsys, argv)
+    assert code == 0
+    assert record["input_hash"] == content_hash({**record["input"], "command": command})
+
+
+def test_cancelled_large_term_does_not_count_against_the_exponent_range(capsys):
+    # f = y once the x^1500000000 terms cancel; the squares of f never leave range
+    argv = [
+        "sequence", "--p", "2", "--vars", "x,y",
+        "--f", "x^1500000000 - x^1500000000 + y", "--depth", "2",
+    ]
+    code, record, _ = run_json(capsys, argv)
+    assert code == 0
+    assert record["input"]["f"] == "y"
+    assert tuple(record["sequence"]["values"]) == (0, 0, 0)
+    code, record, _ = run_json(capsys, argv[:5] + ["--f", "x^1500000000 + y"] + argv[7:])
+    assert code == 2
+    assert record["error"]["type"] == "ExponentOverflowError"
+
+
 # -- cache --------------------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from pptlab.ring import (
     LiftPoly,
     ResPoly,
     contract_terms,
+    dual_frobenius,
     exact_div_p,
     exponent_box,
     exponent_cap,
@@ -23,6 +24,8 @@ from pptlab.ring import (
     project_mod_p,
     render,
 )
+
+from pptlab.delta import validate
 
 from oracles import delta_int, int_mul, int_pow, random_int_poly, reduce_mod
 
@@ -180,6 +183,47 @@ def test_exponent_overflow_guard():
     with pytest.raises(ExponentOverflowError):
         big * big
 
+    # the guard reads each variable's actual exponents, not the degree
+    ctx = Context(2, ["x", "y"])
+    x = ResPoly(ctx, {(2**30, 0): 1})
+    y = ResPoly(ctx, {(0, 2**30): 1})
+    assert (x * y).terms_by_exponent() == {(2**30, 2**30): 1}
+    with pytest.raises(ExponentOverflowError):
+        x * x
+    with pytest.raises(ExponentOverflowError):
+        frobenius_substitute(LiftPoly(ctx, {(2**30, 0): 1}))
+
+    # a large term that cancelled no longer counts against the range
+    lx = LiftPoly(ctx, {(2**30, 0): 1})
+    f = lx - lx + LiftPoly.variable(ctx, "y")
+    assert frobenius_substitute(f) == LiftPoly(ctx, {(0, 2): 1})
+    assert validate(ctx, f).f_res == ResPoly.variable(ctx, "y")
+
+    # differential: a product raises exactly when some variable's largest
+    # exponents in the two factors sum to 2^31 or more
+    rng = random.Random(217)
+    near = [0, 1, 2**30 - 1, 2**30, 2**30 + 1]
+    raised = 0
+    for _ in range(300):
+        n = rng.randrange(1, 4)
+        ctx = Context(3, [f"x{i}" for i in range(n)])
+        a, b = (
+            {tuple(rng.choice(near) for _ in range(n)): rng.randrange(1, 3)
+             for _ in range(rng.randrange(1, 4))}
+            for _ in range(2)
+        )
+        overflows = any(
+            max(ea[i] for ea in a) + max(eb[i] for eb in b) >= EXPONENT_LIMIT
+            for i in range(n)
+        )
+        if overflows:
+            raised += 1
+            with pytest.raises(ExponentOverflowError):
+                ResPoly(ctx, a) * ResPoly(ctx, b)
+        else:
+            assert ResPoly(ctx, a) * ResPoly(ctx, b) == ResPoly(ctx, reduce_mod(int_mul(a, b), 3))
+    assert 0 < raised < 300
+
 
 def test_monomial_encoding_roundtrip():
     rng = random.Random(104)
@@ -284,6 +328,22 @@ def test_contract_terms_matches_per_field_contraction():
             {pack(t): c for t, c in g.items()}, {pack(b): c for b, c in theta.items()}, n, p
         )
         assert got == want, (p, g, theta)
+
+
+def test_dual_frobenius_matches_per_field_map():
+    # F(y^b) = y^(p*b + p-1), field by field with the degree kept in step
+    rng = random.Random(218)
+    for _ in range(100):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 5)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        theta = {
+            tuple(rng.randrange(20) for _ in range(n)): rng.randrange(1, p)
+            for _ in range(rng.randrange(5))
+        }
+        got = dual_frobenius(ctx, {ctx.encode_monomial(b): c for b, c in theta.items()})
+        want = {ctx.encode_monomial(tuple(p * e + p - 1 for e in b)): c for b, c in theta.items()}
+        assert got == want, (p, theta)
 
 
 def test_exponent_box_matches_decoded_maxima():
