@@ -58,6 +58,13 @@ and the run goes on from theta_0 with the whole prefix as the tail, when
 - F would push an exponent to 2^31 or beyond, past what a packed
   monomial, its caps and the contraction's guard bits hold.
 
+The first contraction of a step stops as soon as it has reached more
+monomials than these bounds let it keep (``ring.contract_terms``'s
+limit), so a step that drops back costs no more than the bound.  Terms
+reached so far may still cancel, so this can send a step to the scan
+where the whole contraction would have fitted; both paths are exact, so
+only the path can change, never an entry.
+
 From theta_0, ``_new_part_contained`` is the capped scan: one capped
 product and one u step per live box, which keeps only the monomials that
 can still reach a final monomial below theta's box, each u step keeping
@@ -67,6 +74,16 @@ Every cap is one ``ring.exponent_cap`` test, and the capped delta^l and
 fbar^k are built from capped factors inside their box (``_Workspace``),
 never in full.  The contraction, F, the products and the u-bucket split
 are ``ring`` kernels, beside the packed monomial whose fields they read.
+
+After a drop-back, every later depth runs the chain from theta_0 over
+the whole tail, once per candidate s, and the tails of one run share
+their stages.  At the top of its level j the rest of a chain reads only
+theta, the entries tail[:j], k_j and the generators of I_j, so each
+frontier memoizes the outcome under exactly that key
+(``_new_part_contained``).  A chain that reaches a level some earlier
+chain passed stops there, and each depth costs a few stages instead of
+the whole tail: on p=13 x + y^3 the u-bucket splits fall from 252 to 48
+at depth 12 and from 1,092 to 108 at depth 24.
 """
 
 from __future__ import annotations
@@ -253,16 +270,19 @@ def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
 class _Frontier(NamedTuple):
     """The dual element theta_k of a committed prefix's first ``depth``
     entries, as packed y-monomials, and ``box``: 1 + its largest exponent
-    in each variable, all zeros once theta is 0."""
+    in each variable, all zeros once theta is 0.  ``memo`` holds the
+    results of chain suffixes against this theta
+    (``_new_part_contained``), so it never serves another theta."""
 
     depth: int
     theta: dict[int, int]
     box: tuple[int, ...]
+    memo: dict[tuple, bool]
 
 
 def _theta_0(ctx) -> _Frontier:
     p = ctx.p
-    return _Frontier(0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars)
+    return _Frontier(0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {})
 
 
 def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
@@ -294,9 +314,10 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
     ctx = ws.h.ctx
     p, n = ctx.p, ctx.n_vars
     limit, keep = ctx.max_workspace_monomials, p**n
-    theta = _contract(ws.f_terms(p - l - 1, exponent_cap(ctx, front.box)), front.theta, n, p)
+    fmul = ws.f_terms(p - l - 1, exponent_cap(ctx, front.box))
     # F keeps the term count: with no delta contraction this is the kept size
-    if len(theta) > limit or (not l and len(theta) > keep):
+    theta = _contract(fmul, front.theta, n, p, limit if l else min(limit, keep))
+    if theta is None:
         return None
     box = tuple(p * b for b in exponent_box(theta, n))
     if max(box) > EXPONENT_LIMIT:
@@ -309,7 +330,7 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
             return None
     if len(theta) > keep:
         return None
-    return _Frontier(front.depth + 1, theta, exponent_box(theta, n))
+    return _Frontier(front.depth + 1, theta, exponent_box(theta, n), {})
 
 
 def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Frontier:
@@ -375,42 +396,59 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
     so the new part is contained iff (g * fbar^(k_0)) ⌟ theta = 0 for
     every generator g of I_0, and the truncation mod D(B_0) changes none
     of these contractions.
+
+    The outcome is memoized on the frontier.  At the top of level j the
+    rest of the chain reads theta; the entries tail[:j], which fix the
+    boxes B_0..B_j and the powers delta^(l_0)..delta^(l_(j-1)) and
+    fbar^(k_0)..fbar^(k_(j-1)); k_j; and the generators of I_j, nothing
+    else.  So "contained from here on" is a function of (tail[:j], k_j,
+    generators) for the frontier's theta, keyed exactly (each generator
+    as its sorted terms), stored for every level a chain passes once its
+    outcome is known, and read back by any later chain that reaches an
+    equal key.  A hit skips only work that an equal key already ran to
+    its end without tripping a cap.  A tail of one entry, a candidate
+    against a carried theta, is the single contraction fbar^(p-s) ⌟ theta,
+    cheaper than building its key, and is not memoized.
     """
     ctx = ws.h.ctx
     p = ctx.p
     *ls, s = tail
+    if not ls:
+        # one contraction, cheaper than its memo key
+        return _kills(ws.f_terms(p - s, exponent_cap(ctx, frontier.box)), frontier.theta, ctx)
     boxes = [frontier.box]
     for l in ls:
         boxes.append(tuple(p * b for b in ws.live_box(p - l - 1, boxes[-1])))
     caps = [exponent_cap(ctx, box) for box in boxes]
+    memo = frontier.memo
+    visited = []
     gens = [{0: 1}]  # the unit ideal: the monomial 1 packs to 0
     k = p - s
-    for j in range(len(ls), 0, -1):
+    for j in range(len(ls), -1, -1):
+        key = (tail[:j], k, tuple(tuple(sorted(g.items())) for g in gens))
+        got = memo.get(key)
+        if got is not None:
+            break
+        visited.append(key)
+        if not j:
+            fmul = ws.f_terms(k, caps[0])
+            got = all(_kills(_mul_terms(g, fmul, p, *caps[0]), frontier.theta, ctx) for g in gens)
+            break
         cap = caps[j]
         w = _mul_terms(ws.f_terms(k, cap), ws.delta_terms(ls[j - 1], cap), p, *cap)
         image = MonomialAntichain(Echelon(ctx))
         for g in gens:
             buckets = _u_buckets(ctx, _mul_terms(g, w, p, *cap))
-            for key in sorted(buckets):
-                image.absorb(buckets[key])
+            for bucket in sorted(buckets):
+                image.absorb(buckets[bucket])
         gens = image.generators()
         if not gens:
-            return True
+            got = True
+            break
         k = p - ls[j - 1] - 1
-    fmul = ws.f_terms(k, caps[0])
-    return all(_kills(_mul_terms(g, fmul, p, *caps[0]), frontier.theta, ctx) for g in gens)
-
-
-def _truncated_contained(ws: _Workspace, entries: tuple[int, ...]) -> bool:
-    """Whether the ladder ideal for ``entries`` lies in (x_1^p, .., x_N^p).
-
-    Unwinding the split in ``_new_part_contained``, the ladder ideal is the
-    sum of the new parts of the prefixes entries[:k], k = 1..n, so it is
-    contained iff each of them is.  This runs each of them as a whole
-    chain from theta_0: the whole-ladder oracle of the tests.
-    """
-    base = _theta_0(ws.h.ctx)
-    return all(_new_part_contained(ws, base, entries[:k]) for k in range(1, len(entries) + 1))
+    for key in visited:
+        memo[key] = got
+    return got
 
 
 def _scan_next(ws: _Workspace, frontier: _Frontier, prefix: tuple[int, ...]) -> int:

@@ -233,13 +233,18 @@ def mul_terms(
 
 
 def contract_terms(
-    g: dict[int, int], theta: dict[int, int], n_vars: int, mod: int
-) -> dict[int, int]:
+    g: dict[int, int], theta: dict[int, int], n_vars: int, mod: int, limit: int | None = None
+) -> dict[int, int] | None:
     """The contraction g ⌟ theta mod ``mod`` of an inverse-system element.
 
     ``theta`` holds packed monomials y^b of F_p[y_1..y_N], which pairs
     with x^b; x^t ⌟ y^b = y^(b - t) when t <= b componentwise and 0
     otherwise, decided by ``exponent_guard``.
+
+    With a ``limit``, None as soon as the monomials reached after some
+    term of g number more than ``limit``.  Coefficients may still cancel
+    to 0 after that, so None says only that forming the rest was not
+    worth it; a result that is returned always has at most ``limit`` terms.
     """
     if not g or not theta:
         return {}
@@ -254,6 +259,8 @@ def contract_terms(
             d = b + shift
             if d & guard == guard:
                 out[d] = get(d, 0) + ct * cb
+        if limit is not None and len(out) > limit:
+            return None
     return {d - guard: v for d, c in out.items() if (v := c % mod)}
 
 

@@ -25,7 +25,6 @@ from pptlab.ladder import (
     _kills,
     _theta_0,
     _truncate,
-    _truncated_contained,
     _Workspace,
     compute_ladder,
     next_s,
@@ -41,7 +40,7 @@ from pptlab.ring import (
     exponent_cap,
 )
 
-from oracles import capped_scan_sequence, random_int_poly, reduce_mod
+from oracles import capped_scan_sequence, random_int_poly, reduce_mod, truncated_contained
 
 
 def hypersurface(p, names, expr):
@@ -210,7 +209,7 @@ def test_truncated_scan_agrees_with_exact_ladder():
                 *([range(p)] * (n - 1) + [range(p + 1)])
             ):
                 exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-                assert _truncated_contained(ws, entries) == exact, (p, expr, entries)
+                assert truncated_contained(ws, entries) == exact, (p, expr, entries)
 
 
 def test_sequence_of_fermat_quartic_p3():
@@ -331,7 +330,7 @@ def test_capped_chain_matches_exact_ladder_in_three_and_four_variables():
             entries = tuple(rng.randrange(p) for _ in range(k - 1))
             entries += (rng.randrange(p + 1),)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert _truncated_contained(_Workspace(h), entries) == exact, (
+            assert truncated_contained(_Workspace(h), entries) == exact, (
                 p,
                 h.f_lift,
                 entries,
@@ -425,7 +424,7 @@ def test_capped_u_stage_reduction_matches_exact_ladder(monkeypatch):
             entries = tuple(rng.randrange(p) for _ in range(k - 1))
             entries += (rng.choice([0, rng.randrange(p + 1)]),)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert _truncated_contained(_Workspace(h), entries) == exact, (
+            assert truncated_contained(_Workspace(h), entries) == exact, (
                 p,
                 h.f_lift,
                 entries,
@@ -514,6 +513,64 @@ def test_theta_zero_makes_the_next_entry_p():
     theta_1 = _advance(ws, _theta_0(h.ctx), 2)
     assert theta_1.theta
     assert _advance(ws, theta_1, 6).theta == {}
+
+
+def test_memoized_scan_matches_memo_free_scan_after_a_drop_back():
+    # after a drop-back every depth runs the theta_0 chain over the whole
+    # tail and reads the suffix results that earlier depths and candidates
+    # stored; each entry must equal the scan that runs every chain from a
+    # fresh theta_0.  Half the random inputs carry a unit linear term, which
+    # keeps the sequence below p while theta outgrows p^N.  Those tails are
+    # constant; diagonal cubics at p = 11 are supersingular, so theirs
+    # alternate 0, 1, and a workspace cap of 40 makes theta drop back at once
+    rng = random.Random(28)
+    draws = []
+    for case in range(40):
+        p = rng.choice((7, 11, 13))
+        n = rng.randrange(1, 4)
+        while True:
+            f = random_int_poly(rng, n, max_terms=3, max_exp=3, max_coeff=p * p)
+            f.pop((0,) * n, None)
+            if case % 2:
+                f[(1,) + (0,) * (n - 1)] = rng.randrange(1, p)
+            if reduce_mod(f, p):
+                break
+        draws.append((Context(p, [f"x{i}" for i in range(n)]), f))
+    for _ in range(2):
+        f = {(3, 0, 0): rng.randrange(1, 11), (0, 3, 0): rng.randrange(1, 11), (0, 0, 3): 1}
+        f[(1, 1, 1)] = 11 * rng.randrange(11)
+        draws.append((Context(11, ["x0", "x1", "x2"], max_workspace_monomials=40), f))
+    tails = []
+    for ctx, f in draws:
+        h = validate(ctx, LiftPoly(ctx, f))
+        depth = rng.randrange(8, 13)
+        seq = splitting_sequence(h, depth)
+        assert seq.values == capped_scan_sequence(h, depth), (ctx.p, f, depth)
+        tails.append(seq.computed_values()[seq.frontier_depth + 2 :])
+    assert sum(len(tail) >= 6 for tail in tails) >= 8, tails
+    assert sum(len(set(tail)) > 1 for tail in tails) >= 2, tails
+
+
+def test_scan_work_grows_linearly_with_depth(monkeypatch):
+    # theta drops back at depth 3 here; without the suffix memo every later
+    # depth re-ran the whole tail for each candidate, 252 u-bucket splits at
+    # depth 12 and 1,092 at depth 24
+    calls = []
+    split = ladder._u_buckets
+
+    def counted(ctx, terms):
+        calls.append(len(terms))
+        return split(ctx, terms)
+
+    monkeypatch.setattr(ladder, "_u_buckets", counted)
+    h = hypersurface(13, ["x", "y"], "x + y^3")
+    counts = {}
+    for depth in (12, 24):
+        calls.clear()
+        assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+        counts[depth] = len(calls)
+    assert counts[12] <= 60, counts
+    assert counts[24] < 2.5 * counts[12], counts
 
 
 @pytest.mark.parametrize(

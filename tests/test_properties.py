@@ -8,7 +8,6 @@ from pptlab.ladder import (
     _advance,
     _new_part_contained,
     _theta_0,
-    _truncated_contained,
     _Workspace,
     compute_ladder,
     splitting_sequence,
@@ -16,7 +15,7 @@ from pptlab.ladder import (
 from pptlab.ring import Context, LiftPoly, ResPoly, frobenius_substitute, project_mod_p
 
 import property_suites as ps
-from oracles import capped_scan_sequence, reduce_mod
+from oracles import capped_scan_sequence, reduce_mod, truncated_contained
 
 CASES = 200
 
@@ -134,7 +133,7 @@ def test_truncated_scan_matches_exact_on_random_inputs():
             rng.randrange(p + 1),
         )
         exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-        assert _truncated_contained(ws, entries) == exact
+        assert truncated_contained(ws, entries) == exact
 
 
 def test_new_part_decides_containment_after_a_contained_prefix():

@@ -17,7 +17,6 @@ from pptlab.delta import validate
 from pptlab.ideals import ideal_in_frobenius_power
 from pptlab.ladder import (
     _Workspace,
-    _truncated_contained,
     compute_ladder,
     splitting_sequence,
 )
@@ -25,7 +24,7 @@ from pptlab.parser import parse_poly
 from pptlab.ring import Context, LiftPoly, ResPoly, exponent_cap
 from pptlab.verdict import nu, nu_table
 
-from oracles import delta_int, int_mul, int_pow, random_int_poly, reduce_mod
+from oracles import delta_int, int_mul, int_pow, random_int_poly, reduce_mod, truncated_contained
 
 
 def naive_mul(a, b, p):
@@ -149,7 +148,7 @@ def test_capped_chain_matches_naive_on_arbitrary_indices():
             want = naive_ladder_contained(
                 reduce_mod(f_int, p), delta_int(f_int, p, n), entries, p, n
             )
-            got = _truncated_contained(_Workspace(h), entries)
+            got = truncated_contained(_Workspace(h), entries)
             assert got == want, (p, f_int, entries)
 
 
@@ -175,7 +174,7 @@ def test_capped_chain_matches_exact_ladder_at_large_primes_in_two_variables():
                 entries = (rng.randrange(2, p),) + entries[1:]
             entries += (rng.choice([0, rng.randrange(p + 1)]),)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert _truncated_contained(_Workspace(h), entries) == exact, (p, f_int, entries)
+            assert truncated_contained(_Workspace(h), entries) == exact, (p, f_int, entries)
             outcomes.add((p, exact))
     assert len(outcomes) == 4
 
@@ -194,7 +193,7 @@ def test_uncapped_depths_agree_with_exact_ladder():
         for s in range(14):
             entries = seq.values[1:n] + (s,)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert _truncated_contained(ws, entries) == exact, (entries, seq.values)
+            assert truncated_contained(ws, entries) == exact, (entries, seq.values)
 
 
 def test_known_inputs_match_naive_reference():

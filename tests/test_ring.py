@@ -330,6 +330,38 @@ def test_contract_terms_matches_per_field_contraction():
         assert got == want, (p, g, theta)
 
 
+def test_contract_terms_limit_gives_the_whole_contraction_or_none():
+    # the running dict only grows, so with a limit the result is the whole
+    # contraction when every reached monomial fits and None when not, even
+    # where coefficients cancel to fewer terms than were reached
+    rng = random.Random(219)
+    cancelled = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(1, 4)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+
+        def terms(count):
+            return {
+                ctx.encode_monomial(tuple(rng.randrange(4) for _ in range(n))): rng.randrange(1, p)
+                for _ in range(count)
+            }
+
+        g, theta = terms(rng.randrange(1, 5)), terms(rng.randrange(1, 8))
+        full = contract_terms(g, theta, n, p)
+        reached = {
+            tuple(bi - ti for ti, bi in zip(t, b))
+            for t in map(ctx.decode_monomial, g)
+            for b in map(ctx.decode_monomial, theta)
+            if all(ti <= bi for ti, bi in zip(t, b))
+        }
+        cancelled += len(full) < len(reached)
+        for limit in range(len(reached) + 2):
+            got = contract_terms(g, theta, n, p, limit)
+            assert got == (None if limit < len(reached) else full), (p, g, theta, limit)
+    assert cancelled
+
+
 def test_dual_frobenius_matches_per_field_map():
     # F(y^b) = y^(p*b + p-1), field by field with the degree kept in step
     rng = random.Random(218)
