@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -136,14 +138,19 @@ def test_trace_prints_ladder_ideals(capsys):
         (7, 2, "1476e243e7f0d72b7624ec8192d8a41d660da887db5d065019d997ca682809ed"),
         (3, 3, "18187710bea2708daaec17575e446791ca618194936a82b832cbad1baece2d6e"),
         (2, 3, "4ba75792fd8cb97c9aa1907ee00da29385e6406d3cc1e1e05d625a0246470af9"),
+        # the corpus row fermat-quartic-p7: its steps hold 1, 213, 683 and
+        # 727 generators, and a u step fans out past the default cap
+        (7, 4, "707e3a08417e3ea6e1f2463ad7a845d5a0a2e3ebed87d988eae73ff568f7a2a1"),
     ],
 )
 def test_trace_ideals_are_frozen(capsys, p, depth, digest):
+    # a generator cap only decides whether a step fails, never its ideal
     code, rec, _ = run_json(
         capsys,
         [
             "sequence", "--p", str(p), "--vars", "x1..x4",
             "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", str(depth), "--trace",
+            "--max-generators", "20000",
         ],
     )
     assert code == 0
@@ -229,6 +236,11 @@ def test_trace_generator_cap_exits_3(capsys):
     code, _, _ = run_cli(capsys, argv + ["--max-generators", "4"])
     assert code == 0
     code, _, err = run_cli(capsys, argv + ["--max-generators", "4", "--trace"])
+    assert code == 3
+    assert "--max-generators" in err
+    # the corpus row fermat-quartic-p7 needs more than the default 10,000
+    quartic = ["--p", "7", "--vars", "x1..x4", "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", "4"]
+    code, _, err = run_cli(capsys, ["sequence", *quartic, "--trace"])
     assert code == 3
     assert "--max-generators" in err
 
@@ -371,18 +383,109 @@ def test_content_hash_is_canonical():
 # -- corpus -------------------------------------------------------------------
 
 
-def test_corpus_mismatch_exits_4(capsys, monkeypatch):
-    import dataclasses
+# one wrong expectation per key run_row compares, on sum-of-squares-p2, and
+# the mismatch line it must print
+EXPECT_MISMATCHES = [
+    ("values", (0, 0), "sequence: expected (0, 0), got (0, 1, 1, 1, 1, 1, 1, 1)"),
+    ("verdict", "inconclusive", "verdict: expected inconclusive, got perfectoid_pure"),
+    ("basis", "C1", "basis: expected C1, got C3"),
+    ("flagged_r1", True, "flagged_r1: expected True, got False"),
+    ("fired", ("C1",), "criteria: expected ('C1',), got ('C3',)"),
+    ("partial", Fraction(1, 2), "partial threshold: expected 1/2, got 0"),
+    ("exact", Fraction(1, 3), "exact threshold: expected 1/3, got 0"),
+    ("period", (0, 2), "period: expected (0, 2), got (0, 1)"),
+]
 
+
+@pytest.mark.parametrize("key, wrong, line", EXPECT_MISMATCHES, ids=[c[0] for c in EXPECT_MISMATCHES])
+def test_corpus_mismatch_exits_4(capsys, monkeypatch, key, wrong, line):
     import pptlab.corpus as corpus_module
 
     row = next(r for r in corpus_module.CORPUS if r.name == "sum-of-squares-p2")
-    tampered = dataclasses.replace(row, expect={**row.expect, "values": (0, 0)})
+    tampered = dataclasses.replace(row, expect={**row.expect, key: wrong})
     monkeypatch.setattr(corpus_module, "CORPUS", (tampered,))
-    code, out, err = run_cli(capsys, ["corpus"])
+    code, out, _ = run_cli(capsys, ["corpus"])
     assert code == 4
-    assert "MISMATCH" in out
-    assert "sum-of-squares-p2" in out
+    assert out.startswith("FAIL  sum-of-squares-p2 ")
+    assert [l for l in out.splitlines() if l.startswith("MISMATCH")] == [
+        f"MISMATCH  sum-of-squares-p2: {line}"
+    ]
+
+
+def test_corpus_regular_row_mismatches_exit_4(capsys, monkeypatch):
+    # a wrong nu(p^1) breaks the nu identity at n=1 only; a wrong expected
+    # fpt approximant is the second line
+    import pptlab.corpus as corpus_module
+
+    row = next(r for r in corpus_module.CORPUS if r.name == "regular-line-cube-p2")
+    tampered = dataclasses.replace(row, expect={**row.expect, "fpt": Fraction(1)})
+    monkeypatch.setattr(corpus_module, "CORPUS", (tampered,))
+    real_nu_table = corpus_module.nu_table
+
+    def off_by_one_at_1(f_res, emax):
+        table = real_nu_table(f_res, emax)
+        return {**table, 1: table[1] + 1}
+
+    monkeypatch.setattr(corpus_module, "nu_table", off_by_one_at_1)
+    code, out, _ = run_cli(capsys, ["corpus"])
+    assert code == 4
+    assert [l for l in out.splitlines() if l.startswith("MISMATCH")] == [
+        "MISMATCH  regular-line-cube-p2: nu identity at n=1: expected 1, got 1/2",
+        "MISMATCH  regular-line-cube-p2: fpt approximant: expected 1, got 31/32",
+    ]
+
+
+# One SHA-256 per corpus row over the human and ``--json`` output (timings
+# removed) of every analysis command, and one over ``corpus`` itself.  The
+# digests pin the CLI's bytes: a changed line, or a new result field that
+# leaks into a record, changes them.
+FROZEN_OUTPUT_DIGESTS = {
+    "sum-of-squares-p2": "36cbced370c7ad4909d546afe049dd966b5e8facfc75e5a52ee01805e2e5f1bc",
+    "fermat-cubic-p2": "9bca7da63ec22e535507780373688e0e8fa80b034e6f5cef93dfe9af8140df8b",
+    "fermat-quartic-p3": "83fd3e1f89dd6e9e8373bc174b5d1e5183e87b9217aedc00c61e61f2406139a2",
+    "fermat-quintic-p2": "7e26b4cdbe29e687c33953b86b3585fccbbb8074ac7d05927326f24c9bc7fecf",
+    "fermat-quintic-p2-deformed": "e3242905cdcdc368a68077d437fdd329907456103159c4b67065a61f4d836912",
+    "k3-cross-quartic-p2": "88134214daaeb7384094403e532d648af843a8cc63b08f72b64599ce1f2fb573",
+    "k3-cross-quartic-p2-deformed": "4edac3fcb6bc9e0fa98c073e264b30f1b03d905f8f8a157200092e4bf5952360",
+    "fermat-quartic-p2": "861fbe97b4d0fc9624fef03626a953805f22a7f2326d3bd05327df9b0e5fdaeb",
+    "fermat-quartic-p2-deformed": "09b2f19dad53fd7b8a5f30b4634aa80e859e516a0c27cf8c810d176728a78abb",
+    "fermat-cubic-p5": "c40f291753c646a09a49a863f0a75155861cf342cd4ff62f9c4cc5e7f419f584",
+    "fermat-quartic-p5": "9cd623ccce0a7d508ea24c5a860bfa1cf02534c58819eed77b4cdedfaeaa59d7",
+    "fermat-cubic-p7": "b766d2335fdca786d55975d4e2d9cc77617b99b143c4370d501f22c29e19f674",
+    "fermat-quartic-p7": "5b23515d220507238aee4453a0e1671a5534b3bab3d72632b3830a638ac32a06",
+    "regular-parabola-p3": "582c4adb86a07cdcee8841bb5b2ce4f32c9a77c7065735cadb489ce5ff276c0b",
+    "regular-line-cube-p2": "e5fe0af55fccee329cedcae7f4d267703ca9d647780b11c894095d686ceacfb9",
+    "regular-line-cube-p3": "614874c672d9aec905c6fad2db0f5ccf361e898b7130c1a4daf13f2246df46f3",
+    "corpus": "f8053228eae4a0890c0d2e4f394800704e0102de9c29e33d9c0a553ded8a7741",
+}
+FROZEN_COMMANDS = (["sequence"], ["ppt"], ["classify"], ["qfs-height"], ["fpt", "--emax", "3"], ["criteria"])
+
+
+def _frozen_output_digest(capsys, requests) -> str:
+    outputs = []
+    for argv in requests:
+        for extra in ([], ["--json"]):
+            code, out, err = run_cli(capsys, argv + extra)
+            if extra and out:
+                record = json.loads(out)
+                record.pop("timings", None)
+                out = json.dumps(record, sort_keys=True)
+            outputs.append([argv + extra, code, out, err])
+    return hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", FROZEN_OUTPUT_DIGESTS.items(), ids=FROZEN_OUTPUT_DIGESTS)
+def test_cli_output_is_frozen(capsys, monkeypatch, name, digest):
+    from pptlab.corpus import CORPUS
+
+    monkeypatch.delenv("PPTLAB_CACHE", raising=False)
+    if name == "corpus":
+        requests = [["corpus"]]
+    else:
+        row = next(r for r in CORPUS if r.name == name)
+        request = ["--p", str(row.p), "--vars", row.vars, "--f", row.f, "--depth", str(row.depth)]
+        requests = [[command, *request, *options] for command, *options in FROZEN_COMMANDS]
+    assert _frozen_output_digest(capsys, requests) == digest
 
 
 def test_internal_error_exit_code_mapping():
