@@ -31,7 +31,7 @@ from .ladder import compute_ladder
 from .parser import expand_var_spec, parse_poly
 from .pipeline import Analysis, analyze
 from .ring import Context, render
-from .verdict import check_quick_criteria, nu_table, regularity_test
+from .verdict import QfsResult, QuickCriteria, check_quick_criteria, nu_table, regularity_test
 
 SCHEMA_ID = "pptlab/result/1"
 
@@ -62,19 +62,6 @@ def _sequence_block(analysis: Analysis) -> dict:
     }
 
 
-def _verdict_block(analysis: Analysis) -> dict:
-    v = analysis.verdict
-    return {
-        "kind": v.kind,
-        "basis": v.basis,
-        "certified": v.certified,
-        "up_to_depth": v.up_to_depth,
-        "r": v.r,
-        "flagged_r1": v.flagged_r1,
-        "reason": v.reason,
-    }
-
-
 def _ppt_block(analysis: Analysis) -> dict:
     return {
         "partial": _rational(analysis.partial),
@@ -85,17 +72,8 @@ def _ppt_block(analysis: Analysis) -> dict:
     }
 
 
-def _qfs_block(analysis: Analysis) -> dict:
-    q = analysis.qfs
-    return {"kind": q.kind, "height": q.height, "depth": q.depth}
-
-
-def _criteria_block(criteria) -> dict:
-    return {
-        "hypothesis_met": criteria.hypothesis_met,
-        "fired": sorted(criteria.fired),
-        "note": criteria.note,
-    }
+def _criteria_block(criteria: QuickCriteria) -> dict:
+    return {**vars(criteria), "fired": sorted(criteria.fired)}
 
 
 def build_record(args: argparse.Namespace, ctx: Context, f, inp: dict, input_hash: str) -> dict:
@@ -123,10 +101,13 @@ def build_record(args: argparse.Namespace, ctx: Context, f, inp: dict, input_has
     t0 = time.perf_counter()
     if args.command in ANALYSIS_COMMANDS:
         analysis = analyze(h, args.depth, strict_r1=args.strict_r1)
+        # verdict, qfs_height and criteria are their result types' fields:
+        # a field added to one of those types is a record change
+        v = analysis.verdict
         record["sequence"] = _sequence_block(analysis)
-        record["verdict"] = _verdict_block(analysis)
+        record["verdict"] = {**vars(v), "certified": v.certified}
         record["ppt"] = _ppt_block(analysis)
-        record["qfs_height"] = _qfs_block(analysis)
+        record["qfs_height"] = dict(vars(analysis.qfs))
         record["criteria"] = _criteria_block(analysis.criteria)
         record["timings"]["per_depth_ms"] = [
             round(ms, 3) for ms in analysis.seq.per_depth_ms or ()
@@ -206,13 +187,7 @@ def _print_human(record: dict) -> None:
                 f"(preperiod {ppt['preperiod']}, period {ppt['period']}, {label})"
             )
     if record["qfs_height"]:
-        q = record["qfs_height"]
-        if q["kind"] == "height":
-            print(f"quasi-F-split height: {q['height']}")
-        elif q["kind"] == "not_quasi_f_split":
-            print("quasi-F-split height: not quasi-F-split")
-        else:
-            print(f"quasi-F-split height: > {q['depth']}")
+        print(f"quasi-F-split height: {QfsResult(**record['qfs_height'])}")
     if record["criteria"]:
         c = record["criteria"]
         fired = ", ".join(c["fired"]) or "none"
@@ -232,7 +207,7 @@ def _print_human(record: dict) -> None:
         print(f"note: {note}")
 
 
-def _run_corpus(args: argparse.Namespace) -> int:
+def _run_corpus(args: argparse.Namespace) -> None:
     outcomes = run_corpus(args.filter)
     mismatches: list[str] = []
     rows = []
@@ -269,7 +244,6 @@ def _run_corpus(args: argparse.Namespace) -> int:
             print(f"MISMATCH  {m}")
     if mismatches:
         raise CorpusMismatchError(mismatches)
-    return EXIT_OK
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -328,10 +302,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args: argparse.Namespace) -> tuple[dict | None, int]:
-    """Dispatch one request; returns (record, exit_code)."""
+def run(args: argparse.Namespace) -> dict | None:
+    """Dispatch one request; returns its record (None for ``corpus``)."""
     if args.command == "corpus":
-        return None, _run_corpus(args)
+        _run_corpus(args)
+        return None
     if args.depth < 1 or args.depth > 24:
         raise InputError(f"depth must be in 1..24, got {args.depth}")
     if args.command == "fpt" and args.emax < 1:
@@ -351,31 +326,30 @@ def run(args: argparse.Namespace) -> tuple[dict | None, int]:
         key = _cache_key(input_hash)
         cached = cache.get(key, __version__)
         if cached is not None:
-            return cached, EXIT_OK
+            return cached
     record = build_record(args, ctx, f, inp, input_hash)
     if cache is not None:
         cache.put(key, __version__, record)
-    return record, EXIT_OK
+    return record
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        record, code = run(args)
+        record = run(args)
     except PptlabError as exc:
-        code = _exit_code_for(exc)
         if getattr(args, "json", False) and not isinstance(exc, CorpusMismatchError):
             print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True))
         else:
             print(f"pptlab: error: {exc}", file=sys.stderr)
-        return code
+        return _exit_code_for(exc)
     if record is not None:
         if args.json:
             print(json.dumps(record, indent=2, sort_keys=True))
         else:
             _print_human(record)
-    return code
+    return EXIT_OK
 
 
 def _exit_code_for(exc: PptlabError) -> int:

@@ -301,26 +301,24 @@ def run_row(row: CorpusRow) -> RowOutcome:
     outcome = RowOutcome(row=row, analysis=analysis)
     expect = row.expect
     seq = analysis.seq
+    v = analysis.verdict
 
     def bad(what, want, got):
         outcome.mismatches.append(f"{row.name}: {what}: expected {want}, got {got}")
 
-    if "values" in expect and seq.values != expect["values"]:
-        bad("sequence", expect["values"], seq.values)
-    if "verdict" in expect and analysis.verdict.kind != expect["verdict"]:
-        bad("verdict", expect["verdict"], analysis.verdict.kind)
-    if "basis" in expect and analysis.verdict.basis != expect["basis"]:
-        bad("basis", expect["basis"], analysis.verdict.basis)
-    if "flagged_r1" in expect and analysis.verdict.flagged_r1 != expect["flagged_r1"]:
-        bad("flagged_r1", expect["flagged_r1"], analysis.verdict.flagged_r1)
-    if "fired" in expect and tuple(sorted(analysis.criteria.fired)) != expect["fired"]:
-        bad("criteria", expect["fired"], tuple(sorted(analysis.criteria.fired)))
-    if "partial" in expect and analysis.partial != expect["partial"]:
-        bad("partial threshold", expect["partial"], analysis.partial)
-    if "exact" in expect and analysis.exact != expect["exact"]:
-        bad("exact threshold", expect["exact"], analysis.exact)
-    if "period" in expect and (analysis.preperiod, analysis.period) != expect["period"]:
-        bad("period", expect["period"], (analysis.preperiod, analysis.period))
+    observed = {  # expect key: (label, value computed)
+        "values": ("sequence", seq.values),
+        "verdict": ("verdict", v.kind),
+        "basis": ("basis", v.basis),
+        "flagged_r1": ("flagged_r1", v.flagged_r1),
+        "fired": ("criteria", tuple(sorted(analysis.criteria.fired))),
+        "partial": ("partial threshold", analysis.partial),
+        "exact": ("exact threshold", analysis.exact),
+        "period": ("period", (analysis.preperiod, analysis.period)),
+    }
+    for key, (label, got) in observed.items():
+        if key in expect and got != expect[key]:
+            bad(label, expect[key], got)
     p = row.p
     if expect.get("nu_identity") or "fpt" in expect:
         table = nu_table(h.f_res, row.depth)

@@ -31,6 +31,7 @@ from .ring import (
     ResPoly,
     exponent_cap,
     exponent_guard,
+    truncate_terms,
     u_buckets as _u_buckets,
 )
 
@@ -318,8 +319,7 @@ def member_frobenius_power(g: ResPoly, e: int) -> bool:
     """
     if e < 1:
         raise InputError(f"Frobenius power exponent must be >= 1, got {e}")
-    add, high = exponent_cap(g.ctx, g.ctx.p**e)
-    return all((m + add) & high for m in g.terms)
+    return not truncate_terms(g.terms, *exponent_cap(g.ctx, g.ctx.p**e))
 
 
 def ideal_in_frobenius_power(ideal: ResIdeal, e: int) -> bool:

@@ -16,9 +16,10 @@ certificate; otherwise it is conjectural.
 
 nu(p^e) is read from short chains of p-th-root ideals, one step per
 base-p digit of the exponent, so no power of fbar beyond fbar^(p-1) is
-ever formed; the argument is in ``nu``.  p^e stays below 2^31, the
-exponent range of a packed monomial.  All products, here and in the
-quick criteria, are ``ring.mul_terms``.
+ever formed; the argument is in ``nu``.  The chains never form an
+exponent near p^e, so the check that p^e stays below 2^31 only sets the
+supported range of e.  All products, here and in the quick criteria, are
+``ring.mul_terms``.
 """
 
 from __future__ import annotations

@@ -100,7 +100,8 @@ def test_fpt_command(capsys):
 
 
 def test_fpt_exponent_range_edge(capsys):
-    # nu(p^e) needs p^e < 2**31, the exponent range of a packed monomial
+    # the supported range of nu(p^e) is p^e < 2**31; the root chains form no
+    # exponent near p^e, so this is a limit on the request, not on a monomial
     argv = ["fpt", "--p", "2", "--vars", "x", "--f", "x", "--emax"]
     code, record, _ = run_json(capsys, argv + ["30"])
     assert code == 0
@@ -335,6 +336,25 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code == 0
     assert first == second  # served verbatim, timings included
     assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "vars_spec, f, qfs",
+    [
+        ("x,y,z", "x^3+y^3+z^3", "2"),
+        ("x,y", "x^2+y^2", "> 3"),
+        ("x1..x5", "x1^5+x2^5+x3^5+x4^5+x5^5", "not quasi-F-split"),
+    ],
+)
+def test_cache_hit_prints_what_a_miss_prints(tmp_path, capsys, vars_spec, f, qfs):
+    # a hit prints from the stored record dict, not from the result types
+    argv = [
+        "qfs-height", "--p", "2", "--vars", vars_spec, "--f", f, "--depth", "3",
+        "--cache-dir", str(tmp_path),
+    ]
+    miss = run_cli(capsys, argv)
+    assert run_cli(capsys, argv) == miss
+    assert f"quasi-F-split height: {qfs}\n" in miss[1]
 
 
 def test_cache_version_bump_misses(tmp_path):

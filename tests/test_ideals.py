@@ -292,6 +292,10 @@ def test_membership_examples():
         assert not member_frobenius_power(socle, 1)
         assert not member_frobenius_power(ResPoly.one(ctx), 1)
         assert member_frobenius_power(ResPoly.zero(ctx), 1)
+    # p^e >= 2^31: no exponent reaches the bound, so only zero is a member
+    ctx = Context(2, ["x", "y"])
+    assert not member_frobenius_power(ResPoly.monomial(ctx, (2**30, 0)), 31)
+    assert member_frobenius_power(ResPoly.zero(ctx), 31)
     ctx = ctx2()
     f = ResPoly(ctx, {(2, 0): 1, (0, 2): 1})
     assert member_frobenius_power(f, 1)
