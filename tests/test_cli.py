@@ -133,25 +133,31 @@ def test_trace_prints_ladder_ideals(capsys):
     assert "ladder ideal at step 2" in out
 
 
+TRACE_CASES = [
+    (7, 2, "1476e243e7f0d72b7624ec8192d8a41d660da887db5d065019d997ca682809ed", []),
+    (3, 3, "18187710bea2708daaec17575e446791ca618194936a82b832cbad1baece2d6e", []),
+    (2, 3, "4ba75792fd8cb97c9aa1907ee00da29385e6406d3cc1e1e05d625a0246470af9", []),
+    # the corpus row fermat-quartic-p7: its steps hold 1, 213, 683 and
+    # 727 generators, and a u step fans out past the default cap
+    (
+        7, 4, "707e3a08417e3ea6e1f2463ad7a845d5a0a2e3ebed87d988eae73ff568f7a2a1",
+        ["--max-generators", "20000"],
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "p, depth, digest",
-    [
-        (7, 2, "1476e243e7f0d72b7624ec8192d8a41d660da887db5d065019d997ca682809ed"),
-        (3, 3, "18187710bea2708daaec17575e446791ca618194936a82b832cbad1baece2d6e"),
-        (2, 3, "4ba75792fd8cb97c9aa1907ee00da29385e6406d3cc1e1e05d625a0246470af9"),
-        # the corpus row fermat-quartic-p7: its steps hold 1, 213, 683 and
-        # 727 generators, and a u step fans out past the default cap
-        (7, 4, "707e3a08417e3ea6e1f2463ad7a845d5a0a2e3ebed87d988eae73ff568f7a2a1"),
-    ],
+    "p, depth, digest, extra",
+    TRACE_CASES,
+    ids=[f"{p}-{depth}-{digest}" for p, depth, digest, _ in TRACE_CASES],
 )
-def test_trace_ideals_are_frozen(capsys, p, depth, digest):
-    # a generator cap only decides whether a step fails, never its ideal
+def test_trace_ideals_are_frozen(capsys, p, depth, digest, extra):
+    # the first three cases finish at the default generator cap
     code, rec, _ = run_json(
         capsys,
         [
             "sequence", "--p", str(p), "--vars", "x1..x4",
-            "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", str(depth), "--trace",
-            "--max-generators", "20000",
+            "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", str(depth), "--trace", *extra,
         ],
     )
     assert code == 0
