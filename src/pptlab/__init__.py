@@ -31,6 +31,7 @@ from .errors import (
     ResourceLimitError,
     SequenceHitPError,
     UnknownVariableError,
+    UsageError,
 )
 from .ideals import (
     Echelon,

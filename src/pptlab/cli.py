@@ -26,6 +26,7 @@ from .errors import (
     InternalCheckError,
     PptlabError,
     ResourceLimitError,
+    UsageError,
 )
 from .ladder import compute_ladder
 from .parser import expand_var_spec, parse_poly
@@ -246,8 +247,17 @@ def _run_corpus(args: argparse.Namespace) -> None:
         raise CorpusMismatchError(mismatches)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` on a bad command line instead of printing
+    usage and exiting, so ``main`` reports it like any other input error;
+    subcommand parsers are built from the same class."""
+
+    def error(self, message: str):
+        raise UsageError(message, self.prog, self.format_usage())
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pptlab",
         description=(
             "Splitting-order sequences and perfectoid pure thresholds of "
@@ -334,13 +344,19 @@ def run(args: argparse.Namespace) -> dict | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = None
     try:
+        args = make_parser().parse_args(argv)
         record = run(args)
     except PptlabError as exc:
-        if getattr(args, "json", False) and not isinstance(exc, CorpusMismatchError):
+        # a rejected command line leaves no args to read --json from
+        as_json = "--json" in argv if args is None else args.json
+        if as_json and not isinstance(exc, CorpusMismatchError):
             print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True))
+        elif isinstance(exc, UsageError):
+            print(f"{exc.usage}{exc.prog}: error: {exc}", file=sys.stderr)
         else:
             print(f"pptlab: error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

@@ -19,6 +19,16 @@ class InputError(PptlabError):
     """Invalid user input (bad polynomial, bad context, bad flags)."""
 
 
+class UsageError(InputError):
+    """The command line itself was rejected; ``usage`` is the usage text
+    of the (sub)command ``prog`` that rejected it."""
+
+    def __init__(self, message: str, prog: str, usage: str):
+        super().__init__(message)
+        self.prog = prog
+        self.usage = usage
+
+
 class ContextMismatchError(InputError):
     """Two values from different contexts (or coefficient rings) were mixed."""
 

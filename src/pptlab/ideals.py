@@ -18,6 +18,13 @@ multipliers e in {0..p-1}^N generate the image ideal; each monomial of g
 is selected by exactly one multiplier, so the fan-out is computed by
 bucketing the support by residue class instead of enumerating all p^N
 multipliers; that split reads packed fields, so it is ``ring.u_buckets``.
+
+Two root kernels share that split.  ``frobenius_root`` returns the RREF
+span of the buckets: the exact engine (``u_image``, and
+``ladder.compute_ladder`` behind ``--trace``) prints that span.
+``root_generators`` keeps only the ideal the buckets generate, in a
+``MonomialAntichain``: the capped scan's u step and the nu chains
+(``verdict.nu``) ask only ideal-level questions of it.
 """
 
 from __future__ import annotations
@@ -297,6 +304,25 @@ def frobenius_root(
         for key in sorted(buckets):
             ech.insert(buckets[key])
     return ech
+
+
+def root_generators(ctx: Context, products: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """Generators of the p-th-root ideal I_1(J) of the ideal J that
+    ``products`` generate, kept as an ideal rather than a span.
+
+    The buckets of ``_u_buckets`` generate I_1(J), as in
+    ``frobenius_root``; each is absorbed, in sorted order, into one
+    ``MonomialAntichain``, which keeps the ideal they generate but not
+    their F_p-span.  Whether the root is zero, and whether it lies in the
+    maximal ideal, are facts about the ideal, so any generating set
+    answers them alike.
+    """
+    image = MonomialAntichain(Echelon(ctx))
+    for terms in products:
+        buckets = _u_buckets(ctx, terms)
+        for key in sorted(buckets):
+            image.absorb(buckets[key])
+    return image.generators()
 
 
 def u_image(ideal: ResIdeal) -> ResIdeal:

@@ -69,7 +69,8 @@ From theta_0, ``_new_part_contained`` is the capped scan: one capped
 product and one u step per live box, which keeps only the monomials that
 can still reach a final monomial below theta's box, each u step keeping
 the ideal of its rows rather than their F_p-span
-(``ideals.MonomialAntichain``); its docstring says why this is exact.
+(``ideals.root_generators``, the root kernel the nu chains share; the
+``MonomialAntichain`` docstring says why this is exact).
 Every cap is one ``ring.exponent_cap`` test, and the capped delta^l and
 fbar^k are built from capped factors inside their box (``_Workspace``),
 never in full.  The contraction, F, the products and the u-bucket split
@@ -98,8 +99,10 @@ from .errors import (
     InvalidIndexError,
     MonotonicityViolationError,
 )
-from .ideals import Echelon, MonomialAntichain, ResIdeal, frobenius_root
-# ladder-level names: perfbench times the scan's ladder._mul_terms and ladder._u_buckets
+from .ideals import Echelon, ResIdeal, frobenius_root, root_generators
+# ladder-level names: perfbench times the scan's products as ladder._mul_terms.
+# The scan splits buckets in ideals.root_generators; _u_buckets stays bound
+# here only because perfbench also wraps ladder._u_buckets by name.
 from .ring import (
     EXPONENT_LIMIT,
     contract_terms as _contract,
@@ -390,12 +393,12 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
       ((a_i + e_i) - (p-1)) / p <= U_i - 1, so a cap at U drops nothing.
 
     Each u step keeps the ideal of its rows, not their F_p-span
-    (``MonomialAntichain.absorb``, whose class says why that is sound): the
-    bucket rows u(F_*(x^e * g * w_j)) over generators g of I_j generate the
-    u-image.  R * theta is an R-module, (r * g) ⌟ theta = r ⌟ (g ⌟ theta),
-    so the new part is contained iff (g * fbar^(k_0)) ⌟ theta = 0 for
-    every generator g of I_0, and the truncation mod D(B_0) changes none
-    of these contractions.
+    (``ideals.root_generators``; ``MonomialAntichain`` says why that is
+    sound): the bucket rows u(F_*(x^e * g * w_j)) over generators g of I_j
+    generate the u-image.  R * theta is an R-module,
+    (r * g) ⌟ theta = r ⌟ (g ⌟ theta), so the new part is contained iff
+    (g * fbar^(k_0)) ⌟ theta = 0 for every generator g of I_0, and the
+    truncation mod D(B_0) changes none of these contractions.
 
     The outcome is memoized on the frontier.  At the top of level j the
     rest of the chain reads theta; the entries tail[:j], which fix the
@@ -436,12 +439,7 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
             break
         cap = caps[j]
         w = _mul_terms(ws.f_terms(k, cap), ws.delta_terms(ls[j - 1], cap), p, *cap)
-        image = MonomialAntichain(Echelon(ctx))
-        for g in gens:
-            buckets = _u_buckets(ctx, _mul_terms(g, w, p, *cap))
-            for bucket in sorted(buckets):
-                image.absorb(buckets[bucket])
-        gens = image.generators()
+        gens = root_generators(ctx, (_mul_terms(g, w, p, *cap) for g in gens))
         if not gens:
             got = True
             break

@@ -38,7 +38,7 @@ from .errors import (
     PNotGreaterThanNError,
     SequenceHitPError,
 )
-from .ideals import frobenius_root, member_frobenius_power
+from .ideals import member_frobenius_power, root_generators
 from .ladder import SplitSequence, _Workspace
 from .ring import EXPONENT_LIMIT, ResPoly, exponent_cap, mul_terms, truncate_terms
 
@@ -207,14 +207,16 @@ def qfs_height(seq: SplitSequence) -> QfsResult:
 # -- nu-functions and the F-pure threshold ----------------------------------
 
 
-_UNIT_ROWS = (((0, 1),),)  # RREF rows of the unit ideal; packed monomial 0 is 1
+_UNIT_ROWS = (((0, 1),),)  # generators of the unit ideal; packed monomial 0 is 1
 
 
 class _RootChains:
     """The levels nu(p^1), nu(p^2), ... of one fbar, each found once.
 
-    Steps of the root chains are memoised on (RREF rows, d) for as long as
-    the object lives: across the levels of one ``nu_table`` call.
+    Each step of a chain keeps its ideal as a generating set, not the
+    F_p-span of one (``ideals.root_generators``).  Steps are memoised on
+    (generators, d) for as long as the object lives: across the levels of
+    one ``nu_table`` call.
     """
 
     def __init__(self, f_res: ResPoly):
@@ -231,13 +233,13 @@ class _RootChains:
         self.levels = [0]  # nu(p^0) = 0: fbar has no constant term
 
     def step(self, rows: tuple, d: int) -> tuple:
-        """Rows of I_1(J * fbar^d) for J with RREF rows ``rows``, or of the
-        unit ideal when some generator has a nonzero constant term."""
+        """Generators of I_1(J * fbar^d) for J generated by ``rows``, or of
+        the unit ideal when some generator has a nonzero constant term."""
         key = (rows, d)
         if key not in self.steps:
             p = self.ctx.p
             products = (mul_terms(dict(row), self.powers[d], p) for row in rows)
-            root = frobenius_root(self.ctx, products).basis_terms()
+            root = root_generators(self.ctx, products)
             if any(0 in row for row in root):
                 self.steps[key] = _UNIT_ROWS
             else:
@@ -289,7 +291,9 @@ def nu(f_res: ResPoly, e: int, *, chains: _RootChains | None = None) -> int:
     *Discreteness and rationality of F-thresholds*).  I_k(g) is the
     smallest ideal J with g in J^[p^k], so g lies in m^[p^k] iff I_k(g)
     lies in m, and I_1 of an ideal is the sum of the roots of its
-    generators (``ideals.frobenius_root``).  Two identities give I_k of a
+    generators.  The chain depends only on each J_j as an ideal, so a step
+    keeps generators of it, not their F_p-span (``ideals.root_generators``,
+    the kernel the scan's u step calls too).  Two identities give I_k of a
     power without forming it: I_1(g * h^p) = I_1(g) * h, and
     I_k = I_(k-1) o I_1.  So for N = d_0 + d_1*p + ... + d_(k-1)*p^(k-1)
     with digits d_j < p, the chain J_0 = (1), J_(j+1) = I_1(J_j * fbar^(d_j))
@@ -312,8 +316,8 @@ def nu(f_res: ResPoly, e: int, *, chains: _RootChains | None = None) -> int:
     and once fbar^N is inside so is fbar^(N+1), so a binary search finds d.  ``chains``
     carries the levels already found and the step memo from one call to the
     next, which is how ``nu_table`` computes every level once.  A step's
-    echelon touching more than ``max_workspace_monomials`` monomials raises
-    ``ResourceLimitError``.
+    workspace touching more than ``max_workspace_monomials`` monomials
+    raises ``ResourceLimitError``.
     """
     _check_exponent(f_res.ctx.p, e)
     if chains is None:

@@ -112,13 +112,13 @@ def test_fpt_exponent_range_edge(capsys):
 
 
 def test_fpt_monomial_cap_exits_3(capsys):
-    # the widest root-chain step for the p = 7 Fermat cubic, an echelon of
-    # p-th roots, touches 10 distinct monomials
-    argv = ["fpt", "--p", "7", "--vars", "x,y,z", "--f", "x^3+y^3+z^3", "--emax", "6"]
-    code, record, _ = run_json(capsys, argv + ["--max-monomials", "10"])
+    # the widest root-chain step for this p = 5 cubic, the ideal of its
+    # p-th roots, touches 5 distinct monomials
+    argv = ["fpt", "--p", "5", "--vars", "x,y", "--f", "x^3+2*x*y^2+y^3", "--emax", "4"]
+    code, record, _ = run_json(capsys, argv + ["--max-monomials", "5"])
     assert code == 0
-    assert record["nu_table"]["6"] == 7**6 - 1
-    code, record, _ = run_json(capsys, argv + ["--max-monomials", "9"])
+    assert record["nu_table"] == {"1": 2, "2": 14, "3": 74, "4": 374}
+    code, record, _ = run_json(capsys, argv + ["--max-monomials", "4"])
     assert code == 3
     assert record["error"]["type"] == "ResourceLimitError"
 
@@ -549,6 +549,21 @@ def test_corpus_fermat_filter_json(capsys):
     assert len(rows) == 1
     assert rows[0]["status"] == "PASS"
     assert rows[0]["values"] == [0, 1, 0, 1, 0, 1, 0, 1]
+
+
+def test_usage_error_is_an_error_object_under_json(capsys):
+    argv = ["sequence", "--p", "x", "--vars", "x", "--f", "x"]
+    code, record, err = run_json(capsys, argv)
+    assert code == 2
+    assert record == {
+        "error": {"type": "UsageError", "message": "argument --p: invalid int value: 'x'"}
+    }
+    assert err == ""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: pptlab sequence [-h] --p P")
+    assert err.endswith("pptlab sequence: error: argument --p: invalid int value: 'x'\n")
 
 
 def test_parser_help_lists_commands():

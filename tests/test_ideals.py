@@ -11,8 +11,10 @@ from pptlab.ideals import (
     _u_buckets,
     echelon_reduce,
     ideal_in_frobenius_power,
+    frobenius_root,
     member_frobenius_power,
     principal_ideal,
+    root_generators,
     u_image,
     u_single,
 )
@@ -121,6 +123,30 @@ def test_u_image_matches_bruteforce_multipliers():
         gens = [random_res_poly(rng, ctx) for _ in range(rng.randrange(1, 4))]
         ideal = ResIdeal(ctx, gens)
         assert u_image(ideal) == u_image_bruteforce(ideal)
+
+
+def test_root_generators_generate_the_span_root():
+    # each row of the span root lies in the ideal root_generators keeps:
+    # dropping its terms that a monomial generator divides, a linear map,
+    # leaves a combination of the other generators with the same terms dropped
+    rng = random.Random(1818)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        ctx = Context(p, [f"x{i}" for i in range(rng.randrange(1, 4))])
+        products = [
+            random_res_poly(rng, ctx, max_terms=8, max_exp=3 * p).terms
+            for _ in range(rng.randrange(1, 5))
+        ]
+        gens = root_generators(ctx, products)
+        monomials = MonomialAntichain(Echelon(ctx))
+        for g in gens:
+            if len(g) == 1:
+                monomials.add(*g)
+        rows = Echelon(ctx)
+        for g in gens:
+            rows.insert(monomials.reduce(g))
+        for row in frobenius_root(ctx, products).basis_terms():
+            assert rows.spans(monomials.reduce(row)), (p, products)
 
 
 # -- echelon -----------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pptlab import ladder
+from pptlab import ideals, ladder
 from pptlab.cli import main
 from pptlab.delta import Hypersurface, validate
 from pptlab.errors import (
@@ -556,13 +556,14 @@ def test_scan_work_grows_linearly_with_depth(monkeypatch):
     # depth re-ran the whole tail for each candidate, 252 u-bucket splits at
     # depth 12 and 1,092 at depth 24
     calls = []
-    split = ladder._u_buckets
+    split = ideals._u_buckets
 
     def counted(ctx, terms):
         calls.append(len(terms))
         return split(ctx, terms)
 
-    monkeypatch.setattr(ladder, "_u_buckets", counted)
+    # the scan's u step splits its products in ideals.root_generators
+    monkeypatch.setattr(ideals, "_u_buckets", counted)
     h = hypersurface(13, ["x", "y"], "x + y^3")
     counts = {}
     for depth in (12, 24):

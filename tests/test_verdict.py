@@ -323,6 +323,24 @@ def test_nu_never_forms_large_powers(monkeypatch):
     assert sizes and max(sizes) <= 200, max(sizes, default=None)
 
 
+def test_nu_chain_roots_keep_the_ideal_not_its_span(monkeypatch):
+    # the E8 surface at p = 5, a frozen table (4 * 5^(e-1) - 1).  Each root
+    # step keeps generators of its ideal, so the chain makes 4 products for
+    # the powers fbar^d and 10 for its steps; keeping the whole F_p-span of
+    # every root made 56
+    full = verdict.mul_terms
+    calls = []
+
+    def counted(a, b, *args):
+        calls.append(1)
+        return full(a, b, *args)
+
+    monkeypatch.setattr(verdict, "mul_terms", counted)
+    f = hypersurface(5, ["x", "y", "z"], "x^2 + y^3 + z^5").f_res
+    assert nu_table(f, 4) == {1: 3, 2: 19, 3: 99, 4: 499}
+    assert len(calls) <= 14, len(calls)
+
+
 # -- regularity ---------------------------------------------------------------
 
 
