@@ -28,11 +28,13 @@ class Hypersurface:
     """A validated hypersurface input: f mod p^2, its reduction fbar over
     F_p and delta(f); a plain value that memoises nothing.
 
-    ``delta_power`` and ``f_res_power`` form full powers for the exact
-    ladder (``compute_ladder``, ``--trace``), the powers k <= 1 and
-    uncapped boxes; ``ladder._Workspace`` memoises them per run and builds
-    the capped powers that the sequence's dual element and its capped scan
-    use inside the boxes they keep.
+    ``delta_power`` and ``f_res_power`` form full powers.
+    ``ladder._Workspace`` reads only k <= 1 from them, once per run: it
+    builds each higher full power, which the exact ladder
+    (``compute_ladder``, ``--trace``) and boxes at or past the power's
+    reach use, by one product from the power before it, and the capped
+    powers that the sequence's dual element and its capped scan use
+    inside the boxes they keep from capped factors.
     """
 
     __slots__ = ("ctx", "f_lift", "f_res", "delta_f")

@@ -71,10 +71,13 @@ can still reach a final monomial below theta's box, each u step keeping
 the ideal of its rows rather than their F_p-span
 (``ideals.root_generators``, the root kernel the nu chains share; the
 ``MonomialAntichain`` docstring says why this is exact).
-Every cap is one ``ring.exponent_cap`` test, and the capped delta^l and
-fbar^k are built from capped factors inside their box (``_Workspace``),
-never in full.  The contraction, F, the products and the u-bucket split
-are ``ring`` kernels, beside the packed monomial whose fields they read.
+Every cap is one ``ring.exponent_cap`` test.  A power is clamped to its
+reach first, the box past which it has no monomial: boxes at or past the
+reach share the full power, built once per exponent from the one before
+it, and a box that truncates gets its power from capped factors inside
+it, never in full (``_Workspace``).  The contraction, F, the products
+and the u-bucket split are ``ring`` kernels, beside the packed monomial
+whose fields they read.
 
 After a drop-back, every later depth runs the chain from theta_0 over
 the whole tail, once per candidate s, and the tails of one run share
@@ -84,7 +87,13 @@ frontier memoizes the outcome under exactly that key
 (``_new_part_contained``).  A chain that reaches a level some earlier
 chain passed stops there, and each depth costs a few stages instead of
 the whole tail: on p=13 x + y^3 the u-bucket splits fall from 252 to 48
-at depth 12 and from 1,092 to 108 at depth 24.
+at depth 12 and from 1,092 to 108 at depth 24.  The live boxes of a tail
+depend only on the tail, so the frontier also keeps them per committed
+tail (``_box_chain``), each extending its parent's by one ``live_box``
+step: 11 steps at depth 12 and 23 at depth 24, where walking the whole
+tail for every candidate took 252 and 1,092.  With the reach clamp, the
+products there fall from 205 to 107 at depth 12 and from 325 to 227 at
+depth 24.
 """
 
 from __future__ import annotations
@@ -105,6 +114,7 @@ from .ideals import Echelon, ResIdeal, frobenius_root, root_generators
 # here only because perfbench also wraps ladder._u_buckets by name.
 from .ring import (
     EXPONENT_LIMIT,
+    ResPoly,
     contract_terms as _contract,
     dual_frobenius,
     exponent_box,
@@ -178,22 +188,32 @@ class _Workspace:
     """Per-run memo of capped delta- and f-power term dicts and of live
     boxes.  The capped scan takes its powers inside its live boxes, and
     theta's steps and contractions take fbar^k and delta inside theta's
-    box.
+    box; a box is per-variable bounds, None for no bound.
 
-    A capped power is built from capped factors, inside the cap it is
-    truncated to, and never in full: dropping the monomials at or past a
-    box is reduction modulo a monomial ideal, which is a ring map, so
-    trunc(a * b) = trunc(trunc(a) * trunc(b)) and by induction
-    trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).  Only k <= 1 and the
-    uncapped (0, 0) read the full powers from ``Hypersurface``, once per
-    run.
+    A power g^k is keyed by the box it is truncated to, and clamped on a
+    miss to its reach R_i = k * d_i + 1, where d_i bounds g's degree in
+    x_i: deg_(x_i) fbar for fbar, and p * deg_(x_i) f_lift for delta, as
+    delta = (f^p - phi(f))/p.  g^k has no monomial at or past R, so
+    trunc_B(g^k) = trunc_min(B, R)(g^k), and every box that is >= R in
+    each variable shares one full power, built once per k from the
+    (k-1)th with one product.  A box that truncates builds its power from
+    capped factors, inside the box and never in full: dropping the
+    monomials at or past a box is reduction modulo a monomial ideal, which
+    is a ring map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by
+    induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).  Only k <= 1
+    read their powers from ``Hypersurface``, once per run.
     """
 
-    __slots__ = ("h", "_cache")
+    __slots__ = ("h", "_cache", "_degrees")
 
     def __init__(self, h: Hypersurface):
         self.h = h
-        self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
+        self._cache: dict[tuple, dict[int, int] | tuple[int, ...] | ResPoly] = {}
+        p, n = h.ctx.p, h.ctx.n_vars
+        self._degrees = {
+            "f": tuple(b - 1 for b in exponent_box(h.f_res.terms, n)),
+            "d": tuple(p * (b - 1) for b in exponent_box(h.f_lift.terms, n)),
+        }
 
     def live_box(self, k: int, out: tuple[int, ...]) -> tuple[int, ...]:
         """Per-variable bounds U with x^b * fbar^k inside the monomial ideal
@@ -205,36 +225,57 @@ class _Workspace:
         key = ("u", k, out)
         got = self._cache.get(key)
         if got is None:
-            ctx = self.h.ctx
-            below = [ctx.decode_monomial(m) for m in self.f_terms(k, exponent_cap(ctx, out))]
+            below = [self.h.ctx.decode_monomial(m) for m in self.f_terms(k, out)]
             got = tuple(
                 max((b - e[i] for e in below), default=0) for i, b in enumerate(out)
             )
             self._cache[key] = got
         return got
 
-    def delta_terms(self, l: int, cap: tuple[int, int]) -> dict[int, int]:
-        return self._power("d", l, cap)
+    def delta_terms(self, l: int, box: tuple[int, ...] | None) -> dict[int, int]:
+        return self._power("d", l, box)
 
-    def f_terms(self, k: int, cap: tuple[int, int]) -> dict[int, int]:
-        return self._power("f", k, cap)
+    def f_terms(self, k: int, box: tuple[int, ...] | None) -> dict[int, int]:
+        return self._power("f", k, box)
 
-    def _power(self, kind: str, k: int, cap: tuple[int, int]) -> dict[int, int]:
-        """delta^k (kind "d") or fbar^k (kind "f"), truncated by ``cap``."""
-        key = (kind, k, cap)
+    def _power(self, kind: str, k: int, box: tuple[int, ...] | None) -> dict[int, int]:
+        """delta^k (kind "d") or fbar^k (kind "f") without the monomials at
+        or past ``box``."""
+        if box is None:
+            return self._full(kind, k).terms
+        key = (kind, k, box)
         got = self._cache.get(key)
         if got is None:
-            if k <= 1 or not cap[1]:
-                h = self.h
-                full = h.delta_power(k) if kind == "d" else h.f_res_power(k)
-                got = _truncate(full.terms, *cap)
+            reach = tuple(k * d + 1 for d in self._degrees[kind])
+            clamped = tuple(map(min, box, reach))
+            if clamped == reach:
+                got = self._full(kind, k).terms
+            elif clamped != box:
+                got = self._power(kind, k, clamped)
             else:
-                got = _mul_terms(
-                    self._power(kind, k - 1, cap),
-                    self._power(kind, 1, cap),
-                    self.h.ctx.p,
-                    *cap,
-                )
+                cap = exponent_cap(self.h.ctx, box)
+                if k <= 1:
+                    got = _truncate(self._full(kind, k).terms, *cap)
+                else:
+                    got = _mul_terms(
+                        self._power(kind, k - 1, box),
+                        self._power(kind, 1, box),
+                        self.h.ctx.p,
+                        *cap,
+                    )
+            self._cache[key] = got
+        return got
+
+    def _full(self, kind: str, k: int) -> ResPoly:
+        """delta^k or fbar^k in full: from ``Hypersurface`` for k <= 1, else
+        one product from the (k-1)th, with ``Poly``'s 2^31 exponent check."""
+        key = (kind, k)
+        got = self._cache.get(key)
+        if got is None:
+            if k <= 1:
+                got = self.h.delta_power(k) if kind == "d" else self.h.f_res_power(k)
+            else:
+                got = self._full(kind, k - 1) * self._full(kind, 1)
             self._cache[key] = got
         return got
 
@@ -247,23 +288,22 @@ def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
     ctx = h.ctx
     p = ctx.p
     ws = _Workspace(h)
-    no_cap = (0, 0)
     ech = Echelon(ctx)
-    ech.insert(ws.f_terms(p - entries[-1], no_cap))
+    ech.insert(ws.f_terms(p - entries[-1], None))
     for l in reversed(entries[:-1]):
         prods = ech.basis_terms()
         if l:
-            w = ws.delta_terms(l, no_cap)
+            w = ws.delta_terms(l, None)
             reduced = Echelon(ctx)
             for g in prods:
                 reduced.insert(_mul_terms(g, w, p))
             prods = reduced.basis_terms()
         rows = frobenius_root(ctx, prods, ctx.max_generators).basis_terms()
-        fmul = ws.f_terms(p - l - 1, no_cap)
+        fmul = ws.f_terms(p - l - 1, None)
         ech = Echelon(ctx)
         for row in rows:
             ech.insert(_mul_terms(row, fmul, p))
-        ech.insert(ws.f_terms(p - l, no_cap))
+        ech.insert(ws.f_terms(p - l, None))
     return ResIdeal._from_echelon(ctx, ech)
 
 
@@ -275,17 +315,22 @@ class _Frontier(NamedTuple):
     entries, as packed y-monomials, and ``box``: 1 + its largest exponent
     in each variable, all zeros once theta is 0.  ``memo`` holds the
     results of chain suffixes against this theta
-    (``_new_part_contained``), so it never serves another theta."""
+    (``_new_part_contained``), so it never serves another theta;
+    ``chains`` holds the live boxes of the committed tails run against it
+    (``_box_chain``), apart from ``memo``, whose values are outcomes."""
 
     depth: int
     theta: dict[int, int]
     box: tuple[int, ...]
     memo: dict[tuple, bool]
+    chains: dict[tuple[int, ...], tuple[tuple, tuple]]
 
 
 def _theta_0(ctx) -> _Frontier:
     p = ctx.p
-    return _Frontier(0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {})
+    return _Frontier(
+        0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {}, {}
+    )
 
 
 def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
@@ -317,7 +362,7 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
     ctx = ws.h.ctx
     p, n = ctx.p, ctx.n_vars
     limit, keep = ctx.max_workspace_monomials, p**n
-    fmul = ws.f_terms(p - l - 1, exponent_cap(ctx, front.box))
+    fmul = ws.f_terms(p - l - 1, front.box)
     # F keeps the term count: with no delta contraction this is the kept size
     theta = _contract(fmul, front.theta, n, p, limit if l else min(limit, keep))
     if theta is None:
@@ -326,14 +371,14 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
     if max(box) > EXPONENT_LIMIT:
         return None
     theta = dual_frobenius(ctx, theta)
-    delta = ws.delta_terms(1, exponent_cap(ctx, box))
+    delta = ws.delta_terms(1, box)
     for _ in range(l):
         theta = _contract(delta, theta, n, p)
         if len(theta) > limit:
             return None
     if len(theta) > keep:
         return None
-    return _Frontier(front.depth + 1, theta, exponent_box(theta, n), {})
+    return _Frontier(front.depth + 1, theta, exponent_box(theta, n), {}, {})
 
 
 def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Frontier:
@@ -343,6 +388,33 @@ def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Front
     if front.depth < len(prefix) - 1:
         return front
     return _advance(ws, front, prefix[-1]) or _theta_0(ws.h.ctx)
+
+
+def _box_chain(ws: _Workspace, frontier: _Frontier, ls: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The boxes B_0..B_m of the committed tail ``ls`` = (l_0, ..., l_(m-1))
+    (``_new_part_contained``) and their ``exponent_cap`` masks.
+
+    B_0..B_j depend only on the frontier's box and ls[:j], so the entry
+    for ls extends the one for ls[:-1] by one ``live_box`` step, and each
+    is kept in ``frontier.chains`` under exactly its tail: all candidates
+    of a depth, and the next depth, share it.
+    """
+    chains = frontier.chains
+    chain = chains.get(ls)
+    if chain is None:
+        ctx = ws.h.ctx
+        j = len(ls) - 1
+        while j and ls[:j] not in chains:
+            j -= 1
+        if j:
+            boxes, caps = chains[ls[:j]]
+        else:
+            boxes, caps = (frontier.box,), (exponent_cap(ctx, frontier.box),)
+        for i in range(j, len(ls)):
+            box = tuple(ctx.p * b for b in ws.live_box(ctx.p - ls[i] - 1, boxes[-1]))
+            boxes, caps = boxes + (box,), caps + (exponent_cap(ctx, box),)
+            chains[ls[: i + 1]] = chain = boxes, caps
+    return chain
 
 
 def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ...]) -> bool:
@@ -415,14 +487,11 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
     """
     ctx = ws.h.ctx
     p = ctx.p
-    *ls, s = tail
+    ls, s = tail[:-1], tail[-1]
     if not ls:
         # one contraction, cheaper than its memo key
-        return _kills(ws.f_terms(p - s, exponent_cap(ctx, frontier.box)), frontier.theta, ctx)
-    boxes = [frontier.box]
-    for l in ls:
-        boxes.append(tuple(p * b for b in ws.live_box(p - l - 1, boxes[-1])))
-    caps = [exponent_cap(ctx, box) for box in boxes]
+        return _kills(ws.f_terms(p - s, frontier.box), frontier.theta, ctx)
+    boxes, caps = _box_chain(ws, frontier, ls)
     memo = frontier.memo
     visited = []
     gens = [{0: 1}]  # the unit ideal: the monomial 1 packs to 0
@@ -434,11 +503,11 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
             break
         visited.append(key)
         if not j:
-            fmul = ws.f_terms(k, caps[0])
+            fmul = ws.f_terms(k, boxes[0])
             got = all(_kills(_mul_terms(g, fmul, p, *caps[0]), frontier.theta, ctx) for g in gens)
             break
-        cap = caps[j]
-        w = _mul_terms(ws.f_terms(k, cap), ws.delta_terms(ls[j - 1], cap), p, *cap)
+        box, cap = boxes[j], caps[j]
+        w = _mul_terms(ws.f_terms(k, box), ws.delta_terms(ls[j - 1], box), p, *cap)
         gens = root_generators(ctx, (_mul_terms(g, w, p, *cap) for g in gens))
         if not gens:
             got = True

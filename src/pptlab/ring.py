@@ -178,6 +178,11 @@ def exponent_cap(ctx: Context, q: int | Iterable[int]) -> tuple[int, int]:
     return add, high
 
 
+_GUARDS = tuple(
+    sum(EXPONENT_LIMIT << (FIELD_BITS * i) for i in range(n)) for n in range(MAX_VARS + 1)
+)
+
+
 def exponent_guard(n_vars: int) -> int:
     """2**31 in every exponent field: x^a divides x^b iff
     ``(b + guard - a) & guard == guard``.
@@ -185,8 +190,9 @@ def exponent_guard(n_vars: int) -> int:
     Field i of b + guard - a is b_i - a_i + 2**31, which keeps bit 31 set
     iff b_i >= a_i and, while exponents stay below 2**31, never borrows
     from or carries into the next field; the degree fields play no part.
+    One table entry per variable count up to ``MAX_VARS``.
     """
-    return sum(EXPONENT_LIMIT << (FIELD_BITS * i) for i in range(n_vars))
+    return _GUARDS[n_vars]
 
 
 def exponent_box(terms: Collection[int], n_vars: int) -> tuple[int, ...]:

@@ -415,11 +415,12 @@ def check_quick_criteria(h: Hypersurface) -> QuickCriteria:
     fired = set()
     # every test is modulo (x_i^(p^2)), so the powers are built truncated
     q = p * p
+    box = (q,) * ctx.n_vars
     cap = exponent_cap(ctx, q)
     ws = _Workspace(h)
-    delta_pow = ws.delta_terms(p - 1, cap)
+    delta_pow = ws.delta_terms(p - 1, box)
     # C1: compare against the single monomial (x_1...x_N)^(p^2-1)
-    residue = mul_terms(ws.f_terms(p - 1, cap), delta_pow, p, *cap)
+    residue = mul_terms(ws.f_terms(p - 1, box), delta_pow, p, *cap)
     target = ctx.encode_monomial((q - 1,) * ctx.n_vars)
     if set(residue) == {target}:
         fired.add("C1")

@@ -23,6 +23,7 @@ from pptlab.ladder import (
     SplitSequence,
     _advance,
     _kills,
+    _new_part_contained,
     _theta_0,
     _truncate,
     _Workspace,
@@ -37,6 +38,7 @@ from pptlab.ring import (
     LiftPoly,
     ResPoly,
     contract_terms,
+    exponent_box,
     exponent_cap,
 )
 
@@ -272,9 +274,12 @@ def test_live_box_is_sound():
 
 
 def test_capped_powers_match_truncated_full_powers():
-    # the workspace builds delta^l and fbar^k from capped factors; that must
-    # equal truncating the full power, for per-variable boxes, for boxes
-    # with one field past 2^31 and for the uncapped (0, 0)
+    # the workspace clamps a box to the power's reach R_i = k * d_i + 1,
+    # serves boxes >= R from the full power and builds the others from
+    # capped factors; every way must equal truncating the full power, for
+    # boxes inside, at and past the reach in each variable, the all-zero
+    # box, delta boxes at l * p * deg f_lift, boxes with one field past
+    # 2^31, random boxes and no box at all
     rng = random.Random(412)
     for _ in range(150):
         p = rng.choice([2, 3, 5, 7])
@@ -287,15 +292,29 @@ def test_capped_powers_match_truncated_full_powers():
         ctx = Context(p, [f"x{i}" for i in range(n)])
         h = validate(ctx, LiftPoly(ctx, f))
         ws = _Workspace(h)
-        boxes = [tuple(rng.randrange(p * p + 2) for _ in range(n)) for _ in range(2)]
-        boxes.append((EXPONENT_LIMIT,) + tuple(rng.randrange(1, p * p) for _ in range(n - 1)))
-        for cap in [exponent_cap(ctx, b) for b in boxes] + [(0, 0)]:
-            for l in range(p):
-                want = _truncate(h.delta_power(l).terms, *cap)
-                assert ws.delta_terms(l, cap) == want, (p, h.f_lift, cap, l)
-            for k in range(p + 1):
-                want = _truncate(h.f_res_power(k).terms, *cap)
-                assert ws.f_terms(k, cap) == want, (p, h.f_lift, cap, k)
+        f_deg = [b - 1 for b in exponent_box(h.f_res.terms, n)]
+        d_deg = [p * (b - 1) for b in exponent_box(h.f_lift.terms, n)]
+        shared = [tuple(rng.randrange(p * p + 2) for _ in range(n)) for _ in range(2)]
+        shared.append((EXPONENT_LIMIT,) + tuple(rng.randrange(1, p * p) for _ in range(n - 1)))
+        shared.append((0,) * n)
+        powers = (
+            (ws.delta_terms, h.delta_power, p - 1, d_deg),
+            (ws.f_terms, h.f_res_power, p, f_deg),
+        )
+        for get, full, top, degrees in powers:
+            for k in range(top + 1):
+                reach = [k * d + 1 for d in degrees]
+                boxes = shared + [
+                    tuple(r + shift for r in reach) for shift in (-1, 0, 1)
+                ] + [
+                    tuple(r + rng.choice((-1, 0, 1)) for r in reach) for _ in range(3)
+                ]
+                rng.shuffle(boxes)
+                terms = full(k).terms
+                for box in boxes:
+                    want = _truncate(terms, *exponent_cap(ctx, box))
+                    assert get(k, box) == want, (p, h.f_lift, box, k)
+                assert get(k, None) == terms, (p, h.f_lift, k)
 
 
 def test_capped_scan_never_forms_full_powers(monkeypatch):
@@ -572,6 +591,53 @@ def test_scan_work_grows_linearly_with_depth(monkeypatch):
         counts[depth] = len(calls)
     assert counts[12] <= 60, counts
     assert counts[24] < 2.5 * counts[12], counts
+
+
+def test_scan_builds_each_depths_boxes_once(monkeypatch):
+    # the box chain of a committed tail extends its parent's by one live
+    # box, so each depth after the drop-back costs one live_box call; every
+    # candidate walking the whole tail took 252 calls at depth 12 and 1,092
+    # at depth 24.  Powers under boxes that cannot truncate them share the
+    # full power, which took the products from 205 to 107 at depth 12
+    counts = {"live_box": 0, "mul_terms": 0}
+    live_box, mul_terms = _Workspace.live_box, ladder._mul_terms
+
+    def counted_live_box(self, k, out):
+        counts["live_box"] += 1
+        return live_box(self, k, out)
+
+    def counted_mul_terms(*args):
+        counts["mul_terms"] += 1
+        return mul_terms(*args)
+
+    monkeypatch.setattr(_Workspace, "live_box", counted_live_box)
+    monkeypatch.setattr(ladder, "_mul_terms", counted_mul_terms)
+    h = hypersurface(13, ["x", "y"], "x + y^3")
+    for depth in (12, 24):
+        counts.update(live_box=0, mul_terms=0)
+        assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+        assert counts["live_box"] <= depth, (depth, counts)
+        assert depth > 12 or counts["mul_terms"] <= 130, counts
+
+
+def test_box_chain_never_serves_another_tail():
+    # the chains are keyed by the whole committed tail: two tails of one
+    # length, run on one theta_0, must each get the outcome a fresh theta_0
+    # gives.  The live boxes differ between the tails of each pair, and so
+    # do their outcomes
+    for p, names, expr, tails in (
+        (2, "x,y", "x^2 + y^2", [(0, 2), (1, 2)]),
+        (5, "x,y,z", "x^3 + y^3 + z^3", [(0, 1), (1, 1)]),
+    ):
+        h = hypersurface(p, names.split(","), expr)
+        ws = _Workspace(h)
+        alone = [_new_part_contained(ws, _theta_0(h.ctx), tail) for tail in tails]
+        assert len(set(alone)) == 2, (p, expr, alone)
+        for order in (tails, tails[::-1]):
+            front = _theta_0(h.ctx)
+            for tail in order:
+                got = _new_part_contained(ws, front, tail)
+                assert got == alone[tails.index(tail)], (p, expr, order, tail)
 
 
 @pytest.mark.parametrize(
