@@ -29,12 +29,11 @@ class Hypersurface:
     F_p and delta(f); a plain value that memoises nothing.
 
     ``delta_power`` and ``f_res_power`` form full powers.
-    ``ladder._Workspace`` reads only k <= 1 from them, once per run: it
-    builds each higher full power, which the exact ladder
-    (``compute_ladder``, ``--trace``) and boxes at or past the power's
-    reach use, by one product from the power before it, and the capped
-    powers that the sequence's dual element and its capped scan use
-    inside the boxes they keep from capped factors.
+    ``ladder._Workspace`` reads each at most once per run, for the exact
+    ladder (``compute_ladder``, ``--trace``), the powers k <= 1 and the
+    boxes at or past a power's reach; it builds the capped powers that the
+    sequence's dual element and its capped scan use inside the boxes
+    they keep from capped factors.
     """
 
     __slots__ = ("ctx", "f_lift", "f_res", "delta_f")

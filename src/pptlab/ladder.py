@@ -73,11 +73,11 @@ the ideal of its rows rather than their F_p-span
 ``MonomialAntichain`` docstring says why this is exact).
 Every cap is one ``ring.exponent_cap`` test.  A power is clamped to its
 reach first, the box past which it has no monomial: boxes at or past the
-reach share the full power, built once per exponent from the one before
-it, and a box that truncates gets its power from capped factors inside
-it, never in full (``_Workspace``).  The contraction, F, the products
-and the u-bucket split are ``ring`` kernels, beside the packed monomial
-whose fields they read.
+reach share the full power, read once per exponent from
+``Hypersurface``, and a box that truncates gets its power from capped
+factors inside it, never in full (``_Workspace``).  The contraction, F,
+the products and the u-bucket split are ``ring`` kernels, beside the
+packed monomial whose fields they read.
 
 After a drop-back, every later depth runs the chain from theta_0 over
 the whole tail, once per candidate s, and the tails of one run share
@@ -114,7 +114,6 @@ from .ideals import Echelon, ResIdeal, frobenius_root, root_generators
 # here only because perfbench also wraps ladder._u_buckets by name.
 from .ring import (
     EXPONENT_LIMIT,
-    ResPoly,
     contract_terms as _contract,
     dual_frobenius,
     exponent_box,
@@ -195,20 +194,19 @@ class _Workspace:
     x_i: deg_(x_i) fbar for fbar, and p * deg_(x_i) f_lift for delta, as
     delta = (f^p - phi(f))/p.  g^k has no monomial at or past R, so
     trunc_B(g^k) = trunc_min(B, R)(g^k), and every box that is >= R in
-    each variable shares one full power, built once per k from the
-    (k-1)th with one product.  A box that truncates builds its power from
-    capped factors, inside the box and never in full: dropping the
+    each variable, like no box at all, shares one full power, read once
+    per k from ``Hypersurface``.  A box that truncates builds its power
+    from capped factors, inside the box and never in full: dropping the
     monomials at or past a box is reduction modulo a monomial ideal, which
     is a ring map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by
-    induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).  Only k <= 1
-    read their powers from ``Hypersurface``, once per run.
+    induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).
     """
 
     __slots__ = ("h", "_cache", "_degrees")
 
     def __init__(self, h: Hypersurface):
         self.h = h
-        self._cache: dict[tuple, dict[int, int] | tuple[int, ...] | ResPoly] = {}
+        self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
         p, n = h.ctx.p, h.ctx.n_vars
         self._degrees = {
             "f": tuple(b - 1 for b in exponent_box(h.f_res.terms, n)),
@@ -242,20 +240,20 @@ class _Workspace:
         """delta^k (kind "d") or fbar^k (kind "f") without the monomials at
         or past ``box``."""
         if box is None:
-            return self._full(kind, k).terms
+            return self._full(kind, k)
         key = (kind, k, box)
         got = self._cache.get(key)
         if got is None:
             reach = tuple(k * d + 1 for d in self._degrees[kind])
             clamped = tuple(map(min, box, reach))
             if clamped == reach:
-                got = self._full(kind, k).terms
+                got = self._full(kind, k)
             elif clamped != box:
                 got = self._power(kind, k, clamped)
             else:
                 cap = exponent_cap(self.h.ctx, box)
                 if k <= 1:
-                    got = _truncate(self._full(kind, k).terms, *cap)
+                    got = _truncate(self._full(kind, k), *cap)
                 else:
                     got = _mul_terms(
                         self._power(kind, k - 1, box),
@@ -266,16 +264,14 @@ class _Workspace:
             self._cache[key] = got
         return got
 
-    def _full(self, kind: str, k: int) -> ResPoly:
-        """delta^k or fbar^k in full: from ``Hypersurface`` for k <= 1, else
-        one product from the (k-1)th, with ``Poly``'s 2^31 exponent check."""
+    def _full(self, kind: str, k: int) -> dict[int, int]:
+        """delta^k or fbar^k in full, read from ``Hypersurface`` once per
+        run."""
         key = (kind, k)
         got = self._cache.get(key)
         if got is None:
-            if k <= 1:
-                got = self.h.delta_power(k) if kind == "d" else self.h.f_res_power(k)
-            else:
-                got = self._full(kind, k - 1) * self._full(kind, 1)
+            h = self.h
+            got = (h.delta_power(k) if kind == "d" else h.f_res_power(k)).terms
             self._cache[key] = got
         return got
 

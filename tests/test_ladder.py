@@ -319,20 +319,43 @@ def test_capped_powers_match_truncated_full_powers():
 
 def test_capped_scan_never_forms_full_powers(monkeypatch):
     # the p = 13 scan needs delta^7 only inside a small box; the full power
-    # has degree 7 * 13 * 5 = 455
+    # has degree 7 * 13 * 5 = 455.  A full power g^k with k >= 2 may serve
+    # only a box at or past its reach k * d_i + 1 in every variable (d_i =
+    # deg_(x_i) fbar, and p * deg_(x_i) f_lift for delta), which cannot
+    # truncate it; the scan here does share such powers
+    p = 13
+    h = hypersurface(p, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + p*x1*x2")
+    degrees = {
+        "delta_power": [p * (b - 1) for b in exponent_box(h.f_lift.terms, 2)],
+        "f_res_power": [b - 1 for b in exponent_box(h.f_res.terms, 2)],
+    }
+    boxes = []  # the boxes of the workspace powers being built, innermost last
+    power = _Workspace._power
+
+    def tracked(self, kind, k, box):
+        boxes.append(box)
+        try:
+            return power(self, kind, k, box)
+        finally:
+            boxes.pop()
+
+    monkeypatch.setattr(_Workspace, "_power", tracked)
+    shared = []
     for name in ("delta_power", "f_res_power"):
         full = getattr(Hypersurface, name)
 
         def guarded(self, k, full=full, name=name):
             if k >= 2:
-                raise AssertionError(f"{name}({k}) formed in full")
+                box = boxes[-1] if boxes else None
+                reach = [k * d + 1 for d in degrees[name]]
+                if box is None or any(b < r for b, r in zip(box, reach)):
+                    raise AssertionError(f"{name}({k}) formed in full for the box {box}")
+                shared.append((name, k))
             return full(self, k)
 
         monkeypatch.setattr(Hypersurface, name, guarded)
-    h = hypersurface(
-        13, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + p*x1*x2"
-    )
     assert splitting_sequence(h, 3).values == (0, 7, 13, 13)
+    assert shared
 
 
 def test_capped_chain_matches_exact_ladder_in_three_and_four_variables():
