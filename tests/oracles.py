@@ -124,8 +124,11 @@ def capped_scan_sequence(h, depth: int) -> tuple:
     whole chain from theta_0 (``ladder._new_part_contained`` with the full
     prefix as its tail), as the sequence was before it carried theta.  Each
     candidate runs from a fresh theta_0, so no chain reads a suffix result
-    that another stored, and a binary search over s, which containment's
-    monotonicity allows, picks the entry."""
+    that another stored, and a binary search over [0, p], which
+    containment's monotonicity allows, picks the entry.  The bisection is
+    kept on purpose: the engine searches upward from s = 0
+    (``ladder._scan_next``), so this oracle visits the candidates in
+    another order and stays independent of the engine's search."""
     from pptlab.ladder import _new_part_contained, _theta_0, _Workspace
 
     p = h.ctx.p

@@ -147,7 +147,7 @@ def test_sequence_invariants_enforced():
     [
         # p <= 5 evaluates every candidate and asserts the interval [0, s]
         (3, "x,y", "x^2 + y^2", {0, 2}, "is not the interval"),
-        # larger p binary-searches and checks the floor s = 0
+        # larger p probes the floor s = 0 first, then gallops upward and bisects
         (7, "x,y,z", "x^3 + y^3 + z^3", set(), "fails at s = 0"),
     ],
 )
@@ -415,13 +415,18 @@ def test_capped_u_stage_inserts_few_rows(monkeypatch):
 
 
 def test_capped_u_stage_monomials_count_against_the_cap():
-    # the first u stage of this scan yields monomial rows only, so the cap
-    # trips while the antichain, not the echelon, takes them
+    # theta drops back after s_1 = 2 under this cap.  The chain for the
+    # candidate (2, 7) has a first u stage of monomial rows only, so the cap
+    # trips while the antichain, not the echelon, takes them.  The scan
+    # probes s_2 upward from 0, and (2, 0) fits under the cap, so the run's
+    # own error comes from a later stage with rows of several terms
     ctx = Context(7, ["x1", "x2", "x3", "x4"], max_workspace_monomials=3)
     h = validate(ctx, parse_poly("x1^4 + x2^4 + x3^4 + x4^4", ctx))
     with pytest.raises(ResourceLimitError) as err:
-        splitting_sequence(h, 3)
+        _new_part_contained(_Workspace(h), _theta_0(ctx), (2, 7))
     assert "add" in [entry.name for entry in err.traceback]
+    with pytest.raises(ResourceLimitError):
+        splitting_sequence(h, 3)
 
 
 def deformed_fermat(rng, p, n, d):
@@ -641,6 +646,73 @@ def test_scan_builds_each_depths_boxes_once(monkeypatch):
         assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
         assert counts["live_box"] <= depth, (depth, counts)
         assert depth > 12 or counts["mul_terms"] <= 130, counts
+
+
+def test_scan_probes_candidates_upward_from_zero(monkeypatch):
+    # for p > 5 the scan probes s = 0, then 1, 3, 7, ... while those reach
+    # no further than p, and bisects between the last success and the first
+    # failure.  Bisecting [0, p] probed 7, 3, 1, 0 for each entry 0 on
+    # x + y^3, 48 candidates at depth 12 and 96 at depth 24, and made 14
+    # contractions on the quartic to depth 5
+    probes, contractions = [], []
+    new_part, contract = ladder._new_part_contained, ladder._contract
+
+    def counted_new_part(ws, frontier, tail):
+        probes.append(tail[-1])
+        return new_part(ws, frontier, tail)
+
+    def counted_contract(*args):
+        contractions.append(1)
+        return contract(*args)
+
+    monkeypatch.setattr(ladder, "_new_part_contained", counted_new_part)
+    monkeypatch.setattr(ladder, "_contract", counted_contract)
+    h = hypersurface(13, ["x", "y"], "x + y^3")
+    for depth in (12, 24):
+        probes.clear()
+        assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+        assert probes == [0, 1] * depth, (depth, probes)
+    h = hypersurface(7, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
+    probes.clear()
+    contractions.clear()
+    assert splitting_sequence(h, 5).values == (0, 2, 0, 2, 0, 2)
+    assert probes == [0, 1, 3, 2, 0, 1] * 2 + [0, 1, 3, 2], probes
+    assert len(contractions) <= 10, contractions
+    # the bracket above 7 runs to p itself, so s_2 = p is found
+    h = hypersurface(13, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2")
+    probes.clear()
+    assert splitting_sequence(h, 12).values == (0, 7) + (13,) * 11
+    assert probes == [0, 1, 3, 7, 10, 8, 0, 1, 3, 7, 10, 12, 13], probes
+
+
+def test_scan_containment_is_an_interval_for_large_p():
+    # for p > 5 the scan evaluates a few candidates and relies on the
+    # contained ones forming an interval [0, s_n], as does the bisecting
+    # oracle.  Here every s in 0..p is evaluated at every committed prefix,
+    # each from a fresh theta_0, and both searches must read the same entry
+    rng = random.Random(20)
+    entries = set()
+    for _ in range(120):
+        p = rng.choice((7, 11, 13))
+        n = rng.randrange(1, 4)
+        while True:
+            f = random_int_poly(rng, n, max_terms=3, max_exp=3, max_coeff=p * p)
+            f.pop((0,) * n, None)
+            if reduce_mod(f, p):
+                break
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        h = validate(ctx, LiftPoly(ctx, f))
+        values = splitting_sequence(h, 4).values
+        assert values == capped_scan_sequence(h, 4), (p, f)
+        ws = _Workspace(h)
+        for k in range(1, 5):
+            prefix = values[1:k]
+            hits = [s for s in range(p + 1) if _new_part_contained(ws, _theta_0(ctx), prefix + (s,))]
+            assert hits == list(range(values[k] + 1)), (p, f, prefix, hits)
+            entries.add("0" if values[k] == 0 else "p" if values[k] == p else "between")
+            if values[k] == p:
+                break
+    assert entries == {"0", "between", "p"}, entries
 
 
 def test_box_chain_never_serves_another_tail():

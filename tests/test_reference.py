@@ -117,7 +117,7 @@ def test_sequences_match_naive_reference():
 
 
 def test_larger_primes_match_naive_reference():
-    # p = 7 takes the binary-search branch of the scan; depth 4 at p = 5
+    # p = 7 takes the scan's search branch for p > 5; depth 4 at p = 5
     # exercises the deeper caps
     rng = random.Random(601)
     for p, depth, cases in ((5, 4, 30), (7, 3, 30)):

@@ -30,7 +30,8 @@ def test_six_variables_at_p2():
 
 
 def test_big_prime_binary_search_scan():
-    # p = 11 and 13 take the binary-search branch of the scan
+    # p = 11 and 13 take the scan's search branch for p > 5 (upward from s = 0,
+    # then bisecting) rather than evaluating every candidate
     h = prepare(11, "x", "11 - x^2")
     seq = splitting_sequence(h, 3)
     table = nu_table(h.f_res, 3)
