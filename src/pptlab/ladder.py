@@ -102,6 +102,22 @@ the two probes s = 0 and s = 1, so on p=13 x + y^3, whose entries are
 all 0, the scan tries 24 candidates at depth 12 and 48 at depth 24 where
 bisecting [0, p] tried 48 and 96; on the p=7 Fermat quartic to depth 5
 the contractions fall from 14 to 10.
+
+A proven repeat ends the scan.  s_(k+1) and P_(k+1) depend only on P_k,
+and P_k is the annihilator of R * theta_k.  So theta_k = c * theta_j with
+j < k and c != 0 gives R * theta_k = R * theta_j, hence P_k = P_j, and
+every later entry repeats the block s_(j+1)..s_k (the finiteness argument
+of Blickle-Mustata-Smith).  ``splitting_sequence`` keys each theta by its
+terms scaled so that its largest monomial has coefficient 1, and on a
+repeat reads the later entries off the block instead of scanning them.
+It keys theta_0 at depth 0, which is P_0, and after that only a theta
+that ``_advance`` carried to the current depth: after a drop-back the
+frontier is theta_0 with the whole prefix as its tail, not P_n, and would
+match depth 0's key on every drop-back.  theta = 0 is never keyed, as it
+makes the next entry p.  Every block entry is below p.  On the p=7 Fermat
+quartic theta_2 is a multiple of theta_0, so depths 1 and 2 are scanned
+at any depth: 4 contractions at depth 5 and at depth 24, where scanning
+every depth took 10 and 59.
 """
 
 from __future__ import annotations
@@ -139,10 +155,14 @@ class SplitSequence:
 
     Once an entry equals p, all later entries are p; ``terminated_at_p``
     records the first such index, and is None when no entry is p.
-    ``per_depth_ms`` holds the time of each computed depth, and
-    ``frontier_depth`` the k of the deepest dual element theta_k the run
-    kept: s_1..s_(k+1) were each read off contractions against one theta,
-    later entries came from the theta_0 scan.  Neither takes part in
+    ``repeat`` is (j, k) when the carried theta_k is a multiple of theta_j,
+    which proves that s_(k+1), s_(k+2), ... repeat the block
+    s_(j+1)..s_k; those entries were read off the block, not scanned.
+    ``per_depth_ms`` holds the time of each depth, read-off depths
+    included, and ``frontier_depth`` the k of the deepest dual element
+    theta_k the run kept: s_1..s_(k+1) were each read off contractions
+    against one theta, later entries came from the theta_0 scan or, after
+    a repeat at k, from the block.  None of the three takes part in
     comparisons.
     """
 
@@ -154,6 +174,7 @@ class SplitSequence:
         default=None, compare=False, repr=False
     )
     frontier_depth: int | None = field(default=None, compare=False, repr=False)
+    repeat: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.depth < 1 or len(self.values) != self.depth + 1:
@@ -168,6 +189,14 @@ class SplitSequence:
             raise InputError("entries after the first p must all be p")
         if self.terminated_at_p != first:
             raise InputError(f"terminated_at_p must be {first}, the index of the first p")
+        if self.repeat is not None:
+            j, k = self.repeat
+            if not 0 <= j < k <= self.depth or any(
+                self.values[m] != self.values[m - (k - j)] for m in range(k + 1, self.depth + 1)
+            ):
+                raise InputError(
+                    f"repeat {self.repeat}: entries after s_{k} must follow the block s_{j + 1}..s_{k}"
+                )
 
     def computed_values(self) -> tuple[int, ...]:
         """Values up to and including the first p (drops the p-fill)."""
@@ -321,24 +350,35 @@ class _Frontier(NamedTuple):
     results of chain suffixes against this theta
     (``_new_part_contained``), so it never serves another theta;
     ``chains`` holds the live boxes of the committed tails run against it
-    (``_box_chain``), apart from ``memo``, whose values are outcomes."""
+    (``_box_chain``), apart from ``memo``, whose values are outcomes; and
+    ``formed`` the nonzero contractions fbar^(p-s) ⌟ theta that probes of
+    a candidate s formed in full, for ``_advance``."""
 
     depth: int
     theta: dict[int, int]
     box: tuple[int, ...]
     memo: dict[tuple, bool]
     chains: dict[tuple[int, ...], tuple[tuple, tuple]]
+    formed: dict[int, dict[int, int]]
 
 
 def _theta_0(ctx) -> _Frontier:
     p = ctx.p
     return _Frontier(
-        0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {}, {}
+        0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {}, {}, {}
     )
 
 
-def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
-    """Whether g ⌟ theta = 0.
+def _theta_key(theta: dict[int, int], p: int) -> frozenset:
+    """theta's terms scaled so that its largest monomial has coefficient 1:
+    two nonzero elements share a key iff one is a scalar multiple of the
+    other."""
+    inverse = pow(theta[max(theta)], -1, p)
+    return frozenset((m, c * inverse % p) for m, c in theta.items())
+
+
+def _contraction(g: dict[int, int], theta: dict[int, int], ctx) -> dict[int, int] | None:
+    """g ⌟ theta, or None when it is known to be nonzero without forming it.
 
     The packed order is graded-lex, a monomial order, so b - t <= b* - t*
     for every t in g and b in theta, with equality only at t* = min(g) and
@@ -347,11 +387,16 @@ def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
     be formed.
     """
     if not g or not theta:
-        return True
+        return {}
     guard = exponent_guard(ctx.n_vars)
     if (max(theta) + guard - min(g)) & guard == guard:
-        return False
-    return not _contract(g, theta, ctx.n_vars, ctx.p)
+        return None
+    return _contract(g, theta, ctx.n_vars, ctx.p)
+
+
+def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
+    """Whether g ⌟ theta = 0."""
+    return _contraction(g, theta, ctx) == {}
 
 
 def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
@@ -362,14 +407,23 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
     fbar^(p-l-1) is taken inside theta_k's box, as x^t ⌟ theta_k = 0 once
     some t_i reaches it; F multiplies the box by p, and the delta
     contractions only shrink it, so one capped delta serves all of them.
+
+    The failing probe s = l + 1 against theta_k formed that first
+    contraction already, unless its leading-term shortcut answered
+    (``_Frontier.formed``); then it is reused, under the same size test.
+    A whole contraction may pass that test where the limited one gives up
+    on terms that later cancel; both paths are exact, so this can change
+    only the path, never an entry.
     """
     ctx = ws.h.ctx
     p, n = ctx.p, ctx.n_vars
     limit, keep = ctx.max_workspace_monomials, p**n
-    fmul = ws.f_terms(p - l - 1, front.box)
     # F keeps the term count: with no delta contraction this is the kept size
-    theta = _contract(fmul, front.theta, n, p, limit if l else min(limit, keep))
-    if theta is None:
+    first = limit if l else min(limit, keep)
+    theta = front.formed.get(l + 1) or _contract(
+        ws.f_terms(p - l - 1, front.box), front.theta, n, p, first
+    )
+    if theta is None or len(theta) > first:
         return None
     box = tuple(p * b for b in exponent_box(theta, n))
     if max(box) > EXPONENT_LIMIT:
@@ -382,7 +436,7 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
             return None
     if len(theta) > keep:
         return None
-    return _Frontier(front.depth + 1, theta, exponent_box(theta, n), {}, {})
+    return _Frontier(front.depth + 1, theta, exponent_box(theta, n), {}, {}, {})
 
 
 def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Frontier:
@@ -493,8 +547,12 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
     p = ctx.p
     ls, s = tail[:-1], tail[-1]
     if not ls:
-        # one contraction, cheaper than its memo key
-        return _kills(ws.f_terms(p - s, frontier.box), frontier.theta, ctx)
+        # one contraction, cheaper than its memo key; kept for _advance when
+        # formed and nonzero
+        got = _contraction(ws.f_terms(p - s, frontier.box), frontier.theta, ctx)
+        if got:
+            frontier.formed[s] = got
+        return got == {}
     boxes, caps = _box_chain(ws, frontier, ls)
     memo = frontier.memo
     visited = []
@@ -607,7 +665,9 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
 
 def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
     """Compute s_0..s_depth, carrying theta from depth to depth and timing
-    each depth; once an entry hits p the tail is filled with p.
+    each depth; once an entry hits p the tail is filled with p, and once a
+    carried theta_k is a scalar multiple of an earlier theta_j the later
+    entries repeat the block s_(j+1)..s_k (module docstring).
 
     The exact ladder ideal of a step n is ``compute_ladder(h,
     values[1:n+1])``; ``cli`` builds ``--trace`` from it.
@@ -617,17 +677,28 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
     p = h.ctx.p
     ws = _Workspace(h)
     front = _theta_0(h.ctx)
+    seen = {_theta_key(front.theta, p): 0}
+    repeat = None
     deepest = 0
     timings = []
     terminated = None
     prefix: tuple[int, ...] = ()
     for n in range(1, depth + 1):
         t0 = time.perf_counter()
-        s = _scan_next(ws, front, prefix)
+        if repeat:
+            s = prefix[n - 1 - (repeat[1] - repeat[0])]
+        else:
+            s = _scan_next(ws, front, prefix)
         prefix += (s,)
-        if s < p and n < depth:
+        if not repeat and s < p and n < depth:
             front = _follow(ws, front, prefix)
             deepest = max(deepest, front.depth)
+            # only a carried theta is P_n's; theta = 0 makes the next entry p
+            if front.depth == n and front.theta:
+                key = _theta_key(front.theta, p)
+                if key in seen:
+                    repeat = (seen[key], n)
+                seen[key] = n
         timings.append((time.perf_counter() - t0) * 1000.0)
         if s == p:
             terminated = n
@@ -639,4 +710,5 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
         terminated_at_p=terminated,
         per_depth_ms=tuple(timings),
         frontier_depth=deepest,
+        repeat=repeat,
     )

@@ -142,6 +142,19 @@ def test_sequence_invariants_enforced():
         SplitSequence(p=2, depth=3, values=(0, 1, 1, 1), terminated_at_p=2)
 
 
+def test_sequence_repeat_must_be_followed():
+    SplitSequence(p=5, depth=5, values=(0, 1, 0, 1, 0, 1), terminated_at_p=None, repeat=(0, 2))
+    SplitSequence(p=5, depth=5, values=(0, 3, 1, 0, 1, 0), terminated_at_p=None, repeat=(1, 3))
+    for values, repeat in (
+        ((0, 1, 0, 1, 1, 1), (0, 2)),  # s_4 leaves the block
+        ((0, 3, 1, 0, 1, 0), (0, 2)),  # s_3 = 0 is not s_1 = 3
+        ((0, 1, 1, 1, 1, 1), (1, 1)),  # an empty block
+        ((0, 1, 1, 1, 1, 1), (4, 6)),  # k past depth
+    ):
+        with pytest.raises(InputError, match="repeat"):
+            SplitSequence(p=5, depth=5, values=values, terminated_at_p=None, repeat=repeat)
+
+
 @pytest.mark.parametrize(
     "p, names, expr, hits, message",
     [
@@ -153,12 +166,15 @@ def test_sequence_invariants_enforced():
 )
 def test_scan_monotonicity_checks(monkeypatch, capsys, p, names, expr, hits, message):
     # a containment set that is not an interval [0, s] can only come from a
-    # fault in the scan, which both checks report as an internal error; s_1
-    # is 0 and the faulty set comes from the test against theta_1
+    # fault in the scan, which both checks report as an internal error.  The
+    # faulty set comes from the scan of s_1 against theta_0: on both inputs
+    # s_1 is 0 and theta_1 is a multiple of theta_0, so depth 2 is read off
+    # the proven repeat and never scanned
     monkeypatch.delenv("PPTLAB_CACHE", raising=False)
+    assert splitting_sequence(hypersurface(p, names.split(","), expr), 2).repeat == (0, 1)
 
     def faulty(ws, frontier, tail):
-        return tail[-1] in hits if frontier.depth else tail[-1] == 0
+        return tail[-1] in hits
 
     monkeypatch.setattr(ladder, "_new_part_contained", faulty)
     with pytest.raises(MonotonicityViolationError, match=message):
@@ -652,8 +668,8 @@ def test_scan_probes_candidates_upward_from_zero(monkeypatch):
     # for p > 5 the scan probes s = 0, then 1, 3, 7, ... while those reach
     # no further than p, and bisects between the last success and the first
     # failure.  Bisecting [0, p] probed 7, 3, 1, 0 for each entry 0 on
-    # x + y^3, 48 candidates at depth 12 and 96 at depth 24, and made 14
-    # contractions on the quartic to depth 5
+    # x + y^3, 48 candidates at depth 12 and 96 at depth 24.  theta drops
+    # back there, so no repeat is keyed and every depth is scanned
     probes, contractions = [], []
     new_part, contract = ladder._new_part_contained, ladder._contract
 
@@ -670,14 +686,23 @@ def test_scan_probes_candidates_upward_from_zero(monkeypatch):
     h = hypersurface(13, ["x", "y"], "x + y^3")
     for depth in (12, 24):
         probes.clear()
-        assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+        seq = splitting_sequence(h, depth)
+        assert seq.values == (0,) * (depth + 1)
+        assert seq.repeat is None
         assert probes == [0, 1] * depth, (depth, probes)
+    # on the quartic theta_2 is a multiple of theta_0, so only depths 1 and
+    # 2 are scanned, at any depth; each step reuses the failing probe's
+    # contraction.  Scanning every depth took 16 probes and 10 contractions
+    # at depth 5, 72 and 59 at depth 24
     h = hypersurface(7, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
-    probes.clear()
-    contractions.clear()
-    assert splitting_sequence(h, 5).values == (0, 2, 0, 2, 0, 2)
-    assert probes == [0, 1, 3, 2, 0, 1] * 2 + [0, 1, 3, 2], probes
-    assert len(contractions) <= 10, contractions
+    for depth in (5, 24):
+        probes.clear()
+        contractions.clear()
+        seq = splitting_sequence(h, depth)
+        assert seq.values == (0,) + (2, 0) * (depth // 2) + (2,) * (depth % 2)
+        assert seq.repeat == (0, 2)
+        assert probes == [0, 1, 3, 2, 0, 1], probes
+        assert len(contractions) == 4, contractions
     # the bracket above 7 runs to p itself, so s_2 = p is found
     h = hypersurface(13, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2")
     probes.clear()

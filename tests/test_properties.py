@@ -10,6 +10,7 @@ from pptlab.ladder import (
     _theta_0,
     _Workspace,
     compute_ladder,
+    next_s,
     splitting_sequence,
 )
 from pptlab.ring import Context, LiftPoly, ResPoly, frobenius_substitute, project_mod_p
@@ -199,6 +200,40 @@ def test_sequence_matches_capped_scan_oracle():
         kept.append((seq.frontier_depth, len(seq.computed_values()) - 2))
     assert any(k < last for k, last in kept)
     assert max(k for k, _ in kept) == 7
+
+
+def test_read_off_repeats_match_the_scan():
+    # a carried theta_k that is a multiple of an earlier theta_j proves that
+    # every later entry repeats the block s_(j+1)..s_k, and splitting_sequence
+    # reads those entries off instead of scanning them.  next_s scans every
+    # entry from theta_0, so chaining it must give the same values, and each
+    # repeat, unrolled, must equal the sequence two blocks and two entries
+    # further on
+    rng = random.Random(1)
+    repeats = []
+    bounded = 0
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        ctx = Context(p, [f"x{i}" for i in range(rng.randrange(1, 4))])
+        h = ps.random_hypersurface(rng, ctx)
+        depth = rng.randrange(6, 9)
+        seq = splitting_sequence(h, depth)
+        prefix = ()
+        while len(prefix) < depth and p not in prefix:
+            prefix += (next_s(h, prefix),)
+        assert seq.values == (0,) + prefix + (p,) * (depth - len(prefix)), (p, h.f_lift, depth)
+        bounded += seq.terminated_at_p is None
+        if seq.repeat is None:
+            continue
+        j, k = seq.repeat
+        longer = splitting_sequence(h, k + 2 * (k - j) + 2).values
+        block = seq.values[j + 1 : k + 1]
+        unrolled = seq.values[: k + 1] + block * len(longer)
+        assert longer == unrolled[: len(longer)], (p, h.f_lift, seq.repeat)
+        repeats.append((j, k))
+    assert bounded >= 100 and len(repeats) >= bounded // 2, (bounded, len(repeats))
+    # blocks longer than one entry, and a repeat that starts after theta_0
+    assert any(k - j > 1 for j, k in repeats) and any(j > 0 for j, _ in repeats), repeats
 
 
 def test_sequence_values_always_in_range():
