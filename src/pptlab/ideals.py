@@ -19,12 +19,16 @@ is selected by exactly one multiplier, so the fan-out is computed by
 bucketing the support by residue class instead of enumerating all p^N
 multipliers; that split reads packed fields, so it is ``ring.u_buckets``.
 
-Two root kernels share that split.  ``frobenius_root`` returns the RREF
-span of the buckets: the exact engine (``u_image``, and
-``ladder.compute_ladder`` behind ``--trace``) prints that span.
-``root_generators`` keeps only the ideal the buckets generate, in a
-``MonomialAntichain``: the capped scan's u step and the nu chains
-(``verdict.nu``) ask only ideal-level questions of it.
+``u_image`` spans, ``root_generators`` keeps the ideal.  Both read the
+same buckets.  ``u_image`` is the ``ResIdeal`` of all of them, their RREF
+span, which the exact ladder (``ladder.compute_ladder``, behind
+``--trace``) prints; u is F_p-linear, so that span is the same for any
+generators of the span of J.  Its fan-out guard is ``echelon_reduce``'s
+generator cap, checked on the whole bucket list before any row is
+reduced.  ``root_generators`` keeps only the ideal the buckets generate,
+in a ``MonomialAntichain``, whose generating set is not a span: the
+capped scan's u step and the nu chains (``verdict.nu``) ask only
+ideal-level questions of it.
 """
 
 from __future__ import annotations
@@ -236,13 +240,6 @@ class ResIdeal:
         self.gens = tuple(echelon_reduce(ctx, list(gens)))
 
     @classmethod
-    def _from_echelon(cls, ctx: Context, ech: Echelon) -> "ResIdeal":
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.gens = tuple(ech.basis_polys())
-        return self
-
-    @classmethod
     def unit(cls, ctx: Context) -> "ResIdeal":
         return cls(ctx, [ResPoly.one(ctx)])
 
@@ -279,43 +276,20 @@ def u_single(g: ResPoly) -> ResPoly:
     return ResPoly._raw(g.ctx, _u_buckets(g.ctx, g.terms).get(0, {}))
 
 
-def frobenius_root(
-    ctx: Context, gens: Iterable[dict[int, int]], max_fan_out: int | None = None
-) -> Echelon:
-    """Echelon basis of the p-th-root ideal of the ideal that ``gens`` generate.
+def root_generators(ctx: Context, products: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """Generators of the p-th-root ideal I_1(J) of the ideal J that
+    ``products`` generate, kept as an ideal rather than a span.
 
     The root I_1(J) is the smallest ideal K with J inside K^[p].  Writing
     a generator as g = sum_r x^r * g_r^p over residues r in {0..p-1}^N,
     I_1((g)) is generated by the g_r, and I_1 of a sum of ideals is the
     sum of the roots (Blickle-Mustata-Smith).  Over F_p, g_r is the
-    bucket of ``_u_buckets`` for the residue class r, so I_1(J) is the
-    u-image of J.  ``max_fan_out`` caps the total bucket count.
-    """
-    ech = Echelon(ctx)
-    pending = 0
-    for terms in gens:
-        buckets = _u_buckets(ctx, terms)
-        pending += len(buckets)
-        if max_fan_out is not None and pending > max_fan_out:
-            raise ResourceLimitError(
-                f"u-image fan-out exceeded {max_fan_out} generators; "
-                f"raise max_generators (--max-generators)"
-            )
-        for key in sorted(buckets):
-            ech.insert(buckets[key])
-    return ech
-
-
-def root_generators(ctx: Context, products: Iterable[dict[int, int]]) -> list[dict[int, int]]:
-    """Generators of the p-th-root ideal I_1(J) of the ideal J that
-    ``products`` generate, kept as an ideal rather than a span.
-
-    The buckets of ``_u_buckets`` generate I_1(J), as in
-    ``frobenius_root``; each is absorbed, in sorted order, into one
-    ``MonomialAntichain``, which keeps the ideal they generate but not
-    their F_p-span.  Whether the root is zero, and whether it lies in the
-    maximal ideal, are facts about the ideal, so any generating set
-    answers them alike.
+    bucket of ``_u_buckets`` for the residue class r, so the buckets
+    generate I_1(J), the u-image of J.  Each is absorbed, in sorted
+    order, into one ``MonomialAntichain``, which keeps the ideal they
+    generate but not their F_p-span.  Whether the root is zero, and
+    whether it lies in the maximal ideal, are facts about the ideal, so
+    any generating set answers them alike.
     """
     image = MonomialAntichain(Echelon(ctx))
     for terms in products:
@@ -329,12 +303,13 @@ def u_image(ideal: ResIdeal) -> ResIdeal:
     """Image ideal u(F_* J), echelon-reduced.
 
     Generated by u(F_*(x^e g)) over generators g and multipliers e in
-    {0..p-1}^N; multipliers whose image is zero are skipped via the
-    residue-class bucketing above.
+    {0..p-1}^N; each nonzero image is one bucket of ``_u_buckets``, so
+    the multipliers whose image is zero are never formed.  More buckets
+    than ``max_generators`` raise before any is reduced.
     """
     ctx = ideal.ctx
-    gens = (g.terms for g in ideal.gens)
-    return ResIdeal._from_echelon(ctx, frobenius_root(ctx, gens, ctx.max_generators))
+    buckets = [_u_buckets(ctx, g.terms) for g in ideal.gens]
+    return ResIdeal(ctx, [ResPoly._raw(ctx, b[key]) for b in buckets for key in sorted(b)])
 
 
 def member_frobenius_power(g: ResPoly, e: int) -> bool:

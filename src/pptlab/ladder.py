@@ -11,10 +11,13 @@ The sequence entry s_n is the largest s in 0..p whose ladder ideal for
 downward-closed in s because the base ideal grows with the last slot and
 every recursion step preserves inclusions; the scan asserts that.
 
-``compute_ladder`` runs that recursion exactly, on F_p-spans and with
-every added generator; that is the ideal ``--trace`` prints.  The
-sequence tests only what the last slot adds, the linear chain applied
-to (fbar^(p - s)), since every stage is additive and the prefix's own
+``compute_ladder`` runs that recursion exactly, with the public ideal
+operations: each K is a ``ResIdeal`` (an RREF span), u is ``u_image``,
+and fbar^(p-l_i) is added at every stage; that is the ideal ``--trace``
+prints.  RREF is canonical and u is F_p-linear, so the span does not
+depend on which generators of a stage reach the next.  The sequence
+tests only what the last slot adds, the linear chain applied to
+(fbar^(p - s)), since every stage is additive and the prefix's own
 ladder ideal is already known to be contained.
 
 The sequence state is one dual element.  Write the linear part of stage
@@ -132,7 +135,7 @@ from .errors import (
     InvalidIndexError,
     MonotonicityViolationError,
 )
-from .ideals import Echelon, ResIdeal, frobenius_root, root_generators
+from .ideals import ResIdeal, principal_ideal, root_generators, u_image
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms.
 # The scan splits buckets in ideals.root_generators; _u_buckets stays bound
 # here only because perfbench also wraps ladder._u_buckets by name.
@@ -224,19 +227,18 @@ class _Workspace:
     """Per-run memo of capped delta- and f-power term dicts and of live
     boxes.  The capped scan takes its powers inside its live boxes, and
     theta's steps and contractions take fbar^k and delta inside theta's
-    box; a box is per-variable bounds, None for no bound.
+    box; a box is per-variable bounds.
 
     A power g^k is keyed by the box it is truncated to, and clamped on a
     miss to its reach R_i = k * d_i + 1, where d_i bounds g's degree in
     x_i: deg_(x_i) fbar for fbar, and p * deg_(x_i) f_lift for delta, as
     delta = (f^p - phi(f))/p.  g^k has no monomial at or past R, so
     trunc_B(g^k) = trunc_min(B, R)(g^k), and every box that is >= R in
-    each variable, like no box at all, shares one full power, read once
-    per k from ``Hypersurface``.  A box that truncates builds its power
-    from capped factors, inside the box and never in full: dropping the
-    monomials at or past a box is reduction modulo a monomial ideal, which
-    is a ring map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by
-    induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).
+    each variable shares one full power, read once per k from
+    ``Hypersurface``.  A box that truncates builds its power from capped
+    factors, inside the box and never in full: dropping the monomials at
+    or past a box is reduction modulo a monomial ideal, which is a ring
+    map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).
     """
 
     __slots__ = ("h", "_cache", "_degrees")
@@ -267,17 +269,15 @@ class _Workspace:
             self._cache[key] = got
         return got
 
-    def delta_terms(self, l: int, box: tuple[int, ...] | None) -> dict[int, int]:
+    def delta_terms(self, l: int, box: tuple[int, ...]) -> dict[int, int]:
         return self._power("d", l, box)
 
-    def f_terms(self, k: int, box: tuple[int, ...] | None) -> dict[int, int]:
+    def f_terms(self, k: int, box: tuple[int, ...]) -> dict[int, int]:
         return self._power("f", k, box)
 
-    def _power(self, kind: str, k: int, box: tuple[int, ...] | None) -> dict[int, int]:
+    def _power(self, kind: str, k: int, box: tuple[int, ...]) -> dict[int, int]:
         """delta^k (kind "d") or fbar^k (kind "f") without the monomials at
         or past ``box``."""
-        if box is None:
-            return self._full(kind, k)
         key = (kind, k, box)
         got = self._cache.get(key)
         if got is None:
@@ -314,30 +314,23 @@ class _Workspace:
 
 
 def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
-    """Exact ladder ideal for the given index, echelon-reduced: the span
-    of every stage's generators, fbar^(p-l) included, with the u step's
-    fan-out bounded by ``max_generators`` (``ideals.frobenius_root``)."""
+    """Exact ladder ideal for the given index: the recursion of the module
+    docstring over ``ResIdeal`` spans, from (fbar^(p - l_n)) inward, each
+    stage adding fbar^(p-l) to fbar^(p-l-1) times the ``u_image`` of the
+    delta^l-multiples.  Every span is echelon-reduced under
+    ``max_generators``, the u step's buckets included."""
     entries = _check_index(h.ctx.p, entries)
     ctx = h.ctx
     p = ctx.p
-    ws = _Workspace(h)
-    ech = Echelon(ctx)
-    ech.insert(ws.f_terms(p - entries[-1], None))
+    ideal = principal_ideal(h.f_res_power(p - entries[-1]))
     for l in reversed(entries[:-1]):
-        prods = ech.basis_terms()
-        if l:
-            w = ws.delta_terms(l, None)
-            reduced = Echelon(ctx)
-            for g in prods:
-                reduced.insert(_mul_terms(g, w, p))
-            prods = reduced.basis_terms()
-        rows = frobenius_root(ctx, prods, ctx.max_generators).basis_terms()
-        fmul = ws.f_terms(p - l - 1, None)
-        ech = Echelon(ctx)
-        for row in rows:
-            ech.insert(_mul_terms(row, fmul, p))
-        ech.insert(ws.f_terms(p - l, None))
-    return ResIdeal._from_echelon(ctx, ech)
+        if l:  # delta^0 = 1 leaves the span as it is
+            d = h.delta_power(l)
+            ideal = ResIdeal(ctx, [g * d for g in ideal.gens])
+        root = u_image(ideal)
+        fmul = h.f_res_power(p - l - 1)
+        ideal = ResIdeal(ctx, [r * fmul for r in root.gens] + [h.f_res_power(p - l)])
+    return ideal
 
 
 # -- the sequence -------------------------------------------------------------

@@ -11,7 +11,6 @@ from pptlab.ideals import (
     _u_buckets,
     echelon_reduce,
     ideal_in_frobenius_power,
-    frobenius_root,
     member_frobenius_power,
     principal_ideal,
     root_generators,
@@ -134,10 +133,10 @@ def test_root_generators_generate_the_span_root():
         p = rng.choice([2, 3, 5])
         ctx = Context(p, [f"x{i}" for i in range(rng.randrange(1, 4))])
         products = [
-            random_res_poly(rng, ctx, max_terms=8, max_exp=3 * p).terms
+            random_res_poly(rng, ctx, max_terms=8, max_exp=3 * p)
             for _ in range(rng.randrange(1, 5))
         ]
-        gens = root_generators(ctx, products)
+        gens = root_generators(ctx, (g.terms for g in products))
         monomials = MonomialAntichain(Echelon(ctx))
         for g in gens:
             if len(g) == 1:
@@ -145,8 +144,33 @@ def test_root_generators_generate_the_span_root():
         rows = Echelon(ctx)
         for g in gens:
             rows.insert(monomials.reduce(g))
-        for row in frobenius_root(ctx, products).basis_terms():
-            assert rows.spans(monomials.reduce(row)), (p, products)
+        for row in u_image(ResIdeal(ctx, products)).gens:
+            assert rows.spans(monomials.reduce(row.terms)), (p, products)
+
+
+def test_u_image_cap_trips_before_any_row_is_reduced(monkeypatch):
+    # (x0 + x1, x0^2 + x1^2) at p = 3 has 4 buckets, one per monomial;
+    # the cap of 3 must trip on the bucket count, before any insert
+    ctx = Context(3, ["x0", "x1"], max_generators=3)
+    ideal = ResIdeal(
+        ctx,
+        [
+            ResPoly(ctx, {(1, 0): 1, (0, 1): 1}),
+            ResPoly(ctx, {(2, 0): 1, (0, 2): 1}),
+        ],
+    )
+    assert sum(len(_u_buckets(ctx, g.terms)) for g in ideal.gens) == 4
+    inserts = []
+    real_insert = Echelon.insert
+
+    def counted(self, terms):
+        inserts.append(terms)
+        return real_insert(self, terms)
+
+    monkeypatch.setattr(Echelon, "insert", counted)
+    with pytest.raises(ResourceLimitError, match="4 generators exceed the cap 3"):
+        u_image(ideal)
+    assert inserts == []
 
 
 # -- echelon -----------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 import random
 
 from pptlab.delta import validate
-from pptlab.ideals import ideal_in_frobenius_power
+from pptlab.ideals import ResIdeal, ideal_in_frobenius_power
 from pptlab.ladder import (
     _Workspace,
     compute_ladder,
@@ -60,7 +60,7 @@ def naive_in_frobenius_power(g, p, n):
     return all(any(e >= p for e in exps) for exps in g)
 
 
-def naive_ladder_contained(f_res, delta_f, entries, p, n):
+def naive_ladder_gens(f_res, delta_f, entries, p, n):
     gens = [naive_pow(f_res, p - entries[-1], p, n)]
     for j in range(len(entries) - 2, -1, -1):
         l = entries[j]
@@ -70,6 +70,11 @@ def naive_ladder_contained(f_res, delta_f, entries, p, n):
         f_low = naive_pow(f_res, p - l - 1, p, n)
         gens = [naive_mul(g, f_low, p) for g in rooted]
         gens.append(naive_pow(f_res, p - l, p, n))
+    return gens
+
+
+def naive_ladder_contained(f_res, delta_f, entries, p, n):
+    gens = naive_ladder_gens(f_res, delta_f, entries, p, n)
     return all(naive_in_frobenius_power(g, p, n) for g in gens if g)
 
 
@@ -150,6 +155,26 @@ def test_capped_chain_matches_naive_on_arbitrary_indices():
             )
             got = truncated_contained(_Workspace(h), entries)
             assert got == want, (p, f_int, entries)
+
+
+def test_exact_ladder_spans_the_naive_generators():
+    # the span --trace prints, not just its containment: the RREF of the
+    # reference's uncompressed generators is the canonical form to compare
+    rng = random.Random(604)
+    sizes = set()
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(1, 3)
+        f_int = random_valid_input(rng, p, n)
+        ctx = Context(p, [f"x{i}" for i in range(n)], max_generators=100_000)
+        h = validate(ctx, LiftPoly(ctx, f_int))
+        entries = tuple(rng.randrange(p) for _ in range(rng.randrange(3)))
+        entries += (rng.randrange(p + 1),)
+        gens = naive_ladder_gens(reduce_mod(f_int, p), delta_int(f_int, p, n), entries, p, n)
+        got = compute_ladder(h, entries)
+        assert got == ResIdeal(ctx, [ResPoly(ctx, g) for g in gens]), (p, f_int, entries)
+        sizes.add(len(got.gens))
+    assert max(sizes) >= 5, sizes
 
 
 def test_capped_chain_matches_exact_ladder_at_large_primes_in_two_variables():
