@@ -154,10 +154,6 @@ def _input_block(args: argparse.Namespace, ctx: Context, f) -> dict:
     }
 
 
-def _cache_key(record_input_hash: str) -> str:
-    return content_hash({"version": __version__, "input_hash": record_input_hash})
-
-
 def _print_human(record: dict) -> None:
     inp = record["input"]
     print(f"p = {inp['p']}, vars = {','.join(inp['vars'])}")
@@ -333,13 +329,12 @@ def run(args: argparse.Namespace) -> dict | None:
     inp = _input_block(args, ctx, f)
     input_hash = content_hash({**inp, "command": args.command})
     if cache is not None:
-        key = _cache_key(input_hash)
-        cached = cache.get(key, __version__)
+        cached = cache.get(input_hash, __version__)
         if cached is not None:
             return cached
     record = build_record(args, ctx, f, inp, input_hash)
     if cache is not None:
-        cache.put(key, __version__, record)
+        cache.put(input_hash, __version__, record)
     return record
 
 

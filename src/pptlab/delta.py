@@ -29,8 +29,8 @@ class Hypersurface:
     F_p and delta(f); a plain value that memoises nothing.
 
     ``delta_power`` and ``f_res_power`` form full powers.  The exact
-    ladder (``compute_ladder``, ``--trace``) reads them directly, once per
-    stage.  ``ladder._Workspace`` reads each at most once per run, for
+    ladder (``compute_ladder``, ``--trace``) reads each distinct power
+    once per call.  ``ladder._Workspace`` reads each at most once per run, for
     the powers k <= 1 and the boxes at or past a power's reach; it builds
     the capped powers that the sequence's dual element and its capped
     scan use inside the boxes they keep from capped factors.

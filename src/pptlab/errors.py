@@ -84,9 +84,10 @@ class NotDivisibleError(InternalCheckError):
 
 
 class MonotonicityViolationError(InternalCheckError):
-    """The containment set observed during a threshold scan was not an
-    interval [0, s], contradicting the inclusion-preservation of the
-    ideal recursion."""
+    """A sequence entry's containment set contradicts the
+    inclusion-preservation of the ideal recursion: s = 0 is not contained,
+    or, for p <= 5, where every candidate is evaluated after the one
+    search, the contained set is not the interval [0, s]."""
 
 
 class CrossCheckFailureError(InternalCheckError):

@@ -304,12 +304,15 @@ def u_image(ideal: ResIdeal) -> ResIdeal:
 
     Generated by u(F_*(x^e g)) over generators g and multipliers e in
     {0..p-1}^N; each nonzero image is one bucket of ``_u_buckets``, so
-    the multipliers whose image is zero are never formed.  More buckets
-    than ``max_generators`` raise before any is reduced.
+    the multipliers whose image is zero are never formed.  Each distinct
+    bucket is passed once, as a repeated row adds nothing to the span, and
+    more distinct buckets than ``max_generators`` raise before any is
+    reduced.
     """
     ctx = ideal.ctx
     buckets = [_u_buckets(ctx, g.terms) for g in ideal.gens]
-    return ResIdeal(ctx, [ResPoly._raw(ctx, b[key]) for b in buckets for key in sorted(b)])
+    distinct = {frozenset(b[key].items()): b[key] for b in buckets for key in sorted(b)}
+    return ResIdeal(ctx, [ResPoly._raw(ctx, row) for row in distinct.values()])
 
 
 def member_frobenius_power(g: ResPoly, e: int) -> bool:

@@ -9,7 +9,8 @@ to 1, replace K by
 The sequence entry s_n is the largest s in 0..p whose ladder ideal for
 (s_1, ..., s_(n-1), s) lies in (x_1^p, ..., x_N^p).  Containment is
 downward-closed in s because the base ideal grows with the last slot and
-every recursion step preserves inclusions; the scan asserts that.
+every recursion step preserves inclusions; the search for s_n relies on
+that, and checks it for p <= 5.
 
 ``compute_ladder`` runs that recursion exactly, with the public ideal
 operations: each K is a ``ResIdeal`` (an RREF span), u is ``u_image``,
@@ -89,22 +90,16 @@ theta, the entries tail[:j], k_j and the generators of I_j, so each
 frontier memoizes the outcome under exactly that key
 (``_new_part_contained``).  A chain that reaches a level some earlier
 chain passed stops there, and each depth costs a few stages instead of
-the whole tail: on p=13 x + y^3 the u-bucket splits fall from 252 to 48
-at depth 12 and from 1,092 to 108 at depth 24.  The live boxes of a tail
-depend only on the tail, so the frontier also keeps them per committed
-tail (``_box_chain``), each extending its parent's by one ``live_box``
-step: 11 steps at depth 12 and 23 at depth 24, where walking the whole
-tail for every candidate took 252 and 1,092.  With the reach clamp, the
-products there fall from 205 to 107 at depth 12 and from 325 to 227 at
-depth 24.
+the whole tail.  The live boxes of a tail depend only on the tail, so the
+frontier also keeps them per committed tail (``_box_chain``), each
+extending its parent's by one ``live_box`` step.
 
-For p > 5 each depth searches its candidates upward from s = 0, doubling
-the step and then bisecting (``_scan_next``), as the entries are mostly
-small and the failing candidates are the costly ones.  An entry 0 takes
-the two probes s = 0 and s = 1, so on p=13 x + y^3, whose entries are
-all 0, the scan tries 24 candidates at depth 12 and 48 at depth 24 where
-bisecting [0, p] tried 48 and 96; on the p=7 Fermat quartic to depth 5
-the contractions fall from 14 to 10.
+Each depth runs one search over its candidates, upward from s = 0,
+doubling the step and then bisecting (``_scan_next``), as the entries
+are mostly small and the failing candidates are the costly ones: an
+entry 0 takes the two probes s = 0 and s = 1.  For p <= 5 the candidates
+the search skipped are evaluated after it, and the contained set is
+checked to be the interval [0, s].
 
 A proven repeat ends the scan.  s_(k+1) and P_(k+1) depend only on P_k,
 and P_k is the annihilator of R * theta_k.  So theta_k = c * theta_j with
@@ -119,12 +114,12 @@ frontier is theta_0 with the whole prefix as its tail, not P_n, and would
 match depth 0's key on every drop-back.  theta = 0 is never keyed, as it
 makes the next entry p.  Every block entry is below p.  On the p=7 Fermat
 quartic theta_2 is a multiple of theta_0, so depths 1 and 2 are scanned
-at any depth: 4 contractions at depth 5 and at depth 24, where scanning
-every depth took 10 and 59.
+at any depth: 4 contractions at depth 5 and at depth 24.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -318,18 +313,20 @@ def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
     docstring over ``ResIdeal`` spans, from (fbar^(p - l_n)) inward, each
     stage adding fbar^(p-l) to fbar^(p-l-1) times the ``u_image`` of the
     delta^l-multiples.  Every span is echelon-reduced under
-    ``max_generators``, the u step's buckets included."""
+    ``max_generators``, the u step's buckets included.  Each distinct
+    power is formed once per call, when a stage first needs it."""
     entries = _check_index(h.ctx.p, entries)
     ctx = h.ctx
     p = ctx.p
-    ideal = principal_ideal(h.f_res_power(p - entries[-1]))
+    delta_power, f_res_power = functools.cache(h.delta_power), functools.cache(h.f_res_power)
+    ideal = principal_ideal(f_res_power(p - entries[-1]))
     for l in reversed(entries[:-1]):
         if l:  # delta^0 = 1 leaves the span as it is
-            d = h.delta_power(l)
+            d = delta_power(l)
             ideal = ResIdeal(ctx, [g * d for g in ideal.gens])
         root = u_image(ideal)
-        fmul = h.f_res_power(p - l - 1)
-        ideal = ResIdeal(ctx, [r * fmul for r in root.gens] + [h.f_res_power(p - l)])
+        fmul = f_res_power(p - l - 1)
+        ideal = ResIdeal(ctx, [r * fmul for r in root.gens] + [f_res_power(p - l)])
     return ideal
 
 
@@ -578,42 +575,31 @@ def _scan_next(ws: _Workspace, frontier: _Frontier, prefix: tuple[int, ...]) -> 
 
     The prefix's own ladder ideal must be contained and ``frontier`` be
     theta_k of its first k entries; then the new part decides containment
-    (``_new_part_contained``).  For small p every candidate is evaluated
-    and the containment set is asserted to be an interval [0, s].
+    (``_new_part_contained``).
 
-    For larger p the search rides the monotonicity upward from the low
-    end.  It probes s = 0, which must be contained, then s = 1, 3, 7, ...,
-    2^i - 1 while those are at most p, and bisects between the last
-    success and the first failure, or p when the probes ran past it.
-    Failing candidates carry the cost: against theta a contained s often
-    costs nothing, as fbar^(p-s) has high degree and no monomial left
-    inside theta's box (on the p=7 Fermat quartic's theta_1, fbar^7 keeps
-    none of its terms there and fbar^6, the failing s = 1, keeps 80).  Most
-    entries are small, and the search meets one failing candidate for an
-    entry 0 (s = 1), where bisecting [0, p] from the middle met about
-    log2(p) of them (7, 3 and 1 at p = 13) before reaching 0.
+    The search rides the monotonicity upward from the low end.  It probes
+    s = 0, which must be contained, then s = 1, 3, 7, ..., 2^i - 1 while
+    those are at most p, and bisects between the last success and the
+    first failure, or p when the probes ran past it.  Failing candidates
+    carry the cost: against theta a contained s often costs nothing, as
+    fbar^(p-s) has high degree and no monomial left inside theta's box (on
+    the p=7 Fermat quartic's theta_1, fbar^7 keeps none of its terms there
+    and fbar^6, the failing s = 1, keeps 80).  Most entries are small, and
+    an entry 0 meets one failing candidate, s = 1.
+
+    For p <= 5 the candidates the search skipped are evaluated after it,
+    each s in 0..p once, and the contained set is asserted to be the
+    interval [0, s]: a check of the monotonicity the search relies on.
     """
     p = ws.h.ctx.p
     tail = prefix[frontier.depth :]
+    results: dict[int, bool] = {}
 
     def contained(s: int) -> bool:
-        return _new_part_contained(ws, frontier, tail + (s,))
+        if s not in results:
+            results[s] = _new_part_contained(ws, frontier, tail + (s,))
+        return results[s]
 
-    if p <= 5:
-        results = {s: contained(s) for s in range(p, -1, -1)}
-        hits = [s for s, ok in results.items() if ok]
-        if not hits:
-            raise MonotonicityViolationError(
-                f"no candidate in 0..{p} satisfies containment after prefix "
-                f"{prefix}; the containment set must contain 0"
-            )
-        smax = max(hits)
-        if sorted(hits) != list(range(smax + 1)):
-            raise MonotonicityViolationError(
-                f"containment set {sorted(hits)} after prefix {prefix} is not "
-                f"the interval [0, {smax}]"
-            )
-        return smax
     if not contained(0):
         raise MonotonicityViolationError(
             f"containment fails at s = 0 after prefix {prefix}"
@@ -629,6 +615,12 @@ def _scan_next(ws: _Workspace, frontier: _Frontier, prefix: tuple[int, ...]) -> 
             lo = mid
         else:
             hi = mid - 1
+    if p <= 5:
+        hits = [s for s in range(p + 1) if contained(s)]
+        if hits != list(range(lo + 1)):
+            raise MonotonicityViolationError(
+                f"containment set {hits} after prefix {prefix} is not the interval [0, {lo}]"
+            )
     return lo
 
 

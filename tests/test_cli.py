@@ -134,30 +134,27 @@ def test_trace_prints_ladder_ideals(capsys):
 
 
 TRACE_CASES = [
-    (7, 2, "1476e243e7f0d72b7624ec8192d8a41d660da887db5d065019d997ca682809ed", []),
-    (3, 3, "18187710bea2708daaec17575e446791ca618194936a82b832cbad1baece2d6e", []),
-    (2, 3, "4ba75792fd8cb97c9aa1907ee00da29385e6406d3cc1e1e05d625a0246470af9", []),
+    (7, 2, "1476e243e7f0d72b7624ec8192d8a41d660da887db5d065019d997ca682809ed"),
+    (3, 3, "18187710bea2708daaec17575e446791ca618194936a82b832cbad1baece2d6e"),
+    (2, 3, "4ba75792fd8cb97c9aa1907ee00da29385e6406d3cc1e1e05d625a0246470af9"),
     # the corpus row fermat-quartic-p7: its steps hold 1, 213, 683 and
-    # 727 generators, and a u step fans out past the default cap
-    (
-        7, 4, "707e3a08417e3ea6e1f2463ad7a845d5a0a2e3ebed87d988eae73ff568f7a2a1",
-        ["--max-generators", "20000"],
-    ),
+    # 727 generators
+    (7, 4, "707e3a08417e3ea6e1f2463ad7a845d5a0a2e3ebed87d988eae73ff568f7a2a1"),
 ]
 
 
 @pytest.mark.parametrize(
-    "p, depth, digest, extra",
+    "p, depth, digest",
     TRACE_CASES,
-    ids=[f"{p}-{depth}-{digest}" for p, depth, digest, _ in TRACE_CASES],
+    ids=[f"{p}-{depth}-{digest}" for p, depth, digest in TRACE_CASES],
 )
-def test_trace_ideals_are_frozen(capsys, p, depth, digest, extra):
-    # the first three cases finish at the default generator cap
+def test_trace_ideals_are_frozen(capsys, p, depth, digest):
+    # every case finishes at the default generator cap
     code, rec, _ = run_json(
         capsys,
         [
             "sequence", "--p", str(p), "--vars", "x1..x4",
-            "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", str(depth), "--trace", *extra,
+            "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", str(depth), "--trace",
         ],
     )
     assert code == 0
@@ -238,18 +235,18 @@ def test_resource_limit_exits_3(capsys):
 
 def test_trace_generator_cap_exits_3(capsys):
     # the scan counts no generators; the exact ladder that --trace prints
-    # bounds each u step's fan-out by --max-generators
+    # bounds each u step's distinct buckets by --max-generators: 12 of 18 here
     argv = ["sequence", "--p", "5", "--vars", "x,y,z", "--f", "x^3+y^3+z^3", "--depth", "2"]
     code, _, _ = run_cli(capsys, argv + ["--max-generators", "4"])
     assert code == 0
     code, _, err = run_cli(capsys, argv + ["--max-generators", "4", "--trace"])
     assert code == 3
     assert "--max-generators" in err
-    # the corpus row fermat-quartic-p7 needs more than the default 10,000
+    # the corpus row fermat-quartic-p7 finishes at the default 10,000: its u
+    # steps have 12,706 and 11,848 buckets but only 193 and 1,268 distinct
     quartic = ["--p", "7", "--vars", "x1..x4", "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", "4"]
-    code, _, err = run_cli(capsys, ["sequence", *quartic, "--trace"])
-    assert code == 3
-    assert "--max-generators" in err
+    code, _, _ = run_cli(capsys, ["sequence", *quartic, "--trace"])
+    assert code == 0
 
 
 def test_depth_out_of_range_rejected(capsys):
@@ -368,6 +365,21 @@ def test_cache_version_bump_misses(tmp_path):
     cache.put("k", "0.0.1", {"value": 1})
     assert cache.get("k", "0.0.1") == {"value": 1}
     assert cache.get("k", "0.0.2") is None
+
+
+def test_cli_cache_misses_after_a_version_change(tmp_path, capsys, monkeypatch):
+    # the key is the record's input_hash; the version is checked by the
+    # cache alone, on the line it stores
+    argv = [
+        "sequence", "--p", "2", "--vars", "x,y", "--f", "x^2+y^2", "--depth", "3",
+        "--cache-dir", str(tmp_path),
+    ]
+    lines = []
+    for version in ("0.1.0", "0.1.0", "9.9.9", "9.9.9"):
+        monkeypatch.setattr("pptlab.cli.__version__", version)
+        assert run_cli(capsys, argv)[0] == 0
+        lines.append(len((tmp_path / "cache.jsonl").read_text().splitlines()))
+    assert lines == [1, 1, 2, 2]
 
 
 def test_cache_corrupted_line_skipped(tmp_path, capsys):

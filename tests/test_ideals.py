@@ -149,17 +149,21 @@ def test_root_generators_generate_the_span_root():
 
 
 def test_u_image_cap_trips_before_any_row_is_reduced(monkeypatch):
-    # (x0 + x1, x0^2 + x1^2) at p = 3 has 4 buckets, one per monomial;
-    # the cap of 3 must trip on the bucket count, before any insert
+    # (x0^5 + x1^5, x0^8 + x1^8) at p = 3 has 4 distinct buckets, one per
+    # monomial: x0, x1, x0^2 and x1^2; the cap of 3 must trip on the bucket
+    # count, before any insert
     ctx = Context(3, ["x0", "x1"], max_generators=3)
     ideal = ResIdeal(
         ctx,
         [
-            ResPoly(ctx, {(1, 0): 1, (0, 1): 1}),
-            ResPoly(ctx, {(2, 0): 1, (0, 2): 1}),
+            ResPoly(ctx, {(5, 0): 1, (0, 5): 1}),
+            ResPoly(ctx, {(8, 0): 1, (0, 8): 1}),
         ],
     )
-    assert sum(len(_u_buckets(ctx, g.terms)) for g in ideal.gens) == 4
+    buckets = [b for g in ideal.gens for b in _u_buckets(ctx, g.terms).values()]
+    assert sorted([ctx.decode_monomial(m) for m in b] for b in buckets) == [
+        [(0, 1)], [(0, 2)], [(1, 0)], [(2, 0)]
+    ]
     inserts = []
     real_insert = Echelon.insert
 

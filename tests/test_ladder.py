@@ -162,6 +162,9 @@ def test_sequence_repeat_must_be_followed():
         (3, "x,y", "x^2 + y^2", {0, 2}, "is not the interval"),
         # larger p probes the floor s = 0 first, then gallops upward and bisects
         (7, "x,y,z", "x^3 + y^3 + z^3", set(), "fails at s = 0"),
+        # the search reads 3 and never probes the gap at 2: only the
+        # interval check sees it
+        (5, "x,y", "x^2 + y^2", {0, 1, 3}, "is not the interval"),
     ],
 )
 def test_scan_monotonicity_checks(monkeypatch, capsys, p, names, expr, hits, message):
@@ -237,10 +240,11 @@ def test_sequence_of_fermat_quartic_p3():
 
 
 def test_exact_ladder_fan_out_guard():
-    # the u fan-out is counted over the echelon-reduced delta-products
+    # the u fan-out is counted over the distinct buckets of the
+    # echelon-reduced delta-products: here one product with three
     ctx = Context(3, ["x0"], max_generators=2)
-    h = validate(ctx, parse_poly("x0^2 + 7*x0", ctx))
-    with pytest.raises(ResourceLimitError):
+    h = validate(ctx, parse_poly("x0^4 + x0^2 + 3*x0", ctx))
+    with pytest.raises(ResourceLimitError, match="3 generators exceed the cap 2"):
         compute_ladder(h, (1, 0))
     ctx = Context(3, ["x0"], max_generators=8)
     h = validate(ctx, parse_poly("8*x0^3 + 8*x0", ctx))
@@ -254,6 +258,30 @@ def test_exact_ladder_fan_out_guard():
         ],
     )
     assert compute_ladder(h, (1, 1, 2)) == want
+
+
+def test_exact_ladder_forms_each_power_once(monkeypatch):
+    # (2, 0, 2, 0) at p = 3 reads fbar^3, then delta^2, fbar^0 and fbar^1
+    # for each slot 2 and fbar^2 and fbar^3 for the slot 0: nine reads of
+    # five distinct powers
+    calls = []
+    for name in ("delta_power", "f_res_power"):
+        real = getattr(Hypersurface, name)
+
+        def counted(self, k, name=name, real=real):
+            calls.append((name, k))
+            return real(self, k)
+
+        monkeypatch.setattr(Hypersurface, name, counted)
+    h = hypersurface(3, ["x", "y"], "x^2 + y^2")
+    compute_ladder(h, (2, 0, 2, 0))
+    assert sorted(calls) == [
+        ("delta_power", 2),
+        ("f_res_power", 0),
+        ("f_res_power", 1),
+        ("f_res_power", 2),
+        ("f_res_power", 3),
+    ], calls
 
 
 def random_hypersurface(rng, p, n, **caps):
@@ -707,6 +735,60 @@ def test_scan_probes_candidates_upward_from_zero(monkeypatch):
     probes.clear()
     assert splitting_sequence(h, 12).values == (0, 7) + (13,) * 11
     assert probes == [0, 1, 3, 7, 10, 8, 0, 1, 3, 7, 10, 12, 13], probes
+    # for p <= 5 the interval check evaluates each s in 0..p once per
+    # scanned depth.  theta_2 is a multiple of theta_0 here, so depths 1 and
+    # 2 are scanned
+    h = hypersurface(5, ["x", "y", "z"], "x^3 + y^3 + z^3")
+    probes.clear()
+    assert splitting_sequence(h, 4).values == (0, 1, 0, 1, 0)
+    assert sorted(probes[:6]) == sorted(probes[6:]) == list(range(6)), probes
+
+
+LEDGER_CASES = [
+    (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 5, (6, 8, 4, 0, 0)),
+    (5, "x,y,z", "x^3 + y^3 + z^3", 4, (12, 6, 6, 0, 0)),
+    (5, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 4, (6, 4, 1, 0, 0)),
+    (7, "x,y,z", "x^3 + y^3 + z^3", 4, (2, 5, 1, 0, 0)),
+    (3, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 6, (8, 3, 5, 0, 0)),
+    (13, "x1,x2", "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2", 12, (13, 22, 8, 0, 0)),
+    (13, "x,y", "x + y^3", 12, (24, 71, 5, 11, 30)),
+    (2, "x,y", "x + y^3", 8, (24, 45, 6, 7, 21)),
+    (3, "x,y", "x + y^3", 8, (32, 54, 6, 7, 25)),
+    (5, "x,y", "x + y^3", 8, (48, 82, 5, 7, 38)),
+    (7, "x0,x1,x2,x3", "25*x2^2*x3 + x0*x2*x3^3 + x0*x1 + 10*x0^2*x1*x2", 4, (8, 19, 5, 3, 6)),
+]
+
+
+@pytest.mark.parametrize(
+    "p, names, expr, depth, ledger",
+    LEDGER_CASES,
+    ids=[f"{p}-{expr}-{depth}" for p, _, expr, depth, _ in LEDGER_CASES],
+)
+def test_scan_work_ledger_is_pinned(monkeypatch, p, names, expr, depth, ledger):
+    # the work of a whole sequence, in candidates, capped products,
+    # contractions, live boxes and u steps: a change to the search order or
+    # to the memos that does more or less work moves these counts
+    counts = dict.fromkeys(("_new_part_contained", "_mul_terms", "_contract", "live_box", "root_generators"), 0)
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in counts:
+        count(_Workspace if name == "live_box" else ladder, name)
+    splitting_sequence(hypersurface(p, names.split(","), expr), depth)
+    assert tuple(counts.values()) == ledger, counts
+
+
+def test_next_s_after_a_deep_prefix():
+    # every chain over the tail, and the box chain under it, is a loop, not
+    # a recursion: a tail of 1,100 entries must not exhaust the stack
+    assert next_s(hypersurface(13, ["x", "y"], "x + y^3"), (0,) * 1100) == 0
 
 
 def test_scan_containment_is_an_interval_for_large_p():
