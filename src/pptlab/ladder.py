@@ -89,10 +89,20 @@ their stages.  At the top of its level j the rest of a chain reads only
 theta, the entries tail[:j], k_j and the generators of I_j, so each
 frontier memoizes the outcome under exactly that key
 (``_new_part_contained``).  A chain that reaches a level some earlier
-chain passed stops there, and each depth costs a few stages instead of
-the whole tail.  The live boxes of a tail depend only on the tail, so the
-frontier also keeps them per committed tail (``_box_chain``), each
-extending its parent's by one ``live_box`` step.
+chain passed stops there.  The live boxes of a tail depend only on the
+tail, so the frontier also keeps them per committed tail (``_box_chain``),
+each extending its parent's by one ``live_box`` step.
+
+The top stages of a chain sit under live boxes that grow p-fold per
+level, and a stage reads its box B only through min(B, R), where R
+bounds the exponents of its products: 1 + the largest exponent of its
+generators plus k * d_f + l * d_delta, with the degree bounds of
+``_Workspace``.  So each frontier also memoizes a stage's generators
+under (generators, k, l, min(B, R)) (``_stage``), and the top stages,
+past R, are the same at every depth: after a drop-back, each depth
+forms only the products and u steps of the levels its new entry reaches.
+The u step stays a function of its rows, and the rows under B and under
+min(B, R) are the same.
 
 Each depth runs one search over its candidates, upward from s = 0,
 doubling the step and then bisecting (``_scan_next``), as the entries
@@ -234,6 +244,12 @@ class _Workspace:
     factors, inside the box and never in full: dropping the monomials at
     or past a box is reduction modulo a monomial ideal, which is a ring
     map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).
+
+    A live box is clamped the same way: the monomials of fbar^k below
+    ``out`` are those below c = min(out, R), so U(out) = U(c) + (out - c)
+    when there is one, and zeros otherwise; the boxes past R share one
+    decode of fbar^k.  The capped chain clamps each stage's box by these
+    degree bounds too (``_stage``).
     """
 
     __slots__ = ("h", "_cache", "_degrees")
@@ -252,17 +268,27 @@ class _Workspace:
         (x_1^out_1, ..., x_N^out_N) as soon as some b_i >= U_i.
 
         U_i = max(out_i - m_i) over the monomials m of fbar^k with m < out
-        componentwise; all zeros when fbar^k has no such monomial.
+        componentwise; all zeros when fbar^k has no such monomial.  Every m
+        is below the reach R, so these are the m < c = min(out, R), and
+        U(out) = U(c) + (out - c) when there is one, which U(c) != 0 tells.
         """
-        key = ("u", k, out)
+        clamped = tuple(map(min, out, self._reach("f", k)))
+        key = ("u", k, clamped)
         got = self._cache.get(key)
         if got is None:
-            below = [self.h.ctx.decode_monomial(m) for m in self.f_terms(k, out)]
+            below = [self.h.ctx.decode_monomial(m) for m in self.f_terms(k, clamped)]
             got = tuple(
-                max((b - e[i] for e in below), default=0) for i, b in enumerate(out)
+                max((b - e[i] for e in below), default=0) for i, b in enumerate(clamped)
             )
             self._cache[key] = got
+        if any(got):
+            return tuple(u + o - c for u, o, c in zip(got, out, clamped))
         return got
+
+    def _reach(self, kind: str, k: int) -> tuple[int, ...]:
+        """The box past which delta^k (kind "d") or fbar^k (kind "f") has
+        no monomial: R_i = k * d_i + 1."""
+        return tuple(k * d + 1 for d in self._degrees[kind])
 
     def delta_terms(self, l: int, box: tuple[int, ...]) -> dict[int, int]:
         return self._power("d", l, box)
@@ -276,7 +302,7 @@ class _Workspace:
         key = (kind, k, box)
         got = self._cache.get(key)
         if got is None:
-            reach = tuple(k * d + 1 for d in self._degrees[kind])
+            reach = self._reach(kind, k)
             clamped = tuple(map(min, box, reach))
             if clamped == reach:
                 got = self._full(kind, k)
@@ -339,23 +365,26 @@ class _Frontier(NamedTuple):
     in each variable, all zeros once theta is 0.  ``memo`` holds the
     results of chain suffixes against this theta
     (``_new_part_contained``), so it never serves another theta;
-    ``chains`` holds the live boxes of the committed tails run against it
-    (``_box_chain``), apart from ``memo``, whose values are outcomes; and
-    ``formed`` the nonzero contractions fbar^(p-s) ⌟ theta that probes of
-    a candidate s formed in full, for ``_advance``."""
+    ``stages`` the generators that single stages of those chains produced
+    (``_stage``), apart from ``memo``, whose values are outcomes;
+    ``chains`` the live boxes of the committed tails run against it
+    (``_box_chain``); and ``formed`` the nonzero contractions
+    fbar^(p-s) ⌟ theta that probes of a candidate s formed in full, for
+    ``_advance``."""
 
     depth: int
     theta: dict[int, int]
     box: tuple[int, ...]
     memo: dict[tuple, bool]
-    chains: dict[tuple[int, ...], tuple[tuple, tuple]]
+    stages: dict[tuple, _Gens]
+    chains: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
     formed: dict[int, dict[int, int]]
 
 
 def _theta_0(ctx) -> _Frontier:
     p = ctx.p
     return _Frontier(
-        0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {}, {}, {}
+        0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {}, {}, {}, {}
     )
 
 
@@ -426,7 +455,7 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
             return None
     if len(theta) > keep:
         return None
-    return _Frontier(front.depth + 1, theta, exponent_box(theta, n), {}, {}, {})
+    return _Frontier(front.depth + 1, theta, exponent_box(theta, n), {}, {}, {}, {})
 
 
 def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Frontier:
@@ -438,9 +467,11 @@ def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Front
     return _advance(ws, front, prefix[-1]) or _theta_0(ws.h.ctx)
 
 
-def _box_chain(ws: _Workspace, frontier: _Frontier, ls: tuple[int, ...]) -> tuple[tuple, tuple]:
+def _box_chain(
+    ws: _Workspace, frontier: _Frontier, ls: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
     """The boxes B_0..B_m of the committed tail ``ls`` = (l_0, ..., l_(m-1))
-    (``_new_part_contained``) and their ``exponent_cap`` masks.
+    (``_new_part_contained``).
 
     B_0..B_j depend only on the frontier's box and ls[:j], so the entry
     for ls extends the one for ls[:-1] by one ``live_box`` step, and each
@@ -454,15 +485,60 @@ def _box_chain(ws: _Workspace, frontier: _Frontier, ls: tuple[int, ...]) -> tupl
         j = len(ls) - 1
         while j and ls[:j] not in chains:
             j -= 1
-        if j:
-            boxes, caps = chains[ls[:j]]
-        else:
-            boxes, caps = (frontier.box,), (exponent_cap(ctx, frontier.box),)
+        chain = chains[ls[:j]] if j else (frontier.box,)
         for i in range(j, len(ls)):
-            box = tuple(ctx.p * b for b in ws.live_box(ctx.p - ls[i] - 1, boxes[-1]))
-            boxes, caps = boxes + (box,), caps + (exponent_cap(ctx, box),)
-            chains[ls[: i + 1]] = chain = boxes, caps
+            box = tuple(ctx.p * b for b in ws.live_box(ctx.p - ls[i] - 1, chain[-1]))
+            chains[ls[: i + 1]] = chain = chain + (box,)
     return chain
+
+
+class _Gens(NamedTuple):
+    """Generators of an ideal I_j of the capped chain, with ``key``, each
+    generator as its sorted terms, and ``box``, 1 + their largest exponent
+    in each variable."""
+
+    gens: tuple[dict[int, int], ...]
+    key: tuple
+    box: tuple[int, ...]
+
+
+def _gens(ctx, gens: list[dict[int, int]]) -> _Gens:
+    return _Gens(
+        tuple(gens),
+        tuple(tuple(sorted(g.items())) for g in gens),
+        exponent_box([m for g in gens for m in g], ctx.n_vars),
+    )
+
+
+def _stage(
+    ws: _Workspace, frontier: _Frontier, ideal: _Gens, k: int, l: int, box: tuple[int, ...]
+) -> _Gens:
+    """One stage of the capped chain (``_new_part_contained``): the
+    generators of u(F_*(I * fbar^k * delta^l mod D(box))), where ``ideal``
+    generates I.
+
+    Every monomial of g * fbar^k * delta^l, for a generator g, lies below
+    R = ideal.box + k * d_f + l * d_delta, with the degree bounds d of
+    ``_Workspace``.  Dropping the monomials at or past ``box`` drops the
+    same ones as dropping those at or past c = min(box, R), and the powers
+    taken inside c are the ones taken inside ``box``, as each power's own
+    reach lies inside R.  So the products, hence the u step's rows and its
+    generators, depend on ``box`` only through c.  The result is memoized on
+    the frontier under (ideal.key, k, l, c): the top stages of a chain,
+    whose live boxes are past R, are the same at every depth.
+    """
+    ctx = ws.h.ctx
+    p = ctx.p
+    degrees = zip(box, ideal.box, ws._degrees["f"], ws._degrees["d"])
+    clamped = tuple(min(b, g + k * f + l * d) for b, g, f, d in degrees)
+    key = (ideal.key, k, l, clamped)
+    got = frontier.stages.get(key)
+    if got is None:
+        cap = exponent_cap(ctx, clamped)
+        w = _mul_terms(ws.f_terms(k, clamped), ws.delta_terms(l, clamped), p, *cap)
+        got = _gens(ctx, root_generators(ctx, (_mul_terms(g, w, p, *cap) for g in ideal.gens)))
+        frontier.stages[key] = got
+    return got
 
 
 def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ...]) -> bool:
@@ -529,9 +605,12 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
     as its sorted terms), stored for every level a chain passes once its
     outcome is known, and read back by any later chain that reaches an
     equal key.  A hit skips only work that an equal key already ran to
-    its end without tripping a cap.  A tail of one entry, a candidate
-    against a carried theta, is the single contraction fbar^(p-s) ⌟ theta,
-    cheaper than building its key, and is not memoized.
+    its end without tripping a cap.  Each stage j >= 1 is also memoized on
+    its own, under its box clamped to the reach of its products
+    (``_stage``), so the top stages, which no outcome key of an earlier
+    depth matches, are formed once per run.  A tail of one entry, a
+    candidate against a carried theta, is the single contraction
+    fbar^(p-s) ⌟ theta, cheaper than building its key, and is not memoized.
     """
     ctx = ws.h.ctx
     p = ctx.p
@@ -543,25 +622,26 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
         if got:
             frontier.formed[s] = got
         return got == {}
-    boxes, caps = _box_chain(ws, frontier, ls)
+    boxes = _box_chain(ws, frontier, ls)
     memo = frontier.memo
     visited = []
-    gens = [{0: 1}]  # the unit ideal: the monomial 1 packs to 0
+    ideal = _gens(ctx, [{0: 1}])  # the unit ideal: the monomial 1 packs to 0
     k = p - s
     for j in range(len(ls), -1, -1):
-        key = (tail[:j], k, tuple(tuple(sorted(g.items())) for g in gens))
+        key = (tail[:j], k, ideal.key)
         got = memo.get(key)
         if got is not None:
             break
         visited.append(key)
         if not j:
             fmul = ws.f_terms(k, boxes[0])
-            got = all(_kills(_mul_terms(g, fmul, p, *caps[0]), frontier.theta, ctx) for g in gens)
+            cap = exponent_cap(ctx, boxes[0])
+            got = all(
+                _kills(_mul_terms(g, fmul, p, *cap), frontier.theta, ctx) for g in ideal.gens
+            )
             break
-        box, cap = boxes[j], caps[j]
-        w = _mul_terms(ws.f_terms(k, box), ws.delta_terms(ls[j - 1], box), p, *cap)
-        gens = root_generators(ctx, (_mul_terms(g, w, p, *cap) for g in gens))
-        if not gens:
+        ideal = _stage(ws, frontier, ideal, k, ls[j - 1], boxes[j])
+        if not ideal.gens:
             got = True
             break
         k = p - ls[j - 1] - 1

@@ -40,6 +40,7 @@ from pptlab.ring import (
     contract_terms,
     exponent_box,
     exponent_cap,
+    mul_terms,
 )
 
 from oracles import capped_scan_sequence, random_int_poly, reduce_mod, truncated_contained
@@ -315,6 +316,86 @@ def test_live_box_is_sound():
         for i, ui in enumerate(live):
             if ui:
                 assert not dead(tuple(ui - 1 if j == i else 0 for j in range(n)))
+
+
+def test_clamped_live_box_matches_its_definition():
+    # the workspace takes U(out) from U(min(out, R)) for the reach R of
+    # fbar^k, shifted by out - min(out, R), or zeros; every box, below,
+    # straddling or past R, must give the U_i = max(out_i - m_i) over the
+    # monomials m < out of the full power, and zeros when there is none
+    rng = random.Random(414)
+    kinds = set()
+    for _ in range(120):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 4)
+        h = random_hypersurface(rng, p, n)
+        ws = _Workspace(h)
+        degrees = [b - 1 for b in exponent_box(h.f_res.terms, n)]
+        for k in range(p):
+            support = [h.ctx.decode_monomial(m) for m in h.f_res_power(k).terms]
+            reach = [k * d + 1 for d in degrees]
+            boxes = [
+                tuple(rng.randrange(1, r + 1) for r in reach),
+                tuple(r + rng.randrange(-1, 2) * rng.randrange(r) for r in reach),
+                tuple(r + rng.randrange(3 * p) for r in reach),
+                tuple(r + rng.randrange(3 * p) for r in reach),
+                (1,) * n,
+            ]
+            for out in boxes:
+                below = [m for m in support if all(mi < oi for mi, oi in zip(m, out))]
+                want = tuple(max((o - m[i] for m in below), default=0) for i, o in enumerate(out))
+                assert ws.live_box(k, out) == want, (p, h.f_res, k, out)
+                past = [o >= r for o, r in zip(out, reach)]
+                kind = "past" if all(past) else "straddles" if any(past) else "below"
+                kinds.add(kind if below else "none")
+    assert kinds == {"none", "below", "straddles", "past"}, kinds
+
+
+def test_stage_memo_is_keyed_by_the_clamped_box():
+    # one stage with the same generators, k and l under a box that
+    # truncates its products and under two boxes past their reach R =
+    # box(G) + k * d_f + l * d_delta: each result must be the root
+    # generators of its own capped products, which a memo key without the
+    # clamped box would not give, and the boxes past R share one entry
+    rng = random.Random(415)
+    truncated = 0
+    for _ in range(80):
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(1, 4)
+        h = random_hypersurface(rng, p, n)
+        ctx = h.ctx
+        k, l = rng.randrange(p + 1), rng.randrange(p)
+        w = mul_terms(h.f_res_power(k).terms, h.delta_power(l).terms, p)
+        if not w:
+            continue
+        gens = [
+            {
+                ctx.encode_monomial(tuple(rng.randrange(3) for _ in range(n))): rng.randrange(1, p)
+                for _ in range(rng.randrange(1, 4))
+            }
+            for _ in range(rng.randrange(1, 3))
+        ]
+        ideal = ladder._gens(ctx, gens)
+        f_deg = [b - 1 for b in exponent_box(h.f_res.terms, n)]
+        d_deg = [p * (b - 1) for b in exponent_box(h.f_lift.terms, n)]
+        reach = tuple(g + k * f + l * d for g, f, d in zip(ideal.box, f_deg, d_deg))
+        top = [g + b - 1 for g, b in zip(ideal.box, exponent_box(w, n))]
+        low = tuple(rng.randrange(1, t + 1) for t in top)
+        ws, front = _Workspace(h), _theta_0(ctx)
+        results = []
+        for box in (low, tuple(r + rng.randrange(4) for r in reach), tuple(p**9 * r for r in reach)):
+            got = ladder._stage(ws, front, ideal, k, l, box)
+            cap = exponent_cap(ctx, box)
+            want = canonical(ideals.root_generators(ctx, [mul_terms(g, w, p, *cap) for g in gens]))
+            assert canonical(got.gens) == want, (p, h.f_lift, gens, k, l, box)
+            results.append(want)
+        assert len(front.stages) == len({low, reach}), (low, reach)
+        truncated += results[0] != results[1]
+    assert truncated >= 10, truncated
+
+
+def canonical(gens):
+    return sorted(tuple(sorted(g.items())) for g in gens)
 
 
 def test_capped_powers_match_truncated_full_powers():
@@ -641,54 +722,55 @@ def test_memoized_scan_matches_memo_free_scan_after_a_drop_back():
     assert sum(len(set(tail)) > 1 for tail in tails) >= 2, tails
 
 
-def test_scan_work_grows_linearly_with_depth(monkeypatch):
-    # theta drops back at depth 3 here; without the suffix memo every later
-    # depth re-ran the whole tail for each candidate, 252 u-bucket splits at
-    # depth 12 and 1,092 at depth 24
-    calls = []
-    split = ideals._u_buckets
+def test_scan_stage_work_is_the_same_at_depth_12_and_24(monkeypatch):
+    # theta drops back early here, so every later depth runs the theta_0
+    # chain over the whole tail.  Each stage is memoized under its box
+    # clamped to the reach of its products, and the live boxes grow p-fold
+    # per level, so the top stages of every chain are past that reach and
+    # the same at every depth: depth 24 forms no product and runs no u step
+    # that depth 12 does not.  With the stages keyed by the tail, p = 13
+    # took 71 products and 30 u steps at depth 12, 143 and 66 at depth 24
+    counts = {"_mul_terms": 0, "root_generators": 0}
 
-    def counted(ctx, terms):
-        calls.append(len(terms))
-        return split(ctx, terms)
+    def count(name):
+        real = getattr(ladder, name)
 
-    # the scan's u step splits its products in ideals.root_generators
-    monkeypatch.setattr(ideals, "_u_buckets", counted)
-    h = hypersurface(13, ["x", "y"], "x + y^3")
-    counts = {}
-    for depth in (12, 24):
-        calls.clear()
-        assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
-        counts[depth] = len(calls)
-    assert counts[12] <= 60, counts
-    assert counts[24] < 2.5 * counts[12], counts
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ladder, name, counted)
+
+    for name in counts:
+        count(name)
+    for p in (2, 5, 13):
+        h = hypersurface(p, ["x", "y"], "x + y^3")
+        work = {}
+        for depth in (12, 24):
+            counts.update(_mul_terms=0, root_generators=0)
+            assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+            work[depth] = dict(counts)
+        assert work[24] == work[12], (p, work)
 
 
 def test_scan_builds_each_depths_boxes_once(monkeypatch):
     # the box chain of a committed tail extends its parent's by one live
-    # box, so each depth after the drop-back costs one live_box call; every
+    # box, so each depth after the first costs one live_box call; every
     # candidate walking the whole tail took 252 calls at depth 12 and 1,092
-    # at depth 24.  Powers under boxes that cannot truncate them share the
-    # full power, which took the products from 205 to 107 at depth 12
-    counts = {"live_box": 0, "mul_terms": 0}
-    live_box, mul_terms = _Workspace.live_box, ladder._mul_terms
+    # at depth 24
+    calls = []
+    live_box = _Workspace.live_box
 
-    def counted_live_box(self, k, out):
-        counts["live_box"] += 1
+    def counted(self, k, out):
+        calls.append(k)
         return live_box(self, k, out)
 
-    def counted_mul_terms(*args):
-        counts["mul_terms"] += 1
-        return mul_terms(*args)
-
-    monkeypatch.setattr(_Workspace, "live_box", counted_live_box)
-    monkeypatch.setattr(ladder, "_mul_terms", counted_mul_terms)
+    monkeypatch.setattr(_Workspace, "live_box", counted)
     h = hypersurface(13, ["x", "y"], "x + y^3")
     for depth in (12, 24):
-        counts.update(live_box=0, mul_terms=0)
+        calls.clear()
         assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
-        assert counts["live_box"] <= depth, (depth, counts)
-        assert depth > 12 or counts["mul_terms"] <= 130, counts
+        assert len(calls) == depth - 1, (depth, calls)
 
 
 def test_scan_probes_candidates_upward_from_zero(monkeypatch):
@@ -751,11 +833,11 @@ LEDGER_CASES = [
     (7, "x,y,z", "x^3 + y^3 + z^3", 4, (2, 5, 1, 0, 0)),
     (3, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 6, (8, 3, 5, 0, 0)),
     (13, "x1,x2", "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2", 12, (13, 22, 8, 0, 0)),
-    (13, "x,y", "x + y^3", 12, (24, 71, 5, 11, 30)),
-    (2, "x,y", "x + y^3", 8, (24, 45, 6, 7, 21)),
-    (3, "x,y", "x + y^3", 8, (32, 54, 6, 7, 25)),
-    (5, "x,y", "x + y^3", 8, (48, 82, 5, 7, 38)),
-    (7, "x0,x1,x2,x3", "25*x2^2*x3 + x0*x2*x3^3 + x0*x1 + 10*x0^2*x1*x2", 4, (8, 19, 5, 3, 6)),
+    (13, "x,y", "x + y^3", 12, (24, 17, 5, 11, 3)),
+    (2, "x,y", "x + y^3", 8, (24, 13, 6, 7, 5)),
+    (3, "x,y", "x + y^3", 8, (32, 16, 6, 7, 6)),
+    (5, "x,y", "x + y^3", 8, (48, 20, 5, 7, 7)),
+    (7, "x0,x1,x2,x3", "25*x2^2*x3 + x0*x2*x3^3 + x0*x1 + 10*x0^2*x1*x2", 4, (8, 13, 5, 3, 3)),
 ]
 
 
