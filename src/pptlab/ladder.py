@@ -47,16 +47,14 @@ theta_0 = y^(p-1, ..., p-1), so Ann_E(P_k) = R * theta_k stays cyclic,
 with l_k single contractions by delta, and g lies in P_k iff
 g ⌟ theta_k = 0.  So ``splitting_sequence`` carries theta from depth to
 depth (``_Frontier``, ``_advance``): each candidate s is one contraction
-fbar^(p-s) ⌟ theta_k, and each depth one step of theta.  From theta_0
-this is the capped scan's own final test: x^t ⌟ theta_0 is nonzero iff
-every t_i < p, and distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0
-iff g is empty modulo (x_i^p).
+fbar^(p-s) ⌟ theta_k, and each depth one step of theta.
 
 theta grows about p-fold per depth on some inputs, so a step gives up,
-and the run goes on from theta_0 with the whole prefix as the tail, when
+and the run holds no theta for the rest of its depths, each of which
+runs the capped scan over the whole prefix, when
 
 - the kept theta would have more than p^N terms, the size of the
-  theta_0 scan's base box;
+  capped scan's base box (p, ..., p);
 - an intermediate of the step would have more than
   ``max_workspace_monomials`` terms;
 - F would push an exponent to 2^31 or beyond, past what a packed
@@ -69,35 +67,37 @@ reached so far may still cancel, so this can send a step to the scan
 where the whole contraction would have fitted; both paths are exact, so
 only the path can change, never an entry.
 
-From theta_0, ``_new_part_contained`` is the capped scan: one capped
+With no theta, ``_new_part_contained`` is the capped scan: one capped
 product and one u step per live box, which keeps only the monomials that
-can still reach a final monomial below theta's box, each u step keeping
+can still reach a final monomial below (p, ..., p), each u step keeping
 the ideal of its rows rather than their F_p-span
 (``ideals.root_generators``, the root kernel the nu chains share; the
-``MonomialAntichain`` docstring says why this is exact).
-Every cap is one ``ring.exponent_cap`` test.  A power is clamped to its
-reach first, the box past which it has no monomial: boxes at or past the
-reach share the full power, read once per exponent from
-``Hypersurface``, and a box that truncates gets its power from capped
-factors inside it, never in full (``_Workspace``).  The contraction, F,
-the products and the u-bucket split are ``ring`` kernels, beside the
-packed monomial whose fields they read.
+``MonomialAntichain`` docstring says why this is exact).  Its final test
+reads no theta: x^t ⌟ theta_0 is nonzero iff every t_i < p, and
+distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0 iff g is empty
+modulo (x_i^p).  Every cap is one ``ring.exponent_cap`` test.  A power
+is clamped to its reach first, the box past which it has no monomial:
+boxes at or past the reach share the full power, read once per exponent
+from ``Hypersurface``, and a box that truncates gets its power from
+capped factors inside it, never in full (``_Workspace``).  The
+contraction, F, the products and the u-bucket split are ``ring``
+kernels, beside the packed monomial whose fields they read.
 
-After a drop-back, every later depth runs the chain from theta_0 over
-the whole tail, once per candidate s, and the tails of one run share
-their stages.  At the top of its level j the rest of a chain reads only
-theta, the entries tail[:j], k_j and the generators of I_j, so each
-frontier memoizes the outcome under exactly that key
+After a drop-back, every later depth runs the chain over the whole
+prefix, once per candidate s, and the chains of one run share their
+stages.  At the top of its level j the rest of a chain reads only the
+entries tail[:j], k_j and the generators of I_j, so the run's
+``_Workspace`` memoizes the outcome under exactly that key
 (``_new_part_contained``).  A chain that reaches a level some earlier
 chain passed stops there.  The live boxes of a tail depend only on the
-tail, so the frontier also keeps them per committed tail (``_box_chain``),
-each extending its parent's by one ``live_box`` step.
+tail, so the workspace also keeps them per committed tail
+(``_box_chain``), each extending its parent's by one ``live_box`` step.
 
 The top stages of a chain sit under live boxes that grow p-fold per
 level, and a stage reads its box B only through min(B, R), where R
 bounds the exponents of its products: 1 + the largest exponent of its
 generators plus k * d_f + l * d_delta, with the degree bounds of
-``_Workspace``.  So each frontier also memoizes a stage's generators
+``_Workspace``.  So the workspace also memoizes a stage's generators
 under (generators, k, l, min(B, R)) (``_stage``), and the top stages,
 past R, are the same at every depth: after a drop-back, each depth
 forms only the products and u steps of the levels its new entry reaches.
@@ -118,13 +118,12 @@ every later entry repeats the block s_(j+1)..s_k (the finiteness argument
 of Blickle-Mustata-Smith).  ``splitting_sequence`` keys each theta by its
 terms scaled so that its largest monomial has coefficient 1, and on a
 repeat reads the later entries off the block instead of scanning them.
-It keys theta_0 at depth 0, which is P_0, and after that only a theta
-that ``_advance`` carried to the current depth: after a drop-back the
-frontier is theta_0 with the whole prefix as its tail, not P_n, and would
-match depth 0's key on every drop-back.  theta = 0 is never keyed, as it
-makes the next entry p.  Every block entry is below p.  On the p=7 Fermat
-quartic theta_2 is a multiple of theta_0, so depths 1 and 2 are scanned
-at any depth: 4 contractions at depth 5 and at depth 24.
+It keys theta_0 at depth 0, which is P_0, and after that each theta
+that ``_advance`` carries; after a drop-back the run holds no theta and
+keys nothing.  theta = 0 is never keyed, as it makes the next entry p.
+Every block entry is below p.  On the p=7 Fermat quartic theta_2 is a
+multiple of theta_0, so depths 1 and 2 are scanned at any depth: 4
+contractions at depth 5 and at depth 24.
 """
 
 from __future__ import annotations
@@ -169,7 +168,7 @@ class SplitSequence:
     ``per_depth_ms`` holds the time of each depth, read-off depths
     included, and ``frontier_depth`` the k of the deepest dual element
     theta_k the run kept: s_1..s_(k+1) were each read off contractions
-    against one theta, later entries came from the theta_0 scan or, after
+    against one theta, later entries came from the capped scan or, after
     a repeat at k, from the block.  None of the three takes part in
     comparisons.
     """
@@ -250,14 +249,24 @@ class _Workspace:
     when there is one, and zeros otherwise; the boxes past R share one
     decode of fbar^k.  The capped chain clamps each stage's box by these
     degree bounds too (``_stage``).
+
+    The workspace also holds the capped chain's memos: ``memo`` the
+    outcomes of chain suffixes (``_new_part_contained``); ``stages`` the
+    generators that single stages produced (``_stage``), apart from
+    ``memo``, whose values are outcomes; and ``chains`` the live boxes of
+    each committed tail (``_box_chain``), from the empty tail's
+    (B_0,) = ((p, ..., p),).
     """
 
-    __slots__ = ("h", "_cache", "_degrees")
+    __slots__ = ("h", "_cache", "_degrees", "memo", "stages", "chains")
 
     def __init__(self, h: Hypersurface):
         self.h = h
         self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
         p, n = h.ctx.p, h.ctx.n_vars
+        self.memo: dict[tuple, bool] = {}
+        self.stages: dict[tuple, _Gens] = {}
+        self.chains: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {(): ((p,) * n,)}
         self._degrees = {
             "f": tuple(b - 1 for b in exponent_box(h.f_res.terms, n)),
             "d": tuple(p * (b - 1) for b in exponent_box(h.f_lift.terms, n)),
@@ -360,32 +369,20 @@ def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
 
 
 class _Frontier(NamedTuple):
-    """The dual element theta_k of a committed prefix's first ``depth``
-    entries, as packed y-monomials, and ``box``: 1 + its largest exponent
-    in each variable, all zeros once theta is 0.  ``memo`` holds the
-    results of chain suffixes against this theta
-    (``_new_part_contained``), so it never serves another theta;
-    ``stages`` the generators that single stages of those chains produced
-    (``_stage``), apart from ``memo``, whose values are outcomes;
-    ``chains`` the live boxes of the committed tails run against it
-    (``_box_chain``); and ``formed`` the nonzero contractions
+    """The dual element theta_k of a committed prefix s_1..s_k, as packed
+    y-monomials, and ``box``: 1 + its largest exponent in each variable,
+    all zeros once theta is 0.  ``formed`` holds the nonzero contractions
     fbar^(p-s) ⌟ theta that probes of a candidate s formed in full, for
     ``_advance``."""
 
-    depth: int
     theta: dict[int, int]
     box: tuple[int, ...]
-    memo: dict[tuple, bool]
-    stages: dict[tuple, _Gens]
-    chains: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
     formed: dict[int, dict[int, int]]
 
 
 def _theta_0(ctx) -> _Frontier:
     p = ctx.p
-    return _Frontier(
-        0, {ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {}, {}, {}, {}
-    )
+    return _Frontier({ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {})
 
 
 def _theta_key(theta: dict[int, int], p: int) -> frozenset:
@@ -411,11 +408,6 @@ def _contraction(g: dict[int, int], theta: dict[int, int], ctx) -> dict[int, int
     if (max(theta) + guard - min(g)) & guard == guard:
         return None
     return _contract(g, theta, ctx.n_vars, ctx.p)
-
-
-def _kills(g: dict[int, int], theta: dict[int, int], ctx) -> bool:
-    """Whether g ⌟ theta = 0."""
-    return _contraction(g, theta, ctx) == {}
 
 
 def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
@@ -455,39 +447,28 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
             return None
     if len(theta) > keep:
         return None
-    return _Frontier(front.depth + 1, theta, exponent_box(theta, n), {}, {}, {}, {})
+    return _Frontier(theta, exponent_box(theta, n), {})
 
 
-def _follow(ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]) -> _Frontier:
-    """The frontier for ``prefix`` from the one for prefix[:-1]: theta
-    advanced over the last entry while it keeps up with the prefix, and
-    theta_0 for the rest of the run once a step drops back."""
-    if front.depth < len(prefix) - 1:
-        return front
-    return _advance(ws, front, prefix[-1]) or _theta_0(ws.h.ctx)
-
-
-def _box_chain(
-    ws: _Workspace, frontier: _Frontier, ls: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
+def _box_chain(ws: _Workspace, ls: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The boxes B_0..B_m of the committed tail ``ls`` = (l_0, ..., l_(m-1))
     (``_new_part_contained``).
 
-    B_0..B_j depend only on the frontier's box and ls[:j], so the entry
-    for ls extends the one for ls[:-1] by one ``live_box`` step, and each
-    is kept in ``frontier.chains`` under exactly its tail: all candidates
-    of a depth, and the next depth, share it.
+    B_0..B_j depend only on ls[:j], so the entry for ls extends the one
+    for ls[:-1] by one ``live_box`` step, and each is kept in
+    ``ws.chains`` under exactly its tail, from the empty tail's (B_0,):
+    all candidates of a depth, and the next depth, share it.
     """
-    chains = frontier.chains
+    chains = ws.chains
     chain = chains.get(ls)
     if chain is None:
-        ctx = ws.h.ctx
+        p = ws.h.ctx.p
         j = len(ls) - 1
-        while j and ls[:j] not in chains:
+        while ls[:j] not in chains:
             j -= 1
-        chain = chains[ls[:j]] if j else (frontier.box,)
+        chain = chains[ls[:j]]
         for i in range(j, len(ls)):
-            box = tuple(ctx.p * b for b in ws.live_box(ctx.p - ls[i] - 1, chain[-1]))
+            box = tuple(p * b for b in ws.live_box(p - ls[i] - 1, chain[-1]))
             chains[ls[: i + 1]] = chain = chain + (box,)
     return chain
 
@@ -510,9 +491,7 @@ def _gens(ctx, gens: list[dict[int, int]]) -> _Gens:
     )
 
 
-def _stage(
-    ws: _Workspace, frontier: _Frontier, ideal: _Gens, k: int, l: int, box: tuple[int, ...]
-) -> _Gens:
+def _stage(ws: _Workspace, ideal: _Gens, k: int, l: int, box: tuple[int, ...]) -> _Gens:
     """One stage of the capped chain (``_new_part_contained``): the
     generators of u(F_*(I * fbar^k * delta^l mod D(box))), where ``ideal``
     generates I.
@@ -524,7 +503,7 @@ def _stage(
     taken inside c are the ones taken inside ``box``, as each power's own
     reach lies inside R.  So the products, hence the u step's rows and its
     generators, depend on ``box`` only through c.  The result is memoized on
-    the frontier under (ideal.key, k, l, c): the top stages of a chain,
+    the workspace under (ideal.key, k, l, c): the top stages of a chain,
     whose live boxes are past R, are the same at every depth.
     """
     ctx = ws.h.ctx
@@ -532,26 +511,25 @@ def _stage(
     degrees = zip(box, ideal.box, ws._degrees["f"], ws._degrees["d"])
     clamped = tuple(min(b, g + k * f + l * d) for b, g, f, d in degrees)
     key = (ideal.key, k, l, clamped)
-    got = frontier.stages.get(key)
+    got = ws.stages.get(key)
     if got is None:
         cap = exponent_cap(ctx, clamped)
         w = _mul_terms(ws.f_terms(k, clamped), ws.delta_terms(l, clamped), p, *cap)
         got = _gens(ctx, root_generators(ctx, (_mul_terms(g, w, p, *cap) for g in ideal.gens)))
-        frontier.stages[key] = got
+        ws.stages[key] = got
     return got
 
 
-def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ...]) -> bool:
+def _new_part_contained(ws: _Workspace, front: _Frontier | None, tail: tuple[int, ...]) -> bool:
     """Whether the new part of the ladder ideal for the index
     (committed prefix) + ``tail`` lies in (x_1^p, ..., x_N^p), where
-    ``frontier`` is theta_k of the prefix's first k entries and ``tail``
-    the rest of the index.
+    ``front`` is theta_k of the whole committed prefix and ``tail`` = (s,),
+    or ``front`` is None, after a drop-back, and ``tail`` the whole index.
 
-    Write the tail as (l_0, ..., l_(m-2), s), the linear part of its stage
-    j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)), so stage j maps
-    K to T_j(K) + (fbar^(p-l_j)), and P for the ideal of theta.  T_j is
-    additive in K, because the u-image of a sum of ideals is the sum of
-    the u-images, so with the frontier at theta_0
+    Write the tail as (l_0, ..., l_(m-2), s) and the linear part of its
+    stage j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)), so stage
+    j maps K to T_j(K) + (fbar^(p-l_j)).  T_j is additive in K, because
+    the u-image of a sum of ideals is the sum of the u-images, so
 
         L(l_0, ..., l_(m-2), s) = T_0 ... T_(m-2) (fbar^(p-s))
                                   + L(l_0, ..., l_(m-2)).
@@ -559,15 +537,16 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
     The new part is the first summand.  A sum of ideals lies in a monomial
     ideal iff each summand does, so once the prefix's ladder ideal is known
     to be contained, the new part alone decides containment, and this
-    chain never forms the generators fbar^(p-l_j).  From theta_k the first
-    k stages are folded into P (module docstring): the new part is
-    contained iff T_0 ... T_(m-2)(fbar^(p-s)) lies in P.  With m = 1 that
-    is the one contraction fbar^(p-s) ⌟ theta = 0.
+    chain never forms the generators fbar^(p-l_j).  A carried theta_k
+    folds every stage of the prefix into its ideal P_k (module docstring),
+    so against it the new part of (s,) is contained iff
+    fbar^(p-s) ⌟ theta_k = 0: one contraction, cheaper than a memo key,
+    and not memoized.
 
-    Write D(B) for the monomial ideal (x_1^B_1, ..., x_N^B_N), take
-    B_0 = the frontier's box, so x^a ⌟ theta = 0 and D(B_0) lies in P,
-    and B_(j+1) = p * U_j with U_j = ``live_box(p-l_j-1, B_j)``, so
-    x^b * fbar^(p-l_j-1) lies in D(B_j) once some b_i >= U_j,i.  Then
+    With no theta, write D(B) for the monomial ideal
+    (x_1^B_1, ..., x_N^B_N), take B_0 = (p, ..., p) and B_(j+1) = p * U_j
+    with U_j = ``live_box(p-l_j-1, B_j)``, so x^b * fbar^(p-l_j-1) lies in
+    D(B_j) once some b_i >= U_j,i.  Then
     u(F_* D(p * U_j)) lies in D(U_j), as u(F_*(x^(p*c) g)) = x^c * u(F_* g);
     fbar^(p-l_j-1) * D(U_j) lies in D(B_j); and delta^(l_j) * D(B_(j+1))
     lies in D(B_(j+1)).  So T_j(K) + D(B_j) depends only on
@@ -591,39 +570,35 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
     Each u step keeps the ideal of its rows, not their F_p-span
     (``ideals.root_generators``; ``MonomialAntichain`` says why that is
     sound): the bucket rows u(F_*(x^e * g * w_j)) over generators g of I_j
-    generate the u-image.  R * theta is an R-module,
-    (r * g) ⌟ theta = r ⌟ (g ⌟ theta), so the new part is contained iff
-    (g * fbar^(k_0)) ⌟ theta = 0 for every generator g of I_0, and the
-    truncation mod D(B_0) changes none of these contractions.
+    generate the u-image.  So the new part is contained iff
+    g * fbar^(k_0) mod D(B_0) is 0 for every generator g of I_0.
 
-    The outcome is memoized on the frontier.  At the top of level j the
-    rest of the chain reads theta; the entries tail[:j], which fix the
-    boxes B_0..B_j and the powers delta^(l_0)..delta^(l_(j-1)) and
+    The outcome is memoized on the workspace.  At the top of level j the
+    rest of the chain reads the entries tail[:j], which fix the boxes
+    B_0..B_j and the powers delta^(l_0)..delta^(l_(j-1)) and
     fbar^(k_0)..fbar^(k_(j-1)); k_j; and the generators of I_j, nothing
     else.  So "contained from here on" is a function of (tail[:j], k_j,
-    generators) for the frontier's theta, keyed exactly (each generator
-    as its sorted terms), stored for every level a chain passes once its
-    outcome is known, and read back by any later chain that reaches an
-    equal key.  A hit skips only work that an equal key already ran to
-    its end without tripping a cap.  Each stage j >= 1 is also memoized on
-    its own, under its box clamped to the reach of its products
-    (``_stage``), so the top stages, which no outcome key of an earlier
-    depth matches, are formed once per run.  A tail of one entry, a
-    candidate against a carried theta, is the single contraction
-    fbar^(p-s) ⌟ theta, cheaper than building its key, and is not memoized.
+    generators), keyed exactly (each generator as its sorted terms),
+    stored for every level a chain passes once its outcome is known, and
+    read back by any later chain that reaches an equal key.  A hit skips
+    only work that an equal key already ran to its end without tripping a
+    cap.  Each stage j >= 1 is also memoized on its own, under its box
+    clamped to the reach of its products (``_stage``), so the top stages,
+    which no outcome key of an earlier depth matches, are formed once per
+    run.
     """
     ctx = ws.h.ctx
     p = ctx.p
-    ls, s = tail[:-1], tail[-1]
-    if not ls:
-        # one contraction, cheaper than its memo key; kept for _advance when
-        # formed and nonzero
-        got = _contraction(ws.f_terms(p - s, frontier.box), frontier.theta, ctx)
+    if front:
+        (s,) = tail
+        # kept for _advance when formed and nonzero
+        got = _contraction(ws.f_terms(p - s, front.box), front.theta, ctx)
         if got:
-            frontier.formed[s] = got
+            front.formed[s] = got
         return got == {}
-    boxes = _box_chain(ws, frontier, ls)
-    memo = frontier.memo
+    ls, s = tail[:-1], tail[-1]
+    boxes = _box_chain(ws, ls)
+    memo = ws.memo
     visited = []
     ideal = _gens(ctx, [{0: 1}])  # the unit ideal: the monomial 1 packs to 0
     k = p - s
@@ -636,11 +611,9 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
         if not j:
             fmul = ws.f_terms(k, boxes[0])
             cap = exponent_cap(ctx, boxes[0])
-            got = all(
-                _kills(_mul_terms(g, fmul, p, *cap), frontier.theta, ctx) for g in ideal.gens
-            )
+            got = not any(_mul_terms(g, fmul, p, *cap) for g in ideal.gens)
             break
-        ideal = _stage(ws, frontier, ideal, k, ls[j - 1], boxes[j])
+        ideal = _stage(ws, ideal, k, ls[j - 1], boxes[j])
         if not ideal.gens:
             got = True
             break
@@ -650,12 +623,13 @@ def _new_part_contained(ws: _Workspace, frontier: _Frontier, tail: tuple[int, ..
     return got
 
 
-def _scan_next(ws: _Workspace, frontier: _Frontier, prefix: tuple[int, ...]) -> int:
+def _scan_next(ws: _Workspace, front: _Frontier | None, prefix: tuple[int, ...]) -> int:
     """Largest s with the ladder ideal for prefix + (s,) contained.
 
-    The prefix's own ladder ideal must be contained and ``frontier`` be
-    theta_k of its first k entries; then the new part decides containment
-    (``_new_part_contained``).
+    The prefix's own ladder ideal must be contained and ``front`` be the
+    prefix's theta, or None after a drop-back; then the new part decides
+    containment (``_new_part_contained``), one contraction against theta
+    or the capped chain over prefix + (s,).
 
     The search rides the monotonicity upward from the low end.  It probes
     s = 0, which must be contained, then s = 1, 3, 7, ..., 2^i - 1 while
@@ -672,12 +646,12 @@ def _scan_next(ws: _Workspace, frontier: _Frontier, prefix: tuple[int, ...]) -> 
     interval [0, s]: a check of the monotonicity the search relies on.
     """
     p = ws.h.ctx.p
-    tail = prefix[frontier.depth :]
+    tail = () if front else prefix
     results: dict[int, bool] = {}
 
     def contained(s: int) -> bool:
         if s not in results:
-            results[s] = _new_part_contained(ws, frontier, tail + (s,))
+            results[s] = _new_part_contained(ws, front, tail + (s,))
         return results[s]
 
     if not contained(0):
@@ -709,8 +683,8 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
 
     The prefix's ladder ideal must lie in (x_1^p, ..., x_N^p), as every
     committed prefix's does; each entry is checked by what it adds, one
-    contraction against theta while theta keeps up, on the way to the
-    prefix's theta.
+    contraction against theta on the way to the prefix's theta, and the
+    capped chain over the prefix so far once a step has dropped back.
     """
     p = h.ctx.p
     prefix = tuple(prefix)
@@ -720,19 +694,20 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     ws = _Workspace(h)
     front = _theta_0(h.ctx)
     for k in range(1, len(prefix) + 1):
-        if not _new_part_contained(ws, front, prefix[front.depth : k]):
+        if not _new_part_contained(ws, front, prefix[k - 1 : k] if front else prefix[:k]):
             raise InvalidIndexError(
                 f"the ladder ideal of prefix {prefix[:k]} is not inside (x_1^p, ..., x_N^p)"
             )
-        front = _follow(ws, front, prefix[:k])
+        front = front and _advance(ws, front, prefix[k - 1])
     return _scan_next(ws, front, prefix)
 
 
 def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
-    """Compute s_0..s_depth, carrying theta from depth to depth and timing
-    each depth; once an entry hits p the tail is filled with p, and once a
-    carried theta_k is a scalar multiple of an earlier theta_j the later
-    entries repeat the block s_(j+1)..s_k (module docstring).
+    """Compute s_0..s_depth, carrying theta from depth to depth until a
+    step drops back and timing each depth; once an entry hits p the tail
+    is filled with p, and once a carried theta_k is a scalar multiple of
+    an earlier theta_j the later entries repeat the block s_(j+1)..s_k
+    (module docstring).
 
     The exact ladder ideal of a step n is ``compute_ladder(h,
     values[1:n+1])``; ``cli`` builds ``--trace`` from it.
@@ -756,10 +731,11 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
             s = _scan_next(ws, front, prefix)
         prefix += (s,)
         if not repeat and s < p and n < depth:
-            front = _follow(ws, front, prefix)
-            deepest = max(deepest, front.depth)
-            # only a carried theta is P_n's; theta = 0 makes the next entry p
-            if front.depth == n and front.theta:
+            front = front and _advance(ws, front, s)
+            if front:
+                deepest = n
+            # theta = 0 makes the next entry p
+            if front and front.theta:
                 key = _theta_key(front.theta, p)
                 if key in seen:
                     repeat = (seen[key], n)

@@ -103,42 +103,42 @@ def random_int_poly(rng, n_vars, max_terms=5, max_exp=4, max_coeff=30) -> dict:
     return {e: c for e, c in terms.items() if c}
 
 
-def truncated_contained(ws, entries: tuple) -> bool:
+def truncated_contained(h, entries: tuple) -> bool:
     """Whether the ladder ideal for ``entries`` lies in (x_1^p, .., x_N^p).
 
     Unwinding the split in ``ladder._new_part_contained``, the ladder ideal
     is the sum of the new parts of the prefixes entries[:k], k = 1..n, so it
-    is contained iff each of them is.  Each of them runs as a whole chain
-    from a fresh theta_0, whose memo no other chain shares.
+    is contained iff each of them is.  Each of them runs as a whole capped
+    chain in a fresh ``ladder._Workspace``, whose memos no other chain
+    shares.
     """
-    from pptlab.ladder import _new_part_contained, _theta_0
+    from pptlab.ladder import _new_part_contained, _Workspace
 
-    ctx = ws.h.ctx
     return all(
-        _new_part_contained(ws, _theta_0(ctx), entries[:k]) for k in range(1, len(entries) + 1)
+        _new_part_contained(_Workspace(h), None, entries[:k]) for k in range(1, len(entries) + 1)
     )
 
 
 def capped_scan_sequence(h, depth: int) -> tuple:
     """s_0..s_depth from the capped scan alone: every entry is read off the
-    whole chain from theta_0 (``ladder._new_part_contained`` with the full
-    prefix as its tail), as the sequence was before it carried theta.  Each
-    candidate runs from a fresh theta_0, so no chain reads a suffix result
-    that another stored, and a binary search over [0, p], which
-    containment's monotonicity allows, picks the entry.  The bisection is
-    kept on purpose: the engine searches upward from s = 0
-    (``ladder._scan_next``), so this oracle visits the candidates in
-    another order and stays independent of the engine's search."""
-    from pptlab.ladder import _new_part_contained, _theta_0, _Workspace
+    whole capped chain (``ladder._new_part_contained`` with no theta and the
+    full prefix as its tail), as the sequence was before it carried theta.
+    Each candidate runs in a fresh ``ladder._Workspace``, so no chain reads
+    a suffix result, stage or box chain that another stored, and a binary
+    search over [0, p], which containment's monotonicity allows, picks the
+    entry.  The bisection is kept on purpose: the engine searches upward
+    from s = 0 (``ladder._scan_next``), so this oracle visits the
+    candidates in another order and stays independent of the engine's
+    search."""
+    from pptlab.ladder import _new_part_contained, _Workspace
 
     p = h.ctx.p
-    ws = _Workspace(h)
     prefix: tuple = ()
     while len(prefix) < depth and p not in prefix:
         lo, hi = 0, p
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if _new_part_contained(ws, _theta_0(h.ctx), prefix + (mid,)):
+            if _new_part_contained(_Workspace(h), None, prefix + (mid,)):
                 lo = mid
             else:
                 hi = mid - 1

@@ -22,7 +22,7 @@ from pptlab.ideals import (
 from pptlab.ladder import (
     SplitSequence,
     _advance,
-    _kills,
+    _contraction,
     _new_part_contained,
     _theta_0,
     _truncate,
@@ -41,6 +41,7 @@ from pptlab.ring import (
     exponent_box,
     exponent_cap,
     mul_terms,
+    truncate_terms,
 )
 
 from oracles import capped_scan_sequence, random_int_poly, reduce_mod, truncated_contained
@@ -225,13 +226,12 @@ def test_truncated_scan_agrees_with_exact_ladder():
     ]
     for p, names, expr in polys:
         h = hypersurface(p, names, expr)
-        ws = _Workspace(h)
         for n in (1, 2, 3):
             for entries in itertools.product(
                 *([range(p)] * (n - 1) + [range(p + 1)])
             ):
                 exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-                assert truncated_contained(ws, entries) == exact, (p, expr, entries)
+                assert truncated_contained(h, entries) == exact, (p, expr, entries)
 
 
 def test_sequence_of_fermat_quartic_p3():
@@ -381,15 +381,15 @@ def test_stage_memo_is_keyed_by_the_clamped_box():
         reach = tuple(g + k * f + l * d for g, f, d in zip(ideal.box, f_deg, d_deg))
         top = [g + b - 1 for g, b in zip(ideal.box, exponent_box(w, n))]
         low = tuple(rng.randrange(1, t + 1) for t in top)
-        ws, front = _Workspace(h), _theta_0(ctx)
+        ws = _Workspace(h)
         results = []
         for box in (low, tuple(r + rng.randrange(4) for r in reach), tuple(p**9 * r for r in reach)):
-            got = ladder._stage(ws, front, ideal, k, l, box)
+            got = ladder._stage(ws, ideal, k, l, box)
             cap = exponent_cap(ctx, box)
             want = canonical(ideals.root_generators(ctx, [mul_terms(g, w, p, *cap) for g in gens]))
             assert canonical(got.gens) == want, (p, h.f_lift, gens, k, l, box)
             results.append(want)
-        assert len(front.stages) == len({low, reach}), (low, reach)
+        assert len(ws.stages) == len({low, reach}), (low, reach)
         truncated += results[0] != results[1]
     assert truncated >= 10, truncated
 
@@ -496,7 +496,7 @@ def test_capped_chain_matches_exact_ladder_in_three_and_four_variables():
             entries = tuple(rng.randrange(p) for _ in range(k - 1))
             entries += (rng.randrange(p + 1),)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert truncated_contained(_Workspace(h), entries) == exact, (
+            assert truncated_contained(h, entries) == exact, (
                 p,
                 h.f_lift,
                 entries,
@@ -547,7 +547,7 @@ def test_capped_u_stage_monomials_count_against_the_cap():
     ctx = Context(7, ["x1", "x2", "x3", "x4"], max_workspace_monomials=3)
     h = validate(ctx, parse_poly("x1^4 + x2^4 + x3^4 + x4^4", ctx))
     with pytest.raises(ResourceLimitError) as err:
-        _new_part_contained(_Workspace(h), _theta_0(ctx), (2, 7))
+        _new_part_contained(_Workspace(h), None, (2, 7))
     assert "add" in [entry.name for entry in err.traceback]
     with pytest.raises(ResourceLimitError):
         splitting_sequence(h, 3)
@@ -595,7 +595,7 @@ def test_capped_u_stage_reduction_matches_exact_ladder(monkeypatch):
             entries = tuple(rng.randrange(p) for _ in range(k - 1))
             entries += (rng.choice([0, rng.randrange(p + 1)]),)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert truncated_contained(_Workspace(h), entries) == exact, (
+            assert truncated_contained(h, entries) == exact, (
                 p,
                 h.f_lift,
                 entries,
@@ -689,8 +689,8 @@ def test_theta_zero_makes_the_next_entry_p():
 def test_memoized_scan_matches_memo_free_scan_after_a_drop_back():
     # after a drop-back every depth runs the theta_0 chain over the whole
     # tail and reads the suffix results that earlier depths and candidates
-    # stored; each entry must equal the scan that runs every chain from a
-    # fresh theta_0.  Half the random inputs carry a unit linear term, which
+    # stored; each entry must equal the scan that runs every chain in a
+    # fresh workspace.  Half the random inputs carry a unit linear term, which
     # keeps the sequence below p while theta outgrows p^N.  Those tails are
     # constant; diagonal cubics at p = 11 are supersingular, so theirs
     # alternate 0, 1, and a workspace cap of 40 makes theta drop back at once
@@ -877,7 +877,7 @@ def test_scan_containment_is_an_interval_for_large_p():
     # for p > 5 the scan evaluates a few candidates and relies on the
     # contained ones forming an interval [0, s_n], as does the bisecting
     # oracle.  Here every s in 0..p is evaluated at every committed prefix,
-    # each from a fresh theta_0, and both searches must read the same entry
+    # each in a fresh workspace, and both searches must read the same entry
     rng = random.Random(20)
     entries = set()
     for _ in range(120):
@@ -892,10 +892,9 @@ def test_scan_containment_is_an_interval_for_large_p():
         h = validate(ctx, LiftPoly(ctx, f))
         values = splitting_sequence(h, 4).values
         assert values == capped_scan_sequence(h, 4), (p, f)
-        ws = _Workspace(h)
         for k in range(1, 5):
             prefix = values[1:k]
-            hits = [s for s in range(p + 1) if _new_part_contained(ws, _theta_0(ctx), prefix + (s,))]
+            hits = [s for s in range(p + 1) if _new_part_contained(_Workspace(h), None, prefix + (s,))]
             assert hits == list(range(values[k] + 1)), (p, f, prefix, hits)
             entries.add("0" if values[k] == 0 else "p" if values[k] == p else "between")
             if values[k] == p:
@@ -905,21 +904,20 @@ def test_scan_containment_is_an_interval_for_large_p():
 
 def test_box_chain_never_serves_another_tail():
     # the chains are keyed by the whole committed tail: two tails of one
-    # length, run on one theta_0, must each get the outcome a fresh theta_0
-    # gives.  The live boxes differ between the tails of each pair, and so
-    # do their outcomes
+    # length, run in one workspace, must each get the outcome a fresh
+    # workspace gives.  The live boxes differ between the tails of each
+    # pair, and so do their outcomes
     for p, names, expr, tails in (
         (2, "x,y", "x^2 + y^2", [(0, 2), (1, 2)]),
         (5, "x,y,z", "x^3 + y^3 + z^3", [(0, 1), (1, 1)]),
     ):
         h = hypersurface(p, names.split(","), expr)
-        ws = _Workspace(h)
-        alone = [_new_part_contained(ws, _theta_0(h.ctx), tail) for tail in tails]
+        alone = [_new_part_contained(_Workspace(h), None, tail) for tail in tails]
         assert len(set(alone)) == 2, (p, expr, alone)
         for order in (tails, tails[::-1]):
-            front = _theta_0(h.ctx)
+            ws = _Workspace(h)
             for tail in order:
-                got = _new_part_contained(ws, front, tail)
+                got = _new_part_contained(ws, None, tail)
                 assert got == alone[tails.index(tail)], (p, expr, order, tail)
 
 
@@ -958,8 +956,46 @@ def test_kills_agrees_with_the_whole_contraction():
 
         g, theta = terms(rng.randrange(1, 5)), terms(rng.randrange(1, 6))
         zero = not contract_terms(g, theta, n, p)
-        assert _kills(g, theta, ctx) == zero, (p, g, theta)
+        assert (_contraction(g, theta, ctx) == {}) == zero, (p, g, theta)
         low, top = ctx.decode_monomial(min(g)), ctx.decode_monomial(max(theta))
         shortcut = all(a <= b for a, b in zip(low, top))
         outcomes.add((zero, shortcut))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_theta_0_kills_exactly_what_the_cap_at_p_drops():
+    # the capped chain reads no theta: g ⌟ theta_0 = 0 iff every monomial of
+    # g has some exponent >= p, as distinct monomials below (p, ..., p)
+    # contract to distinct y-monomials
+    rng = random.Random(416)
+    outcomes = set()
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 5)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        g = {
+            ctx.encode_monomial(tuple(rng.randrange(2 * p + 1) for _ in range(n))): rng.randrange(1, p)
+            for _ in range(rng.randrange(1, 4))
+        }
+        zero = not truncate_terms(g, *exponent_cap(ctx, p))
+        assert (_contraction(g, _theta_0(ctx).theta, ctx) == {}) == zero, (p, g)
+        outcomes.add(zero)
+    assert outcomes == {True, False}
+
+
+def test_one_entry_chain_is_the_theta_0_contraction():
+    # with no carried theta a one-entry tail runs the chain with no stage,
+    # from the empty tail's box chain, and must read fbar^(p-s) ⌟ theta_0
+    for p, names, expr in (
+        (2, "x,y", "x^2 + y^2"),
+        (5, "x,y,z", "x^3 + y^3 + z^3"),
+        (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4"),
+    ):
+        h = hypersurface(p, names.split(","), expr)
+        theta = _theta_0(h.ctx).theta
+        outcomes = set()
+        for s in range(p + 1):
+            want = _contraction(h.f_res_power(p - s).terms, theta, h.ctx) == {}
+            assert _new_part_contained(_Workspace(h), None, (s,)) == want, (p, expr, s)
+            outcomes.add(want)
+        assert outcomes == {True, False}, (p, expr)

@@ -128,20 +128,20 @@ def test_truncated_scan_matches_exact_on_random_inputs():
         ctx = ps.random_context(rng)
         p = ctx.p
         h = ps.random_hypersurface(rng, ctx)
-        ws = _Workspace(h)
         n = rng.randrange(1, 4)
         entries = tuple(rng.randrange(p) for _ in range(n - 1)) + (
             rng.randrange(p + 1),
         )
         exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-        assert truncated_contained(ws, entries) == exact
+        assert truncated_contained(h, entries) == exact
 
 
 def test_new_part_decides_containment_after_a_contained_prefix():
     # the scan tests only what the last slot adds: once the prefix's exact
     # ladder ideal lies in (x_i^p), that test must give the exact containment
-    # of the whole ladder ideal, for every last slot, from theta_k of every
-    # k entries of the prefix as well as from theta_0 with the whole prefix
+    # of the whole ladder ideal, for every last slot, from theta_k of the
+    # whole prefix when theta keeps up, with the last entry as its tail, as
+    # well as from the capped chain over the whole index (frontier depth 0)
     rng = random.Random(25)
     outcomes = set()
     frontier_depths = set()
@@ -155,19 +155,18 @@ def test_new_part_decides_containment_after_a_contained_prefix():
             continue
         prefixes += 1
         ws = _Workspace(h)
-        fronts = [_theta_0(ctx)]
+        front = _theta_0(ctx)
         for l in prefix:
-            nxt = _advance(ws, fronts[-1], l)
-            if nxt is None:
-                break
-            fronts.append(nxt)
+            front = front and _advance(ws, front, l)
         for s in range(p + 1):
             entries = prefix + (s,)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            for front in fronts:
-                got = _new_part_contained(ws, front, entries[front.depth :])
-                assert got == exact, (p, h.f_lift, entries, front.depth)
-                frontier_depths.add(front.depth)
+            got = {0: _new_part_contained(_Workspace(h), None, entries)}
+            if front:
+                got[len(prefix)] = _new_part_contained(ws, front, (s,))
+            for depth, contained in got.items():
+                assert contained == exact, (p, h.f_lift, entries, depth)
+            frontier_depths.update(got)
             outcomes.add((len(prefix), any(prefix), exact))
     assert len(outcomes) == 8
     assert frontier_depths == {0, 1, 2}

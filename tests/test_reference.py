@@ -16,7 +16,6 @@ import random
 from pptlab.delta import validate
 from pptlab.ideals import ResIdeal, ideal_in_frobenius_power
 from pptlab.ladder import (
-    _Workspace,
     compute_ladder,
     splitting_sequence,
 )
@@ -153,7 +152,7 @@ def test_capped_chain_matches_naive_on_arbitrary_indices():
             want = naive_ladder_contained(
                 reduce_mod(f_int, p), delta_int(f_int, p, n), entries, p, n
             )
-            got = truncated_contained(_Workspace(h), entries)
+            got = truncated_contained(h, entries)
             assert got == want, (p, f_int, entries)
 
 
@@ -199,7 +198,7 @@ def test_capped_chain_matches_exact_ladder_at_large_primes_in_two_variables():
                 entries = (rng.randrange(2, p),) + entries[1:]
             entries += (rng.choice([0, rng.randrange(p + 1)]),)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert truncated_contained(_Workspace(h), entries) == exact, (p, f_int, entries)
+            assert truncated_contained(h, entries) == exact, (p, f_int, entries)
             outcomes.add((p, exact))
     assert len(outcomes) == 4
 
@@ -213,12 +212,11 @@ def test_uncapped_depths_agree_with_exact_ladder():
     h = validate(ctx, parse_poly("x + y^3", ctx))
     assert exponent_cap(ctx, 13**9) == (0, 0)
     seq = splitting_sequence(h, 10)
-    ws = _Workspace(h)
     for n in (9, 10):
         for s in range(14):
             entries = seq.values[1:n] + (s,)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            assert truncated_contained(ws, entries) == exact, (entries, seq.values)
+            assert truncated_contained(h, entries) == exact, (entries, seq.values)
 
 
 def test_known_inputs_match_naive_reference():
