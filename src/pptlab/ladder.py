@@ -9,8 +9,8 @@ to 1, replace K by
 The sequence entry s_n is the largest s in 0..p whose ladder ideal for
 (s_1, ..., s_(n-1), s) lies in (x_1^p, ..., x_N^p).  Containment is
 downward-closed in s because the base ideal grows with the last slot and
-every recursion step preserves inclusions; the search for s_n relies on
-that, and checks it for p <= 5.
+every recursion step preserves inclusions; the sequence engine relies on
+that (below).
 
 ``compute_ladder`` runs that recursion exactly, with the public ideal
 operations: each K is a ``ResIdeal`` (an RREF span), u is ``u_image``,
@@ -46,8 +46,18 @@ theta_0 = y^(p-1, ..., p-1), so Ann_E(P_k) = R * theta_k stays cyclic,
 
 with l_k single contractions by delta, and g lies in P_k iff
 g ⌟ theta_k = 0.  So ``splitting_sequence`` carries theta from depth to
-depth (``_Frontier``, ``_advance``): each candidate s is one contraction
-fbar^(p-s) ⌟ theta_k, and each depth one step of theta.
+depth (``_Frontier``, ``_advance``), and s_(k+1) is the largest s with
+fbar^(p-s) ⌟ theta_k = 0.  E is an R-module, so psi_j = fbar^j ⌟ theta_k
+is one chain, psi_(j+1) = fbar ⌟ psi_j, and psi_j = 0 makes every later
+psi 0: s_(k+1) = p - j for the first j with psi_j = 0 (``_theta_next``).
+The chain decides every candidate at once, by contractions with the
+small fbar, and its contained set is the interval [0, s] by
+construction.  It starts past a leading-term bound: min(fbar^J) is
+J * min(fbar), so psi_J != 0 while J * min(fbar) divides max(theta_k),
+up to some j_lo (``_leading_bound``), and the first psi it forms is
+fbar^(j_lo+1) ⌟ theta_k, from a power capped to theta's box.  The last
+nonzero psi, fbar^(p-s-1) ⌟ theta_k, is the first contraction of the
+step to theta_(k+1).
 
 theta grows about p-fold per depth on some inputs, so a step gives up,
 and the run holds no theta for the rest of its depths, each of which
@@ -55,17 +65,17 @@ runs the capped scan over the whole prefix, when
 
 - the kept theta would have more than p^N terms, the size of the
   capped scan's base box (p, ..., p);
-- an intermediate of the step would have more than
-  ``max_workspace_monomials`` terms;
+- an intermediate of the step, or of the chain that reads the entry,
+  would have more than ``max_workspace_monomials`` terms;
 - F would push an exponent to 2^31 or beyond, past what a packed
   monomial, its caps and the contraction's guard bits hold.
 
-The first contraction of a step stops as soon as it has reached more
-monomials than these bounds let it keep (``ring.contract_terms``'s
-limit), so a step that drops back costs no more than the bound.  Terms
-reached so far may still cancel, so this can send a step to the scan
-where the whole contraction would have fitted; both paths are exact, so
-only the path can change, never an entry.
+The chain's contractions and the first contraction of a step stop as
+soon as they have reached more monomials than these bounds let them keep
+(``ring.contract_terms``'s limit), so a drop-back costs no more than the
+bound.  Terms reached so far may still cancel, so this can send a step
+to the scan where the whole contraction would have fitted; both paths
+are exact, so only the path can change, never an entry.
 
 With no theta, ``_new_part_contained`` is the capped scan: one capped
 product and one u step per live box, which keeps only the monomials that
@@ -77,9 +87,9 @@ reads no theta: x^t ⌟ theta_0 is nonzero iff every t_i < p, and
 distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0 iff g is empty
 modulo (x_i^p).  Every cap is one ``ring.exponent_cap`` test.  A power
 is clamped to its reach first, the box past which it has no monomial:
-boxes at or past the reach share the full power, read once per exponent
-from ``Hypersurface``, and a box that truncates gets its power from
-capped factors inside it, never in full (``_Workspace``).  The
+boxes at or past the reach share the full power, formed once per
+exponent from the one below, and a box that truncates gets its power
+from capped factors inside it, never in full (``_Workspace``).  The
 contraction, F, the products and the u-bucket split are ``ring``
 kernels, beside the packed monomial whose fields they read.
 
@@ -104,12 +114,14 @@ forms only the products and u steps of the levels its new entry reaches.
 The u step stays a function of its rows, and the rows under B and under
 min(B, R) are the same.
 
-Each depth runs one search over its candidates, upward from s = 0,
-doubling the step and then bisecting (``_scan_next``), as the entries
-are mostly small and the failing candidates are the costly ones: an
-entry 0 takes the two probes s = 0 and s = 1.  For p <= 5 the candidates
-the search skipped are evaluated after it, and the contained set is
-checked to be the interval [0, s].
+After a drop-back each depth runs one search over its candidates, a
+capped chain each, upward from s = 0, doubling the step and then
+bisecting (``_scan_next``), as the entries are mostly small: an entry 0
+takes the two probes s = 0 and s = 1.  For p <= 5 the candidates the
+search skipped are evaluated after it, and the contained set is checked
+to be the interval [0, s].  The check runs there only: it tests the
+monotonicity that lets the search skip candidates, and theta's chain
+skips none.
 
 A proven repeat ends the scan.  s_(k+1) and P_(k+1) depend only on P_k,
 and P_k is the annihilator of R * theta_k.  So theta_k = c * theta_j with
@@ -122,8 +134,8 @@ It keys theta_0 at depth 0, which is P_0, and after that each theta
 that ``_advance`` carries; after a drop-back the run holds no theta and
 keys nothing.  theta = 0 is never keyed, as it makes the next entry p.
 Every block entry is below p.  On the p=7 Fermat quartic theta_2 is a
-multiple of theta_0, so depths 1 and 2 are scanned at any depth: 4
-contractions at depth 5 and at depth 24.
+multiple of theta_0, so only depths 1 and 2 run a chain, at any depth:
+13 contractions and one capped power at depth 5 and at depth 24.
 """
 
 from __future__ import annotations
@@ -145,6 +157,7 @@ from .ideals import ResIdeal, principal_ideal, root_generators, u_image
 # here only because perfbench also wraps ladder._u_buckets by name.
 from .ring import (
     EXPONENT_LIMIT,
+    ResPoly,
     contract_terms as _contract,
     dual_frobenius,
     exponent_box,
@@ -167,10 +180,10 @@ class SplitSequence:
     s_(j+1)..s_k; those entries were read off the block, not scanned.
     ``per_depth_ms`` holds the time of each depth, read-off depths
     included, and ``frontier_depth`` the k of the deepest dual element
-    theta_k the run kept: s_1..s_(k+1) were each read off contractions
-    against one theta, later entries came from the capped scan or, after
-    a repeat at k, from the block.  None of the three takes part in
-    comparisons.
+    theta_k the run kept: s_1..s_k were each read off the chain of one
+    theta, and so was s_(k+1) unless its chain dropped back; later entries
+    came from the capped scan or, after a repeat at k, from the block.
+    None of the three takes part in comparisons.
     """
 
     p: int
@@ -238,11 +251,12 @@ class _Workspace:
     x_i: deg_(x_i) fbar for fbar, and p * deg_(x_i) f_lift for delta, as
     delta = (f^p - phi(f))/p.  g^k has no monomial at or past R, so
     trunc_B(g^k) = trunc_min(B, R)(g^k), and every box that is >= R in
-    each variable shares one full power, read once per k from
-    ``Hypersurface``.  A box that truncates builds its power from capped
-    factors, inside the box and never in full: dropping the monomials at
-    or past a box is reduction modulo a monomial ideal, which is a ring
-    map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).
+    each variable shares one full power, formed once per k as the full
+    g^(k-1) times g (``_full``).  A box that truncates builds its power
+    from capped factors, inside the box and never in full: dropping the
+    monomials at or past a box is reduction modulo a monomial ideal, which
+    is a ring map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by
+    induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).
 
     A live box is clamped the same way: the monomials of fbar^k below
     ``out`` are those below c = min(out, R), so U(out) = U(c) + (out - c)
@@ -262,7 +276,7 @@ class _Workspace:
 
     def __init__(self, h: Hypersurface):
         self.h = h
-        self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
+        self._cache: dict[tuple, dict[int, int] | tuple[int, ...] | ResPoly] = {}
         p, n = h.ctx.p, h.ctx.n_vars
         self.memo: dict[tuple, bool] = {}
         self.stages: dict[tuple, _Gens] = {}
@@ -314,13 +328,13 @@ class _Workspace:
             reach = self._reach(kind, k)
             clamped = tuple(map(min, box, reach))
             if clamped == reach:
-                got = self._full(kind, k)
+                got = self._full(kind, k).terms
             elif clamped != box:
                 got = self._power(kind, k, clamped)
             else:
                 cap = exponent_cap(self.h.ctx, box)
                 if k <= 1:
-                    got = _truncate(self._full(kind, k), *cap)
+                    got = _truncate(self._full(kind, k).terms, *cap)
                 else:
                     got = _mul_terms(
                         self._power(kind, k - 1, box),
@@ -331,14 +345,17 @@ class _Workspace:
             self._cache[key] = got
         return got
 
-    def _full(self, kind: str, k: int) -> dict[int, int]:
-        """delta^k or fbar^k in full, read from ``Hypersurface`` once per
-        run."""
+    def _full(self, kind: str, k: int) -> ResPoly:
+        """delta^k or fbar^k in full, once per run: for k <= 1 read from
+        ``Hypersurface``, else the ``Poly`` product of the power below and
+        the first power, which keeps its 2^31 exponent check."""
         key = (kind, k)
         got = self._cache.get(key)
         if got is None:
-            h = self.h
-            got = (h.delta_power(k) if kind == "d" else h.f_res_power(k)).terms
+            if k > 1:
+                got = self._full(kind, k - 1) * self._full(kind, 1)
+            else:
+                got = (self.h.delta_power if kind == "d" else self.h.f_res_power)(k)
             self._cache[key] = got
         return got
 
@@ -371,18 +388,15 @@ def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
 class _Frontier(NamedTuple):
     """The dual element theta_k of a committed prefix s_1..s_k, as packed
     y-monomials, and ``box``: 1 + its largest exponent in each variable,
-    all zeros once theta is 0.  ``formed`` holds the nonzero contractions
-    fbar^(p-s) ⌟ theta that probes of a candidate s formed in full, for
-    ``_advance``."""
+    all zeros once theta is 0."""
 
     theta: dict[int, int]
     box: tuple[int, ...]
-    formed: dict[int, dict[int, int]]
 
 
 def _theta_0(ctx) -> _Frontier:
     p = ctx.p
-    return _Frontier({ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars, {})
+    return _Frontier({ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars)
 
 
 def _theta_key(theta: dict[int, int], p: int) -> frozenset:
@@ -393,24 +407,70 @@ def _theta_key(theta: dict[int, int], p: int) -> frozenset:
     return frozenset((m, c * inverse % p) for m, c in theta.items())
 
 
-def _contraction(g: dict[int, int], theta: dict[int, int], ctx) -> dict[int, int] | None:
-    """g ⌟ theta, or None when it is known to be nonzero without forming it.
+def _leading_bound(ctx, fbar: dict[int, int], theta: dict[int, int]) -> int:
+    """The largest J <= p for which J * min(fbar) divides max(theta): then
+    fbar^J ⌟ theta != 0 for every J' <= J, and none of them is formed.
 
-    The packed order is graded-lex, a monomial order, so b - t <= b* - t*
-    for every t in g and b in theta, with equality only at t* = min(g) and
-    b* = max(theta).  When t* divides b*, y^(b* - t*) is a term of the
-    contraction that no other pair reaches, so it is not 0 and need not
-    be formed.
+    The packed order is graded-lex, a monomial order, so min(fbar^J) is
+    J * t* for t* = min(fbar), with coefficient c*^J != 0, and b - t <=
+    b* - t* for every t in fbar^J and b in theta, with equality only at
+    t = J * t* and b* = max(theta).  When J * t* divides b*, y^(b* - J*t*)
+    is a term of the contraction that no other pair reaches.  ``fbar`` is
+    capped to theta's box, so t* and, while the test passes, (J-1) * t*
+    stay below 2^31 in every exponent, which keeps ``exponent_guard``
+    exact for J * t*.
     """
-    if not g or not theta:
-        return {}
+    if not fbar or not theta:
+        return 0
     guard = exponent_guard(ctx.n_vars)
-    if (max(theta) + guard - min(g)) & guard == guard:
+    t, top = min(fbar), max(theta) + guard
+    j = 0
+    while j < ctx.p and (top - (j + 1) * t) & guard == guard:
+        j += 1
+    return j
+
+
+def _theta_next(
+    ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]
+) -> tuple[int, dict[int, int] | None] | None:
+    """The entry after ``prefix``, whose theta_k ``front`` is, read off the
+    chain psi_j = fbar^j ⌟ theta_k, with fbar^(p-s-1) ⌟ theta_k when the
+    chain formed it (for ``_advance``); None when an intermediate would
+    have more than ``max_workspace_monomials`` terms, a drop-back.
+
+    The new part of prefix + (s,) is contained iff psi_(p-s) = 0, and
+    psi_(j+1) = fbar ⌟ psi_j, so psi_j = 0 makes every later psi 0 and the
+    entry is p - j for the first j with psi_j = 0: every candidate is
+    decided, and the contained set is the interval [0, s].  No psi up to
+    ``_leading_bound`` is 0; the chain forms the next one from the
+    workspace's capped power, then contracts by fbar capped to theta's box.
+    theta = 0 gives s = p.  psi_p != 0 would leave no candidate, not even
+    s = 0, contained, which only a fault can do.
+    """
+    ctx = ws.h.ctx
+    p, n = ctx.p, ctx.n_vars
+    if not front.theta:
+        return p, None
+    limit = ctx.max_workspace_monomials
+    fbar = ws.f_terms(1, front.box)
+    j = _leading_bound(ctx, fbar, front.theta)
+    last, psi = None, front.theta
+    if j < p:
+        j += 1
+        psi = _contract(ws.f_terms(j, front.box), front.theta, n, p, limit)
+        while psi and j < p:
+            j += 1
+            last, psi = psi, _contract(fbar, psi, n, p, limit)
+    if psi is None:
         return None
-    return _contract(g, theta, ctx.n_vars, ctx.p)
+    if psi:
+        raise MonotonicityViolationError(f"containment fails at s = 0 after prefix {prefix}")
+    return p - j, last
 
 
-def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
+def _advance(
+    ws: _Workspace, front: _Frontier, l: int, formed: dict[int, int] | None = None
+) -> _Frontier | None:
     """theta_(k+1) = delta ⌟ ... ⌟ delta ⌟ F(fbar^(p-l-1) ⌟ theta_k) for
     the next entry l < p, or None when the step meets a drop-back trigger
     (module docstring).
@@ -419,21 +479,18 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
     some t_i reaches it; F multiplies the box by p, and the delta
     contractions only shrink it, so one capped delta serves all of them.
 
-    The failing probe s = l + 1 against theta_k formed that first
-    contraction already, unless its leading-term shortcut answered
-    (``_Frontier.formed``); then it is reused, under the same size test.
-    A whole contraction may pass that test where the limited one gives up
-    on terms that later cancel; both paths are exact, so this can change
-    only the path, never an entry.
+    ``formed``, when given, is that first contraction, as the chain that
+    found l formed it (``_theta_next``); it is reused under the same size
+    test.  A whole contraction may pass that test where the limited one
+    gives up on terms that later cancel; both paths are exact, so this can
+    change only the path, never an entry.
     """
     ctx = ws.h.ctx
     p, n = ctx.p, ctx.n_vars
     limit, keep = ctx.max_workspace_monomials, p**n
     # F keeps the term count: with no delta contraction this is the kept size
     first = limit if l else min(limit, keep)
-    theta = front.formed.get(l + 1) or _contract(
-        ws.f_terms(p - l - 1, front.box), front.theta, n, p, first
-    )
+    theta = formed or _contract(ws.f_terms(p - l - 1, front.box), front.theta, n, p, first)
     if theta is None or len(theta) > first:
         return None
     box = tuple(p * b for b in exponent_box(theta, n))
@@ -447,7 +504,7 @@ def _advance(ws: _Workspace, front: _Frontier, l: int) -> _Frontier | None:
             return None
     if len(theta) > keep:
         return None
-    return _Frontier(theta, exponent_box(theta, n), {})
+    return _Frontier(theta, exponent_box(theta, n))
 
 
 def _box_chain(ws: _Workspace, ls: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -520,11 +577,10 @@ def _stage(ws: _Workspace, ideal: _Gens, k: int, l: int, box: tuple[int, ...]) -
     return got
 
 
-def _new_part_contained(ws: _Workspace, front: _Frontier | None, tail: tuple[int, ...]) -> bool:
-    """Whether the new part of the ladder ideal for the index
-    (committed prefix) + ``tail`` lies in (x_1^p, ..., x_N^p), where
-    ``front`` is theta_k of the whole committed prefix and ``tail`` = (s,),
-    or ``front`` is None, after a drop-back, and ``tail`` the whole index.
+def _new_part_contained(ws: _Workspace, tail: tuple[int, ...]) -> bool:
+    """Whether the new part of the ladder ideal for the index ``tail``
+    lies in (x_1^p, ..., x_N^p): the capped chain over the whole index,
+    which the run uses once it holds no theta.
 
     Write the tail as (l_0, ..., l_(m-2), s) and the linear part of its
     stage j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)), so stage
@@ -537,13 +593,9 @@ def _new_part_contained(ws: _Workspace, front: _Frontier | None, tail: tuple[int
     The new part is the first summand.  A sum of ideals lies in a monomial
     ideal iff each summand does, so once the prefix's ladder ideal is known
     to be contained, the new part alone decides containment, and this
-    chain never forms the generators fbar^(p-l_j).  A carried theta_k
-    folds every stage of the prefix into its ideal P_k (module docstring),
-    so against it the new part of (s,) is contained iff
-    fbar^(p-s) ⌟ theta_k = 0: one contraction, cheaper than a memo key,
-    and not memoized.
+    chain never forms the generators fbar^(p-l_j).
 
-    With no theta, write D(B) for the monomial ideal
+    Write D(B) for the monomial ideal
     (x_1^B_1, ..., x_N^B_N), take B_0 = (p, ..., p) and B_(j+1) = p * U_j
     with U_j = ``live_box(p-l_j-1, B_j)``, so x^b * fbar^(p-l_j-1) lies in
     D(B_j) once some b_i >= U_j,i.  Then
@@ -579,8 +631,10 @@ def _new_part_contained(ws: _Workspace, front: _Frontier | None, tail: tuple[int
     fbar^(k_0)..fbar^(k_(j-1)); k_j; and the generators of I_j, nothing
     else.  So "contained from here on" is a function of (tail[:j], k_j,
     generators), keyed exactly (each generator as its sorted terms),
-    stored for every level a chain passes once its outcome is known, and
-    read back by any later chain that reaches an equal key.  A hit skips
+    stored for every level below the top that a chain passes once its
+    outcome is known, and read back by any later chain that reaches an
+    equal key.  The top level is not stored: its key is (tail[:-1], p-s,
+    the unit ideal), and a run asks each tail once.  A hit skips
     only work that an equal key already ran to its end without tripping a
     cap.  Each stage j >= 1 is also memoized on its own, under its box
     clamped to the reach of its products (``_stage``), so the top stages,
@@ -589,13 +643,6 @@ def _new_part_contained(ws: _Workspace, front: _Frontier | None, tail: tuple[int
     """
     ctx = ws.h.ctx
     p = ctx.p
-    if front:
-        (s,) = tail
-        # kept for _advance when formed and nonzero
-        got = _contraction(ws.f_terms(p - s, front.box), front.theta, ctx)
-        if got:
-            front.formed[s] = got
-        return got == {}
     ls, s = tail[:-1], tail[-1]
     boxes = _box_chain(ws, ls)
     memo = ws.memo
@@ -618,40 +665,37 @@ def _new_part_contained(ws: _Workspace, front: _Frontier | None, tail: tuple[int
             got = True
             break
         k = p - ls[j - 1] - 1
-    for key in visited:
+    for key in visited[1:]:
         memo[key] = got
     return got
 
 
-def _scan_next(ws: _Workspace, front: _Frontier | None, prefix: tuple[int, ...]) -> int:
-    """Largest s with the ladder ideal for prefix + (s,) contained.
+def _scan_next(ws: _Workspace, prefix: tuple[int, ...]) -> int:
+    """Largest s with the ladder ideal for prefix + (s,) contained, once
+    the run holds no theta.
 
-    The prefix's own ladder ideal must be contained and ``front`` be the
-    prefix's theta, or None after a drop-back; then the new part decides
-    containment (``_new_part_contained``), one contraction against theta
-    or the capped chain over prefix + (s,).
+    The prefix's own ladder ideal must be contained; then the new part
+    decides containment, the capped chain over prefix + (s,)
+    (``_new_part_contained``), one chain per candidate.
 
     The search rides the monotonicity upward from the low end.  It probes
     s = 0, which must be contained, then s = 1, 3, 7, ..., 2^i - 1 while
     those are at most p, and bisects between the last success and the
-    first failure, or p when the probes ran past it.  Failing candidates
-    carry the cost: against theta a contained s often costs nothing, as
-    fbar^(p-s) has high degree and no monomial left inside theta's box (on
-    the p=7 Fermat quartic's theta_1, fbar^7 keeps none of its terms there
-    and fbar^6, the failing s = 1, keeps 80).  Most entries are small, and
-    an entry 0 meets one failing candidate, s = 1.
+    first failure, or p when the probes ran past it.  Most entries are
+    small, and an entry 0 takes the two probes s = 0 and s = 1.
 
     For p <= 5 the candidates the search skipped are evaluated after it,
     each s in 0..p once, and the contained set is asserted to be the
     interval [0, s]: a check of the monotonicity the search relies on.
+    The theta chain (``_theta_next``) decides every candidate, so it needs
+    no such check.
     """
     p = ws.h.ctx.p
-    tail = () if front else prefix
     results: dict[int, bool] = {}
 
     def contained(s: int) -> bool:
         if s not in results:
-            results[s] = _new_part_contained(ws, front, tail + (s,))
+            results[s] = _new_part_contained(ws, prefix + (s,))
         return results[s]
 
     if not contained(0):
@@ -682,9 +726,10 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     """The next sequence entry after a committed prefix s_1..s_(n-1).
 
     The prefix's ladder ideal must lie in (x_1^p, ..., x_N^p), as every
-    committed prefix's does; each entry is checked by what it adds, one
-    contraction against theta on the way to the prefix's theta, and the
-    capped chain over the prefix so far once a step has dropped back.
+    committed prefix's does; each entry is checked by what it adds: on the
+    way to the prefix's theta it must be at most the entry that theta's
+    chain reads (``_theta_next``), and once the run has dropped back its
+    new part is the capped chain over the prefix so far.
     """
     p = h.ctx.p
     prefix = tuple(prefix)
@@ -693,13 +738,18 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
             raise InvalidIndexError(f"prefix entry s_{i + 1} = {l} outside 0..{p - 1}")
     ws = _Workspace(h)
     front = _theta_0(h.ctx)
-    for k in range(1, len(prefix) + 1):
-        if not _new_part_contained(ws, front, prefix[k - 1 : k] if front else prefix[:k]):
+    for k in range(len(prefix) + 1):
+        found = front and _theta_next(ws, front, prefix[:k])
+        if found is None:
+            front = None
+        if k == len(prefix):
+            return found[0] if front else _scan_next(ws, prefix)
+        l = prefix[k]
+        if not (l <= found[0] if front else _new_part_contained(ws, prefix[: k + 1])):
             raise InvalidIndexError(
-                f"the ladder ideal of prefix {prefix[:k]} is not inside (x_1^p, ..., x_N^p)"
+                f"the ladder ideal of prefix {prefix[: k + 1]} is not inside (x_1^p, ..., x_N^p)"
             )
-        front = front and _advance(ws, front, prefix[k - 1])
-    return _scan_next(ws, front, prefix)
+        front = front and _advance(ws, front, l, found[1] if l == found[0] else None)
 
 
 def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
@@ -725,13 +775,17 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
     prefix: tuple[int, ...] = ()
     for n in range(1, depth + 1):
         t0 = time.perf_counter()
+        formed = None
         if repeat:
             s = prefix[n - 1 - (repeat[1] - repeat[0])]
+        elif front and (found := _theta_next(ws, front, prefix)):
+            s, formed = found
         else:
-            s = _scan_next(ws, front, prefix)
+            front = None
+            s = _scan_next(ws, prefix)
         prefix += (s,)
         if not repeat and s < p and n < depth:
-            front = front and _advance(ws, front, s)
+            front = front and _advance(ws, front, s, formed)
             if front:
                 deepest = n
             # theta = 0 makes the next entry p

@@ -115,7 +115,7 @@ def truncated_contained(h, entries: tuple) -> bool:
     from pptlab.ladder import _new_part_contained, _Workspace
 
     return all(
-        _new_part_contained(_Workspace(h), None, entries[:k]) for k in range(1, len(entries) + 1)
+        _new_part_contained(_Workspace(h), entries[:k]) for k in range(1, len(entries) + 1)
     )
 
 
@@ -138,7 +138,7 @@ def capped_scan_sequence(h, depth: int) -> tuple:
         lo, hi = 0, p
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if _new_part_contained(_Workspace(h), None, prefix + (mid,)):
+            if _new_part_contained(_Workspace(h), prefix + (mid,)):
                 lo = mid
             else:
                 hi = mid - 1

@@ -22,9 +22,12 @@ from pptlab.ideals import (
 from pptlab.ladder import (
     SplitSequence,
     _advance,
-    _contraction,
+    _Frontier,
+    _leading_bound,
     _new_part_contained,
+    _scan_next,
     _theta_0,
+    _theta_next,
     _truncate,
     _Workspace,
     compute_ladder,
@@ -172,20 +175,51 @@ def test_sequence_repeat_must_be_followed():
 def test_scan_monotonicity_checks(monkeypatch, capsys, p, names, expr, hits, message):
     # a containment set that is not an interval [0, s] can only come from a
     # fault in the scan, which both checks report as an internal error.  The
-    # faulty set comes from the scan of s_1 against theta_0: on both inputs
-    # s_1 is 0 and theta_1 is a multiple of theta_0, so depth 2 is read off
-    # the proven repeat and never scanned
+    # scan runs once the run holds no theta: here theta's chain drops back
+    # at depth 1, as an intermediate over the workspace cap makes it, so the
+    # faulty set comes from the scan of s_1.  The drop-back is forced, as
+    # no cap gives one on p = 3 x^2 + y^2, whose theta and psi all have a
+    # single term
     monkeypatch.delenv("PPTLAB_CACHE", raising=False)
-    assert splitting_sequence(hypersurface(p, names.split(","), expr), 2).repeat == (0, 1)
 
-    def faulty(ws, frontier, tail):
+    def faulty(ws, tail):
         return tail[-1] in hits
 
     monkeypatch.setattr(ladder, "_new_part_contained", faulty)
+    monkeypatch.setattr(ladder, "_theta_next", lambda ws, front, prefix: None)
     with pytest.raises(MonotonicityViolationError, match=message):
         splitting_sequence(hypersurface(p, names.split(","), expr), 2)
     assert main(["sequence", "--p", str(p), "--vars", names, "--f", expr, "--depth", "2"]) == 4
     assert message in capsys.readouterr().err
+
+
+def test_theta_chain_fails_at_s_0(monkeypatch, capsys):
+    # psi_p = fbar^p ⌟ theta != 0 leaves no candidate contained, not even
+    # s = 0, which only a fault can do.  On y^(30,30,30) the leading-term
+    # bound shows it without a contraction (7 * z^3 divides it); on
+    # y^(20,20,0) + y^(0,0,30) the bound is 0 and the chain forms psi_7 =
+    # y^(0,0,9), as fbar^7 = x^21 + y^21 + z^21 in characteristic 7
+    monkeypatch.delenv("PPTLAB_CACHE", raising=False)
+    h = hypersurface(7, ["x", "y", "z"], "x^3 + y^3 + z^3")
+    ctx = h.ctx
+    contractions = []
+    contract = ladder._contract
+
+    def counted(*args):
+        contractions.append(1)
+        return contract(*args)
+
+    monkeypatch.setattr(ladder, "_contract", counted)
+    for exps, formed in (([(30, 30, 30)], 0), ([(20, 20, 0), (0, 0, 30)], 7)):
+        contractions.clear()
+        theta = {ctx.encode_monomial(e): 1 for e in exps}
+        front = _Frontier(theta, exponent_box(theta, 3))
+        with pytest.raises(MonotonicityViolationError, match="fails at s = 0"):
+            _theta_next(_Workspace(h), front, ())
+        assert len(contractions) == formed, (exps, contractions)
+    monkeypatch.setattr(ladder, "_theta_0", lambda ctx: front)
+    assert main(["sequence", "--p", "7", "--vars", "x,y,z", "--f", "x^3 + y^3 + z^3", "--depth", "2"]) == 4
+    assert "fails at s = 0" in capsys.readouterr().err
 
 
 def test_sequence_rejects_bad_depth():
@@ -446,15 +480,17 @@ def test_capped_scan_never_forms_full_powers(monkeypatch):
     # has degree 7 * 13 * 5 = 455.  A full power g^k with k >= 2 may serve
     # only a box at or past its reach k * d_i + 1 in every variable (d_i =
     # deg_(x_i) fbar, and p * deg_(x_i) f_lift for delta), which cannot
-    # truncate it; the scan here does share such powers
+    # truncate it; the scan here does share such powers.  The workspace
+    # forms each full power from the one below, and reads only powers k <= 1
+    # from Hypersurface
     p = 13
     h = hypersurface(p, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + p*x1*x2")
     degrees = {
-        "delta_power": [p * (b - 1) for b in exponent_box(h.f_lift.terms, 2)],
-        "f_res_power": [b - 1 for b in exponent_box(h.f_res.terms, 2)],
+        "d": [p * (b - 1) for b in exponent_box(h.f_lift.terms, 2)],
+        "f": [b - 1 for b in exponent_box(h.f_res.terms, 2)],
     }
     boxes = []  # the boxes of the workspace powers being built, innermost last
-    power = _Workspace._power
+    power, full = _Workspace._power, _Workspace._full
 
     def tracked(self, kind, k, box):
         boxes.append(box)
@@ -463,23 +499,31 @@ def test_capped_scan_never_forms_full_powers(monkeypatch):
         finally:
             boxes.pop()
 
-    monkeypatch.setattr(_Workspace, "_power", tracked)
     shared = []
+
+    def guarded(self, kind, k):
+        if k >= 2:
+            box = boxes[-1] if boxes else None
+            reach = [k * d + 1 for d in degrees[kind]]
+            if box is None or any(b < r for b, r in zip(box, reach)):
+                raise AssertionError(f"{kind}^{k} formed in full for the box {box}")
+            shared.append((kind, k))
+        return full(self, kind, k)
+
+    read = []
     for name in ("delta_power", "f_res_power"):
-        full = getattr(Hypersurface, name)
+        real = getattr(Hypersurface, name)
 
-        def guarded(self, k, full=full, name=name):
-            if k >= 2:
-                box = boxes[-1] if boxes else None
-                reach = [k * d + 1 for d in degrees[name]]
-                if box is None or any(b < r for b, r in zip(box, reach)):
-                    raise AssertionError(f"{name}({k}) formed in full for the box {box}")
-                shared.append((name, k))
-            return full(self, k)
+        def counted(self, k, real=real, name=name):
+            read.append((name, k))
+            return real(self, k)
 
-        monkeypatch.setattr(Hypersurface, name, guarded)
+        monkeypatch.setattr(Hypersurface, name, counted)
+    monkeypatch.setattr(_Workspace, "_power", tracked)
+    monkeypatch.setattr(_Workspace, "_full", guarded)
     assert splitting_sequence(h, 3).values == (0, 7, 13, 13)
     assert shared
+    assert max(k for _, k in read) == 1, read
 
 
 def test_capped_chain_matches_exact_ladder_in_three_and_four_variables():
@@ -547,7 +591,7 @@ def test_capped_u_stage_monomials_count_against_the_cap():
     ctx = Context(7, ["x1", "x2", "x3", "x4"], max_workspace_monomials=3)
     h = validate(ctx, parse_poly("x1^4 + x2^4 + x3^4 + x4^4", ctx))
     with pytest.raises(ResourceLimitError) as err:
-        _new_part_contained(_Workspace(h), None, (2, 7))
+        _new_part_contained(_Workspace(h), (2, 7))
     assert "add" in [entry.name for entry in err.traceback]
     with pytest.raises(ResourceLimitError):
         splitting_sequence(h, 3)
@@ -640,17 +684,29 @@ def test_theta_drops_back_when_it_outgrows_the_base_box():
     assert seq.frontier_depth == 2
 
 
-def test_theta_drops_back_when_a_step_outgrows_the_workspace_cap():
+def test_theta_drops_back_when_a_step_outgrows_the_workspace_cap(monkeypatch):
     # with the default cap theta keeps up to depth 3; with a cap of 10 the
-    # first step's delta contractions exceed it, and the theta_0 scan still
-    # fits under the same cap
+    # first step's delta contractions exceed it, and with a cap of 5 the
+    # first chain's psi_2 = fbar^2 ⌟ theta_0, of 6 terms, already does, so
+    # the scan reads s_1 too.  The theta_0 scan still fits under both caps
     names = ["x1", "x2", "x3", "x4"]
     expr = "x1^4 + x2^4 + x3^4 + x4^4"
     assert splitting_sequence(hypersurface(7, names, expr), 3).frontier_depth == 2
-    ctx = Context(7, names, max_workspace_monomials=10)
-    seq = splitting_sequence(validate(ctx, parse_poly(expr, ctx)), 3)
-    assert seq.values == (0, 2, 0, 2)
-    assert seq.frontier_depth == 0
+    theta_next = ladder._theta_next
+    chains = []
+
+    def recorded(*args):
+        chains.append(theta_next(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(ladder, "_theta_next", recorded)
+    for cap, found in ((10, (2, 1)), (5, None)):
+        chains.clear()
+        ctx = Context(7, names, max_workspace_monomials=cap)
+        seq = splitting_sequence(validate(ctx, parse_poly(expr, ctx)), 3)
+        assert seq.values == (0, 2, 0, 2)
+        assert seq.frontier_depth == 0
+        assert [c and (c[0], len(c[1])) for c in chains] == [found], chains
 
 
 def test_theta_drops_back_before_an_exponent_reaches_2_31():
@@ -774,70 +830,102 @@ def test_scan_builds_each_depths_boxes_once(monkeypatch):
 
 
 def test_scan_probes_candidates_upward_from_zero(monkeypatch):
-    # for p > 5 the scan probes s = 0, then 1, 3, 7, ... while those reach
-    # no further than p, and bisects between the last success and the first
-    # failure.  Bisecting [0, p] probed 7, 3, 1, 0 for each entry 0 on
-    # x + y^3, 48 candidates at depth 12 and 96 at depth 24.  theta drops
-    # back there, so no repeat is keyed and every depth is scanned
-    probes, contractions = [], []
-    new_part, contract = ladder._new_part_contained, ladder._contract
+    # once the run holds no theta, the scan probes s = 0, then 1, 3, 7, ...
+    # while those reach no further than p, and bisects between the last
+    # success and the first failure.  Bisecting [0, p] probed 7, 3, 1, 0
+    # for each entry 0 on x + y^3.  theta drops back there after depth 3,
+    # so no repeat is keyed and every later depth is scanned
+    probes = []
+    new_part = ladder._new_part_contained
 
-    def counted_new_part(ws, frontier, tail):
+    def counted(ws, tail):
         probes.append(tail[-1])
-        return new_part(ws, frontier, tail)
+        return new_part(ws, tail)
 
-    def counted_contract(*args):
-        contractions.append(1)
-        return contract(*args)
-
-    monkeypatch.setattr(ladder, "_new_part_contained", counted_new_part)
-    monkeypatch.setattr(ladder, "_contract", counted_contract)
+    monkeypatch.setattr(ladder, "_new_part_contained", counted)
     h = hypersurface(13, ["x", "y"], "x + y^3")
     for depth in (12, 24):
         probes.clear()
         seq = splitting_sequence(h, depth)
         assert seq.values == (0,) * (depth + 1)
-        assert seq.repeat is None
-        assert probes == [0, 1] * depth, (depth, probes)
-    # on the quartic theta_2 is a multiple of theta_0, so only depths 1 and
-    # 2 are scanned, at any depth; each step reuses the failing probe's
-    # contraction.  Scanning every depth took 16 probes and 10 contractions
-    # at depth 5, 72 and 59 at depth 24
-    h = hypersurface(7, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
-    for depth in (5, 24):
-        probes.clear()
-        contractions.clear()
-        seq = splitting_sequence(h, depth)
-        assert seq.values == (0,) + (2, 0) * (depth // 2) + (2,) * (depth % 2)
-        assert seq.repeat == (0, 2)
-        assert probes == [0, 1, 3, 2, 0, 1], probes
-        assert len(contractions) == 4, contractions
+        assert seq.repeat is None and seq.frontier_depth == 2
+        assert probes == [0, 1] * (depth - 3), (depth, probes)
     # the bracket above 7 runs to p itself, so s_2 = p is found
     h = hypersurface(13, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2")
     probes.clear()
-    assert splitting_sequence(h, 12).values == (0, 7) + (13,) * 11
+    assert [_scan_next(_Workspace(h), prefix) for prefix in ((), (7,))] == [7, 13]
     assert probes == [0, 1, 3, 7, 10, 8, 0, 1, 3, 7, 10, 12, 13], probes
     # for p <= 5 the interval check evaluates each s in 0..p once per
-    # scanned depth.  theta_2 is a multiple of theta_0 here, so depths 1 and
-    # 2 are scanned
+    # scanned depth
     h = hypersurface(5, ["x", "y", "z"], "x^3 + y^3 + z^3")
     probes.clear()
-    assert splitting_sequence(h, 4).values == (0, 1, 0, 1, 0)
+    assert [_scan_next(_Workspace(h), prefix) for prefix in ((), (1,))] == [1, 0]
     assert sorted(probes[:6]) == sorted(probes[6:]) == list(range(6)), probes
 
 
+def test_theta_chain_contractions_are_pinned(monkeypatch):
+    # on theta each depth reads its entry off one chain psi_j = fbar^j ⌟
+    # theta_k, from the leading-term bound j_lo.  On the p=7 Fermat
+    # quartic, min(fbar) = x4^4 divides theta_0 = y^(6,6,6,6) once, so
+    # depth 1 forms psi_2 from fbar^2, the one capped product, and
+    # contracts by fbar up to psi_5 = 0 (s_1 = 2, 4 contractions); theta_1
+    # has j_lo = 0, and depth 2 forms psi_1..psi_7 (s_2 = 0, 7
+    # contractions).  Each step reuses the chain's last nonzero psi, and
+    # theta_1's two delta contractions make 13.  theta_2 is a multiple of
+    # theta_0, so depth 24 does the same.  The probe search took 6 probes,
+    # 4 contractions and 8 capped products
+    counts = dict.fromkeys(("_new_part_contained", "_mul_terms", "_contract"), 0)
+    bounds = []
+    leading_bound = ladder._leading_bound
+
+    def count(name):
+        real = getattr(ladder, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(ladder, name, counted)
+
+    def recorded(*args):
+        bounds.append(leading_bound(*args))
+        return bounds[-1]
+
+    for name in counts:
+        count(name)
+    monkeypatch.setattr(ladder, "_leading_bound", recorded)
+    h = hypersurface(7, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
+    for depth in (5, 24):
+        counts.update(dict.fromkeys(counts, 0))
+        bounds.clear()
+        seq = splitting_sequence(h, depth)
+        assert seq.values == (0,) + (2, 0) * (depth // 2) + (2,) * (depth % 2)
+        assert seq.repeat == (0, 2)
+        assert bounds == [1, 0], bounds
+        assert tuple(counts.values()) == (0, 1, 13), counts
+    # x divides y^(12,12) twelve times, so on x + y^3 at p = 13 the bound
+    # decides every candidate but s = 0, whose fbar^13 keeps no term inside
+    # theta's box: each of the 3 depths on theta is one contraction
+    h = hypersurface(13, ["x", "y"], "x + y^3")
+    bounds.clear()
+    counts.update(dict.fromkeys(counts, 0))
+    assert splitting_sequence(h, 3).values == (0, 0, 0, 0)
+    assert bounds == [12, 12, 12], bounds
+    assert counts["_new_part_contained"] == 0
+
+
 LEDGER_CASES = [
-    (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 5, (6, 8, 4, 0, 0)),
-    (5, "x,y,z", "x^3 + y^3 + z^3", 4, (12, 6, 6, 0, 0)),
-    (5, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 4, (6, 4, 1, 0, 0)),
-    (7, "x,y,z", "x^3 + y^3 + z^3", 4, (2, 5, 1, 0, 0)),
-    (3, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 6, (8, 3, 5, 0, 0)),
-    (13, "x1,x2", "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2", 12, (13, 22, 8, 0, 0)),
-    (13, "x,y", "x + y^3", 12, (24, 17, 5, 11, 3)),
-    (2, "x,y", "x + y^3", 8, (24, 13, 6, 7, 5)),
-    (3, "x,y", "x + y^3", 8, (32, 16, 6, 7, 6)),
-    (5, "x,y", "x + y^3", 8, (48, 20, 5, 7, 7)),
-    (7, "x0,x1,x2,x3", "25*x2^2*x3 + x0*x2*x3^3 + x0*x1 + 10*x0^2*x1*x2", 4, (8, 13, 5, 3, 3)),
+    (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 5, (0, 1, 13, 0, 0)),
+    (5, "x,y,z", "x^3 + y^3 + z^3", 4, (0, 1, 9, 0, 0)),
+    (5, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 4, (0, 1, 4, 0, 0)),
+    (7, "x,y,z", "x^3 + y^3 + z^3", 4, (0, 1, 5, 0, 0)),
+    (3, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 6, (0, 0, 7, 0, 0)),
+    (13, "x1,x2", "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2", 12, (0, 1, 10, 0, 0)),
+    (13, "x,y", "x + y^3", 12, (18, 17, 6, 11, 3)),
+    (2, "x,y", "x + y^3", 8, (12, 13, 8, 7, 5)),
+    (3, "x,y", "x + y^3", 8, (16, 16, 8, 7, 6)),
+    (5, "x,y", "x + y^3", 8, (30, 20, 6, 7, 7)),
+    (7, "x0,x1,x2,x3", "25*x2^2*x3 + x0*x2*x3^3 + x0*x1 + 10*x0^2*x1*x2", 4, (2, 13, 6, 3, 3)),
 ]
 
 
@@ -847,9 +935,10 @@ LEDGER_CASES = [
     ids=[f"{p}-{expr}-{depth}" for p, _, expr, depth, _ in LEDGER_CASES],
 )
 def test_scan_work_ledger_is_pinned(monkeypatch, p, names, expr, depth, ledger):
-    # the work of a whole sequence, in candidates, capped products,
-    # contractions, live boxes and u steps: a change to the search order or
-    # to the memos that does more or less work moves these counts
+    # the work of a whole sequence, in capped-chain candidates, capped
+    # products, contractions, live boxes and u steps: a change to the theta
+    # chain, the scan's search order or the memos that does more or less
+    # work moves these counts
     counts = dict.fromkeys(("_new_part_contained", "_mul_terms", "_contract", "live_box", "root_generators"), 0)
 
     def count(owner, name):
@@ -894,7 +983,7 @@ def test_scan_containment_is_an_interval_for_large_p():
         assert values == capped_scan_sequence(h, 4), (p, f)
         for k in range(1, 5):
             prefix = values[1:k]
-            hits = [s for s in range(p + 1) if _new_part_contained(_Workspace(h), None, prefix + (s,))]
+            hits = [s for s in range(p + 1) if _new_part_contained(_Workspace(h), prefix + (s,))]
             assert hits == list(range(values[k] + 1)), (p, f, prefix, hits)
             entries.add("0" if values[k] == 0 else "p" if values[k] == p else "between")
             if values[k] == p:
@@ -912,12 +1001,12 @@ def test_box_chain_never_serves_another_tail():
         (5, "x,y,z", "x^3 + y^3 + z^3", [(0, 1), (1, 1)]),
     ):
         h = hypersurface(p, names.split(","), expr)
-        alone = [_new_part_contained(_Workspace(h), None, tail) for tail in tails]
+        alone = [_new_part_contained(_Workspace(h), tail) for tail in tails]
         assert len(set(alone)) == 2, (p, expr, alone)
         for order in (tails, tails[::-1]):
             ws = _Workspace(h)
             for tail in order:
-                got = _new_part_contained(ws, None, tail)
+                got = _new_part_contained(ws, tail)
                 assert got == alone[tails.index(tail)], (p, expr, order, tail)
 
 
@@ -939,8 +1028,10 @@ def test_next_s_validates_each_entry_of_the_prefix(p, names, expr, depth):
                 next_s(h, values[1:k] + (values[k] + 1,))
 
 
-def test_kills_agrees_with_the_whole_contraction():
-    # the leading-term shortcut may only ever answer "not 0"
+def test_leading_bound_agrees_with_the_whole_contraction():
+    # the leading-term bound j_lo is the largest J <= p with J * min(fbar)
+    # dividing max(theta), and may only ever answer "not 0": no
+    # fbar^J ⌟ theta with J <= j_lo is 0
     rng = random.Random(413)
     outcomes = set()
     for _ in range(400):
@@ -948,19 +1039,57 @@ def test_kills_agrees_with_the_whole_contraction():
         n = rng.randrange(1, 4)
         ctx = Context(p, [f"x{i}" for i in range(n)])
 
-        def terms(count):
+        def terms(count, top):
             return {
-                ctx.encode_monomial(tuple(rng.randrange(4) for _ in range(n))): rng.randrange(1, p)
+                ctx.encode_monomial(tuple(rng.randrange(top) for _ in range(n))): rng.randrange(1, p)
                 for _ in range(count)
             }
 
-        g, theta = terms(rng.randrange(1, 5)), terms(rng.randrange(1, 6))
-        zero = not contract_terms(g, theta, n, p)
-        assert (_contraction(g, theta, ctx) == {}) == zero, (p, g, theta)
-        low, top = ctx.decode_monomial(min(g)), ctx.decode_monomial(max(theta))
-        shortcut = all(a <= b for a, b in zip(low, top))
-        outcomes.add((zero, shortcut))
+        fbar, theta = terms(rng.randrange(1, 4), 3), terms(rng.randrange(1, 6), 3 * p)
+        j = _leading_bound(ctx, fbar, theta)
+        low, top = ctx.decode_monomial(min(fbar)), ctx.decode_monomial(max(theta))
+        assert j == max(J for J in range(p + 1) if all(J * a <= b for a, b in zip(low, top)))
+        power = {0: 1}
+        for J in range(1, p + 1):
+            power = mul_terms(power, fbar, p)
+            zero = not contract_terms(power, theta, n, p)
+            assert not (zero and J <= j), (p, fbar, theta, J)
+            outcomes.add((zero, J <= j))
     assert outcomes == {(True, False), (False, False), (False, True)}
+    # the guard test stays exact when J * t reaches past 2^31: t = x^(2^30 + 1)
+    # divides y^(2^31 - 1) once
+    ctx = Context(13, ["x"])
+    fbar = {ctx.encode_monomial((2**30 + 1,)): 1}
+    assert _leading_bound(ctx, fbar, {ctx.encode_monomial((2**31 - 1,)): 1}) == 1
+
+
+def test_theta_chain_matches_the_whole_contraction_and_the_capped_chain():
+    # at every committed prefix that carries theta_k, each s in 0..p must
+    # be on the same side of the entry the chain reads as the whole
+    # contraction fbar^(p-s) ⌟ theta_k = 0 and the capped chain over
+    # prefix + (s,) in a fresh workspace put it
+    rng = random.Random(29)
+    entries = set()
+    for _ in range(120):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        h = random_hypersurface(rng, p, rng.randrange(1, 4))
+        n = h.ctx.n_vars
+        ws = _Workspace(h)
+        front, prefix = _theta_0(h.ctx), ()
+        while front and len(prefix) < 5:
+            found = _theta_next(ws, front, prefix)
+            if found is None:
+                break
+            for s in range(p + 1):
+                whole = not contract_terms(h.f_res_power(p - s).terms, front.theta, n, p)
+                capped = _new_part_contained(_Workspace(h), prefix + (s,))
+                assert (s <= found[0]) == whole == capped, (p, h.f_lift, prefix, s)
+            s = found[0]
+            entries.add("0" if s == 0 else "p" if s == p else "between")
+            if s == p:
+                break
+            front, prefix = _advance(ws, front, s, found[1]), prefix + (s,)
+    assert entries == {"0", "between", "p"}, entries
 
 
 def test_theta_0_kills_exactly_what_the_cap_at_p_drops():
@@ -978,7 +1107,7 @@ def test_theta_0_kills_exactly_what_the_cap_at_p_drops():
             for _ in range(rng.randrange(1, 4))
         }
         zero = not truncate_terms(g, *exponent_cap(ctx, p))
-        assert (_contraction(g, _theta_0(ctx).theta, ctx) == {}) == zero, (p, g)
+        assert (contract_terms(g, _theta_0(ctx).theta, n, p) == {}) == zero, (p, g)
         outcomes.add(zero)
     assert outcomes == {True, False}
 
@@ -995,7 +1124,7 @@ def test_one_entry_chain_is_the_theta_0_contraction():
         theta = _theta_0(h.ctx).theta
         outcomes = set()
         for s in range(p + 1):
-            want = _contraction(h.f_res_power(p - s).terms, theta, h.ctx) == {}
-            assert _new_part_contained(_Workspace(h), None, (s,)) == want, (p, expr, s)
+            want = contract_terms(h.f_res_power(p - s).terms, theta, h.ctx.n_vars, p) == {}
+            assert _new_part_contained(_Workspace(h), (s,)) == want, (p, expr, s)
             outcomes.add(want)
         assert outcomes == {True, False}, (p, expr)

@@ -8,6 +8,7 @@ from pptlab.ladder import (
     _advance,
     _new_part_contained,
     _theta_0,
+    _theta_next,
     _Workspace,
     compute_ladder,
     next_s,
@@ -139,8 +140,8 @@ def test_truncated_scan_matches_exact_on_random_inputs():
 def test_new_part_decides_containment_after_a_contained_prefix():
     # the scan tests only what the last slot adds: once the prefix's exact
     # ladder ideal lies in (x_i^p), that test must give the exact containment
-    # of the whole ladder ideal, for every last slot, from theta_k of the
-    # whole prefix when theta keeps up, with the last entry as its tail, as
+    # of the whole ladder ideal, for every last slot, from the entry that
+    # the chain of theta_k of the whole prefix reads when theta keeps up, as
     # well as from the capped chain over the whole index (frontier depth 0)
     rng = random.Random(25)
     outcomes = set()
@@ -158,12 +159,13 @@ def test_new_part_decides_containment_after_a_contained_prefix():
         front = _theta_0(ctx)
         for l in prefix:
             front = front and _advance(ws, front, l)
+        found = front and _theta_next(ws, front, prefix)
         for s in range(p + 1):
             entries = prefix + (s,)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            got = {0: _new_part_contained(_Workspace(h), None, entries)}
-            if front:
-                got[len(prefix)] = _new_part_contained(ws, front, (s,))
+            got = {0: _new_part_contained(_Workspace(h), entries)}
+            if found:
+                got[len(prefix)] = s <= found[0]
             for depth, contained in got.items():
                 assert contained == exact, (p, h.f_lift, entries, depth)
             frontier_depths.update(got)
