@@ -30,11 +30,11 @@ class Hypersurface:
 
     ``delta_power`` and ``f_res_power`` form full powers.  The exact
     ladder (``compute_ladder``, ``--trace``) reads each distinct power
-    once per call.  ``ladder._Workspace`` reads only the powers k <= 1,
-    once per run.  It builds the full power that the boxes at or past a
-    power's reach share from the full power below, and the capped powers
-    that the sequence's dual element and its capped scan use inside the
-    boxes they keep from capped factors.
+    once per call.  ``ladder._Workspace`` calls neither: it reads the terms
+    of ``delta_f`` and ``f_res`` in place.  It builds the full power that
+    the boxes at or past a power's reach share from the full power below,
+    and the capped powers that the sequence's dual element and its capped
+    scan use inside the boxes they keep from capped factors.
     """
 
     __slots__ = ("ctx", "f_lift", "f_res", "delta_f")

@@ -87,8 +87,9 @@ reads no theta: x^t ⌟ theta_0 is nonzero iff every t_i < p, and
 distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0 iff g is empty
 modulo (x_i^p).  Every cap is one ``ring.exponent_cap`` test.  A power
 is clamped to its reach first, the box past which it has no monomial:
-boxes at or past the reach share the full power, formed once per
-exponent from the one below, and a box that truncates gets its power
+boxes at or past the reach share the full power, a term dict formed once
+per exponent from the one below, after one exact 2^31 test on the
+exponent times g's degrees, and a box that truncates gets its power
 from capped factors inside it, never in full (``_Workspace``).  The
 contraction, F, the products and the u-bucket split are ``ring``
 kernels, beside the packed monomial whose fields they read.
@@ -147,22 +148,24 @@ from typing import NamedTuple, Sequence
 
 from .delta import Hypersurface
 from .errors import (
+    ExponentOverflowError,
     InputError,
     InvalidIndexError,
     MonotonicityViolationError,
 )
 from .ideals import ResIdeal, principal_ideal, root_generators, u_image
-# ladder-level names: perfbench times the scan's products as ladder._mul_terms.
+# ladder-level names: perfbench times the scan's products as ladder._mul_terms;
+# the full powers of _Workspace._full call mul_terms under its ring name.
 # The scan splits buckets in ideals.root_generators; _u_buckets stays bound
 # here only because perfbench also wraps ladder._u_buckets by name.
 from .ring import (
     EXPONENT_LIMIT,
-    ResPoly,
     contract_terms as _contract,
     dual_frobenius,
     exponent_box,
     exponent_cap,
     exponent_guard,
+    mul_terms,
     mul_terms as _mul_terms,
     truncate_terms as _truncate,
     u_buckets as _u_buckets,
@@ -251,9 +254,10 @@ class _Workspace:
     x_i: deg_(x_i) fbar for fbar, and p * deg_(x_i) f_lift for delta, as
     delta = (f^p - phi(f))/p.  g^k has no monomial at or past R, so
     trunc_B(g^k) = trunc_min(B, R)(g^k), and every box that is >= R in
-    each variable shares one full power, formed once per k as the full
-    g^(k-1) times g (``_full``).  A box that truncates builds its power
-    from capped factors, inside the box and never in full: dropping the
+    each variable shares one full power, a term dict formed once per k as
+    the full g^(k-1) times g, whose exponents are tested against 2^31 on
+    g's exact degrees first (``_full``).  A box that truncates builds its
+    power from capped factors, inside the box and never in full: dropping the
     monomials at or past a box is reduction modulo a monomial ideal, which
     is a ring map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by
     induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).
@@ -267,20 +271,22 @@ class _Workspace:
     The workspace also holds the capped chain's memos: ``memo`` the
     outcomes of chain suffixes (``_new_part_contained``); ``stages`` the
     generators that single stages produced (``_stage``), apart from
-    ``memo``, whose values are outcomes; and ``chains`` the live boxes of
+    ``memo``, whose values are outcomes; ``chains`` the live boxes of
     each committed tail (``_box_chain``), from the empty tail's
-    (B_0,) = ((p, ..., p),).
+    (B_0,) = ((p, ..., p),); and ``unit``, the unit ideal every chain
+    starts from.
     """
 
-    __slots__ = ("h", "_cache", "_degrees", "memo", "stages", "chains")
+    __slots__ = ("h", "_cache", "_degrees", "memo", "stages", "chains", "unit")
 
     def __init__(self, h: Hypersurface):
         self.h = h
-        self._cache: dict[tuple, dict[int, int] | tuple[int, ...] | ResPoly] = {}
+        self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
         p, n = h.ctx.p, h.ctx.n_vars
         self.memo: dict[tuple, bool] = {}
         self.stages: dict[tuple, _Gens] = {}
         self.chains: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {(): ((p,) * n,)}
+        self.unit = _gens(h.ctx, [{0: 1}])  # the unit ideal: the monomial 1 packs to 0
         self._degrees = {
             "f": tuple(b - 1 for b in exponent_box(h.f_res.terms, n)),
             "d": tuple(p * (b - 1) for b in exponent_box(h.f_lift.terms, n)),
@@ -328,13 +334,13 @@ class _Workspace:
             reach = self._reach(kind, k)
             clamped = tuple(map(min, box, reach))
             if clamped == reach:
-                got = self._full(kind, k).terms
+                got = self._full(kind, k)
             elif clamped != box:
                 got = self._power(kind, k, clamped)
             else:
                 cap = exponent_cap(self.h.ctx, box)
                 if k <= 1:
-                    got = _truncate(self._full(kind, k).terms, *cap)
+                    got = _truncate(self._full(kind, k), *cap)
                 else:
                     got = _mul_terms(
                         self._power(kind, k - 1, box),
@@ -345,17 +351,34 @@ class _Workspace:
             self._cache[key] = got
         return got
 
-    def _full(self, kind: str, k: int) -> ResPoly:
-        """delta^k or fbar^k in full, once per run: for k <= 1 read from
-        ``Hypersurface``, else the ``Poly`` product of the power below and
-        the first power, which keeps its 2^31 exponent check."""
+    def _full(self, kind: str, k: int) -> dict[int, int]:
+        """delta^k (kind "d") or fbar^k (kind "f") in full, as a term dict
+        formed once per run: {0: 1} for k = 0, the terms of ``delta_f`` or
+        ``f_res`` for k = 1, read in place like every memoized power, and
+        for k >= 2 the ring product of the power below and the first power.
+
+        Before that product forms g^k, one exact test keeps its exponents
+        below 2^31, as ``Poly.__mul__`` does.  deg_(x_i)(g^k) is exactly
+        k * deg_(x_i)(g): the top x_i-degree part of g^k is the k-th power
+        of g's, which is nonzero because F_p[x] is a domain.  So the degrees
+        come from g's actual terms, not from the bounds of ``_degrees``.
+        """
         key = (kind, k)
         got = self._cache.get(key)
         if got is None:
-            if k > 1:
-                got = self._full(kind, k - 1) * self._full(kind, 1)
+            h = self.h
+            if k == 0:
+                got = {0: 1}  # the monomial 1 packs to 0
+            elif k == 1:
+                got = (h.delta_f if kind == "d" else h.f_res).terms
             else:
-                got = (self.h.delta_power if kind == "d" else self.h.f_res_power)(k)
+                first = self._full(kind, 1)
+                for name, b in zip(h.ctx.var_names, exponent_box(first, h.ctx.n_vars)):
+                    if k * (b - 1) >= EXPONENT_LIMIT:
+                        raise ExponentOverflowError(
+                            f"exponents of {name} reach {k * (b - 1)} >= 2**31"
+                        )
+                got = mul_terms(self._full(kind, k - 1), first, h.ctx.p)
             self._cache[key] = got
         return got
 
@@ -499,6 +522,8 @@ def _advance(
     theta = dual_frobenius(ctx, theta)
     delta = ws.delta_terms(1, box)
     for _ in range(l):
+        if not theta:  # delta ⌟ 0 = 0
+            break
         theta = _contract(delta, theta, n, p)
         if len(theta) > limit:
             return None
@@ -647,7 +672,7 @@ def _new_part_contained(ws: _Workspace, tail: tuple[int, ...]) -> bool:
     boxes = _box_chain(ws, ls)
     memo = ws.memo
     visited = []
-    ideal = _gens(ctx, [{0: 1}])  # the unit ideal: the monomial 1 packs to 0
+    ideal = ws.unit
     k = p - s
     for j in range(len(ls), -1, -1):
         key = (tail[:j], k, ideal.key)

@@ -197,10 +197,15 @@ def exponent_guard(n_vars: int) -> int:
 
 def exponent_box(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
     """1 + the largest exponent of each variable over the packed monomials
-    ``terms``, in variable order; all zeros for no terms."""
+    ``terms``, in variable order; all zeros for no terms.
+
+    Masking keeps one field in place, so the largest masked monomial holds
+    the largest exponent: one C-level ``max`` over ``map`` per variable."""
+    if not terms:
+        return (0,) * n_vars
     return tuple(
-        max(((m >> FIELD_BITS * (n_vars - 1 - i)) & FIELD_MASK for m in terms), default=-1) + 1
-        for i in range(n_vars)
+        (max(map((FIELD_MASK << shift).__and__, terms)) >> shift) + 1
+        for shift in range(FIELD_BITS * (n_vars - 1), -1, -FIELD_BITS)
     )
 
 

@@ -7,6 +7,7 @@ from pptlab import ideals, ladder
 from pptlab.cli import main
 from pptlab.delta import Hypersurface, validate
 from pptlab.errors import (
+    ExponentOverflowError,
     InputError,
     InvalidIndexError,
     MonotonicityViolationError,
@@ -475,14 +476,57 @@ def test_capped_powers_match_truncated_full_powers():
                     assert get(k, box) == want, (p, h.f_lift, box, k)
 
 
+def test_full_powers_match_poly_powers():
+    # the workspace keeps full powers as term dicts, formed from the power
+    # below and the first power; each must equal the Poly power, in any
+    # order of k, and delta = 0 (f = x, at every p) must give {0: 1} then {}
+    rng = random.Random(27)
+    inputs = [(p, 1, {(1,): 1}) for p in (2, 3, 5, 7)]
+    while len(inputs) < 60:
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 5 if p < 7 else 4)
+        f = random_int_poly(rng, n, max_terms=3, max_exp=2, max_coeff=p * p)
+        f.pop((0,) * n, None)
+        if reduce_mod(f, p):
+            inputs.append((p, n, f))
+    zero_delta = 0
+    for p, n, f in inputs:
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        h = validate(ctx, LiftPoly(ctx, f))
+        zero_delta += h.delta_f.is_zero()
+        ws = _Workspace(h)
+        order = [(kind, k) for kind in "fd" for k in range(p + 1)]
+        rng.shuffle(order)
+        for kind, k in order:
+            g = h.f_res if kind == "f" else h.delta_f
+            assert ws._full(kind, k) == (g**k).terms, (p, f, kind, k)
+    assert zero_delta >= 4, zero_delta
+
+
+def test_full_power_keeps_exponents_below_2_31():
+    # deg_x(g^k) = k * deg_x(g) exactly, so fbar = x^(2^30) has no square
+    # inside a packed monomial, and x^(2^30 - 1) has one.  f^p overflows
+    # delta's own numerator, so the inputs are built with delta = 0
+    ctx = Context(2, ["x", "y"])
+    for e, overflows in ((EXPONENT_LIMIT // 2, True), (EXPONENT_LIMIT // 2 - 1, False)):
+        f = LiftPoly.monomial(ctx, (e, 0))
+        h = Hypersurface(ctx, f, ResPoly.monomial(ctx, (e, 0)), ResPoly.zero(ctx))
+        ws = _Workspace(h)
+        if overflows:
+            with pytest.raises(ExponentOverflowError):
+                ws._full("f", 2)
+        else:
+            assert ws._full("f", 2) == {ctx.encode_monomial((2 * e, 0)): 1}
+
+
 def test_capped_scan_never_forms_full_powers(monkeypatch):
     # the p = 13 scan needs delta^7 only inside a small box; the full power
     # has degree 7 * 13 * 5 = 455.  A full power g^k with k >= 2 may serve
     # only a box at or past its reach k * d_i + 1 in every variable (d_i =
     # deg_(x_i) fbar, and p * deg_(x_i) f_lift for delta), which cannot
     # truncate it; the scan here does share such powers.  The workspace
-    # forms each full power from the one below, and reads only powers k <= 1
-    # from Hypersurface
+    # forms each full power from the one below, reads delta and fbar as
+    # terms and calls no Hypersurface power at all
     p = 13
     h = hypersurface(p, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + p*x1*x2")
     degrees = {
@@ -523,7 +567,7 @@ def test_capped_scan_never_forms_full_powers(monkeypatch):
     monkeypatch.setattr(_Workspace, "_full", guarded)
     assert splitting_sequence(h, 3).values == (0, 7, 13, 13)
     assert shared
-    assert max(k for _, k in read) == 1, read
+    assert read == [], read
 
 
 def test_capped_chain_matches_exact_ladder_in_three_and_four_variables():
@@ -920,7 +964,7 @@ LEDGER_CASES = [
     (5, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 4, (0, 1, 4, 0, 0)),
     (7, "x,y,z", "x^3 + y^3 + z^3", 4, (0, 1, 5, 0, 0)),
     (3, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 6, (0, 0, 7, 0, 0)),
-    (13, "x1,x2", "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2", 12, (0, 1, 10, 0, 0)),
+    (13, "x1,x2", "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2", 12, (0, 1, 4, 0, 0)),
     (13, "x,y", "x + y^3", 12, (18, 17, 6, 11, 3)),
     (2, "x,y", "x + y^3", 8, (12, 13, 8, 7, 5)),
     (3, "x,y", "x + y^3", 8, (16, 16, 8, 7, 6)),

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import pptlab
 from pptlab.errors import (
     ContextMismatchError,
     ExponentOverflowError,
@@ -396,3 +399,25 @@ def test_exponent_box_matches_decoded_maxima():
         terms = {d | (ctx.encode_monomial(e) & low): 1 for d, e in zip(degrees, vectors)}
         want = tuple(1 + max(col) for col in zip(*map(ctx.decode_monomial, terms)))
         assert exponent_box(terms, n) == want, vectors
+
+
+def test_only_ring_reads_packed_fields():
+    # the packed layout stays behind ring.py's kernels: no other module of
+    # the package names FIELD_BITS or FIELD_MASK, as a name, an attribute
+    # or an import
+    fields = {"FIELD_BITS", "FIELD_MASK"}
+    package = Path(pptlab.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert package / "ring.py" in modules
+    for path in modules:
+        if path.name == "ring.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        assert not named & fields, (path.name, sorted(named & fields))
