@@ -86,8 +86,8 @@ class NotDivisibleError(InternalCheckError):
 class MonotonicityViolationError(InternalCheckError):
     """A sequence entry's containment set contradicts the
     inclusion-preservation of the ideal recursion: s = 0 is not contained,
-    or, for p <= 5, where every candidate is evaluated after the one
-    search, the contained set is not the interval [0, s]."""
+    or, for p <= 5, where the capped scan evaluates the candidates above
+    its upward walk, the contained set is not the interval [0, s]."""
 
 
 class CrossCheckFailureError(InternalCheckError):

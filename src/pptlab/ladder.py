@@ -94,15 +94,15 @@ from capped factors inside it, never in full (``_Workspace``).  The
 contraction, F, the products and the u-bucket split are ``ring``
 kernels, beside the packed monomial whose fields they read.
 
-After a drop-back, every later depth runs the chain over the whole
-prefix, once per candidate s, and the chains of one run share their
-stages.  At the top of its level j the rest of a chain reads only the
-entries tail[:j], k_j and the generators of I_j, so the run's
-``_Workspace`` memoizes the outcome under exactly that key
-(``_new_part_contained``).  A chain that reaches a level some earlier
-chain passed stops there.  The live boxes of a tail depend only on the
-tail, so the workspace also keeps them per committed tail
-(``_box_chain``), each extending its parent's by one ``live_box`` step.
+After a drop-back, every later depth runs the chain over the run's
+committed prefix, once per candidate s, and the chains of one run share
+their stages.  The run's ``_Workspace`` holds that prefix, which only
+grows, and its live boxes, each formed once, one ``live_box`` step past
+the last.  At the top of its level j the rest of a chain reads only
+prefix[:j], k_j and the generators of I_j, and prefix[:j] is fixed for
+the run, so the workspace memoizes the outcome under (j, k_j,
+generators) (``_new_part_contained``).  A chain that reaches a level
+some earlier chain passed stops there.
 
 The top stages of a chain sit under live boxes that grow p-fold per
 level, and a stage reads its box B only through min(B, R), where R
@@ -115,14 +115,14 @@ forms only the products and u steps of the levels its new entry reaches.
 The u step stays a function of its rows, and the rows under B and under
 min(B, R) are the same.
 
-After a drop-back each depth runs one search over its candidates, a
-capped chain each, upward from s = 0, doubling the step and then
-bisecting (``_scan_next``), as the entries are mostly small: an entry 0
-takes the two probes s = 0 and s = 1.  For p <= 5 the candidates the
-search skipped are evaluated after it, and the contained set is checked
-to be the interval [0, s].  The check runs there only: it tests the
-monotonicity that lets the search skip candidates, and theta's chain
-skips none.
+After a drop-back each depth walks its candidates upward from s = 0, a
+capped chain each, to the first that is not contained (``_scan_next``),
+as the entries there are small: an entry s takes s + 2 probes, so an
+entry 0 takes s = 0 and s = 1.  For p <= 5 the candidates above the walk
+are evaluated after it, and the contained set is checked to be the
+interval [0, s].  The check runs there only: it tests the monotonicity
+that lets the walk stop at its first failure, and theta's chain skips
+no candidate.
 
 A proven repeat ends the scan.  s_(k+1) and P_(k+1) depend only on P_k,
 and P_k is the annihilator of R * theta_k.  So theta_k = c * theta_j with
@@ -268,29 +268,34 @@ class _Workspace:
     decode of fbar^k.  The capped chain clamps each stage's box by these
     degree bounds too (``_stage``).
 
-    The workspace also holds the capped chain's memos: ``memo`` the
-    outcomes of chain suffixes (``_new_part_contained``); ``stages`` the
-    generators that single stages produced (``_stage``), apart from
-    ``memo``, whose values are outcomes; ``chains`` the live boxes of
-    each committed tail (``_box_chain``), from the empty tail's
-    (B_0,) = ((p, ..., p),); and ``unit``, the unit ideal every chain
-    starts from.
+    The workspace also holds the run's committed prefix, which only
+    ``commit`` extends, and the capped chain's state over it: ``boxes``
+    the live boxes B_0 = (p, ..., p), B_1, ... of the prefix, each formed
+    the first time a chain needs it (``_new_part_contained``); ``memo``
+    the outcomes of chain suffixes; ``stages`` the generators that single
+    stages produced (``_stage``), apart from ``memo``, whose values are
+    outcomes; and ``unit``, the unit ideal every chain starts from.
     """
 
-    __slots__ = ("h", "_cache", "_degrees", "memo", "stages", "chains", "unit")
+    __slots__ = ("h", "_cache", "_degrees", "prefix", "boxes", "memo", "stages", "unit")
 
     def __init__(self, h: Hypersurface):
         self.h = h
         self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
         p, n = h.ctx.p, h.ctx.n_vars
+        self.prefix: tuple[int, ...] = ()
+        self.boxes = [(p,) * n]
         self.memo: dict[tuple, bool] = {}
         self.stages: dict[tuple, _Gens] = {}
-        self.chains: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {(): ((p,) * n,)}
         self.unit = _gens(h.ctx, [{0: 1}])  # the unit ideal: the monomial 1 packs to 0
         self._degrees = {
             "f": tuple(b - 1 for b in exponent_box(h.f_res.terms, n)),
             "d": tuple(p * (b - 1) for b in exponent_box(h.f_lift.terms, n)),
         }
+
+    def commit(self, l: int) -> None:
+        """Append the next sequence entry to the committed prefix."""
+        self.prefix += (l,)
 
     def live_box(self, k: int, out: tuple[int, ...]) -> tuple[int, ...]:
         """Per-variable bounds U with x^b * fbar^k inside the monomial ideal
@@ -454,9 +459,9 @@ def _leading_bound(ctx, fbar: dict[int, int], theta: dict[int, int]) -> int:
 
 
 def _theta_next(
-    ws: _Workspace, front: _Frontier, prefix: tuple[int, ...]
+    ws: _Workspace, front: _Frontier
 ) -> tuple[int, dict[int, int] | None] | None:
-    """The entry after ``prefix``, whose theta_k ``front`` is, read off the
+    """The entry after ws.prefix, whose theta_k ``front`` is, read off the
     chain psi_j = fbar^j ⌟ theta_k, with fbar^(p-s-1) ⌟ theta_k when the
     chain formed it (for ``_advance``); None when an intermediate would
     have more than ``max_workspace_monomials`` terms, a drop-back.
@@ -487,7 +492,7 @@ def _theta_next(
     if psi is None:
         return None
     if psi:
-        raise MonotonicityViolationError(f"containment fails at s = 0 after prefix {prefix}")
+        raise MonotonicityViolationError(f"containment fails at s = 0 after prefix {ws.prefix}")
     return p - j, last
 
 
@@ -530,29 +535,6 @@ def _advance(
     if len(theta) > keep:
         return None
     return _Frontier(theta, exponent_box(theta, n))
-
-
-def _box_chain(ws: _Workspace, ls: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The boxes B_0..B_m of the committed tail ``ls`` = (l_0, ..., l_(m-1))
-    (``_new_part_contained``).
-
-    B_0..B_j depend only on ls[:j], so the entry for ls extends the one
-    for ls[:-1] by one ``live_box`` step, and each is kept in
-    ``ws.chains`` under exactly its tail, from the empty tail's (B_0,):
-    all candidates of a depth, and the next depth, share it.
-    """
-    chains = ws.chains
-    chain = chains.get(ls)
-    if chain is None:
-        p = ws.h.ctx.p
-        j = len(ls) - 1
-        while ls[:j] not in chains:
-            j -= 1
-        chain = chains[ls[:j]]
-        for i in range(j, len(ls)):
-            box = tuple(p * b for b in ws.live_box(p - ls[i] - 1, chain[-1]))
-            chains[ls[: i + 1]] = chain = chain + (box,)
-    return chain
 
 
 class _Gens(NamedTuple):
@@ -602,12 +584,12 @@ def _stage(ws: _Workspace, ideal: _Gens, k: int, l: int, box: tuple[int, ...]) -
     return got
 
 
-def _new_part_contained(ws: _Workspace, tail: tuple[int, ...]) -> bool:
-    """Whether the new part of the ladder ideal for the index ``tail``
-    lies in (x_1^p, ..., x_N^p): the capped chain over the whole index,
-    which the run uses once it holds no theta.
+def _new_part_contained(ws: _Workspace, s: int) -> bool:
+    """Whether the new part of the ladder ideal for the index ws.prefix +
+    (s,) lies in (x_1^p, ..., x_N^p): the capped chain over the whole
+    index, which the run uses once it holds no theta.
 
-    Write the tail as (l_0, ..., l_(m-2), s) and the linear part of its
+    Write the prefix as (l_0, ..., l_(m-2)) and the linear part of its
     stage j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)), so stage
     j maps K to T_j(K) + (fbar^(p-l_j)).  T_j is additive in K, because
     the u-image of a sum of ideals is the sum of the u-images, so
@@ -651,31 +633,34 @@ def _new_part_contained(ws: _Workspace, tail: tuple[int, ...]) -> bool:
     g * fbar^(k_0) mod D(B_0) is 0 for every generator g of I_0.
 
     The outcome is memoized on the workspace.  At the top of level j the
-    rest of the chain reads the entries tail[:j], which fix the boxes
+    rest of the chain reads the entries prefix[:j], which fix the boxes
     B_0..B_j and the powers delta^(l_0)..delta^(l_(j-1)) and
     fbar^(k_0)..fbar^(k_(j-1)); k_j; and the generators of I_j, nothing
-    else.  So "contained from here on" is a function of (tail[:j], k_j,
+    else.  prefix[:j] never changes within a run, as ``commit`` only
+    appends, so "contained from here on" is a function of (j, k_j,
     generators), keyed exactly (each generator as its sorted terms),
     stored for every level below the top that a chain passes once its
     outcome is known, and read back by any later chain that reaches an
-    equal key.  The top level is not stored: its key is (tail[:-1], p-s,
-    the unit ideal), and a run asks each tail once.  A hit skips
-    only work that an equal key already ran to its end without tripping a
-    cap.  Each stage j >= 1 is also memoized on its own, under its box
-    clamped to the reach of its products (``_stage``), so the top stages,
-    which no outcome key of an earlier depth matches, are formed once per
-    run.
+    equal key.  The top level is not stored: its key is (m-1, p-s, the
+    unit ideal), and a run asks each candidate once per depth.  A hit
+    skips only work that an equal key already ran to its end without
+    tripping a cap.  Each stage j >= 1 is also memoized on its own, under
+    its box clamped to the reach of its products (``_stage``), so the top
+    stages, which no outcome key of an earlier depth matches, are formed
+    once per run.
     """
     ctx = ws.h.ctx
     p = ctx.p
-    ls, s = tail[:-1], tail[-1]
-    boxes = _box_chain(ws, ls)
+    prefix, boxes = ws.prefix, ws.boxes
+    while len(boxes) <= len(prefix):
+        l = prefix[len(boxes) - 1]
+        boxes.append(tuple(p * b for b in ws.live_box(p - l - 1, boxes[-1])))
     memo = ws.memo
     visited = []
     ideal = ws.unit
     k = p - s
-    for j in range(len(ls), -1, -1):
-        key = (tail[:j], k, ideal.key)
+    for j in range(len(prefix), -1, -1):
+        key = (j, k, ideal.key)
         got = memo.get(key)
         if got is not None:
             break
@@ -685,76 +670,63 @@ def _new_part_contained(ws: _Workspace, tail: tuple[int, ...]) -> bool:
             cap = exponent_cap(ctx, boxes[0])
             got = not any(_mul_terms(g, fmul, p, *cap) for g in ideal.gens)
             break
-        ideal = _stage(ws, ideal, k, ls[j - 1], boxes[j])
+        ideal = _stage(ws, ideal, k, prefix[j - 1], boxes[j])
         if not ideal.gens:
             got = True
             break
-        k = p - ls[j - 1] - 1
+        k = p - prefix[j - 1] - 1
     for key in visited[1:]:
         memo[key] = got
     return got
 
 
-def _scan_next(ws: _Workspace, prefix: tuple[int, ...]) -> int:
-    """Largest s with the ladder ideal for prefix + (s,) contained, once
-    the run holds no theta.
+def _scan_next(ws: _Workspace) -> int:
+    """Largest s with the ladder ideal for ws.prefix + (s,) contained,
+    once the run holds no theta.
 
     The prefix's own ladder ideal must be contained; then the new part
     decides containment, the capped chain over prefix + (s,)
     (``_new_part_contained``), one chain per candidate.
 
-    The search rides the monotonicity upward from the low end.  It probes
-    s = 0, which must be contained, then s = 1, 3, 7, ..., 2^i - 1 while
-    those are at most p, and bisects between the last success and the
-    first failure, or p when the probes ran past it.  Most entries are
-    small, and an entry 0 takes the two probes s = 0 and s = 1.
+    The walk rides the monotonicity upward: s = 0 must be contained, then
+    s = 1, 2, ... are probed up to the first that is not, so an entry s
+    takes s + 2 probes (p + 1 for s = p).  Scanned entries are small, and
+    up to s = 4 that is no more than a search that doubles its step from
+    s = 1 and then bisects; from s = 5, at p >= 7, such a search takes
+    about 2 log2(s) + 2 probes.
 
-    For p <= 5 the candidates the search skipped are evaluated after it,
-    each s in 0..p once, and the contained set is asserted to be the
-    interval [0, s]: a check of the monotonicity the search relies on.
-    The theta chain (``_theta_next``) decides every candidate, so it needs
-    no such check.
+    For p <= 5 the candidates s + 2..p are evaluated after the walk, and
+    any of them contained means the contained set is not the interval
+    [0, s]: a check of the monotonicity the walk relies on.  The theta
+    chain (``_theta_next``) decides every candidate, so it needs no such
+    check.
     """
     p = ws.h.ctx.p
-    results: dict[int, bool] = {}
-
-    def contained(s: int) -> bool:
-        if s not in results:
-            results[s] = _new_part_contained(ws, prefix + (s,))
-        return results[s]
-
-    if not contained(0):
+    if not _new_part_contained(ws, 0):
         raise MonotonicityViolationError(
-            f"containment fails at s = 0 after prefix {prefix}"
+            f"containment fails at s = 0 after prefix {ws.prefix}"
         )
-    lo, step = 0, 1
-    while lo + step <= p and contained(lo + step):
-        lo, step = lo + step, 2 * step
-    # lo + step failed, or lies past p
-    hi = min(lo + step, p + 1) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if contained(mid):
-            lo = mid
-        else:
-            hi = mid - 1
+    s = 0
+    while s < p and _new_part_contained(ws, s + 1):
+        s += 1
     if p <= 5:
-        hits = [s for s in range(p + 1) if contained(s)]
-        if hits != list(range(lo + 1)):
+        above = [t for t in range(s + 2, p + 1) if _new_part_contained(ws, t)]
+        if above:
             raise MonotonicityViolationError(
-                f"containment set {hits} after prefix {prefix} is not the interval [0, {lo}]"
+                f"containment set {list(range(s + 1)) + above} after prefix {ws.prefix}"
+                f" is not the interval [0, {s}]"
             )
-    return lo
+    return s
 
 
 def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     """The next sequence entry after a committed prefix s_1..s_(n-1).
 
     The prefix's ladder ideal must lie in (x_1^p, ..., x_N^p), as every
-    committed prefix's does; each entry is checked by what it adds: on the
-    way to the prefix's theta it must be at most the entry that theta's
-    chain reads (``_theta_next``), and once the run has dropped back its
-    new part is the capped chain over the prefix so far.
+    committed prefix's does.  The walk is the one ``splitting_sequence``
+    makes, and each given entry must be at most the entry the run reads
+    there, off theta's chain (``_theta_next``) or, after a drop-back, off
+    the capped scan (``_scan_next``), before it is committed.
     """
     p = h.ctx.p
     prefix = tuple(prefix)
@@ -764,17 +736,19 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     ws = _Workspace(h)
     front = _theta_0(h.ctx)
     for k in range(len(prefix) + 1):
-        found = front and _theta_next(ws, front, prefix[:k])
+        found = front and _theta_next(ws, front)
         if found is None:
             front = None
+        s = found[0] if front else _scan_next(ws)
         if k == len(prefix):
-            return found[0] if front else _scan_next(ws, prefix)
+            return s
         l = prefix[k]
-        if not (l <= found[0] if front else _new_part_contained(ws, prefix[: k + 1])):
+        if l > s:
             raise InvalidIndexError(
                 f"the ladder ideal of prefix {prefix[: k + 1]} is not inside (x_1^p, ..., x_N^p)"
             )
-        front = front and _advance(ws, front, l, found[1] if l == found[0] else None)
+        ws.commit(l)
+        front = front and _advance(ws, front, l, found[1] if l == s else None)
 
 
 def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
@@ -797,18 +771,17 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
     deepest = 0
     timings = []
     terminated = None
-    prefix: tuple[int, ...] = ()
     for n in range(1, depth + 1):
         t0 = time.perf_counter()
         formed = None
         if repeat:
-            s = prefix[n - 1 - (repeat[1] - repeat[0])]
-        elif front and (found := _theta_next(ws, front, prefix)):
+            s = ws.prefix[n - 1 - (repeat[1] - repeat[0])]
+        elif front and (found := _theta_next(ws, front)):
             s, formed = found
         else:
             front = None
-            s = _scan_next(ws, prefix)
-        prefix += (s,)
+            s = _scan_next(ws)
+        ws.commit(s)
         if not repeat and s < p and n < depth:
             front = front and _advance(ws, front, s, formed)
             if front:
@@ -826,7 +799,7 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
     return SplitSequence(
         p=p,
         depth=depth,
-        values=(0,) + prefix + (p,) * (depth - len(prefix)),
+        values=(0,) + ws.prefix + (p,) * (depth - len(ws.prefix)),
         terminated_at_p=terminated,
         per_depth_ms=tuple(timings),
         frontier_depth=deepest,

@@ -63,10 +63,15 @@ def is_prime(n: int) -> bool:
 class Context:
     """The ambient data (p, variable names) every value is interpreted against.
 
-    Also carries the workspace caps used by the ideal engine:
-    ``max_workspace_monomials`` bounds the number of distinct monomials an
-    echelon workspace may touch, ``max_generators`` bounds generator counts
-    fed into a single reduction.
+    Also carries two workspace caps.  ``max_workspace_monomials`` bounds
+    the distinct monomials of every echelon workspace: the exact ladder's
+    spans, each u step of the capped scan and each root step of the nu
+    chains, which raise ``ResourceLimitError`` past it.  It also bounds the
+    intermediates of the sequence's dual element theta, where exceeding it
+    sends the run to the capped scan instead of raising.
+    ``max_generators`` bounds the generators fed into one exact reduction
+    (``ideals.echelon_reduce``, under ``ladder.compute_ladder`` and
+    ``ideals.u_image``), which only ``--trace`` runs.
     """
 
     __slots__ = ("p", "var_names", "max_workspace_monomials", "max_generators")

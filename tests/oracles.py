@@ -103,42 +103,46 @@ def random_int_poly(rng, n_vars, max_terms=5, max_exp=4, max_coeff=30) -> dict:
     return {e: c for e, c in terms.items() if c}
 
 
+def capped_chain(h, tail: tuple) -> bool:
+    """Whether the new part of the ladder ideal for ``tail`` lies in
+    (x_1^p, .., x_N^p): the capped chain over the whole index
+    (``ladder._new_part_contained``), run in a fresh ``ladder._Workspace``
+    that commits tail[:-1], so no chain reads a memo, stage or box that
+    another stored."""
+    from pptlab.ladder import _new_part_contained, _Workspace
+
+    ws = _Workspace(h)
+    for l in tail[:-1]:
+        ws.commit(l)
+    return _new_part_contained(ws, tail[-1])
+
+
 def truncated_contained(h, entries: tuple) -> bool:
     """Whether the ladder ideal for ``entries`` lies in (x_1^p, .., x_N^p).
 
     Unwinding the split in ``ladder._new_part_contained``, the ladder ideal
     is the sum of the new parts of the prefixes entries[:k], k = 1..n, so it
-    is contained iff each of them is.  Each of them runs as a whole capped
-    chain in a fresh ``ladder._Workspace``, whose memos no other chain
-    shares.
+    is contained iff each of them is, each a ``capped_chain`` of its own.
     """
-    from pptlab.ladder import _new_part_contained, _Workspace
-
-    return all(
-        _new_part_contained(_Workspace(h), entries[:k]) for k in range(1, len(entries) + 1)
-    )
+    return all(capped_chain(h, entries[:k]) for k in range(1, len(entries) + 1))
 
 
 def capped_scan_sequence(h, depth: int) -> tuple:
     """s_0..s_depth from the capped scan alone: every entry is read off the
-    whole capped chain (``ladder._new_part_contained`` with no theta and the
-    full prefix as its tail), as the sequence was before it carried theta.
-    Each candidate runs in a fresh ``ladder._Workspace``, so no chain reads
-    a suffix result, stage or box chain that another stored, and a binary
-    search over [0, p], which containment's monotonicity allows, picks the
-    entry.  The bisection is kept on purpose: the engine searches upward
-    from s = 0 (``ladder._scan_next``), so this oracle visits the
-    candidates in another order and stays independent of the engine's
-    search."""
-    from pptlab.ladder import _new_part_contained, _Workspace
-
+    whole capped chain (``capped_chain``, with no theta), as the sequence
+    was before it carried theta.  Each candidate runs in a fresh
+    workspace, and a binary search over [0, p], which containment's
+    monotonicity allows, picks the entry.  The bisection is kept on
+    purpose: the engine walks upward from s = 0 (``ladder._scan_next``),
+    so this oracle visits the candidates in another order and stays
+    independent of the engine's search."""
     p = h.ctx.p
     prefix: tuple = ()
     while len(prefix) < depth and p not in prefix:
         lo, hi = 0, p
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if _new_part_contained(_Workspace(h), prefix + (mid,)):
+            if capped_chain(h, prefix + (mid,)):
                 lo = mid
             else:
                 hi = mid - 1

@@ -48,7 +48,13 @@ from pptlab.ring import (
     truncate_terms,
 )
 
-from oracles import capped_scan_sequence, random_int_poly, reduce_mod, truncated_contained
+from oracles import (
+    capped_chain,
+    capped_scan_sequence,
+    random_int_poly,
+    reduce_mod,
+    truncated_contained,
+)
 
 
 def hypersurface(p, names, expr):
@@ -166,10 +172,10 @@ def test_sequence_repeat_must_be_followed():
     [
         # p <= 5 evaluates every candidate and asserts the interval [0, s]
         (3, "x,y", "x^2 + y^2", {0, 2}, "is not the interval"),
-        # larger p probes the floor s = 0 first, then gallops upward and bisects
+        # larger p probes the floor s = 0 first, then walks upward
         (7, "x,y,z", "x^3 + y^3 + z^3", set(), "fails at s = 0"),
-        # the search reads 3 and never probes the gap at 2: only the
-        # interval check sees it
+        # the walk stops at the gap at 2 and reads 1: only the check of
+        # the candidates above it sees 3
         (5, "x,y", "x^2 + y^2", {0, 1, 3}, "is not the interval"),
     ],
 )
@@ -183,11 +189,11 @@ def test_scan_monotonicity_checks(monkeypatch, capsys, p, names, expr, hits, mes
     # single term
     monkeypatch.delenv("PPTLAB_CACHE", raising=False)
 
-    def faulty(ws, tail):
-        return tail[-1] in hits
+    def faulty(ws, s):
+        return s in hits
 
     monkeypatch.setattr(ladder, "_new_part_contained", faulty)
-    monkeypatch.setattr(ladder, "_theta_next", lambda ws, front, prefix: None)
+    monkeypatch.setattr(ladder, "_theta_next", lambda ws, front: None)
     with pytest.raises(MonotonicityViolationError, match=message):
         splitting_sequence(hypersurface(p, names.split(","), expr), 2)
     assert main(["sequence", "--p", str(p), "--vars", names, "--f", expr, "--depth", "2"]) == 4
@@ -216,7 +222,7 @@ def test_theta_chain_fails_at_s_0(monkeypatch, capsys):
         theta = {ctx.encode_monomial(e): 1 for e in exps}
         front = _Frontier(theta, exponent_box(theta, 3))
         with pytest.raises(MonotonicityViolationError, match="fails at s = 0"):
-            _theta_next(_Workspace(h), front, ())
+            _theta_next(_Workspace(h), front)
         assert len(contractions) == formed, (exps, contractions)
     monkeypatch.setattr(ladder, "_theta_0", lambda ctx: front)
     assert main(["sequence", "--p", "7", "--vars", "x,y,z", "--f", "x^3 + y^3 + z^3", "--depth", "2"]) == 4
@@ -635,7 +641,7 @@ def test_capped_u_stage_monomials_count_against_the_cap():
     ctx = Context(7, ["x1", "x2", "x3", "x4"], max_workspace_monomials=3)
     h = validate(ctx, parse_poly("x1^4 + x2^4 + x3^4 + x4^4", ctx))
     with pytest.raises(ResourceLimitError) as err:
-        _new_part_contained(_Workspace(h), (2, 7))
+        capped_chain(h, (2, 7))
     assert "add" in [entry.name for entry in err.traceback]
     with pytest.raises(ResourceLimitError):
         splitting_sequence(h, 3)
@@ -873,18 +879,49 @@ def test_scan_builds_each_depths_boxes_once(monkeypatch):
         assert len(calls) == depth - 1, (depth, calls)
 
 
+def test_scan_memo_grows_linearly_with_depth(monkeypatch):
+    # the outcome memo keys a level by its index j, as prefix[:j] is fixed
+    # for the run, and the workspace keeps one box per committed entry.
+    # Keyed by the tail prefix tail[:j], the memo carried 110, 506 and 2,162
+    # tail entries at depths 12, 24 and 48 (8,930 at 96), and per-tail box
+    # chains held 78, 300 and 1,176 boxes (4,656 at 96)
+    spaces = []
+    new_part = ladder._new_part_contained
+
+    def recorded(ws, s):
+        spaces.append(ws)
+        return new_part(ws, s)
+
+    monkeypatch.setattr(ladder, "_new_part_contained", recorded)
+    h = hypersurface(13, ["x", "y"], "x + y^3")
+    for depth, size in ((12, 22), (24, 46), (48, 94)):
+        spaces.clear()
+        assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+        ws = spaces[-1]
+        assert all(isinstance(part, int) for key in ws.memo for part in key[:2]), depth
+        assert len(ws.boxes) <= depth + 1, (depth, len(ws.boxes))
+        assert len(ws.memo) == size, (depth, len(ws.memo))
+
+
 def test_scan_probes_candidates_upward_from_zero(monkeypatch):
-    # once the run holds no theta, the scan probes s = 0, then 1, 3, 7, ...
-    # while those reach no further than p, and bisects between the last
-    # success and the first failure.  Bisecting [0, p] probed 7, 3, 1, 0
-    # for each entry 0 on x + y^3.  theta drops back there after depth 3,
-    # so no repeat is keyed and every later depth is scanned
+    # once the run holds no theta, the scan probes s = 0, 1, 2, ... up to
+    # the first candidate that is not contained.  Bisecting [0, p] probed
+    # 7, 3, 1, 0 for each entry 0 on x + y^3.  theta drops back there after
+    # depth 3, so no repeat is keyed and every later depth is scanned
     probes = []
     new_part = ladder._new_part_contained
 
-    def counted(ws, tail):
-        probes.append(tail[-1])
-        return new_part(ws, tail)
+    def counted(ws, s):
+        probes.append(s)
+        return new_part(ws, s)
+
+    def walk(h, prefix):
+        ws = _Workspace(h)
+        got = []
+        for l in prefix:
+            got.append(_scan_next(ws))
+            ws.commit(l)
+        return got + [_scan_next(ws)]
 
     monkeypatch.setattr(ladder, "_new_part_contained", counted)
     h = hypersurface(13, ["x", "y"], "x + y^3")
@@ -894,17 +931,17 @@ def test_scan_probes_candidates_upward_from_zero(monkeypatch):
         assert seq.values == (0,) * (depth + 1)
         assert seq.repeat is None and seq.frontier_depth == 2
         assert probes == [0, 1] * (depth - 3), (depth, probes)
-    # the bracket above 7 runs to p itself, so s_2 = p is found
+    # the walk runs to p itself, so s_2 = p is found
     h = hypersurface(13, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2")
     probes.clear()
-    assert [_scan_next(_Workspace(h), prefix) for prefix in ((), (7,))] == [7, 13]
-    assert probes == [0, 1, 3, 7, 10, 8, 0, 1, 3, 7, 10, 12, 13], probes
-    # for p <= 5 the interval check evaluates each s in 0..p once per
-    # scanned depth
+    assert walk(h, (7,)) == [7, 13]
+    assert probes == list(range(9)) + list(range(14)), probes
+    # for p <= 5 the interval check evaluates each s above the walk, so
+    # each s in 0..p is evaluated once per scanned depth
     h = hypersurface(5, ["x", "y", "z"], "x^3 + y^3 + z^3")
     probes.clear()
-    assert [_scan_next(_Workspace(h), prefix) for prefix in ((), (1,))] == [1, 0]
-    assert sorted(probes[:6]) == sorted(probes[6:]) == list(range(6)), probes
+    assert walk(h, (1,)) == [1, 0]
+    assert probes[:6] == probes[6:] == list(range(6)), probes
 
 
 def test_theta_chain_contractions_are_pinned(monkeypatch):
@@ -1007,10 +1044,11 @@ def test_next_s_after_a_deep_prefix():
 
 
 def test_scan_containment_is_an_interval_for_large_p():
-    # for p > 5 the scan evaluates a few candidates and relies on the
-    # contained ones forming an interval [0, s_n], as does the bisecting
-    # oracle.  Here every s in 0..p is evaluated at every committed prefix,
-    # each in a fresh workspace, and both searches must read the same entry
+    # for p > 5 the scan walks up from s = 0 and stops at the first
+    # candidate that is not contained, relying on the contained ones
+    # forming an interval [0, s_n], as does the bisecting oracle.  Here
+    # every s in 0..p is evaluated at every committed prefix, each in a
+    # fresh workspace, and both searches must read the same entry
     rng = random.Random(20)
     entries = set()
     for _ in range(120):
@@ -1027,7 +1065,7 @@ def test_scan_containment_is_an_interval_for_large_p():
         assert values == capped_scan_sequence(h, 4), (p, f)
         for k in range(1, 5):
             prefix = values[1:k]
-            hits = [s for s in range(p + 1) if _new_part_contained(_Workspace(h), prefix + (s,))]
+            hits = [s for s in range(p + 1) if capped_chain(h, prefix + (s,))]
             assert hits == list(range(values[k] + 1)), (p, f, prefix, hits)
             entries.add("0" if values[k] == 0 else "p" if values[k] == p else "between")
             if values[k] == p:
@@ -1035,23 +1073,41 @@ def test_scan_containment_is_an_interval_for_large_p():
     assert entries == {"0", "between", "p"}, entries
 
 
-def test_box_chain_never_serves_another_tail():
-    # the chains are keyed by the whole committed tail: two tails of one
-    # length, run in one workspace, must each get the outcome a fresh
-    # workspace gives.  The live boxes differ between the tails of each
-    # pair, and so do their outcomes
-    for p, names, expr, tails in (
-        (2, "x,y", "x^2 + y^2", [(0, 2), (1, 2)]),
-        (5, "x,y,z", "x^3 + y^3 + z^3", [(0, 1), (1, 1)]),
-    ):
-        h = hypersurface(p, names.split(","), expr)
-        alone = [_new_part_contained(_Workspace(h), tail) for tail in tails]
-        assert len(set(alone)) == 2, (p, expr, alone)
-        for order in (tails, tails[::-1]):
-            ws = _Workspace(h)
-            for tail in order:
-                got = _new_part_contained(ws, tail)
-                assert got == alone[tails.index(tail)], (p, expr, order, tail)
+def test_shared_workspace_matches_fresh_chains_after_a_drop_back(monkeypatch):
+    # runs forced to drop back at once: one workspace walks the prefix, and
+    # at every depth each candidate s in 0..p, asked of the shared workspace
+    # in a random order, must give the outcome of a fresh workspace over
+    # the same prefix + (s,), which reads no memo, stage or box another
+    # chain stored.  A quarter of the inputs are diagonal cubics, whose
+    # entries can alternate 1, 0 at p = 2 and 5 (supersingular): there
+    # chains meet equal powers and generators at different levels, which
+    # an outcome key without the level would confuse
+    monkeypatch.setattr(ladder, "_theta_next", lambda ws, front: None)
+    rng = random.Random(30)
+    entries = set()
+    for case in range(40):
+        p = rng.choice((2, 3, 5, 7, 13))
+        if case % 4:
+            h = random_hypersurface(rng, p, rng.randrange(1, 4))
+        else:
+            f = {e: rng.randrange(1, p) + p * rng.randrange(p) for e in ((3, 0, 0), (0, 3, 0), (0, 0, 3))}
+            f[(1, 1, 1)] = p * rng.randrange(p)
+            ctx = Context(p, ["x0", "x1", "x2"])
+            h = validate(ctx, LiftPoly(ctx, f))
+        ws = _Workspace(h)
+        while len(ws.prefix) < 6:
+            order = list(range(p + 1))
+            rng.shuffle(order)
+            shared = {s: _new_part_contained(ws, s) for s in order}
+            for s in order:
+                assert shared[s] == capped_chain(h, ws.prefix + (s,)), (p, h.f_lift, ws.prefix, s)
+            s = sum(shared.values()) - 1
+            assert [shared[t] for t in range(p + 1)] == [t <= s for t in range(p + 1)]
+            entries.add("0" if s == 0 else "p" if s == p else "between")
+            if s == p:
+                break
+            ws.commit(s)
+    assert entries == {"0", "between", "p"}, entries
 
 
 @pytest.mark.parametrize(
@@ -1121,12 +1177,12 @@ def test_theta_chain_matches_the_whole_contraction_and_the_capped_chain():
         ws = _Workspace(h)
         front, prefix = _theta_0(h.ctx), ()
         while front and len(prefix) < 5:
-            found = _theta_next(ws, front, prefix)
+            found = _theta_next(ws, front)
             if found is None:
                 break
             for s in range(p + 1):
                 whole = not contract_terms(h.f_res_power(p - s).terms, front.theta, n, p)
-                capped = _new_part_contained(_Workspace(h), prefix + (s,))
+                capped = capped_chain(h, prefix + (s,))
                 assert (s <= found[0]) == whole == capped, (p, h.f_lift, prefix, s)
             s = found[0]
             entries.add("0" if s == 0 else "p" if s == p else "between")
@@ -1158,7 +1214,8 @@ def test_theta_0_kills_exactly_what_the_cap_at_p_drops():
 
 def test_one_entry_chain_is_the_theta_0_contraction():
     # with no carried theta a one-entry tail runs the chain with no stage,
-    # from the empty tail's box chain, and must read fbar^(p-s) ⌟ theta_0
+    # under the box B_0 of the empty prefix, and must read fbar^(p-s) ⌟
+    # theta_0
     for p, names, expr in (
         (2, "x,y", "x^2 + y^2"),
         (5, "x,y,z", "x^3 + y^3 + z^3"),
@@ -1169,6 +1226,6 @@ def test_one_entry_chain_is_the_theta_0_contraction():
         outcomes = set()
         for s in range(p + 1):
             want = contract_terms(h.f_res_power(p - s).terms, theta, h.ctx.n_vars, p) == {}
-            assert _new_part_contained(_Workspace(h), (s,)) == want, (p, expr, s)
+            assert capped_chain(h, (s,)) == want, (p, expr, s)
             outcomes.add(want)
         assert outcomes == {True, False}, (p, expr)

@@ -6,7 +6,6 @@ from pptlab.delta import validate
 from pptlab.ideals import Echelon, ideal_in_frobenius_power, principal_ideal, u_image
 from pptlab.ladder import (
     _advance,
-    _new_part_contained,
     _theta_0,
     _theta_next,
     _Workspace,
@@ -17,7 +16,7 @@ from pptlab.ladder import (
 from pptlab.ring import Context, LiftPoly, ResPoly, frobenius_substitute, project_mod_p
 
 import property_suites as ps
-from oracles import capped_scan_sequence, reduce_mod, truncated_contained
+from oracles import capped_chain, capped_scan_sequence, reduce_mod, truncated_contained
 
 CASES = 200
 
@@ -159,11 +158,11 @@ def test_new_part_decides_containment_after_a_contained_prefix():
         front = _theta_0(ctx)
         for l in prefix:
             front = front and _advance(ws, front, l)
-        found = front and _theta_next(ws, front, prefix)
+        found = front and _theta_next(ws, front)
         for s in range(p + 1):
             entries = prefix + (s,)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
-            got = {0: _new_part_contained(_Workspace(h), entries)}
+            got = {0: capped_chain(h, entries)}
             if found:
                 got[len(prefix)] = s <= found[0]
             for depth, contained in got.items():

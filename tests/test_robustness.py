@@ -4,6 +4,7 @@ degenerate inputs, and concurrent use."""
 import threading
 from fractions import Fraction
 
+from pptlab import ladder
 from pptlab.delta import validate
 from pptlab.ladder import next_s, splitting_sequence
 from pptlab.parser import expand_var_spec, parse_poly
@@ -29,27 +30,30 @@ def test_six_variables_at_p2():
     assert splitting_sequence(h4, 4).values == a.seq.values
 
 
-def test_big_prime_binary_search_scan():
-    # p = 11 and 13 take the scan's search branch for p > 5 (upward from s = 0,
-    # then bisecting) rather than evaluating every candidate
-    h = prepare(11, "x", "11 - x^2")
-    seq = splitting_sequence(h, 3)
-    table = nu_table(h.f_res, 3)
-    p = 11
-    for n in range(1, 4):
-        partial = sum(
-            Fraction(p - 1 - s, p**i) for i, s in enumerate(seq.values[1 : n + 1], 1)
-        )
-        assert partial == Fraction(table[n], p**n)
+def test_big_prime_upward_scan(monkeypatch):
+    # p = 11 and 13 walk the capped scan upward from s = 0 with no interval
+    # check, which is for p <= 5 only.  These inputs stay on theta, so the
+    # drop-back is forced, and each entry must still satisfy the nu identity
+    scans = []
+    scan_next = ladder._scan_next
 
-    h13 = prepare(13, "x", "13 - x^3")
-    seq13 = splitting_sequence(h13, 2)
-    table13 = nu_table(h13.f_res, 2)
-    for n in range(1, 3):
-        partial = sum(
-            Fraction(13 - 1 - s, 13**i) for i, s in enumerate(seq13.values[1 : n + 1], 1)
-        )
-        assert partial == Fraction(table13[n], 13**n)
+    def counted(ws):
+        scans.append(ws.prefix)
+        return scan_next(ws)
+
+    monkeypatch.setattr(ladder, "_theta_next", lambda ws, front: None)
+    monkeypatch.setattr(ladder, "_scan_next", counted)
+    for p, expr, depth in ((11, "11 - x^2", 3), (13, "13 - x^3", 2)):
+        scans.clear()
+        h = prepare(p, "x", expr)
+        seq = splitting_sequence(h, depth)
+        assert len(scans) == len(seq.computed_values()) - 1, (p, scans)
+        table = nu_table(h.f_res, depth)
+        for n in range(1, depth + 1):
+            partial = sum(
+                Fraction(p - 1 - s, p**i) for i, s in enumerate(seq.values[1 : n + 1], 1)
+            )
+            assert partial == Fraction(table[n], p**n)
 
 
 def test_monomial_input_with_vanishing_delta():
