@@ -45,8 +45,10 @@ theta_0 = y^(p-1, ..., p-1), so Ann_E(P_k) = R * theta_k stays cyclic,
     theta_(k+1) = delta ⌟ ... ⌟ delta ⌟ F(fbar^(p-l_k-1) ⌟ theta_k)
 
 with l_k single contractions by delta, and g lies in P_k iff
-g ⌟ theta_k = 0.  So ``splitting_sequence`` carries theta from depth to
-depth (``_Frontier``, ``_advance``), and s_(k+1) is the largest s with
+g ⌟ theta_k = 0.  So the sequence is one walk on the run's
+``_Workspace``, which holds theta (``_Frontier``): ``read`` gives the next
+entry off theta_k, and ``commit`` appends an entry l_k and steps to
+theta_(k+1) (``_advance``).  s_(k+1) is the largest s with
 fbar^(p-s) ⌟ theta_k = 0.  E is an R-module, so psi_j = fbar^j ⌟ theta_k
 is one chain, psi_(j+1) = fbar ⌟ psi_j, and psi_j = 0 makes every later
 psi 0: s_(k+1) = p - j for the first j with psi_j = 0 (``_theta_next``).
@@ -60,8 +62,8 @@ nonzero psi, fbar^(p-s-1) ⌟ theta_k, is the first contraction of the
 step to theta_(k+1).
 
 theta grows about p-fold per depth on some inputs, so a step gives up,
-and the run holds no theta for the rest of its depths, each of which
-runs the capped scan over the whole prefix, when
+and the workspace holds no theta for the rest of the run, whose reads
+each run the capped scan over the whole prefix, when
 
 - the kept theta would have more than p^N terms, the size of the
   capped scan's base box (p, ..., p);
@@ -130,13 +132,15 @@ j < k and c != 0 gives R * theta_k = R * theta_j, hence P_k = P_j, and
 every later entry repeats the block s_(j+1)..s_k (the finiteness argument
 of Blickle-Mustata-Smith).  ``splitting_sequence`` keys each theta by its
 terms scaled so that its largest monomial has coefficient 1, and on a
-repeat reads the later entries off the block instead of scanning them.
-It keys theta_0 at depth 0, which is P_0, and after that each theta
-that ``_advance`` carries; after a drop-back the run holds no theta and
-keys nothing.  theta = 0 is never keyed, as it makes the next entry p.
-Every block entry is below p.  On the p=7 Fermat quartic theta_2 is a
-multiple of theta_0, so only depths 1 and 2 run a chain, at any depth:
-13 contractions and one capped power at depth 5 and at depth 24.
+repeat lets theta go, so it takes no further step, and reads the later
+entries off the block instead of scanning them.  It keys theta_0 at
+depth 0, which is P_0, and after that the theta each ``commit`` carries;
+after a drop-back the run holds no theta and keys nothing.  theta = 0 is
+never keyed, as it makes the next entry p.  Every block entry is below
+p.  ``next_s`` keys nothing, as its entries are given.  On the p=7
+Fermat quartic theta_2 is a multiple of theta_0, so only depths 1 and 2
+run a chain, at any depth: 13 contractions, one capped power and two
+theta steps at depth 5 and at depth 24.
 """
 
 from __future__ import annotations
@@ -182,10 +186,12 @@ class SplitSequence:
     which proves that s_(k+1), s_(k+2), ... repeat the block
     s_(j+1)..s_k; those entries were read off the block, not scanned.
     ``per_depth_ms`` holds the time of each depth, read-off depths
-    included, and ``frontier_depth`` the k of the deepest dual element
-    theta_k the run kept: s_1..s_k were each read off the chain of one
-    theta, and so was s_(k+1) unless its chain dropped back; later entries
-    came from the capped scan or, after a repeat at k, from the block.
+    included; depth n commits s_(n-1), so its time includes the theta
+    step past s_(n-1).  ``frontier_depth`` is the k of the deepest dual
+    element theta_k the run kept: s_1..s_k were each read off the chain of
+    one theta, and so was s_(k+1) unless its chain dropped back; later
+    entries came from the capped scan or, after a repeat at k, from the
+    block.
     None of the three takes part in comparisons.
     """
 
@@ -244,10 +250,10 @@ def _check_index(p: int, entries: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Workspace:
-    """Per-run memo of capped delta- and f-power term dicts and of live
-    boxes.  The capped scan takes its powers inside its live boxes, and
-    theta's steps and contractions take fbar^k and delta inside theta's
-    box; a box is per-variable bounds.
+    """One run of the sequence walk, with a per-run memo of capped delta-
+    and f-power term dicts and of live boxes.  The capped scan takes its
+    powers inside its live boxes, and theta's steps and contractions take
+    fbar^k and delta inside theta's box; a box is per-variable bounds.
 
     A power g^k is keyed by the box it is truncated to, and clamped on a
     miss to its reach R_i = k * d_i + 1, where d_i bounds g's degree in
@@ -268,22 +274,30 @@ class _Workspace:
     decode of fbar^k.  The capped chain clamps each stage's box by these
     degree bounds too (``_stage``).
 
-    The workspace also holds the run's committed prefix, which only
-    ``commit`` extends, and the capped chain's state over it: ``boxes``
-    the live boxes B_0 = (p, ..., p), B_1, ... of the prefix, each formed
-    the first time a chain needs it (``_new_part_contained``); ``memo``
-    the outcomes of chain suffixes; ``stages`` the generators that single
-    stages produced (``_stage``), apart from ``memo``, whose values are
-    outcomes; and ``unit``, the unit ideal every chain starts from.
+    The walk is ``read`` then ``commit``, once per entry.  The workspace
+    holds the committed prefix, which only ``commit`` extends; ``front``,
+    the dual element theta_k of that prefix (module docstring), None once
+    the run has let theta go; ``held``, the k of the deepest theta_k it
+    kept; and the capped chain's state over the prefix: ``boxes`` the live
+    boxes B_0 = (p, ..., p), B_1, ... of the prefix, each formed the first
+    time a chain needs it (``_new_part_contained``); ``memo`` the outcomes
+    of chain suffixes; ``stages`` the generators that single stages
+    produced (``_stage``), apart from ``memo``, whose values are outcomes;
+    and ``unit``, the unit ideal every chain starts from.
     """
 
-    __slots__ = ("h", "_cache", "_degrees", "prefix", "boxes", "memo", "stages", "unit")
+    __slots__ = (
+        "h", "_cache", "_degrees", "prefix", "front", "held", "_found", "boxes", "memo", "stages", "unit"
+    )
 
     def __init__(self, h: Hypersurface):
         self.h = h
         self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
         p, n = h.ctx.p, h.ctx.n_vars
         self.prefix: tuple[int, ...] = ()
+        self.front: _Frontier | None = _theta_0(h.ctx)
+        self.held = 0
+        self._found: tuple[int, dict[int, int] | None] | None = None
         self.boxes = [(p,) * n]
         self.memo: dict[tuple, bool] = {}
         self.stages: dict[tuple, _Gens] = {}
@@ -293,9 +307,29 @@ class _Workspace:
             "d": tuple(p * (b - 1) for b in exponent_box(h.f_lift.terms, n)),
         }
 
+    def read(self) -> int:
+        """The entry after the committed prefix: off theta's chain
+        (``_theta_next``) while the run holds theta, else off the capped
+        scan (``_scan_next``).  A chain that drops back lets theta go for
+        the rest of the run."""
+        found = self.front and _theta_next(self, self.front)
+        if not found:
+            self.front = None
+            found = _scan_next(self), None
+        self._found = found
+        return found[0]
+
     def commit(self, l: int) -> None:
-        """Append the next sequence entry to the committed prefix."""
+        """Append the next entry l < p to the committed prefix and step
+        theta past it (``_advance``), letting theta go on a drop-back.  The
+        step reuses the chain's fbar^(p-l-1) ⌟ theta_k only when l is the
+        entry ``read`` just returned."""
+        s, formed = self._found or (None, None)
+        self._found = None
         self.prefix += (l,)
+        if self.front:
+            self.front = _advance(self, self.front, l, formed if l == s else None)
+            self.held += self.front is not None
 
     def live_box(self, k: int, out: tuple[int, ...]) -> tuple[int, ...]:
         """Per-variable bounds U with x^b * fbar^k inside the monomial ideal
@@ -724,39 +758,30 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
 
     The prefix's ladder ideal must lie in (x_1^p, ..., x_N^p), as every
     committed prefix's does.  The walk is the one ``splitting_sequence``
-    makes, and each given entry must be at most the entry the run reads
-    there, off theta's chain (``_theta_next``) or, after a drop-back, off
-    the capped scan (``_scan_next``), before it is committed.
+    makes: each given entry must be at most the entry the workspace reads
+    there (``_Workspace.read``) before it is committed, and the answer is
+    one last read.  No theta is keyed, as a repeat of theta proves only
+    that the run's own entries repeat, and a given entry may be below the
+    one read.
     """
-    p = h.ctx.p
-    prefix = tuple(prefix)
-    for i, l in enumerate(prefix):
-        if not 0 <= l <= p - 1:
-            raise InvalidIndexError(f"prefix entry s_{i + 1} = {l} outside 0..{p - 1}")
+    prefix = _check_index(h.ctx.p, (*prefix, 0))[:-1]
     ws = _Workspace(h)
-    front = _theta_0(h.ctx)
-    for k in range(len(prefix) + 1):
-        found = front and _theta_next(ws, front)
-        if found is None:
-            front = None
-        s = found[0] if front else _scan_next(ws)
-        if k == len(prefix):
-            return s
-        l = prefix[k]
-        if l > s:
+    for k, l in enumerate(prefix):
+        if l > ws.read():
             raise InvalidIndexError(
                 f"the ladder ideal of prefix {prefix[: k + 1]} is not inside (x_1^p, ..., x_N^p)"
             )
         ws.commit(l)
-        front = front and _advance(ws, front, l, found[1] if l == s else None)
+    return ws.read()
 
 
 def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
-    """Compute s_0..s_depth, carrying theta from depth to depth until a
-    step drops back and timing each depth; once an entry hits p the tail
-    is filled with p, and once a carried theta_k is a scalar multiple of
-    an earlier theta_j the later entries repeat the block s_(j+1)..s_k
-    (module docstring).
+    """Compute s_0..s_depth on one workspace, timing each depth: depth n
+    commits s_(n-1), which steps theta past it, and reads s_n, so no theta
+    step is taken past the last entry.  Once an entry hits p the tail is
+    filled with p, and once a committed theta_k is a scalar multiple of an
+    earlier theta_j the run lets theta go and the later entries repeat the
+    block s_(j+1)..s_k (module docstring).
 
     The exact ladder ideal of a step n is ``compute_ladder(h,
     values[1:n+1])``; ``cli`` builds ``--trace`` from it.
@@ -765,43 +790,30 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
         raise InputError(f"depth must be >= 1, got {depth}")
     p = h.ctx.p
     ws = _Workspace(h)
-    front = _theta_0(h.ctx)
-    seen = {_theta_key(front.theta, p): 0}
+    seen = {}
     repeat = None
-    deepest = 0
     timings = []
-    terminated = None
     for n in range(1, depth + 1):
         t0 = time.perf_counter()
-        formed = None
-        if repeat:
-            s = ws.prefix[n - 1 - (repeat[1] - repeat[0])]
-        elif front and (found := _theta_next(ws, front)):
-            s, formed = found
-        else:
-            front = None
-            s = _scan_next(ws)
-        ws.commit(s)
-        if not repeat and s < p and n < depth:
-            front = front and _advance(ws, front, s, formed)
-            if front:
-                deepest = n
-            # theta = 0 makes the next entry p
-            if front and front.theta:
-                key = _theta_key(front.theta, p)
-                if key in seen:
-                    repeat = (seen[key], n)
-                seen[key] = n
+        if n > 1:
+            ws.commit(s)
+        # theta = 0 makes the next entry p
+        if ws.front and ws.front.theta:
+            key = _theta_key(ws.front.theta, p)
+            if key in seen:
+                repeat, ws.front = (seen[key], n - 1), None
+            seen[key] = n - 1
+        s = ws.prefix[n - 1 - (repeat[1] - repeat[0])] if repeat else ws.read()
         timings.append((time.perf_counter() - t0) * 1000.0)
         if s == p:
-            terminated = n
             break
+    values = ws.prefix + (s,)
     return SplitSequence(
         p=p,
         depth=depth,
-        values=(0,) + ws.prefix + (p,) * (depth - len(ws.prefix)),
-        terminated_at_p=terminated,
+        values=(0,) + values + (p,) * (depth - len(values)),
+        terminated_at_p=len(values) if s == p else None,
         per_depth_ms=tuple(timings),
-        frontier_depth=deepest,
+        frontier_depth=ws.held,
         repeat=repeat,
     )

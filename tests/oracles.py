@@ -108,10 +108,12 @@ def capped_chain(h, tail: tuple) -> bool:
     (x_1^p, .., x_N^p): the capped chain over the whole index
     (``ladder._new_part_contained``), run in a fresh ``ladder._Workspace``
     that commits tail[:-1], so no chain reads a memo, stage or box that
-    another stored."""
+    another stored.  The workspace lets theta go before it commits, so
+    the commits take no theta step and the oracle does no theta work."""
     from pptlab.ladder import _new_part_contained, _Workspace
 
     ws = _Workspace(h)
+    ws.front = None
     for l in tail[:-1]:
         ws.commit(l)
     return _new_part_contained(ws, tail[-1])

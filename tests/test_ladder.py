@@ -1037,6 +1037,65 @@ def test_scan_work_ledger_is_pinned(monkeypatch, p, names, expr, depth, ledger):
     assert tuple(counts.values()) == ledger, counts
 
 
+def test_theta_steps_stop_at_the_last_entry_and_at_a_repeat(monkeypatch):
+    # a run steps theta past each committed entry but the last, and not at
+    # all once a repeat is proven.  The p=7 Fermat quartic repeats at
+    # theta_2, so any depth takes 2 steps; 6*x0*x1 keeps theta and never
+    # repeats, so depth d takes d - 1.  The contraction ledger cannot see an
+    # extra final step past an entry 0 that reuses the chain's contraction,
+    # as that step makes no contraction of its own
+    steps = []
+    advance = ladder._advance
+
+    def counted(*args):
+        steps.append(args[2])
+        return advance(*args)
+
+    monkeypatch.setattr(ladder, "_advance", counted)
+    for names, expr, calls in (
+        ("x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", {5: 2, 24: 2}),
+        ("x0,x1,x2", "6*x0*x1", {5: 4, 11: 10}),
+    ):
+        h = hypersurface(7, names.split(","), expr)
+        for depth, count in calls.items():
+            steps.clear()
+            seq = splitting_sequence(h, depth)
+            assert len(steps) == count == seq.frontier_depth, (expr, depth, steps)
+
+
+def test_next_s_after_entries_below_the_ones_read():
+    # a prefix entry l below the entry s read there steps theta by its own
+    # fbar^(p-l-1) ⌟ theta_k, not by the chain's last contraction, which is
+    # fbar^(p-s-1) ⌟ theta_k.  Each entry is drawn from 0..the entry read,
+    # and next_s must give the largest t whose capped chain over prefix +
+    # (t,) is contained, each in a fresh workspace.  Reusing the chain's
+    # contraction for every entry gives 2 after (0, 0) on this p = 5 cubic,
+    # whose entry there is 5, and goes wrong on 6 of these 600 prefixes
+    assert next_s(hypersurface(5, ["x0", "x1"], "20*x0^3 + 17*x0*x1^2 + 19*x1^3"), (0, 0)) == 5
+    rng = random.Random(12)
+    prefixes = below = 0
+    while prefixes < 600:
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randrange(1, 4)
+        while True:
+            f = random_int_poly(rng, n, max_terms=3, max_exp=3, max_coeff=p * p)
+            f.pop((0,) * n, None)
+            if reduce_mod(f, p):
+                break
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        h = validate(ctx, LiftPoly(ctx, f))
+        prefix = ()
+        read = max(t for t in range(p + 1) if capped_chain(h, (t,)))
+        for _ in range(rng.randrange(1, 4)):
+            l = rng.randrange(min(read, p - 1) + 1)
+            below += l < read
+            prefix += (l,)
+            read = max(t for t in range(p + 1) if capped_chain(h, prefix + (t,)))
+            assert next_s(h, prefix) == read, (p, f, prefix)
+            prefixes += 1
+    assert below > 200, below
+
+
 def test_next_s_after_a_deep_prefix():
     # every chain over the tail, and the box chain under it, is a loop, not
     # a recursion: a tail of 1,100 entries must not exhaust the stack
