@@ -89,12 +89,15 @@ reads no theta: x^t ⌟ theta_0 is nonzero iff every t_i < p, and
 distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0 iff g is empty
 modulo (x_i^p).  Every cap is one ``ring.exponent_cap`` test.  A power
 is clamped to its reach first, the box past which it has no monomial:
-boxes at or past the reach share the full power, a term dict formed once
-per exponent from the one below, after one exact 2^31 test on the
-exponent times g's degrees, and a box that truncates gets its power
-from capped factors inside it, never in full (``_Workspace``).  The
-contraction, F, the products and the u-bucket split are ``ring``
-kernels, beside the packed monomial whose fields they read.
+boxes at or past the reach share the full power, formed once per
+exponent after one exact 2^31 test on the exponent times g's degrees,
+and a box that truncates gets its power inside it, never in full.
+Either way g^k is g^(k//2) * g^(k - k//2), or at k = p the Frobenius
+image of g, which over F_p is g^p and, capped to B, the image of g
+capped to ceil(B/p) (``_Workspace``).  The contraction, F, the Frobenius
+substitution, the products, the u-bucket split and the per-variable
+exponent maxima and minima are ``ring`` kernels, beside the packed
+monomial whose fields they read.
 
 After a drop-back, every later depth runs the chain over the run's
 committed prefix, once per candidate s, and the chains of one run share
@@ -168,7 +171,9 @@ from .ring import (
     dual_frobenius,
     exponent_box,
     exponent_cap,
+    exponent_floor,
     exponent_guard,
+    frobenius_terms,
     mul_terms,
     mul_terms as _mul_terms,
     truncate_terms as _truncate,
@@ -251,28 +256,33 @@ def _check_index(p: int, entries: Sequence[int]) -> tuple[int, ...]:
 
 class _Workspace:
     """One run of the sequence walk, with a per-run memo of capped delta-
-    and f-power term dicts and of live boxes.  The capped scan takes its
-    powers inside its live boxes, and theta's steps and contractions take
-    fbar^k and delta inside theta's box; a box is per-variable bounds.
+    and f-power term dicts and of live-box minima.  The capped scan takes
+    its powers inside its live boxes, and theta's steps and contractions
+    take fbar^k and delta inside theta's box; a box is per-variable bounds.
 
     A power g^k is keyed by the box it is truncated to, and clamped on a
     miss to its reach R_i = k * d_i + 1, where d_i bounds g's degree in
     x_i: deg_(x_i) fbar for fbar, and p * deg_(x_i) f_lift for delta, as
     delta = (f^p - phi(f))/p.  g^k has no monomial at or past R, so
     trunc_B(g^k) = trunc_min(B, R)(g^k), and every box that is >= R in
-    each variable shares one full power, a term dict formed once per k as
-    the full g^(k-1) times g, whose exponents are tested against 2^31 on
-    g's exact degrees first (``_full``).  A box that truncates builds its
-    power from capped factors, inside the box and never in full: dropping the
-    monomials at or past a box is reduction modulo a monomial ideal, which
-    is a ring map, so trunc(a * b) = trunc(trunc(a) * trunc(b)) and by
-    induction trunc(g^k) = trunc(trunc(g^(k-1)) * trunc(g)).
+    each variable shares one full power, a term dict formed once per k
+    (``_full``), whose exponents are tested against 2^31 on g's exact
+    degrees first.  A box that truncates builds its power inside the box,
+    never in full.  Dropping the monomials at or past a box B is reduction
+    modulo a monomial ideal, which is a ring map, so any split of k is
+    exact: trunc(g^k) = trunc(trunc(g^a) * trunc(g^(k-a))).  Each power
+    halves its exponent, g^k = g^(k//2) * g^(k - k//2), so fbar^12 takes
+    four products (12, 6, 3, 2) instead of eleven.  At k = p it takes
+    none: over F_p, g^p is the Frobenius image phi(g) of
+    x_i -> x_i^p (``ring.frobenius_terms``), and p * m_i < B_i iff
+    m_i < ceil(B_i / p), so trunc_B(phi(g)) = phi(trunc_ceil(B/p)(g)),
+    whose exponents stay below B.  Full powers split the same way.
 
-    A live box is clamped the same way: the monomials of fbar^k below
-    ``out`` are those below c = min(out, R), so U(out) = U(c) + (out - c)
-    when there is one, and zeros otherwise; the boxes past R share one
-    decode of fbar^k.  The capped chain clamps each stage's box by these
-    degree bounds too (``_stage``).
+    A live box reads one capped power: U_i = out_i - min(m_i) over the
+    monomials m of fbar^k below ``out`` (``live_box``), one
+    ``ring.exponent_floor``, memoized under ``out`` clamped to the reach of
+    fbar^k like the power itself.  The capped chain clamps each stage's
+    box by the degree bounds d too (``_stage``).
 
     The walk is ``read`` then ``commit``, once per entry.  The workspace
     holds the committed prefix, which only ``commit`` extends; ``front``,
@@ -335,23 +345,22 @@ class _Workspace:
         """Per-variable bounds U with x^b * fbar^k inside the monomial ideal
         (x_1^out_1, ..., x_N^out_N) as soon as some b_i >= U_i.
 
-        U_i = max(out_i - m_i) over the monomials m of fbar^k with m < out
-        componentwise; all zeros when fbar^k has no such monomial.  Every m
-        is below the reach R, so these are the m < c = min(out, R), and
-        U(out) = U(c) + (out - c) when there is one, which U(c) != 0 tells.
+        U_i = max(out_i - m_i) = out_i - min(m_i) over the monomials m of
+        fbar^k with m < out componentwise, one ``ring.exponent_floor`` of
+        the capped power; all zeros when fbar^k has no such monomial.  Every
+        m is below the reach R, so these are the m < min(out, R), and the
+        minima are memoized under that clamped box: the boxes past R, one
+        per depth after a drop-back, share them.
         """
         clamped = tuple(map(min, out, self._reach("f", k)))
         key = ("u", k, clamped)
-        got = self._cache.get(key)
-        if got is None:
-            below = [self.h.ctx.decode_monomial(m) for m in self.f_terms(k, clamped)]
-            got = tuple(
-                max((b - e[i] for e in below), default=0) for i, b in enumerate(clamped)
-            )
-            self._cache[key] = got
-        if any(got):
-            return tuple(u + o - c for u, o, c in zip(got, out, clamped))
-        return got
+        floor = self._cache.get(key)
+        if floor is None:
+            below = self.f_terms(k, clamped)
+            floor = self._cache[key] = exponent_floor(below, len(out)) if below else ()
+        if not floor:
+            return (0,) * len(out)
+        return tuple(o - m for o, m in zip(out, floor))
 
     def _reach(self, kind: str, k: int) -> tuple[int, ...]:
         """The box past which delta^k (kind "d") or fbar^k (kind "f") has
@@ -366,38 +375,47 @@ class _Workspace:
 
     def _power(self, kind: str, k: int, box: tuple[int, ...]) -> dict[int, int]:
         """delta^k (kind "d") or fbar^k (kind "f") without the monomials at
-        or past ``box``."""
+        or past ``box``: the full power when ``box`` is at or past its reach,
+        the power under the clamped box when it is past it in some variable,
+        and otherwise, inside ``box``, the truncated first power for k <= 1,
+        the Frobenius image of g capped to ceil(box / p) for k = p, and the
+        capped product of g^(k//2) and g^(k - k//2) for any other k."""
         key = (kind, k, box)
         got = self._cache.get(key)
         if got is None:
+            ctx = self.h.ctx
+            p = ctx.p
             reach = self._reach(kind, k)
             clamped = tuple(map(min, box, reach))
             if clamped == reach:
                 got = self._full(kind, k)
             elif clamped != box:
                 got = self._power(kind, k, clamped)
+            elif k <= 1:
+                got = _truncate(self._full(kind, k), *exponent_cap(ctx, box))
+            elif k == p:
+                # m_i < ceil(B_i / p) iff p * m_i < B_i
+                inner = tuple(-(-b // p) for b in box)
+                got = frobenius_terms(self._power(kind, 1, inner), p)
             else:
-                cap = exponent_cap(self.h.ctx, box)
-                if k <= 1:
-                    got = _truncate(self._full(kind, k), *cap)
-                else:
-                    got = _mul_terms(
-                        self._power(kind, k - 1, box),
-                        self._power(kind, 1, box),
-                        self.h.ctx.p,
-                        *cap,
-                    )
+                got = _mul_terms(
+                    self._power(kind, k // 2, box),
+                    self._power(kind, k - k // 2, box),
+                    p,
+                    *exponent_cap(ctx, box),
+                )
             self._cache[key] = got
         return got
 
     def _full(self, kind: str, k: int) -> dict[int, int]:
         """delta^k (kind "d") or fbar^k (kind "f") in full, as a term dict
         formed once per run: {0: 1} for k = 0, the terms of ``delta_f`` or
-        ``f_res`` for k = 1, read in place like every memoized power, and
-        for k >= 2 the ring product of the power below and the first power.
+        ``f_res`` for k = 1, read in place like every memoized power, for
+        k = p the Frobenius image of g, which over F_p is g^p, and for any
+        other k the ring product g^(k//2) * g^(k - k//2).
 
-        Before that product forms g^k, one exact test keeps its exponents
-        below 2^31, as ``Poly.__mul__`` does.  deg_(x_i)(g^k) is exactly
+        Before g^k is formed, one exact test keeps its exponents below
+        2^31, as ``Poly.__mul__`` does.  deg_(x_i)(g^k) is exactly
         k * deg_(x_i)(g): the top x_i-degree part of g^k is the k-th power
         of g's, which is nonzero because F_p[x] is a domain.  So the degrees
         come from g's actual terms, not from the bounds of ``_degrees``.
@@ -406,6 +424,7 @@ class _Workspace:
         got = self._cache.get(key)
         if got is None:
             h = self.h
+            p = h.ctx.p
             if k == 0:
                 got = {0: 1}  # the monomial 1 packs to 0
             elif k == 1:
@@ -417,7 +436,10 @@ class _Workspace:
                         raise ExponentOverflowError(
                             f"exponents of {name} reach {k * (b - 1)} >= 2**31"
                         )
-                got = mul_terms(self._full(kind, k - 1), first, h.ctx.p)
+                if k == p:
+                    got = frobenius_terms(first, p)
+                else:
+                    got = mul_terms(self._full(kind, k // 2), self._full(kind, k - k // 2), p)
             self._cache[key] = got
         return got
 
@@ -559,13 +581,14 @@ def _advance(
     if max(box) > EXPONENT_LIMIT:
         return None
     theta = dual_frobenius(ctx, theta)
-    delta = ws.delta_terms(1, box)
-    for _ in range(l):
-        if not theta:  # delta ⌟ 0 = 0
-            break
-        theta = _contract(delta, theta, n, p)
-        if len(theta) > limit:
-            return None
+    if l:
+        delta = ws.delta_terms(1, box)
+        for _ in range(l):
+            if not theta:  # delta ⌟ 0 = 0
+                break
+            theta = _contract(delta, theta, n, p)
+            if len(theta) > limit:
+                return None
     if len(theta) > keep:
         return None
     return _Frontier(theta, exponent_box(theta, n))
@@ -612,7 +635,9 @@ def _stage(ws: _Workspace, ideal: _Gens, k: int, l: int, box: tuple[int, ...]) -
     got = ws.stages.get(key)
     if got is None:
         cap = exponent_cap(ctx, clamped)
-        w = _mul_terms(ws.f_terms(k, clamped), ws.delta_terms(l, clamped), p, *cap)
+        w = ws.f_terms(k, clamped)
+        if l:  # delta^0 = 1
+            w = _mul_terms(w, ws.delta_terms(l, clamped), p, *cap)
         got = _gens(ctx, root_generators(ctx, (_mul_terms(g, w, p, *cap) for g in ideal.gens)))
         ws.stages[key] = got
     return got

@@ -9,17 +9,21 @@ Packing this way makes the native int order on packed keys exactly the
 graded-lex order (degree first, then x1 > x2 > ... > xN), so leading
 monomials are ``max(terms)`` and canonical term sorting is plain integer
 sorting.  Multiplying monomials is integer addition, and the Frobenius
-substitution x_i -> x_i^p is integer multiplication by p; neither can
-carry between fields while every exponent stays below 2**31.  That is
-checked on the actual exponents: ``encode_monomial`` rejects larger ones,
-and products and ``frobenius_substitute`` test the total degree and, only
-when it could reach 2**31, each variable's maxima (``exponent_box``).
+substitution x_i -> x_i^p is integer multiplication by p
+(``frobenius_terms``); neither can carry between fields while every
+exponent stays below 2**31.  That is checked on the actual exponents:
+``encode_monomial`` rejects larger ones, and products and
+``frobenius_substitute`` test the total degree and, only when it could
+reach 2**31, each variable's maxima (``exponent_box``).
 
 The same headroom makes two field-wise tests one integer operation each:
 ``exponent_cap`` (some exponent reaches a bound) and ``exponent_guard``
-(x^a divides x^b).  No other module reads packed fields, so the kernels
-live here too: ``mul_terms``, ``contract_terms``, ``u_buckets`` (the
-split by Frobenius shift) and ``dual_frobenius`` (F of the inverse system).
+(x^a divides x^b), and one C-level ``max`` or ``min`` per variable reads
+the exponent range of a support (``exponent_box``, ``exponent_floor``).
+No other module reads packed fields, so the kernels live here too:
+``mul_terms``, ``contract_terms``, ``u_buckets`` (the split by Frobenius
+shift), ``frobenius_terms`` (x_i -> x_i^p on a term dict) and
+``dual_frobenius`` (F of the inverse system).
 
 A polynomial is a dict mapping packed monomials to nonzero coefficients
 in the least non-negative residue system.  ``LiftPoly`` holds
@@ -214,6 +218,18 @@ def exponent_box(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
     )
 
 
+def exponent_floor(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
+    """The smallest exponent of each variable over the packed monomials
+    ``terms``, in variable order; all zeros for no terms.  The
+    ``exponent_box`` masking, with ``min`` for ``max``."""
+    if not terms:
+        return (0,) * n_vars
+    return tuple(
+        min(map((FIELD_MASK << shift).__and__, terms)) >> shift
+        for shift in range(FIELD_BITS * (n_vars - 1), -1, -FIELD_BITS)
+    )
+
+
 def truncate_terms(terms: dict[int, int], add: int, high: int) -> dict[int, int]:
     """The terms whose monomials the ``exponent_cap`` masks do not flag."""
     if not high:
@@ -311,6 +327,13 @@ def u_buckets(ctx: Context, terms: dict[int, int]) -> dict[int, dict[int, int]]:
         out_m = (q_degree << shift_n) | q_packed
         buckets.setdefault(key, {})[out_m] = c
     return buckets
+
+
+def frobenius_terms(terms: dict[int, int], p: int) -> dict[int, int]:
+    """The Frobenius substitution x_i -> x_i^p on a term dict: every field
+    of a packed monomial, the degree included, scales by p.  Over F_p this
+    is g^p, as c^p = c; the caller keeps the image exponents below 2**31."""
+    return {m * p: c for m, c in terms.items()}
 
 
 def dual_frobenius(ctx: Context, theta: dict[int, int]) -> dict[int, int]:
@@ -545,7 +568,7 @@ def frobenius_substitute(a: LiftPoly) -> LiftPoly:
         top = max(exponent_box(a.terms, a.ctx.n_vars)) - 1
         if top * p >= EXPONENT_LIMIT:
             raise ExponentOverflowError(f"Frobenius image exponent {top * p} >= 2**31")
-    return LiftPoly._raw(a.ctx, {m * p: c for m, c in a.terms.items()})
+    return LiftPoly._raw(a.ctx, frobenius_terms(a.terms, p))
 
 
 def project_mod_p(a: LiftPoly) -> ResPoly:

@@ -583,3 +583,43 @@ def test_parser_help_lists_commands():
     help_text = parser.format_help()
     for command in ["sequence", "ppt", "classify", "qfs-height", "fpt", "criteria", "corpus"]:
         assert command in help_text
+
+
+def test_calls_in_one_process_print_what_each_prints_alone(capsys, monkeypatch):
+    # cli.main keeps no state between calls: each call in a run of calls
+    # that vary the command and flags (fpt then sequence, --strict-r1 then
+    # without, --json then human output) prints what it prints when it is
+    # the only call of a fresh interpreter
+    import os
+    import subprocess
+    import sys
+
+    monkeypatch.delenv("PPTLAB_CACHE", raising=False)
+    cubic = ["--p", "2", "--vars", "x,y,z", "--f", "x^3+y^3+z^3", "--depth", "5"]
+    quintic = ["--p", "2", "--vars", "x1..x5", "--f", "x1^5+x2^5+x3^5+x4^5+x5^5", "--depth", "3"]
+    calls = [
+        ["fpt", "--p", "3", "--vars", "x", "--f", "3 - x^2", "--emax", "2"],
+        ["sequence", *cubic],
+        ["classify", *quintic, "--strict-r1", "--json"],
+        ["classify", *quintic, "--json"],
+        ["classify", *quintic],
+    ]
+
+    def untimed(out, argv):
+        if "--json" not in argv:
+            return out
+        record = json.loads(out)
+        record.pop("timings", None)
+        return record
+
+    src = str(Path(pptlab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PPTLAB_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    for argv in calls:
+        code, out, err = run_cli(capsys, argv)
+        alone = subprocess.run(
+            [sys.executable, "-m", "pptlab.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (code, untimed(out, argv), err) == (
+            alone.returncode, untimed(alone.stdout, argv), alone.stderr
+        ), argv

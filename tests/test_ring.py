@@ -22,7 +22,9 @@ from pptlab.ring import (
     exact_div_p,
     exponent_box,
     exponent_cap,
+    exponent_floor,
     frobenius_substitute,
+    frobenius_terms,
     lift_of,
     project_mod_p,
     render,
@@ -401,10 +403,42 @@ def test_exponent_box_matches_decoded_maxima():
         assert exponent_box(terms, n) == want, vectors
 
 
+def test_exponent_floor_matches_decoded_minima():
+    # as for exponent_box: a random degree field on every monomial must be
+    # ignored, and a field of 2^31 - 1 must not spill into its neighbour
+    rng = random.Random(216)
+    top = EXPONENT_LIMIT - 1
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        ctx = Context(2, [f"x{i}" for i in range(n)])
+        low = (1 << (FIELD_BITS * n)) - 1
+        assert exponent_floor({}, n) == (0,) * n
+        vectors = [
+            tuple(rng.choice([0, 1, rng.randrange(50), top - 1, top]) for _ in range(n))
+            for _ in range(rng.randrange(1, 8))
+        ]
+        degrees = [rng.randrange(4 * EXPONENT_LIMIT) << (FIELD_BITS * n) for _ in vectors]
+        terms = {d | (ctx.encode_monomial(e) & low): 1 for d, e in zip(degrees, vectors)}
+        want = tuple(min(col) for col in zip(*map(ctx.decode_monomial, terms)))
+        assert exponent_floor(terms, n) == want, vectors
+
+
+def test_frobenius_terms_is_the_p_th_power_over_f_p():
+    # x_i -> x_i^p on the terms of g over F_p is g^p, as c^p = c mod p
+    rng = random.Random(217)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7, 13])
+        n = rng.randrange(1, 4)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        g = ResPoly(ctx, random_int_poly(rng, n, max_terms=3, max_exp=3))
+        assert frobenius_terms(g.terms, p) == (g**p).terms, (p, g)
+
+
 def test_only_ring_reads_packed_fields():
     # the packed layout stays behind ring.py's kernels: no other module of
     # the package names FIELD_BITS or FIELD_MASK, as a name, an attribute
-    # or an import
+    # or an import, and the sequence engine reads exponents only through
+    # ring's kernels, never by decoding a monomial
     fields = {"FIELD_BITS", "FIELD_MASK"}
     package = Path(pptlab.__file__).resolve().parent
     modules = sorted(package.rglob("*.py"))
@@ -421,3 +455,5 @@ def test_only_ring_reads_packed_fields():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
         assert not named & fields, (path.name, sorted(named & fields))
+        if path.name == "ladder.py":
+            assert "decode_monomial" not in named
