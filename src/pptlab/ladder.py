@@ -144,6 +144,23 @@ p.  ``next_s`` keys nothing, as its entries are given.  On the p=7
 Fermat quartic theta_2 is a multiple of theta_0, so only depths 1 and 2
 run a chain, at any depth: 13 contractions, one capped power and two
 theta steps at depth 5 and at depth 24.
+
+An F-pure fibre ends the run at s_1: s_1 = 0 proves every later entry 0,
+so ``splitting_sequence`` records the repeat (0, 1) and lets theta go, as
+on a theta repeat, and reads the later entries off the block (0,).
+Write m = (x_1, ..., x_N).  With l = 0, delta takes no part:
+P_(k+1) = (P_k : fbar^(p-1))^[p].  Frobenius is flat on F_p[x] (Kunz),
+so (I : g)^[p] = (I^[p] : g^p), and while s_1, ..., s_k are 0, induction
+from P_0 = m^[p] gives P_k = (m^[q] : fbar^(q-p)) with q = p^(k+1).  So
+s_(k+1) is the largest s with fbar^(q-s) in m^[q]; s = 0 always
+qualifies, as fbar lies in m (``validate``), and s_(k+1) = 0 iff
+fbar^(q-1) is not in m^[q].  For q = p that is s_1 = 0, and it carries
+from q to p*q (Fedder): if fbar^(q-1) is not in m^[q], the colon
+(m^[q] : fbar^(q-1)) is a proper ideal that contains m^[q], so it lies
+in m, the only maximal ideal over m^[q], and fbar^(pq-1) =
+fbar^(p-1) * (fbar^(q-1))^p in m^[pq] = (m^[q])^[p] would put
+fbar^(p-1) in (m^[q] : fbar^(q-1))^[p], inside m^[p], against s_1 = 0.
+``next_s`` reads no entry off s_1, as its entries are given.
 """
 
 from __future__ import annotations
@@ -190,13 +207,15 @@ class SplitSequence:
     ``repeat`` is (j, k) when the carried theta_k is a multiple of theta_j,
     which proves that s_(k+1), s_(k+2), ... repeat the block
     s_(j+1)..s_k; those entries were read off the block, not scanned.
+    It is also (0, 1) when s_1 = 0, which proves every later entry 0
+    (module docstring).
     ``per_depth_ms`` holds the time of each depth, read-off depths
     included; depth n commits s_(n-1), so its time includes the theta
     step past s_(n-1).  ``frontier_depth`` is the k of the deepest dual
     element theta_k the run kept: s_1..s_k were each read off the chain of
     one theta, and so was s_(k+1) unless its chain dropped back; later
     entries came from the capped scan or, after a repeat at k, from the
-    block.
+    block.  A run with s_1 = 0 reports 0, though theta_0's chain read s_1.
     None of the three takes part in comparisons.
     """
 
@@ -787,7 +806,10 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     there (``_Workspace.read``) before it is committed, and the answer is
     one last read.  No theta is keyed, as a repeat of theta proves only
     that the run's own entries repeat, and a given entry may be below the
-    one read.
+    one read.  Nor is an F-pure fibre read off s_1, on purpose: the
+    entries are given, and each read here runs theta's chain or the
+    capped scan, which makes ``next_s`` the scan-side reference that
+    ``splitting_sequence``'s read-offs are checked against.
     """
     prefix = _check_index(h.ctx.p, (*prefix, 0))[:-1]
     ws = _Workspace(h)
@@ -806,7 +828,9 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
     step is taken past the last entry.  Once an entry hits p the tail is
     filled with p, and once a committed theta_k is a scalar multiple of an
     earlier theta_j the run lets theta go and the later entries repeat the
-    block s_(j+1)..s_k (module docstring).
+    block s_(j+1)..s_k (module docstring).  s_1 = 0 does the same with the
+    block (0,): an F-pure fibre takes no theta step, chain or scan past
+    its first read.
 
     The exact ladder ideal of a step n is ``compute_ladder(h,
     values[1:n+1])``; ``cli`` builds ``--trace`` from it.
@@ -829,6 +853,8 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
                 repeat, ws.front = (seen[key], n - 1), None
             seen[key] = n - 1
         s = ws.prefix[n - 1 - (repeat[1] - repeat[0])] if repeat else ws.read()
+        if n == 1 and s == 0:  # an F-pure fibre: every later entry is 0
+            repeat, ws.front = (0, 1), None
         timings.append((time.perf_counter() - t0) * 1000.0)
         if s == p:
             break

@@ -765,12 +765,13 @@ def test_scanned_deformed_fermat_sequences_match_exact_ladder(monkeypatch):
 
 
 def test_theta_drops_back_when_it_outgrows_the_base_box():
-    # theta_3 has 733 terms against p^N = 169, so depths 4.. are the theta_0
+    # theta doubles its terms at each step from theta_1: theta_4 has 8, and
+    # theta_5 would have 16 against p^N = 9, so depths 6.. are the theta_0
     # scan; the exponents stay far below 2^31 and the step far below the cap
-    h = hypersurface(13, ["x", "y"], "x + y^3")
+    h = hypersurface(3, ["x0", "x1"], "5*x0^2*x1^3 + 5*x0^2 + 6*x1")
     seq = splitting_sequence(h, 12)
-    assert seq.values == (0,) * 13 == capped_scan_sequence(h, 12)
-    assert seq.frontier_depth == 2
+    assert seq.values == (0,) + (1,) * 12 == capped_scan_sequence(h, 12)
+    assert seq.frontier_depth == 4
 
 
 def test_theta_drops_back_when_a_step_outgrows_the_workspace_cap(monkeypatch):
@@ -798,14 +799,38 @@ def test_theta_drops_back_when_a_step_outgrows_the_workspace_cap(monkeypatch):
         assert [c and (c[0], len(c[1])) for c in chains] == [found], chains
 
 
-def test_theta_drops_back_before_an_exponent_reaches_2_31():
-    # theta keeps at most 125 terms here, but F multiplies its box by p at
-    # every depth: theta_13 would hold the exponent 5^14 - 1 > 2^31, past
-    # what the contraction's guard bits read
+def test_theta_drops_back_before_an_exponent_reaches_2_31(monkeypatch):
+    # theta is one term at every depth of these runs, but F multiplies its
+    # box by p at every step.  On x0^2*x1 + 5*x2 the step to theta_13 would
+    # give its first contraction the box 3,051,757,825 > 2^31 after F, and
+    # on 94*x0^3 + 110*x1 the step to theta_9 would, past what the
+    # contraction's guard bits read
+    steps = []
+    advance = ladder._advance
+
+    def recorded(ws, front, *args):
+        steps.append((front, advance(ws, front, *args)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(ladder, "_advance", recorded)
+    for p, names, expr, depth, values, kept in (
+        (5, "x0,x1,x2", "x0^2*x1 + 5*x2", 16, (0,) + (2,) * 16, 12),
+        (11, "x0,x1", "94*x0^3 + 110*x1", 12, (0,) + (7, 3) * 6, 8),
+    ):
+        steps.clear()
+        h = hypersurface(p, names.split(","), expr)
+        seq = splitting_sequence(h, depth)
+        assert seq.values == values == capped_scan_sequence(h, depth)
+        assert seq.frontier_depth == kept
+        assert [len(got.theta) for _, got in steps[:-1]] == [1] * kept
+        assert steps[-1][1] is None and max(steps[-1][0].box) * p > EXPONENT_LIMIT
+    # theta keeps at most 125 terms here, and theta_13 would hold the
+    # exponent 5^14 - 1 > 2^31.  Its s_1 is 0, so splitting_sequence reads
+    # every entry off s_1; next_s takes every step
     h = hypersurface(5, ["x0", "x1", "x2"], "13*x1^5*x2 + 9*x0^3*x1 + 21*x0*x1")
-    seq = splitting_sequence(h, 16)
-    assert seq.values == (0,) * 17 == capped_scan_sequence(h, 16)
-    assert seq.frontier_depth == 12
+    steps.clear()
+    assert next_s(h, (0,) * 15) == 0
+    assert len(steps) == 13 and steps[-1][1] is None and all(got for _, got in steps[:-1])
     ws = _Workspace(h)
     front = _theta_0(h.ctx)
     for _ in range(12):
@@ -835,10 +860,12 @@ def test_memoized_scan_matches_memo_free_scan_after_a_drop_back():
     # after a drop-back every depth runs the theta_0 chain over the whole
     # tail and reads the suffix results that earlier depths and candidates
     # stored; each entry must equal the scan that runs every chain in a
-    # fresh workspace.  Half the random inputs carry a unit linear term, which
-    # keeps the sequence below p while theta outgrows p^N.  Those tails are
-    # constant; diagonal cubics at p = 11 are supersingular, so theirs
-    # alternate 0, 1, and a workspace cap of 40 makes theta drop back at once
+    # fresh workspace.  Half the random inputs carry p times a unit as their
+    # constant term, which makes delta a unit and keeps the sequence below p
+    # while theta outgrows p^N or 2^31 (a unit linear term would make s_1
+    # 0, and every entry is then read off s_1).  Diagonal cubics at p = 11
+    # are supersingular, so their tails alternate 0, 1, and a workspace cap
+    # of 40 makes theta drop back at once
     rng = random.Random(28)
     draws = []
     for case in range(40):
@@ -848,7 +875,7 @@ def test_memoized_scan_matches_memo_free_scan_after_a_drop_back():
             f = random_int_poly(rng, n, max_terms=3, max_exp=3, max_coeff=p * p)
             f.pop((0,) * n, None)
             if case % 2:
-                f[(1,) + (0,) * (n - 1)] = rng.randrange(1, p)
+                f[(0,) * n] = p * rng.randrange(1, p)
             if reduce_mod(f, p):
                 break
         draws.append((Context(p, [f"x{i}" for i in range(n)]), f))
@@ -867,14 +894,24 @@ def test_memoized_scan_matches_memo_free_scan_after_a_drop_back():
     assert sum(len(set(tail)) > 1 for tail in tails) >= 2, tails
 
 
+# inputs with s_1 != 0 whose theta drops back on its size, at depth 5, 8
+# and 8, with their values up to depth 24
+DROP_BACK_CASES = [
+    (3, "x0,x1", "5*x0^2*x1^3 + 5*x0^2 + 6*x1", (0,) + (1,) * 24),
+    (5, "x0,x1,x2", "x0^4*x1^2*x2^4 + 16*x0^4*x1 + 5*x2", (0,) + (3,) * 24),
+    (2, "x0,x1,x2", "3*x0^2*x1^2*x2^4 + x0*x1^4*x2^3 + 2*x0*x2 + 2*x1", (0, 1, 1, 0, 1) + (0,) * 20),
+]
+
+
 def test_scan_stage_work_is_the_same_at_depth_12_and_24(monkeypatch):
     # theta drops back early here, so every later depth runs the theta_0
     # chain over the whole tail.  Each stage is memoized under its box
     # clamped to the reach of its products, and the live boxes grow p-fold
     # per level, so the top stages of every chain are past that reach and
     # the same at every depth: depth 24 forms no product and runs no u step
-    # that depth 12 does not.  With the stages keyed by the tail, p = 13
-    # took 71 products and 30 u steps at depth 12, 143 and 66 at depth 24
+    # that depth 12 does not.  With the stages keyed by the tail, x + y^3 at
+    # p = 13 took 71 products and 30 u steps at depth 12, 143 and 66 at
+    # depth 24; it has s_1 = 0, so it forms no product at all
     counts = {"_mul_terms": 0, "root_generators": 0}
 
     def count(name):
@@ -888,21 +925,21 @@ def test_scan_stage_work_is_the_same_at_depth_12_and_24(monkeypatch):
 
     for name in counts:
         count(name)
-    for p in (2, 5, 13):
-        h = hypersurface(p, ["x", "y"], "x + y^3")
+    for p, names, expr, values in DROP_BACK_CASES:
+        h = hypersurface(p, names.split(","), expr)
         work = {}
         for depth in (12, 24):
             counts.update(_mul_terms=0, root_generators=0)
-            assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+            assert splitting_sequence(h, depth).values == values[: depth + 1]
             work[depth] = dict(counts)
-        assert work[24] == work[12], (p, work)
+        assert work[24] == work[12] and work[12]["root_generators"], (p, work)
 
 
 def test_scan_builds_each_depths_boxes_once(monkeypatch):
     # the box chain of a committed tail extends its parent's by one live
     # box, so each depth after the first costs one live_box call; every
     # candidate walking the whole tail took 252 calls at depth 12 and 1,092
-    # at depth 24
+    # at depth 24 on x + y^3 at p = 13.  theta drops back here after depth 5
     calls = []
     live_box = _Workspace.live_box
 
@@ -911,10 +948,10 @@ def test_scan_builds_each_depths_boxes_once(monkeypatch):
         return live_box(self, k, out)
 
     monkeypatch.setattr(_Workspace, "live_box", counted)
-    h = hypersurface(13, ["x", "y"], "x + y^3")
+    h = hypersurface(3, ["x0", "x1"], "5*x0^2*x1^3 + 5*x0^2 + 6*x1")
     for depth in (12, 24):
         calls.clear()
-        assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+        assert splitting_sequence(h, depth).values == (0,) + (1,) * depth
         assert len(calls) == depth - 1, (depth, calls)
 
 
@@ -923,7 +960,7 @@ def test_scan_memo_grows_linearly_with_depth(monkeypatch):
     # for the run, and the workspace keeps one box per committed entry.
     # Keyed by the tail prefix tail[:j], the memo carried 110, 506 and 2,162
     # tail entries at depths 12, 24 and 48 (8,930 at 96), and per-tail box
-    # chains held 78, 300 and 1,176 boxes (4,656 at 96)
+    # chains held 78, 300 and 1,176 boxes (4,656 at 96), on x + y^3 at p = 13
     spaces = []
     new_part = ladder._new_part_contained
 
@@ -932,10 +969,10 @@ def test_scan_memo_grows_linearly_with_depth(monkeypatch):
         return new_part(ws, s)
 
     monkeypatch.setattr(ladder, "_new_part_contained", recorded)
-    h = hypersurface(13, ["x", "y"], "x + y^3")
-    for depth, size in ((12, 22), (24, 46), (48, 94)):
+    h = hypersurface(3, ["x0", "x1"], "5*x0^2*x1^3 + 5*x0^2 + 6*x1")
+    for depth, size in ((12, 18), (24, 42), (48, 90)):
         spaces.clear()
-        assert splitting_sequence(h, depth).values == (0,) * (depth + 1)
+        assert splitting_sequence(h, depth).values == (0,) + (1,) * depth
         ws = spaces[-1]
         assert all(isinstance(part, int) for key in ws.memo for part in key[:2]), depth
         assert len(ws.boxes) <= depth + 1, (depth, len(ws.boxes))
@@ -944,9 +981,10 @@ def test_scan_memo_grows_linearly_with_depth(monkeypatch):
 
 def test_scan_probes_candidates_upward_from_zero(monkeypatch):
     # once the run holds no theta, the scan probes s = 0, 1, 2, ... up to
-    # the first candidate that is not contained.  Bisecting [0, p] probed
-    # 7, 3, 1, 0 for each entry 0 on x + y^3.  theta drops back there after
-    # depth 3, so no repeat is keyed and every later depth is scanned
+    # the first candidate that is not contained, so an entry s takes s + 2
+    # probes.  Bisecting [0, p] probed 7, 3, 1, 0 for each entry 0 on
+    # x + y^3 at p = 13.  Here theta drops back after depth 9, on 2^31, so
+    # no repeat is keyed and every later depth is scanned, 3, 7, 3, ...
     probes = []
     new_part = ladder._new_part_contained
 
@@ -963,13 +1001,14 @@ def test_scan_probes_candidates_upward_from_zero(monkeypatch):
         return got + [_scan_next(ws)]
 
     monkeypatch.setattr(ladder, "_new_part_contained", counted)
-    h = hypersurface(13, ["x", "y"], "x + y^3")
-    for depth in (12, 24):
+    h = hypersurface(11, ["x0", "x1"], "94*x0^3 + 110*x1")
+    for depth, count in ((12, 19), (24, 103)):
         probes.clear()
         seq = splitting_sequence(h, depth)
-        assert seq.values == (0,) * (depth + 1)
-        assert seq.repeat is None and seq.frontier_depth == 2
-        assert probes == [0, 1] * (depth - 3), (depth, probes)
+        assert seq.values == (0,) + (7, 3) * (depth // 2)
+        assert seq.repeat is None and seq.frontier_depth == 8
+        assert probes == [t for s in seq.values[10:] for t in range(s + 2)], (depth, probes)
+        assert len(probes) == count, (depth, probes)
     # the walk runs to p itself, so s_2 = p is found
     h = hypersurface(13, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2")
     probes.clear()
@@ -1023,14 +1062,15 @@ def test_theta_chain_contractions_are_pinned(monkeypatch):
         assert seq.repeat == (0, 2)
         assert bounds == [1, 0], bounds
         assert tuple(counts.values()) == (0, 1, 13), counts
-    # x divides y^(12,12) twelve times, so on x + y^3 at p = 13 the bound
-    # decides every candidate but s = 0, whose fbar^13 keeps no term inside
-    # theta's box: each of the 3 depths on theta is one contraction
-    h = hypersurface(13, ["x", "y"], "x + y^3")
+    # fbar = x0^2*x1 divides each theta_k of x0^2*x1 + 5*x2 at p = 5 twice
+    # and no more, so the bound decides every candidate from s = 3 up, and
+    # psi_3, from fbar^3, which keeps no term inside theta's box, decides
+    # s = 2: each of the 3 depths on theta is one contraction
+    h = hypersurface(5, ["x0", "x1", "x2"], "x0^2*x1 + 5*x2")
     bounds.clear()
     counts.update(dict.fromkeys(counts, 0))
-    assert splitting_sequence(h, 3).values == (0, 0, 0, 0)
-    assert bounds == [12, 12, 12], bounds
+    assert splitting_sequence(h, 3).values == (0, 2, 2, 2)
+    assert bounds == [2, 2, 2], bounds
     assert counts["_new_part_contained"] == 0
 
 
@@ -1041,11 +1081,16 @@ LEDGER_CASES = [
     (7, "x,y,z", "x^3 + y^3 + z^3", 4, (0, 1, 5, 0, 0)),
     (3, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 6, (0, 0, 7, 0, 0)),
     (13, "x1,x2", "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2", 12, (0, 1, 4, 0, 0)),
-    (13, "x,y", "x + y^3", 12, (18, 7, 6, 11, 3)),
-    (2, "x,y", "x + y^3", 8, (12, 6, 8, 7, 5)),
-    (3, "x,y", "x + y^3", 8, (16, 8, 8, 7, 6)),
-    (5, "x,y", "x + y^3", 8, (30, 11, 6, 7, 7)),
-    (7, "x0,x1,x2,x3", "25*x2^2*x3 + x0*x2*x3^3 + x0*x1 + 10*x0^2*x1*x2", 4, (2, 7, 6, 3, 3)),
+    # s_1 = 0: one chain, then every entry is read off s_1
+    (13, "x,y", "x + y^3", 12, (0, 0, 1, 0, 0)),
+    (2, "x,y", "x + y^3", 8, (0, 0, 1, 0, 0)),
+    (3, "x,y", "x + y^3", 8, (0, 0, 1, 0, 0)),
+    (5, "x,y", "x + y^3", 8, (0, 0, 1, 0, 0)),
+    (7, "x0,x1,x2,x3", "25*x2^2*x3 + x0*x2*x3^3 + x0*x1 + 10*x0^2*x1*x2", 4, (0, 0, 1, 0, 0)),
+    # theta drops back on its size, and the scan reads the rest
+    (3, "x0,x1", "5*x0^2*x1^3 + 5*x0^2 + 6*x1", 8, (12, 18, 15, 7, 7)),
+    (5, "x0,x1,x2", "x0^4*x1^2*x2^4 + 16*x0^4*x1 + 5*x2", 12, (24, 25, 40, 11, 8)),
+    (2, "x0,x1,x2", "3*x0^2*x1^2*x2^4 + x0*x1^4*x2^3 + 2*x0*x2 + 2*x1", 12, (12, 37, 19, 11, 15)),
 ]
 
 
@@ -1079,10 +1124,11 @@ def test_scan_work_ledger_is_pinned(monkeypatch, p, names, expr, depth, ledger):
 def test_theta_steps_stop_at_the_last_entry_and_at_a_repeat(monkeypatch):
     # a run steps theta past each committed entry but the last, and not at
     # all once a repeat is proven.  The p=7 Fermat quartic repeats at
-    # theta_2, so any depth takes 2 steps; 6*x0*x1 keeps theta and never
-    # repeats, so depth d takes d - 1.  The contraction ledger cannot see an
-    # extra final step past an entry 0 that reuses the chain's contraction,
-    # as that step makes no contraction of its own
+    # theta_2, so any depth takes 2 steps; x0^2*x1 + 5*x2 at p = 5 keeps
+    # theta and never repeats, so depth d takes d - 1 up to depth 13.  The
+    # contraction ledger cannot see an extra final step past an entry 0 that
+    # reuses the chain's contraction, as that step makes no contraction of
+    # its own
     steps = []
     advance = ladder._advance
 
@@ -1091,11 +1137,11 @@ def test_theta_steps_stop_at_the_last_entry_and_at_a_repeat(monkeypatch):
         return advance(*args)
 
     monkeypatch.setattr(ladder, "_advance", counted)
-    for names, expr, calls in (
-        ("x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", {5: 2, 24: 2}),
-        ("x0,x1,x2", "6*x0*x1", {5: 4, 11: 10}),
+    for p, names, expr, calls in (
+        (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", {5: 2, 24: 2}),
+        (5, "x0,x1,x2", "x0^2*x1 + 5*x2", {5: 4, 11: 10}),
     ):
-        h = hypersurface(7, names.split(","), expr)
+        h = hypersurface(p, names.split(","), expr)
         for depth, count in calls.items():
             steps.clear()
             seq = splitting_sequence(h, depth)

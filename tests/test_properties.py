@@ -236,6 +236,33 @@ def test_read_off_repeats_match_the_scan():
     assert any(k - j > 1 for j, k in repeats) and any(j > 0 for j, _ in repeats), repeats
 
 
+def test_f_pure_fibres_are_read_off_s_1():
+    # s_1 = 0 proves every later entry 0 (Fedder; the ladder module
+    # docstring), so splitting_sequence reads them off s_1 as the repeat
+    # (0, 1).  next_s takes no read-off, so chaining it must give the values
+    # of every input, and each F-pure fibre must also match the capped scan
+    # at depth 5, two one-entry blocks and two entries past s_1.  Inputs
+    # with s_1 = 1 and a later entry other than 1 catch a read-off at s_1 = 1
+    rng = random.Random(27)
+    depth = 5
+    fibres = mixed = 0
+    for _ in range(CASES):
+        p = rng.choice((2, 3, 5, 7))
+        ctx = Context(p, [f"x{i}" for i in range(rng.randrange(1, 4))])
+        h = ps.random_hypersurface(rng, ctx)
+        seq = splitting_sequence(h, depth)
+        prefix = ()
+        while len(prefix) < depth and p not in prefix:
+            prefix += (next_s(h, prefix),)
+        assert seq.values == (0,) + prefix + (p,) * (depth - len(prefix)), (p, h.f_lift)
+        if seq.values[1] == 0:
+            assert seq.repeat == (0, 1), (p, h.f_lift, seq.repeat)
+            assert seq.values == (0,) * (depth + 1) == capped_scan_sequence(h, depth), (p, h.f_lift)
+            fibres += 1
+        mixed += seq.values[1] == 1 and set(seq.values[2:]) != {1}
+    assert fibres >= CASES // 5 and mixed >= 10, (fibres, mixed)
+
+
 def test_sequence_values_always_in_range():
     rng = random.Random(24)
     from pptlab.ladder import splitting_sequence
