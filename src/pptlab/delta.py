@@ -30,13 +30,9 @@ class Hypersurface:
 
     ``delta_power`` and ``f_res_power`` form full powers.  The exact
     ladder (``compute_ladder``, ``--trace``) reads each distinct power
-    once per call.  ``ladder._Workspace`` calls neither: it reads the terms
-    of ``delta_f`` and ``f_res`` in place, and forms g^k, both the full
-    power that the boxes at or past its reach share and the capped powers
-    that the sequence's dual element and its capped scan use inside the
-    boxes they keep, as the product of g^(k//2) and g^(k - k//2), or at
-    k = p as the Frobenius image of g (capped to ceil(B/p) for a box B),
-    which over F_p is g^p.
+    once per call.  The sequence engine calls neither: it reads the terms
+    of ``delta_f`` and ``f_res`` in place and forms its own powers
+    (``ladder._Workspace._power``).
     """
 
     __slots__ = ("ctx", "f_lift", "f_res", "delta_f")

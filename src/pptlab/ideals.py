@@ -319,11 +319,13 @@ def member_frobenius_power(g: ResPoly, e: int) -> bool:
     """Exact membership of g in (x_1^(p^e), ..., x_N^(p^e)).
 
     Membership in a monomial ideal is monomial by monomial: true iff every
-    monomial of g has some exponent >= p^e.
+    monomial of g has some exponent >= p^e.  p >= 2, so for e >= 31 no
+    exponent, each below 2^31, reaches p^e, and p^31 serves as the bound
+    without forming p^e.
     """
     if e < 1:
         raise InputError(f"Frobenius power exponent must be >= 1, got {e}")
-    return not truncate_terms(g.terms, *exponent_cap(g.ctx, g.ctx.p**e))
+    return not truncate_terms(g.terms, *exponent_cap(g.ctx, g.ctx.p ** min(e, 31)))
 
 
 def ideal_in_frobenius_power(ideal: ResIdeal, e: int) -> bool:

@@ -87,14 +87,9 @@ the ideal of its rows rather than their F_p-span
 ``MonomialAntichain`` docstring says why this is exact).  Its final test
 reads no theta: x^t ⌟ theta_0 is nonzero iff every t_i < p, and
 distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0 iff g is empty
-modulo (x_i^p).  Every cap is one ``ring.exponent_cap`` test.  A power
-is clamped to its reach first, the box past which it has no monomial:
-boxes at or past the reach share the full power, formed once per
-exponent after one exact 2^31 test on the exponent times g's degrees,
-and a box that truncates gets its power inside it, never in full.
-Either way g^k is g^(k//2) * g^(k - k//2), or at k = p the Frobenius
-image of g, which over F_p is g^p and, capped to B, the image of g
-capped to ceil(B/p) (``_Workspace``).  The contraction, F, the Frobenius
+modulo (x_i^p).  Every cap is one ``ring.exponent_cap`` test.  Every
+power of fbar and delta, capped to a box or in full, comes from
+``_Workspace._power``.  The contraction, F, the Frobenius
 substitution, the products, the u-bucket split and the per-variable
 exponent maxima and minima are ``ring`` kernels, beside the packed
 monomial whose fields they read.
@@ -179,7 +174,7 @@ from .errors import (
 )
 from .ideals import ResIdeal, principal_ideal, root_generators, u_image
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms;
-# the full powers of _Workspace._full call mul_terms under its ring name.
+# the full powers of _Workspace._power call mul_terms under its ring name.
 # The scan splits buckets in ideals.root_generators; _u_buckets stays bound
 # here only because perfbench also wraps ladder._u_buckets by name.
 from .ring import (
@@ -274,34 +269,12 @@ def _check_index(p: int, entries: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Workspace:
-    """One run of the sequence walk, with a per-run memo of capped delta-
-    and f-power term dicts and of live-box minima.  The capped scan takes
-    its powers inside its live boxes, and theta's steps and contractions
-    take fbar^k and delta inside theta's box; a box is per-variable bounds.
-
-    A power g^k is keyed by the box it is truncated to, and clamped on a
-    miss to its reach R_i = k * d_i + 1, where d_i bounds g's degree in
-    x_i: deg_(x_i) fbar for fbar, and p * deg_(x_i) f_lift for delta, as
-    delta = (f^p - phi(f))/p.  g^k has no monomial at or past R, so
-    trunc_B(g^k) = trunc_min(B, R)(g^k), and every box that is >= R in
-    each variable shares one full power, a term dict formed once per k
-    (``_full``), whose exponents are tested against 2^31 on g's exact
-    degrees first.  A box that truncates builds its power inside the box,
-    never in full.  Dropping the monomials at or past a box B is reduction
-    modulo a monomial ideal, which is a ring map, so any split of k is
-    exact: trunc(g^k) = trunc(trunc(g^a) * trunc(g^(k-a))).  Each power
-    halves its exponent, g^k = g^(k//2) * g^(k - k//2), so fbar^12 takes
-    four products (12, 6, 3, 2) instead of eleven.  At k = p it takes
-    none: over F_p, g^p is the Frobenius image phi(g) of
-    x_i -> x_i^p (``ring.frobenius_terms``), and p * m_i < B_i iff
-    m_i < ceil(B_i / p), so trunc_B(phi(g)) = phi(trunc_ceil(B/p)(g)),
-    whose exponents stay below B.  Full powers split the same way.
-
-    A live box reads one capped power: U_i = out_i - min(m_i) over the
-    monomials m of fbar^k below ``out`` (``live_box``), one
-    ``ring.exponent_floor``, memoized under ``out`` clamped to the reach of
-    fbar^k like the power itself.  The capped chain clamps each stage's
-    box by the degree bounds d too (``_stage``).
+    """One run of the sequence walk, with a per-run memo of delta- and
+    f-power term dicts (``_power``).  The capped scan takes its powers
+    inside its live boxes (``live_box``), and theta's steps and
+    contractions take fbar^k and delta inside theta's box; a box is
+    per-variable bounds.  The capped chain clamps each stage's box by the
+    powers' degree bounds too (``_stage``).
 
     The walk is ``read`` then ``commit``, once per entry.  The workspace
     holds the committed prefix, which only ``commit`` extends; ``front``,
@@ -321,7 +294,7 @@ class _Workspace:
 
     def __init__(self, h: Hypersurface):
         self.h = h
-        self._cache: dict[tuple, dict[int, int] | tuple[int, ...]] = {}
+        self._cache: dict[tuple, dict[int, int]] = {}
         p, n = h.ctx.p, h.ctx.n_vars
         self.prefix: tuple[int, ...] = ()
         self.front: _Frontier | None = _theta_0(h.ctx)
@@ -366,20 +339,13 @@ class _Workspace:
 
         U_i = max(out_i - m_i) = out_i - min(m_i) over the monomials m of
         fbar^k with m < out componentwise, one ``ring.exponent_floor`` of
-        the capped power; all zeros when fbar^k has no such monomial.  Every
-        m is below the reach R, so these are the m < min(out, R), and the
-        minima are memoized under that clamped box: the boxes past R, one
-        per depth after a drop-back, share them.
+        the capped power, which the workspace memoizes; all zeros when
+        fbar^k has no such monomial.
         """
-        clamped = tuple(map(min, out, self._reach("f", k)))
-        key = ("u", k, clamped)
-        floor = self._cache.get(key)
-        if floor is None:
-            below = self.f_terms(k, clamped)
-            floor = self._cache[key] = exponent_floor(below, len(out)) if below else ()
-        if not floor:
+        below = self.f_terms(k, out)
+        if not below:
             return (0,) * len(out)
-        return tuple(o - m for o, m in zip(out, floor))
+        return tuple(o - m for o, m in zip(out, exponent_floor(below, len(out))))
 
     def _reach(self, kind: str, k: int) -> tuple[int, ...]:
         """The box past which delta^k (kind "d") or fbar^k (kind "f") has
@@ -393,72 +359,68 @@ class _Workspace:
         return self._power("f", k, box)
 
     def _power(self, kind: str, k: int, box: tuple[int, ...]) -> dict[int, int]:
-        """delta^k (kind "d") or fbar^k (kind "f") without the monomials at
-        or past ``box``: the full power when ``box`` is at or past its reach,
-        the power under the clamped box when it is past it in some variable,
-        and otherwise, inside ``box``, the truncated first power for k <= 1,
-        the Frobenius image of g capped to ceil(box / p) for k = p, and the
-        capped product of g^(k//2) and g^(k - k//2) for any other k."""
+        """g^k for g = delta (kind "d") or fbar (kind "f") without the
+        monomials at or past ``box``, as a term dict memoized per run under
+        (kind, k, box).  This is the one place a power is formed.
+
+        On a miss the box is clamped to the reach R_i = k * d_i + 1, where
+        d_i bounds g's degree in x_i: deg_(x_i) fbar for fbar, and
+        p * deg_(x_i) f_lift for delta, as delta = (f^p - phi(f))/p.  g^k
+        has no monomial at or past R, so trunc_B(g^k) = trunc_min(B, R)(g^k),
+        and every box that is >= R in each variable shares the power at the
+        reach, which is the full power: {0: 1} for k = 0, and for k = 1 the
+        terms of ``f_res`` or ``delta_f``, read in place.  A box below the
+        reach in some variable builds its power inside the box, never in
+        full; for k <= 1 that truncates g^k.
+
+        Dropping the monomials at or past a box B is reduction modulo a
+        monomial ideal, which is a ring map, so any split of k is exact:
+        trunc(g^k) = trunc(trunc(g^a) * trunc(g^(k-a))).  Each power k >= 2
+        halves its exponent, g^k = g^(k//2) * g^(k - k//2), so fbar^12 takes
+        four products (12, 6, 3, 2) instead of eleven, capped to the box
+        below the reach and a plain ring product at it.  At k = p it takes
+        none: over F_p, g^p is the Frobenius image phi(g) of x_i -> x_i^p
+        (``ring.frobenius_terms``), and p * m_i < B_i iff
+        m_i < ceil(B_i / p), so trunc_B(phi(g)) = phi(trunc_ceil(B/p)(g)),
+        whose exponents stay below B; at the reach, ceil(R / p) is g's own
+        reach.
+
+        Before g^k, k >= 2, is formed at its reach, one exact test keeps its
+        exponents below 2^31, as ``Poly.__mul__`` does.  deg_(x_i)(g^k) is
+        exactly k * deg_(x_i)(g): the top x_i-degree part of g^k is the
+        k-th power of g's, which is nonzero because F_p[x] is a domain.  So
+        the degrees come from g's actual terms, not from the bounds d.
+        """
         key = (kind, k, box)
         got = self._cache.get(key)
         if got is None:
-            ctx = self.h.ctx
+            h = self.h
+            ctx = h.ctx
             p = ctx.p
+            g = (h.delta_f if kind == "d" else h.f_res).terms
             reach = self._reach(kind, k)
             clamped = tuple(map(min, box, reach))
-            if clamped == reach:
-                got = self._full(kind, k)
-            elif clamped != box:
+            full = clamped == reach
+            if clamped != box:
                 got = self._power(kind, k, clamped)
             elif k <= 1:
-                got = _truncate(self._full(kind, k), *exponent_cap(ctx, box))
-            elif k == p:
-                # m_i < ceil(B_i / p) iff p * m_i < B_i
-                inner = tuple(-(-b // p) for b in box)
-                got = frobenius_terms(self._power(kind, 1, inner), p)
+                got = g if k else {0: 1}  # the monomial 1 packs to 0
+                if not full:
+                    got = _truncate(got, *exponent_cap(ctx, box))
             else:
-                got = _mul_terms(
-                    self._power(kind, k // 2, box),
-                    self._power(kind, k - k // 2, box),
-                    p,
-                    *exponent_cap(ctx, box),
-                )
-            self._cache[key] = got
-        return got
-
-    def _full(self, kind: str, k: int) -> dict[int, int]:
-        """delta^k (kind "d") or fbar^k (kind "f") in full, as a term dict
-        formed once per run: {0: 1} for k = 0, the terms of ``delta_f`` or
-        ``f_res`` for k = 1, read in place like every memoized power, for
-        k = p the Frobenius image of g, which over F_p is g^p, and for any
-        other k the ring product g^(k//2) * g^(k - k//2).
-
-        Before g^k is formed, one exact test keeps its exponents below
-        2^31, as ``Poly.__mul__`` does.  deg_(x_i)(g^k) is exactly
-        k * deg_(x_i)(g): the top x_i-degree part of g^k is the k-th power
-        of g's, which is nonzero because F_p[x] is a domain.  So the degrees
-        come from g's actual terms, not from the bounds of ``_degrees``.
-        """
-        key = (kind, k)
-        got = self._cache.get(key)
-        if got is None:
-            h = self.h
-            p = h.ctx.p
-            if k == 0:
-                got = {0: 1}  # the monomial 1 packs to 0
-            elif k == 1:
-                got = (h.delta_f if kind == "d" else h.f_res).terms
-            else:
-                first = self._full(kind, 1)
-                for name, b in zip(h.ctx.var_names, exponent_box(first, h.ctx.n_vars)):
-                    if k * (b - 1) >= EXPONENT_LIMIT:
-                        raise ExponentOverflowError(
-                            f"exponents of {name} reach {k * (b - 1)} >= 2**31"
-                        )
+                if full:
+                    for name, b in zip(ctx.var_names, exponent_box(g, ctx.n_vars)):
+                        if k * (b - 1) >= EXPONENT_LIMIT:
+                            raise ExponentOverflowError(
+                                f"exponents of {name} reach {k * (b - 1)} >= 2**31"
+                            )
                 if k == p:
-                    got = frobenius_terms(first, p)
+                    # m_i < ceil(B_i / p) iff p * m_i < B_i
+                    inner = tuple(-(-b // p) for b in box)
+                    got = frobenius_terms(self._power(kind, 1, inner), p)
                 else:
-                    got = mul_terms(self._full(kind, k // 2), self._full(kind, k - k // 2), p)
+                    halves = self._power(kind, k // 2, box), self._power(kind, k - k // 2, box)
+                    got = mul_terms(*halves, p) if full else _mul_terms(*halves, p, *exponent_cap(ctx, box))
             self._cache[key] = got
         return got
 
@@ -768,10 +730,7 @@ def _scan_next(ws: _Workspace) -> int:
 
     The walk rides the monotonicity upward: s = 0 must be contained, then
     s = 1, 2, ... are probed up to the first that is not, so an entry s
-    takes s + 2 probes (p + 1 for s = p).  Scanned entries are small, and
-    up to s = 4 that is no more than a search that doubles its step from
-    s = 1 and then bisects; from s = 5, at p >= 7, such a search takes
-    about 2 log2(s) + 2 probes.
+    takes s + 2 probes (p + 1 for s = p), and scanned entries are small.
 
     For p <= 5 the candidates s + 2..p are evaluated after the walk, and
     any of them contained means the contained set is not the interval

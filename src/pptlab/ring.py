@@ -89,10 +89,11 @@ class Context:
         max_generators: int = 10_000,
     ):
         names = tuple(var_names)
-        if not is_prime(p):
-            raise InputError(f"p = {p} is not prime")
+        # the range first: trial division of a huge p would not finish
         if not 2 <= p <= MAX_PRIME:
             raise InputError(f"p = {p} outside supported range 2..{MAX_PRIME}")
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not prime")
         if not 1 <= len(names) <= MAX_VARS:
             raise InputError(f"variable count {len(names)} outside 1..{MAX_VARS}")
         if len(set(names)) != len(names):

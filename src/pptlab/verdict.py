@@ -280,7 +280,8 @@ class _RootChains:
 def _check_exponent(p: int, e: int) -> None:
     if e < 1:
         raise InputError(f"e must be >= 1, got {e}")
-    if p**e >= EXPONENT_LIMIT:
+    # p >= 2, so p^e >= 2^e: e >= 31 is out without forming p^e
+    if e >= 31 or p**e >= EXPONENT_LIMIT:
         raise ExponentOverflowError(f"p^e = {p}^{e} >= 2**31")
 
 

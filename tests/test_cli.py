@@ -109,6 +109,11 @@ def test_fpt_exponent_range_edge(capsys):
     code, record, _ = run_json(capsys, argv + ["31"])
     assert code == 2
     assert record["error"]["type"] == "ExponentOverflowError"
+    # rejected without forming 13^e, which alone takes seconds at e = 3 * 10^6
+    argv = ["fpt", "--p", "13", "--vars", "x", "--f", "x^2", "--emax", "100000000"]
+    code, record, _ = run_json(capsys, argv)
+    assert code == 2
+    assert record["error"]["type"] == "ExponentOverflowError"
 
 
 def test_fpt_monomial_cap_exits_3(capsys):

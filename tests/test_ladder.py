@@ -521,10 +521,10 @@ def test_halved_and_frobenius_powers_match_poly_powers():
 
 
 def test_full_powers_match_poly_powers():
-    # the workspace keeps full powers as term dicts, formed by halving k or,
-    # at k = p, as the Frobenius image of g; each must equal the Poly power,
-    # in any order of k, and delta = 0 (f = x, at every p) must give {0: 1}
-    # then {}
+    # the workspace's power at its reach is the full power, a term dict
+    # formed by halving k or, at k = p, as the Frobenius image of g; each
+    # must equal the Poly power, in any order of k, and delta = 0 (f = x, at
+    # every p) must give {0: 1} then {}
     rng = random.Random(27)
     inputs = [(p, 1, {(1,): 1}) for p in (2, 3, 5, 7)]
     while len(inputs) < 60:
@@ -544,34 +544,36 @@ def test_full_powers_match_poly_powers():
         rng.shuffle(order)
         for kind, k in order:
             g = h.f_res if kind == "f" else h.delta_f
-            assert ws._full(kind, k) == (g**k).terms, (p, f, kind, k)
+            assert ws._power(kind, k, ws._reach(kind, k)) == (g**k).terms, (p, f, kind, k)
     assert zero_delta >= 4, zero_delta
 
 
 def test_full_power_keeps_exponents_below_2_31():
     # deg_x(g^k) = k * deg_x(g) exactly, so fbar = x^(2^30) has no square
-    # inside a packed monomial, and x^(2^30 - 1) has one.  f^p overflows
-    # delta's own numerator, so the inputs are built with delta = 0
+    # inside a packed monomial, and x^(2^30 - 1) has one, formed at the
+    # reach of fbar^2.  f^p overflows delta's own numerator, so the inputs
+    # are built with delta = 0
     ctx = Context(2, ["x", "y"])
     for e, overflows in ((EXPONENT_LIMIT // 2, True), (EXPONENT_LIMIT // 2 - 1, False)):
         f = LiftPoly.monomial(ctx, (e, 0))
         h = Hypersurface(ctx, f, ResPoly.monomial(ctx, (e, 0)), ResPoly.zero(ctx))
         ws = _Workspace(h)
+        reach = ws._reach("f", 2)
         if overflows:
             with pytest.raises(ExponentOverflowError):
-                ws._full("f", 2)
+                ws._power("f", 2, reach)
         else:
-            assert ws._full("f", 2) == {ctx.encode_monomial((2 * e, 0)): 1}
+            assert ws._power("f", 2, reach) == {ctx.encode_monomial((2 * e, 0)): 1}
 
 
 def test_capped_scan_never_forms_full_powers(monkeypatch):
     # the p = 13 scan needs delta^7 only inside a small box; the full power
-    # has degree 7 * 13 * 5 = 455.  A full power g^k with k >= 2 may serve
-    # only a box at or past its reach k * d_i + 1 in every variable (d_i =
-    # deg_(x_i) fbar, and p * deg_(x_i) f_lift for delta), which cannot
-    # truncate it; the scan here does share such powers.  The workspace
-    # forms each full power from the one below, reads delta and fbar as
-    # terms and calls no Hypersurface power at all
+    # has degree 7 * 13 * 5 = 455.  A power g^k with k >= 2 is formed at its
+    # reach k * d_i + 1 (d_i = deg_(x_i) fbar, and p * deg_(x_i) f_lift for
+    # delta), that is in full, only for a box at or past that reach in every
+    # variable, which cannot truncate it; the scan here does share such
+    # powers.  The workspace forms each full power from the ones below,
+    # reads delta and fbar as terms and calls no Hypersurface power at all
     p = 13
     h = hypersurface(p, ["x1", "x2"], "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + p*x1*x2")
     degrees = {
@@ -579,25 +581,21 @@ def test_capped_scan_never_forms_full_powers(monkeypatch):
         "f": [b - 1 for b in exponent_box(h.f_res.terms, 2)],
     }
     boxes = []  # the boxes of the workspace powers being built, innermost last
-    power, full = _Workspace._power, _Workspace._full
+    power = _Workspace._power
+    shared = []
 
     def tracked(self, kind, k, box):
+        reach = tuple(k * d + 1 for d in degrees[kind])
+        if k >= 2 and box == reach:
+            asked = boxes[-1] if boxes else box
+            if any(b < r for b, r in zip(asked, reach)):
+                raise AssertionError(f"{kind}^{k} formed in full for the box {asked}")
+            shared.append((kind, k))
         boxes.append(box)
         try:
             return power(self, kind, k, box)
         finally:
             boxes.pop()
-
-    shared = []
-
-    def guarded(self, kind, k):
-        if k >= 2:
-            box = boxes[-1] if boxes else None
-            reach = [k * d + 1 for d in degrees[kind]]
-            if box is None or any(b < r for b, r in zip(box, reach)):
-                raise AssertionError(f"{kind}^{k} formed in full for the box {box}")
-            shared.append((kind, k))
-        return full(self, kind, k)
 
     read = []
     for name in ("delta_power", "f_res_power"):
@@ -609,7 +607,6 @@ def test_capped_scan_never_forms_full_powers(monkeypatch):
 
         monkeypatch.setattr(Hypersurface, name, counted)
     monkeypatch.setattr(_Workspace, "_power", tracked)
-    monkeypatch.setattr(_Workspace, "_full", guarded)
     assert splitting_sequence(h, 3).values == (0, 7, 13, 13)
     assert shared
     assert read == [], read

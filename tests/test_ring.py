@@ -40,6 +40,9 @@ def test_context_rejects_bad_parameters():
         Context(4, ["x"])
     with pytest.raises(InputError):
         Context(17, ["x"])
+    # a prime far past the range: rejected before any primality test runs
+    with pytest.raises(InputError, match="outside supported range"):
+        Context(1000000000000000003, ["x"])
     with pytest.raises(InputError):
         Context(2, [])
     with pytest.raises(InputError):
