@@ -70,7 +70,7 @@ each run the capped scan over the whole prefix, when
 - an intermediate of the step, or of the chain that reads the entry,
   would have more than ``max_workspace_monomials`` terms;
 - F would push an exponent to 2^31 or beyond, past what a packed
-  monomial, its caps and the contraction's guard bits hold.
+  monomial holds (``ring.dual_frobenius`` returns None).
 
 The chain's contractions and the first contraction of a step stop as
 soon as they have reached more monomials than these bounds let them keep
@@ -90,9 +90,9 @@ distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0 iff g is empty
 modulo (x_i^p).  Every cap is one ``ring.exponent_cap`` test.  Every
 power of fbar and delta, capped to a box or in full, comes from
 ``_Workspace._power``.  The contraction, F, the Frobenius
-substitution, the products, the u-bucket split and the per-variable
-exponent maxima and minima are ``ring`` kernels, beside the packed
-monomial whose fields they read.
+substitution, the products, the u-bucket split, the leading-term bound,
+the 2^31 range test and the per-variable exponent maxima and minima are
+``ring`` kernels, beside the packed monomial whose fields they read.
 
 After a drop-back, every later depth runs the chain over the run's
 committed prefix, once per candidate s, and the chains of one run share
@@ -166,25 +166,20 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .delta import Hypersurface
-from .errors import (
-    ExponentOverflowError,
-    InputError,
-    InvalidIndexError,
-    MonotonicityViolationError,
-)
+from .errors import InputError, InvalidIndexError, MonotonicityViolationError
 from .ideals import ResIdeal, principal_ideal, root_generators, u_image
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms;
 # the full powers of _Workspace._power call mul_terms under its ring name.
 # The scan splits buckets in ideals.root_generators; _u_buckets stays bound
 # here only because perfbench also wraps ladder._u_buckets by name.
 from .ring import (
-    EXPONENT_LIMIT,
+    check_exponent_range,
     contract_terms as _contract,
     dual_frobenius,
     exponent_box,
     exponent_cap,
     exponent_floor,
-    exponent_guard,
+    exponent_quotient,
     frobenius_terms,
     mul_terms,
     mul_terms as _mul_terms,
@@ -385,8 +380,9 @@ class _Workspace:
         whose exponents stay below B; at the reach, ceil(R / p) is g's own
         reach.
 
-        Before g^k, k >= 2, is formed at its reach, one exact test keeps its
-        exponents below 2^31, as ``Poly.__mul__`` does.  deg_(x_i)(g^k) is
+        Before g^k, k >= 2, is formed at its reach, its degree in each
+        variable goes to ``ring.check_exponent_range``, the 2^31 test that
+        ``Poly.__mul__`` also calls.  deg_(x_i)(g^k) is
         exactly k * deg_(x_i)(g): the top x_i-degree part of g^k is the
         k-th power of g's, which is nonzero because F_p[x] is a domain.  So
         the degrees come from g's actual terms, not from the bounds d.
@@ -409,11 +405,7 @@ class _Workspace:
                     got = _truncate(got, *exponent_cap(ctx, box))
             else:
                 if full:
-                    for name, b in zip(ctx.var_names, exponent_box(g, ctx.n_vars)):
-                        if k * (b - 1) >= EXPONENT_LIMIT:
-                            raise ExponentOverflowError(
-                                f"exponents of {name} reach {k * (b - 1)} >= 2**31"
-                            )
+                    check_exponent_range(ctx, (k * (b - 1) for b in exponent_box(g, ctx.n_vars)))
                 if k == p:
                     # m_i < ceil(B_i / p) iff p * m_i < B_i
                     inner = tuple(-(-b // p) for b in box)
@@ -480,19 +472,12 @@ def _leading_bound(ctx, fbar: dict[int, int], theta: dict[int, int]) -> int:
     J * t* for t* = min(fbar), with coefficient c*^J != 0, and b - t <=
     b* - t* for every t in fbar^J and b in theta, with equality only at
     t = J * t* and b* = max(theta).  When J * t* divides b*, y^(b* - J*t*)
-    is a term of the contraction that no other pair reaches.  ``fbar`` is
-    capped to theta's box, so t* and, while the test passes, (J-1) * t*
-    stay below 2^31 in every exponent, which keeps ``exponent_guard``
-    exact for J * t*.
+    is a term of the contraction that no other pair reaches.  t* has a
+    nonzero exponent, as fbar has no constant term.
     """
     if not fbar or not theta:
         return 0
-    guard = exponent_guard(ctx.n_vars)
-    t, top = min(fbar), max(theta) + guard
-    j = 0
-    while j < ctx.p and (top - (j + 1) * t) & guard == guard:
-        j += 1
-    return j
+    return exponent_quotient(min(fbar), max(theta), ctx.n_vars, ctx.p)
 
 
 def _theta_next(
@@ -558,12 +543,11 @@ def _advance(
     theta = formed or _contract(ws.f_terms(p - l - 1, front.box), front.theta, n, p, first)
     if theta is None or len(theta) > first:
         return None
-    box = tuple(p * b for b in exponent_box(theta, n))
-    if max(box) > EXPONENT_LIMIT:
-        return None
     theta = dual_frobenius(ctx, theta)
+    if theta is None:
+        return None
     if l:
-        delta = ws.delta_terms(1, box)
+        delta = ws.delta_terms(1, exponent_box(theta, n))
         for _ in range(l):
             if not theta:  # delta ⌟ 0 = 0
                 break

@@ -12,9 +12,9 @@ sorting.  Multiplying monomials is integer addition, and the Frobenius
 substitution x_i -> x_i^p is integer multiplication by p
 (``frobenius_terms``); neither can carry between fields while every
 exponent stays below 2**31.  That is checked on the actual exponents:
-``encode_monomial`` rejects larger ones, and products and
-``frobenius_substitute`` test the total degree and, only when it could
-reach 2**31, each variable's maxima (``exponent_box``).
+``encode_monomial`` rejects larger ones, and every product, power and
+Frobenius image that could reach 2**31 passes each variable's largest
+image exponent to ``check_exponent_range``, the one place that raises.
 
 The same headroom makes two field-wise tests one integer operation each:
 ``exponent_cap`` (some exponent reaches a bound) and ``exponent_guard``
@@ -22,8 +22,9 @@ The same headroom makes two field-wise tests one integer operation each:
 the exponent range of a support (``exponent_box``, ``exponent_floor``).
 No other module reads packed fields, so the kernels live here too:
 ``mul_terms``, ``contract_terms``, ``u_buckets`` (the split by Frobenius
-shift), ``frobenius_terms`` (x_i -> x_i^p on a term dict) and
-``dual_frobenius`` (F of the inverse system).
+shift), ``exponent_quotient`` (how many times x^t divides x^b),
+``frobenius_terms`` (x_i -> x_i^p on a term dict) and ``dual_frobenius``
+(F of the inverse system, None past 2**31).
 
 A polynomial is a dict mapping packed monomials to nonzero coefficients
 in the least non-negative residue system.  ``LiftPoly`` holds
@@ -205,6 +206,26 @@ def exponent_guard(n_vars: int) -> int:
     return _GUARDS[n_vars]
 
 
+def check_exponent_range(ctx: Context, tops: Iterable[int]) -> None:
+    """Raise ``ExponentOverflowError`` when some variable's largest image
+    exponent, given in variable order in ``tops``, reaches 2**31."""
+    for name, top in zip(ctx.var_names, tops):
+        if top >= EXPONENT_LIMIT:
+            raise ExponentOverflowError(f"exponents of {name} reach {top} >= 2**31")
+
+
+def exponent_quotient(t: int, b: int, n_vars: int, cap: int) -> int:
+    """The largest J <= ``cap`` with x^(J*t) dividing x^b, for packed
+    monomials t and b: the least b_i // t_i over the fields with t_i > 0,
+    and ``cap`` when t is 1."""
+    for _ in range(n_vars):
+        if t & FIELD_MASK:
+            cap = min(cap, (b & FIELD_MASK) // (t & FIELD_MASK))
+        t >>= FIELD_BITS
+        b >>= FIELD_BITS
+    return cap
+
+
 def exponent_box(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
     """1 + the largest exponent of each variable over the packed monomials
     ``terms``, in variable order; all zeros for no terms.
@@ -337,11 +358,15 @@ def frobenius_terms(terms: dict[int, int], p: int) -> dict[int, int]:
     return {m * p: c for m, c in terms.items()}
 
 
-def dual_frobenius(ctx: Context, theta: dict[int, int]) -> dict[int, int]:
-    """F(y^b) = y^(p*b + p-1) on an inverse-system element; the caller
-    keeps the image exponents below 2**31."""
-    shift = ctx.encode_monomial((ctx.p - 1,) * ctx.n_vars)
-    return {m * ctx.p + shift: c for m, c in theta.items()}
+def dual_frobenius(ctx: Context, theta: dict[int, int]) -> dict[int, int] | None:
+    """F(y^b) = y^(p*b + p-1) on an inverse-system element, or None when an
+    image exponent would reach 2**31, that is when p * (1 + b_i) > 2**31
+    for some exponent b_i of theta."""
+    p = ctx.p
+    if max(exponent_box(theta, ctx.n_vars)) * p > EXPONENT_LIMIT:
+        return None
+    shift = ctx.encode_monomial((p - 1,) * ctx.n_vars)
+    return {m * p + shift: c for m, c in theta.items()}
 
 
 def _require_same_ring(a: "Poly", b: "Poly") -> None:
@@ -493,9 +518,8 @@ class Poly:
         # degrees sum to 2**31: the top field of max(a) + max(b), as fields never carry
         n = self.ctx.n_vars
         if max(a) + max(b) >= EXPONENT_LIMIT << (FIELD_BITS * n):
-            for name, ea, eb in zip(self.ctx.var_names, exponent_box(a, n), exponent_box(b, n)):
-                if ea + eb - 2 >= EXPONENT_LIMIT:
-                    raise ExponentOverflowError(f"exponents of {name} reach {ea + eb - 2} >= 2**31")
+            tops = zip(exponent_box(a, n), exponent_box(b, n))
+            check_exponent_range(self.ctx, (ea + eb - 2 for ea, eb in tops))
         return self._raw(self.ctx, mul_terms(a, b, self.modulus))
 
     __rmul__ = __mul__
@@ -565,10 +589,7 @@ def frobenius_substitute(a: LiftPoly) -> LiftPoly:
     if not isinstance(a, LiftPoly):
         raise ContextMismatchError("frobenius_substitute expects a LiftPoly")
     p = a.ctx.p
-    if a.total_degree() * p >= EXPONENT_LIMIT:
-        top = max(exponent_box(a.terms, a.ctx.n_vars)) - 1
-        if top * p >= EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"Frobenius image exponent {top * p} >= 2**31")
+    check_exponent_range(a.ctx, (p * (b - 1) for b in exponent_box(a.terms, a.ctx.n_vars)))
     return LiftPoly._raw(a.ctx, frobenius_terms(a.terms, p))
 
 

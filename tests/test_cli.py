@@ -64,19 +64,22 @@ def test_classify_command(capsys):
 
 
 def test_strict_r1_flag(capsys):
-    code, record, _ = run_json(
-        capsys,
-        [
-            "classify",
-            "--p", "2",
-            "--vars", "x1..x5",
-            "--f", "x1^5+x2^5+x3^5+x4^5+x5^5",
-            "--depth", "3",
-            "--strict-r1",
-        ],
-    )
+    argv = [
+        "classify",
+        "--p", "2",
+        "--vars", "x1..x5",
+        "--f", "x1^5+x2^5+x3^5+x4^5+x5^5",
+        "--depth", "3",
+        "--strict-r1",
+    ]
+    code, record, _ = run_json(capsys, argv)
     assert code == 0
     assert record["verdict"]["kind"] == "inconclusive"
+    assert record["verdict"]["reason"] == "unclassified_pattern"
+    # the human output states the reason on the verdict line
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert "verdict: inconclusive (reason: unclassified_pattern)\n" in out
 
 
 def test_qfs_height_command(capsys):
@@ -114,6 +117,11 @@ def test_fpt_exponent_range_edge(capsys):
     code, record, _ = run_json(capsys, argv)
     assert code == 2
     assert record["error"]["type"] == "ExponentOverflowError"
+    # and below the range: emax counts from 1
+    for emax in ("0", "-2"):
+        code, record, _ = run_json(capsys, argv[:-1] + [emax])
+        assert code == 2
+        assert record["error"] == {"type": "InputError", "message": f"emax must be >= 1, got {emax}"}
 
 
 def test_fpt_monomial_cap_exits_3(capsys):

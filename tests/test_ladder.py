@@ -560,7 +560,7 @@ def test_full_power_keeps_exponents_below_2_31():
         ws = _Workspace(h)
         reach = ws._reach("f", 2)
         if overflows:
-            with pytest.raises(ExponentOverflowError):
+            with pytest.raises(ExponentOverflowError, match=r"^exponents of x reach 2147483648 >= 2\*\*31$"):
                 ws._power("f", 2, reach)
         else:
             assert ws._power("f", 2, reach) == {ctx.encode_monomial((2 * e, 0)): 1}
@@ -1297,11 +1297,26 @@ def test_leading_bound_agrees_with_the_whole_contraction():
             assert not (zero and J <= j), (p, fbar, theta, J)
             outcomes.add((zero, J <= j))
     assert outcomes == {(True, False), (False, False), (False, True)}
-    # the guard test stays exact when J * t reaches past 2^31: t = x^(2^30 + 1)
-    # divides y^(2^31 - 1) once
+    # J * t may reach past 2^31: t = x^(2^30 + 1) divides y^(2^31 - 1) once
     ctx = Context(13, ["x"])
     fbar = {ctx.encode_monomial((2**30 + 1,)): 1}
     assert _leading_bound(ctx, fbar, {ctx.encode_monomial((2**31 - 1,)): 1}) == 1
+    # ring's kernel reads each field on its own, from 0 to 2^31 - 1, and never
+    # the degree field: J is the least b_i // t_i over the t_i > 0, capped at p
+    capped = 0
+    for _ in range(400):
+        n = rng.randrange(1, 7)
+        p = rng.choice([q for q in (2, 3, 5, 7, 13) if q**n <= 20_000])
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        low, top = (
+            tuple(rng.choice([0, 1, rng.randrange(2, 4 * p), 2**30, 2**31 - 1]) for _ in range(n))
+            for _ in range(2)
+        )
+        want = min([p] + [b // a for a, b in zip(low, top) if a])
+        t, b = ctx.encode_monomial(low), ctx.encode_monomial(top)
+        assert _leading_bound(ctx, {t: 1}, {b: 1}) == want, (p, low, top)
+        capped += want == p
+    assert 0 < capped < 400
 
 
 def test_theta_chain_matches_the_whole_contraction_and_the_capped_chain():

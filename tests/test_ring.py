@@ -191,15 +191,23 @@ def test_exponent_overflow_guard():
     with pytest.raises(ExponentOverflowError):
         big * big
 
-    # the guard reads each variable's actual exponents, not the degree
+    # the guard reads each variable's actual exponents, not the degree, and
+    # products and Frobenius images raise the one message of
+    # check_exponent_range, naming the variable and its largest exponent
     ctx = Context(2, ["x", "y"])
     x = ResPoly(ctx, {(2**30, 0): 1})
     y = ResPoly(ctx, {(0, 2**30): 1})
     assert (x * y).terms_by_exponent() == {(2**30, 2**30): 1}
-    with pytest.raises(ExponentOverflowError):
-        x * x
-    with pytest.raises(ExponentOverflowError):
-        frobenius_substitute(LiftPoly(ctx, {(2**30, 0): 1}))
+    for overflow, message in (
+        (lambda: x * x, "exponents of x reach 2147483648 >= 2**31"),
+        (lambda: y * x * y, "exponents of y reach 2147483648 >= 2**31"),
+        (lambda: frobenius_substitute(LiftPoly(ctx, {(1, 2**30): 1})), "exponents of y reach 2147483648 >= 2**31"),
+        (lambda: frobenius_substitute(LiftPoly(ctx, {(2**30 + 1, 0): 1})), "exponents of x reach 2147483650 >= 2**31"),
+    ):
+        with pytest.raises(ExponentOverflowError) as raised:
+            overflow()
+        assert str(raised.value) == message
+    assert frobenius_substitute(LiftPoly(ctx, {(2**30 - 1, 1): 1})) == LiftPoly(ctx, {(2**31 - 2, 2): 1})
 
     # a large term that cancelled no longer counts against the range
     lx = LiftPoly(ctx, {(2**30, 0): 1})
@@ -384,6 +392,26 @@ def test_dual_frobenius_matches_per_field_map():
         got = dual_frobenius(ctx, {ctx.encode_monomial(b): c for b, c in theta.items()})
         want = {ctx.encode_monomial(tuple(p * e + p - 1 for e in b)): c for b, c in theta.items()}
         assert got == want, (p, theta)
+    # F checks its own range: None exactly when p * (1 + b_i) > 2^31 for
+    # some exponent, that is when an image exponent would reach 2^31
+    drops = 0
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        n = rng.randrange(1, 4)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        edge = EXPONENT_LIMIT // p  # p * (1 + e) > 2^31 iff e >= edge
+        theta = {
+            tuple(rng.choice([0, 1, edge - 2, edge - 1, edge]) for _ in range(n)): rng.randrange(1, p)
+            for _ in range(rng.randrange(1, 4))
+        }
+        got = dual_frobenius(ctx, {ctx.encode_monomial(b): c for b, c in theta.items()})
+        if any(p * (1 + e) > EXPONENT_LIMIT for b in theta for e in b):
+            drops += 1
+            assert got is None, (p, theta)
+        else:
+            want = {ctx.encode_monomial(tuple(p * e + p - 1 for e in b)): c for b, c in theta.items()}
+            assert got == want, (p, theta)
+    assert 0 < drops < 200
 
 
 def test_exponent_box_matches_decoded_maxima():
@@ -459,4 +487,6 @@ def test_only_ring_reads_packed_fields():
                 named.add(node.name)
         assert not named & fields, (path.name, sorted(named & fields))
         if path.name == "ladder.py":
-            assert "decode_monomial" not in named
+            # ring also decides the 2^31 range for the sequence engine
+            in_ring = {"decode_monomial", "EXPONENT_LIMIT", "exponent_guard", "ExponentOverflowError"}
+            assert not named & in_ring, sorted(named & in_ring)
