@@ -16,7 +16,9 @@ certificate; otherwise it is conjectural.
 
 nu(p^e) is read from short chains of p-th-root ideals, one step per
 base-p digit of the exponent, so no power of fbar beyond fbar^(p-1) is
-ever formed; the argument is in ``nu``.  The chains never form an
+ever formed; the argument is in ``nu``.  A step takes its root only
+when its products lie in m^[p]; otherwise the root is the unit ideal
+(Fedder) and no root is taken.  The chains never form an
 exponent near p^e, so the check that p^e stays below 2^31 only sets the
 supported range of e.  All products, here and in the quick criteria, are
 ``ring.mul_terms``.
@@ -229,20 +231,28 @@ class _RootChains:
         self.powers = [{0: 1}]  # fbar^d for d < p
         for _ in range(1, p):
             self.powers.append(mul_terms(self.powers[-1], f_res.terms, p))
+        self.cap = exponent_cap(self.ctx, p)  # flags the monomials of m^[p]
         self.steps: dict[tuple, tuple] = {}
         self.levels = [0]  # nu(p^0) = 0: fbar has no constant term
 
     def step(self, rows: tuple, d: int) -> tuple:
         """Generators of I_1(J * fbar^d) for J generated by ``rows``, or of
-        the unit ideal when some generator has a nonzero constant term."""
+        the unit ideal when that root is the unit ideal.
+
+        The root is the unit ideal iff J * fbar^d leaves m^[p] (Fedder):
+        I_1(K) is the least L with K inside L^[p], so I_1(K) lies in m iff
+        K lies in m^[p], and as m^[p] is monomial, K lies in it iff every
+        generator product does.  So a product with a monomial whose every
+        exponent is below p decides the step, and only a step whose
+        products all lie in m^[p] takes the root."""
         key = (rows, d)
         if key not in self.steps:
             p = self.ctx.p
-            products = (mul_terms(dict(row), self.powers[d], p) for row in rows)
-            root = root_generators(self.ctx, products)
-            if any(0 in row for row in root):
+            products = [mul_terms(dict(row), self.powers[d], p) for row in rows]
+            if any(truncate_terms(terms, *self.cap) for terms in products):
                 self.steps[key] = _UNIT_ROWS
             else:
+                root = root_generators(self.ctx, products)
                 self.steps[key] = tuple(tuple(sorted(row.items())) for row in root)
         return self.steps[key]
 
@@ -300,7 +310,9 @@ def nu(f_res: ResPoly, e: int, *, chains: _RootChains | None = None) -> int:
     with digits d_j < p, the chain J_0 = (1), J_(j+1) = I_1(J_j * fbar^(d_j))
     ends in J_k = I_k(fbar^N), and fbar^N is outside m^[p^k] iff some
     generator of J_k has a nonzero constant term.  Each step multiplies by
-    one of the precomputed fbar^d, d < p.
+    one of the precomputed fbar^d, d < p, and takes the root only when the
+    products lie in m^[p]: otherwise I_1 of them is the unit ideal
+    (Fedder's criterion, ``_RootChains.step``), decided without a root.
 
     A step whose ideal has a generator u with a nonzero constant term is
     replaced by the unit ideal.  That is exact for the final test: writing
@@ -316,9 +328,12 @@ def nu(f_res: ResPoly, e: int, *, chains: _RootChains | None = None) -> int:
     p * nu(p^(k-1)) + {0, ..., p-1}, its lowest digit d is the only new one,
     and once fbar^N is inside so is fbar^(N+1), so a binary search finds d.  ``chains``
     carries the levels already found and the step memo from one call to the
-    next, which is how ``nu_table`` computes every level once.  A step's
+    next, which is how ``nu_table`` computes every level once.  A root's
     workspace touching more than ``max_workspace_monomials`` monomials
-    raises ``ResourceLimitError``.
+    raises ``ResourceLimitError``; a step that takes no root touches none,
+    so the cap bounds only the steps that take a root: a capped request
+    can fail less often than if every step took one, and never gets a
+    different answer.
     """
     _check_exponent(f_res.ctx.p, e)
     if chains is None:

@@ -134,6 +134,12 @@ def test_fpt_monomial_cap_exits_3(capsys):
     code, record, _ = run_json(capsys, argv + ["--max-monomials", "4"])
     assert code == 3
     assert record["error"]["type"] == "ResourceLimitError"
+    # a step whose products leave m^[p] takes no root and touches no
+    # workspace; here the steps that take a root stay within 3 monomials
+    argv = ["fpt", "--p", "7", "--vars", "x,y,z", "--f", "y*z + 6*x*y^3*z + 3*x^2*y^3*z^3"]
+    code, record, _ = run_json(capsys, argv + ["--emax", "4", "--max-monomials", "3"])
+    assert code == 0
+    assert record["nu_table"] == {"1": 6, "2": 48, "3": 342, "4": 2400}
 
 
 def test_trace_prints_ladder_ideals(capsys):

@@ -6,9 +6,10 @@ import pytest
 
 from pptlab.delta import delta, validate
 from pptlab.errors import InputError, PNotGreaterThanNError, SequenceHitPError
+from pptlab.ideals import root_generators
 from pptlab.ladder import SplitSequence, splitting_sequence
 from pptlab.parser import parse_poly
-from pptlab.ring import Context, LiftPoly, ResPoly
+from pptlab.ring import Context, LiftPoly, ResPoly, mul_terms
 from pptlab import verdict
 from pptlab.verdict import (
     QFS_EXCEEDS_DEPTH,
@@ -339,6 +340,87 @@ def test_nu_chain_roots_keep_the_ideal_not_its_span(monkeypatch):
     f = hypersurface(5, ["x", "y", "z"], "x^2 + y^3 + z^5").f_res
     assert nu_table(f, 4) == {1: 3, 2: 19, 3: 99, 4: 499}
     assert len(calls) <= 14, len(calls)
+
+
+def test_nu_step_decides_the_unit_root_from_its_products():
+    # Fedder: I_1(K) is the unit ideal iff K leaves m^[p], so the step's
+    # answer, read off the products, must be the one the root gives.
+    # Row exponents reach p + 1 so that products land on both sides of the
+    # cap, and J has up to four rows so that a later product decides
+    rng = random.Random(3434)
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 400:
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randrange(1, 4)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        f = reduce_mod(random_int_poly(rng, n, max_terms=3, max_exp=2, max_coeff=8), p)
+        f.pop((0,) * n, None)
+        if not f:
+            continue
+        chains = verdict._RootChains(ResPoly(ctx, f))
+        rows = []
+        for _ in range(rng.randrange(1, 5)):
+            row = reduce_mod(random_int_poly(rng, n, max_terms=3, max_exp=p + 1), p)
+            if row:
+                rows.append(tuple(sorted(ResPoly(ctx, row).terms.items())))
+        if not rows:
+            continue
+        d = rng.randrange(p)
+        products = [mul_terms(dict(row), chains.powers[d], p) for row in rows]
+        want = any(0 in row for row in root_generators(ctx, products))
+        assert (chains.step(tuple(rows), d) == verdict._UNIT_ROWS) == want, (p, f, rows, d)
+        seen[want] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize(
+    "p, names, expr, e_max, fpt, roots",
+    [
+        (5, ["x", "y", "z"], "x^2 + y^3 + z^5", 4, Fraction(4, 5), 2),
+        (5, ["x", "y", "z"], "x^3 + y^3 + z^3", 4, Fraction(4, 5), 3),
+        (7, ["x", "y", "z"], "x^3 + y^3 + z^3", 3, Fraction(1), 0),
+        (2, ["x", "y", "z"], "x^3 + y^3 + z^3", 12, Fraction(1, 2), 4),
+        (5, ["x", "y"], "x^2 + y^3", 6, Fraction(4, 5), 2),
+    ],
+)
+def test_nu_root_ledger_is_pinned(monkeypatch, p, names, expr, e_max, fpt, roots):
+    # a step whose products leave m^[p] ends in the unit ideal without a
+    # root; taking every root made 6, 9, 4, 8 and 6 of them
+    full = verdict.root_generators
+    calls = []
+
+    def counted(ctx, products):
+        calls.append(1)
+        return full(ctx, products)
+
+    monkeypatch.setattr(verdict, "root_generators", counted)
+    f = hypersurface(p, names, expr).f_res
+    assert nu_table(f, e_max) == {e: ceil(fpt * p**e) - 1 for e in range(1, e_max + 1)}
+    assert len(calls) == roots, len(calls)
+
+
+def test_unit_delta_sequence_is_the_base_p_expansion_of_nu():
+    # constant term p * (u + p * t) with u a unit makes delta a unit, and
+    # then c_n = p - 1 - s_n is the n-th base-p digit of nu_fbar:
+    # series(p, s_1..s_n) = nu(p^n) / p^n at every n
+    rng = random.Random(4004)
+    cases = 0
+    while cases < 200:
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        n = rng.randrange(1, 4)
+        depth = 6 if p <= 5 else 4
+        f = random_int_poly(rng, n, max_terms=4, max_exp=3, max_coeff=8)
+        f[(0,) * n] = p * (rng.randrange(1, p) + p * rng.randrange(-3, 4))
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        if not reduce_mod(f, p):
+            continue
+        cases += 1
+        h = validate(ctx, LiftPoly(ctx, f))
+        assert regularity_test(h)
+        values = splitting_sequence(h, depth).values
+        table = nu_table(h.f_res, depth)
+        for k in range(1, depth + 1):
+            assert series(p, values[1 : k + 1]) == Fraction(table[k], p**k), (p, f, k)
 
 
 # -- regularity ---------------------------------------------------------------
