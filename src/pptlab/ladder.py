@@ -46,8 +46,8 @@ theta_0 = y^(p-1, ..., p-1), so Ann_E(P_k) = R * theta_k stays cyclic,
 
 with l_k single contractions by delta, and g lies in P_k iff
 g ⌟ theta_k = 0.  So the sequence is one walk on the run's
-``_Workspace``, which holds theta (``_Frontier``): ``read`` gives the next
-entry off theta_k, and ``commit`` appends an entry l_k and steps to
+``_Workspace``, which holds theta as its term dict: ``read`` gives the
+next entry off theta_k, and ``commit`` appends an entry l_k and steps to
 theta_(k+1) (``_advance``).  s_(k+1) is the largest s with
 fbar^(p-s) ⌟ theta_k = 0.  E is an R-module, so psi_j = fbar^j ⌟ theta_k
 is one chain, psi_(j+1) = fbar ⌟ psi_j, and psi_j = 0 makes every later
@@ -201,12 +201,7 @@ class SplitSequence:
     (module docstring).
     ``per_depth_ms`` holds the time of each depth, read-off depths
     included; depth n commits s_(n-1), so its time includes the theta
-    step past s_(n-1).  ``frontier_depth`` is the k of the deepest dual
-    element theta_k the run kept: s_1..s_k were each read off the chain of
-    one theta, and so was s_(k+1) unless its chain dropped back; later
-    entries came from the capped scan or, after a repeat at k, from the
-    block.  A run with s_1 = 0 reports 0, though theta_0's chain read s_1.
-    None of the three takes part in comparisons.
+    step past s_(n-1).  Neither takes part in comparisons.
     """
 
     p: int
@@ -216,7 +211,6 @@ class SplitSequence:
     per_depth_ms: tuple[float, ...] | None = field(
         default=None, compare=False, repr=False
     )
-    frontier_depth: int | None = field(default=None, compare=False, repr=False)
     repeat: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -273,9 +267,9 @@ class _Workspace:
 
     The walk is ``read`` then ``commit``, once per entry.  The workspace
     holds the committed prefix, which only ``commit`` extends; ``front``,
-    the dual element theta_k of that prefix (module docstring), None once
-    the run has let theta go; ``held``, the k of the deepest theta_k it
-    kept; and the capped chain's state over the prefix: ``boxes`` the live
+    the term dict of the dual element theta_k of that prefix (module
+    docstring), {} when theta is 0 and None once the run has let theta
+    go; and the capped chain's state over the prefix: ``boxes`` the live
     boxes B_0 = (p, ..., p), B_1, ... of the prefix, each formed the first
     time a chain needs it (``_new_part_contained``); ``memo`` the outcomes
     of chain suffixes; ``stages`` the generators that single stages
@@ -284,7 +278,7 @@ class _Workspace:
     """
 
     __slots__ = (
-        "h", "_cache", "_degrees", "prefix", "front", "held", "_found", "boxes", "memo", "stages", "unit"
+        "h", "_cache", "_degrees", "prefix", "front", "_found", "boxes", "memo", "stages", "unit"
     )
 
     def __init__(self, h: Hypersurface):
@@ -292,8 +286,7 @@ class _Workspace:
         self._cache: dict[tuple, dict[int, int]] = {}
         p, n = h.ctx.p, h.ctx.n_vars
         self.prefix: tuple[int, ...] = ()
-        self.front: _Frontier | None = _theta_0(h.ctx)
-        self.held = 0
+        self.front: dict[int, int] | None = _theta_0(h.ctx)
         self._found: tuple[int, dict[int, int] | None] | None = None
         self.boxes = [(p,) * n]
         self.memo: dict[tuple, bool] = {}
@@ -309,7 +302,7 @@ class _Workspace:
         (``_theta_next``) while the run holds theta, else off the capped
         scan (``_scan_next``).  A chain that drops back lets theta go for
         the rest of the run."""
-        found = self.front and _theta_next(self, self.front)
+        found = self.front is not None and _theta_next(self, self.front)
         if not found:
             self.front = None
             found = _scan_next(self), None
@@ -324,9 +317,8 @@ class _Workspace:
         s, formed = self._found or (None, None)
         self._found = None
         self.prefix += (l,)
-        if self.front:
+        if self.front is not None:
             self.front = _advance(self, self.front, l, formed if l == s else None)
-            self.held += self.front is not None
 
     def live_box(self, k: int, out: tuple[int, ...]) -> tuple[int, ...]:
         """Per-variable bounds U with x^b * fbar^k inside the monomial ideal
@@ -442,18 +434,10 @@ def compute_ladder(h: Hypersurface, entries: Sequence[int]) -> ResIdeal:
 # -- the sequence -------------------------------------------------------------
 
 
-class _Frontier(NamedTuple):
-    """The dual element theta_k of a committed prefix s_1..s_k, as packed
-    y-monomials, and ``box``: 1 + its largest exponent in each variable,
-    all zeros once theta is 0."""
-
-    theta: dict[int, int]
-    box: tuple[int, ...]
-
-
-def _theta_0(ctx) -> _Frontier:
-    p = ctx.p
-    return _Frontier({ctx.encode_monomial((p - 1,) * ctx.n_vars): 1}, (p,) * ctx.n_vars)
+def _theta_0(ctx) -> dict[int, int]:
+    """theta_0 = y^(p-1, ..., p-1), the dual element of the empty prefix,
+    as packed y-monomials."""
+    return {ctx.encode_monomial((ctx.p - 1,) * ctx.n_vars): 1}
 
 
 def _theta_key(theta: dict[int, int], p: int) -> frozenset:
@@ -481,9 +465,9 @@ def _leading_bound(ctx, fbar: dict[int, int], theta: dict[int, int]) -> int:
 
 
 def _theta_next(
-    ws: _Workspace, front: _Frontier
+    ws: _Workspace, theta: dict[int, int]
 ) -> tuple[int, dict[int, int] | None] | None:
-    """The entry after ws.prefix, whose theta_k ``front`` is, read off the
+    """The entry after ws.prefix, whose theta_k ``theta`` is, read off the
     chain psi_j = fbar^j ⌟ theta_k, with fbar^(p-s-1) ⌟ theta_k when the
     chain formed it (for ``_advance``); None when an intermediate would
     have more than ``max_workspace_monomials`` terms, a drop-back.
@@ -493,21 +477,23 @@ def _theta_next(
     entry is p - j for the first j with psi_j = 0: every candidate is
     decided, and the contained set is the interval [0, s].  No psi up to
     ``_leading_bound`` is 0; the chain forms the next one from the
-    workspace's capped power, then contracts by fbar capped to theta's box.
-    theta = 0 gives s = p.  psi_p != 0 would leave no candidate, not even
-    s = 0, contained, which only a fault can do.
+    workspace's capped power, then contracts by fbar, both capped to
+    theta's box (``ring.exponent_box``).  theta = 0 gives s = p.
+    psi_p != 0 would leave no candidate, not even s = 0, contained, which
+    only a fault can do.
     """
     ctx = ws.h.ctx
     p, n = ctx.p, ctx.n_vars
-    if not front.theta:
+    if not theta:
         return p, None
     limit = ctx.max_workspace_monomials
-    fbar = ws.f_terms(1, front.box)
-    j = _leading_bound(ctx, fbar, front.theta)
-    last, psi = None, front.theta
+    box = exponent_box(theta, n)
+    fbar = ws.f_terms(1, box)
+    j = _leading_bound(ctx, fbar, theta)
+    last, psi = None, theta
     if j < p:
         j += 1
-        psi = _contract(ws.f_terms(j, front.box), front.theta, n, p, limit)
+        psi = _contract(ws.f_terms(j, box), theta, n, p, limit)
         while psi and j < p:
             j += 1
             last, psi = psi, _contract(fbar, psi, n, p, limit)
@@ -519,15 +505,16 @@ def _theta_next(
 
 
 def _advance(
-    ws: _Workspace, front: _Frontier, l: int, formed: dict[int, int] | None = None
-) -> _Frontier | None:
+    ws: _Workspace, theta: dict[int, int], l: int, formed: dict[int, int] | None = None
+) -> dict[int, int] | None:
     """theta_(k+1) = delta ⌟ ... ⌟ delta ⌟ F(fbar^(p-l-1) ⌟ theta_k) for
     the next entry l < p, or None when the step meets a drop-back trigger
     (module docstring).
 
-    fbar^(p-l-1) is taken inside theta_k's box, as x^t ⌟ theta_k = 0 once
-    some t_i reaches it; F multiplies the box by p, and the delta
-    contractions only shrink it, so one capped delta serves all of them.
+    fbar^(p-l-1) is taken inside theta_k's box (``ring.exponent_box``), as
+    x^t ⌟ theta_k = 0 once some t_i reaches it; F multiplies the box by p,
+    and the delta contractions only shrink it, so one capped delta serves
+    all of them.
 
     ``formed``, when given, is that first contraction, as the chain that
     found l formed it (``_theta_next``); it is reused under the same size
@@ -540,7 +527,7 @@ def _advance(
     limit, keep = ctx.max_workspace_monomials, p**n
     # F keeps the term count: with no delta contraction this is the kept size
     first = limit if l else min(limit, keep)
-    theta = formed or _contract(ws.f_terms(p - l - 1, front.box), front.theta, n, p, first)
+    theta = formed or _contract(ws.f_terms(p - l - 1, exponent_box(theta, n)), theta, n, p, first)
     if theta is None or len(theta) > first:
         return None
     theta = dual_frobenius(ctx, theta)
@@ -554,9 +541,7 @@ def _advance(
             theta = _contract(delta, theta, n, p)
             if len(theta) > limit:
                 return None
-    if len(theta) > keep:
-        return None
-    return _Frontier(theta, exponent_box(theta, n))
+    return None if len(theta) > keep else theta
 
 
 class _Gens(NamedTuple):
@@ -753,6 +738,13 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     entries are given, and each read here runs theta's chain or the
     capped scan, which makes ``next_s`` the scan-side reference that
     ``splitting_sequence``'s read-offs are checked against.
+
+    An entry below the one read ends the ladder.  If the entry l at
+    position k is below the entry s read there, s is the largest with
+    fbar^(p-s) in P_k, so fbar^(p-l-1) = fbar^(s-l-1) * fbar^(p-s) lies in
+    the ideal P_k; then (P_k : fbar^(p-l-1)) is the unit ideal, so is
+    P_(k+1) = ((P_k : fbar^(p-l-1))^[p] : delta^(l)), and every later
+    entry is p.
     """
     prefix = _check_index(h.ctx.p, (*prefix, 0))[:-1]
     ws = _Workspace(h)
@@ -790,8 +782,8 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
         if n > 1:
             ws.commit(s)
         # theta = 0 makes the next entry p
-        if ws.front and ws.front.theta:
-            key = _theta_key(ws.front.theta, p)
+        if ws.front:
+            key = _theta_key(ws.front, p)
             if key in seen:
                 repeat, ws.front = (seen[key], n - 1), None
             seen[key] = n - 1
@@ -808,6 +800,5 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
         values=(0,) + values + (p,) * (depth - len(values)),
         terminated_at_p=len(values) if s == p else None,
         per_depth_ms=tuple(timings),
-        frontier_depth=ws.held,
         repeat=repeat,
     )

@@ -103,6 +103,24 @@ def random_int_poly(rng, n_vars, max_terms=5, max_exp=4, max_coeff=30) -> dict:
     return {e: c for e, c in terms.items() if c}
 
 
+def record_kept_steps(monkeypatch) -> list:
+    """Wrap ``ladder._advance`` so that each theta step appends whether it
+    kept theta, in call order: a run's sum is the k of the deepest theta_k
+    it kept."""
+    from pptlab import ladder
+
+    kept = []
+    advance = ladder._advance
+
+    def recorded(*args):
+        theta = advance(*args)
+        kept.append(theta is not None)
+        return theta
+
+    monkeypatch.setattr(ladder, "_advance", recorded)
+    return kept
+
+
 def capped_chain(h, tail: tuple) -> bool:
     """Whether the new part of the ladder ideal for ``tail`` lies in
     (x_1^p, .., x_N^p): the capped chain over the whole index

@@ -23,7 +23,6 @@ from pptlab.ideals import (
 from pptlab.ladder import (
     SplitSequence,
     _advance,
-    _Frontier,
     _leading_bound,
     _new_part_contained,
     _scan_next,
@@ -52,6 +51,7 @@ from oracles import (
     capped_chain,
     capped_scan_sequence,
     random_int_poly,
+    record_kept_steps,
     reduce_mod,
     truncated_contained,
 )
@@ -60,6 +60,12 @@ from oracles import (
 def hypersurface(p, names, expr):
     ctx = Context(p, names)
     return validate(ctx, parse_poly(expr, ctx))
+
+
+@pytest.fixture
+def kept_steps(monkeypatch):
+    """Whether each theta step kept theta (``record_kept_steps``)."""
+    return record_kept_steps(monkeypatch)
 
 
 def test_ladder_base_cases():
@@ -193,7 +199,7 @@ def test_scan_monotonicity_checks(monkeypatch, capsys, p, names, expr, hits, mes
         return s in hits
 
     monkeypatch.setattr(ladder, "_new_part_contained", faulty)
-    monkeypatch.setattr(ladder, "_theta_next", lambda ws, front: None)
+    monkeypatch.setattr(ladder, "_theta_next", lambda ws, theta: None)
     with pytest.raises(MonotonicityViolationError, match=message):
         splitting_sequence(hypersurface(p, names.split(","), expr), 2)
     assert main(["sequence", "--p", str(p), "--vars", names, "--f", expr, "--depth", "2"]) == 4
@@ -220,11 +226,10 @@ def test_theta_chain_fails_at_s_0(monkeypatch, capsys):
     for exps, formed in (([(30, 30, 30)], 0), ([(20, 20, 0), (0, 0, 30)], 7)):
         contractions.clear()
         theta = {ctx.encode_monomial(e): 1 for e in exps}
-        front = _Frontier(theta, exponent_box(theta, 3))
         with pytest.raises(MonotonicityViolationError, match="fails at s = 0"):
-            _theta_next(_Workspace(h), front)
+            _theta_next(_Workspace(h), theta)
         assert len(contractions) == formed, (exps, contractions)
-    monkeypatch.setattr(ladder, "_theta_0", lambda ctx: front)
+    monkeypatch.setattr(ladder, "_theta_0", lambda ctx: theta)
     assert main(["sequence", "--p", "7", "--vars", "x,y,z", "--f", "x^3 + y^3 + z^3", "--depth", "2"]) == 4
     assert "fails at s = 0" in capsys.readouterr().err
 
@@ -761,24 +766,25 @@ def test_scanned_deformed_fermat_sequences_match_exact_ladder(monkeypatch):
     assert sum(dropped) > 0
 
 
-def test_theta_drops_back_when_it_outgrows_the_base_box():
+def test_theta_drops_back_when_it_outgrows_the_base_box(kept_steps):
     # theta doubles its terms at each step from theta_1: theta_4 has 8, and
     # theta_5 would have 16 against p^N = 9, so depths 6.. are the theta_0
     # scan; the exponents stay far below 2^31 and the step far below the cap
     h = hypersurface(3, ["x0", "x1"], "5*x0^2*x1^3 + 5*x0^2 + 6*x1")
     seq = splitting_sequence(h, 12)
     assert seq.values == (0,) + (1,) * 12 == capped_scan_sequence(h, 12)
-    assert seq.frontier_depth == 4
+    assert sum(kept_steps) == 4
 
 
-def test_theta_drops_back_when_a_step_outgrows_the_workspace_cap(monkeypatch):
+def test_theta_drops_back_when_a_step_outgrows_the_workspace_cap(monkeypatch, kept_steps):
     # with the default cap theta keeps up to depth 3; with a cap of 10 the
     # first step's delta contractions exceed it, and with a cap of 5 the
     # first chain's psi_2 = fbar^2 ⌟ theta_0, of 6 terms, already does, so
     # the scan reads s_1 too.  The theta_0 scan still fits under both caps
     names = ["x1", "x2", "x3", "x4"]
     expr = "x1^4 + x2^4 + x3^4 + x4^4"
-    assert splitting_sequence(hypersurface(7, names, expr), 3).frontier_depth == 2
+    splitting_sequence(hypersurface(7, names, expr), 3)
+    assert sum(kept_steps) == 2
     theta_next = ladder._theta_next
     chains = []
 
@@ -789,14 +795,15 @@ def test_theta_drops_back_when_a_step_outgrows_the_workspace_cap(monkeypatch):
     monkeypatch.setattr(ladder, "_theta_next", recorded)
     for cap, found in ((10, (2, 1)), (5, None)):
         chains.clear()
+        kept_steps.clear()
         ctx = Context(7, names, max_workspace_monomials=cap)
         seq = splitting_sequence(validate(ctx, parse_poly(expr, ctx)), 3)
         assert seq.values == (0, 2, 0, 2)
-        assert seq.frontier_depth == 0
+        assert sum(kept_steps) == 0
         assert [c and (c[0], len(c[1])) for c in chains] == [found], chains
 
 
-def test_theta_drops_back_before_an_exponent_reaches_2_31(monkeypatch):
+def test_theta_drops_back_before_an_exponent_reaches_2_31(monkeypatch, kept_steps):
     # theta is one term at every depth of these runs, but F multiplies its
     # box by p at every step.  On x0^2*x1 + 5*x2 the step to theta_13 would
     # give its first contraction the box 3,051,757,825 > 2^31 after F, and
@@ -805,8 +812,8 @@ def test_theta_drops_back_before_an_exponent_reaches_2_31(monkeypatch):
     steps = []
     advance = ladder._advance
 
-    def recorded(ws, front, *args):
-        steps.append((front, advance(ws, front, *args)))
+    def recorded(ws, theta, *args):
+        steps.append((theta, advance(ws, theta, *args)))
         return steps[-1][1]
 
     monkeypatch.setattr(ladder, "_advance", recorded)
@@ -815,12 +822,14 @@ def test_theta_drops_back_before_an_exponent_reaches_2_31(monkeypatch):
         (11, "x0,x1", "94*x0^3 + 110*x1", 12, (0,) + (7, 3) * 6, 8),
     ):
         steps.clear()
+        kept_steps.clear()
         h = hypersurface(p, names.split(","), expr)
         seq = splitting_sequence(h, depth)
         assert seq.values == values == capped_scan_sequence(h, depth)
-        assert seq.frontier_depth == kept
-        assert [len(got.theta) for _, got in steps[:-1]] == [1] * kept
-        assert steps[-1][1] is None and max(steps[-1][0].box) * p > EXPONENT_LIMIT
+        assert sum(kept_steps) == kept
+        assert [len(got) for _, got in steps[:-1]] == [1] * kept
+        last = steps[-1][0]
+        assert steps[-1][1] is None and max(exponent_box(last, h.ctx.n_vars)) * p > EXPONENT_LIMIT
     # theta keeps at most 125 terms here, and theta_13 would hold the
     # exponent 5^14 - 1 > 2^31.  Its s_1 is 0, so splitting_sequence reads
     # every entry off s_1; next_s takes every step
@@ -829,15 +838,15 @@ def test_theta_drops_back_before_an_exponent_reaches_2_31(monkeypatch):
     assert next_s(h, (0,) * 15) == 0
     assert len(steps) == 13 and steps[-1][1] is None and all(got for _, got in steps[:-1])
     ws = _Workspace(h)
-    front = _theta_0(h.ctx)
+    theta = _theta_0(h.ctx)
     for _ in range(12):
-        front = _advance(ws, front, 0)
-        assert len(front.theta) <= 125
-    assert max(front.box) * 5 > EXPONENT_LIMIT
-    assert _advance(ws, front, 0) is None
+        theta = _advance(ws, theta, 0)
+        assert len(theta) <= 125
+    assert max(exponent_box(theta, 3)) * 5 > EXPONENT_LIMIT
+    assert _advance(ws, theta, 0) is None
 
 
-def test_theta_zero_makes_the_next_entry_p():
+def test_theta_zero_makes_the_next_entry_p(kept_steps):
     # this input took about a minute on the capped scan alone, nearly all
     # of it in products by large delta^l; theta_2 = 0, so P_2 is the unit
     # ideal and s_3 = p
@@ -846,14 +855,14 @@ def test_theta_zero_makes_the_next_entry_p():
     )
     seq = splitting_sequence(h, 3)
     assert seq.values == (0, 2, 6, 7)
-    assert seq.frontier_depth == 2
+    assert sum(kept_steps) == 2
     ws = _Workspace(h)
     theta_1 = _advance(ws, _theta_0(h.ctx), 2)
-    assert theta_1.theta
-    assert _advance(ws, theta_1, 6).theta == {}
+    assert theta_1
+    assert _advance(ws, theta_1, 6) == {}
 
 
-def test_memoized_scan_matches_memo_free_scan_after_a_drop_back():
+def test_memoized_scan_matches_memo_free_scan_after_a_drop_back(kept_steps):
     # after a drop-back every depth runs the theta_0 chain over the whole
     # tail and reads the suffix results that earlier depths and candidates
     # stored; each entry must equal the scan that runs every chain in a
@@ -884,9 +893,11 @@ def test_memoized_scan_matches_memo_free_scan_after_a_drop_back():
     for ctx, f in draws:
         h = validate(ctx, LiftPoly(ctx, f))
         depth = rng.randrange(8, 13)
+        kept_steps.clear()
         seq = splitting_sequence(h, depth)
+        kept = sum(kept_steps)
         assert seq.values == capped_scan_sequence(h, depth), (ctx.p, f, depth)
-        tails.append(seq.computed_values()[seq.frontier_depth + 2 :])
+        tails.append(seq.computed_values()[kept + 2 :])
     assert sum(len(tail) >= 6 for tail in tails) >= 8, tails
     assert sum(len(set(tail)) > 1 for tail in tails) >= 2, tails
 
@@ -976,7 +987,7 @@ def test_scan_memo_grows_linearly_with_depth(monkeypatch):
         assert len(ws.memo) == size, (depth, len(ws.memo))
 
 
-def test_scan_probes_candidates_upward_from_zero(monkeypatch):
+def test_scan_probes_candidates_upward_from_zero(monkeypatch, kept_steps):
     # once the run holds no theta, the scan probes s = 0, 1, 2, ... up to
     # the first candidate that is not contained, so an entry s takes s + 2
     # probes.  Bisecting [0, p] probed 7, 3, 1, 0 for each entry 0 on
@@ -1001,9 +1012,10 @@ def test_scan_probes_candidates_upward_from_zero(monkeypatch):
     h = hypersurface(11, ["x0", "x1"], "94*x0^3 + 110*x1")
     for depth, count in ((12, 19), (24, 103)):
         probes.clear()
+        kept_steps.clear()
         seq = splitting_sequence(h, depth)
         assert seq.values == (0,) + (7, 3) * (depth // 2)
-        assert seq.repeat is None and seq.frontier_depth == 8
+        assert seq.repeat is None and sum(kept_steps) == 8
         assert probes == [t for s in seq.values[10:] for t in range(s + 2)], (depth, probes)
         assert len(probes) == count, (depth, probes)
     # the walk runs to p itself, so s_2 = p is found
@@ -1118,7 +1130,7 @@ def test_scan_work_ledger_is_pinned(monkeypatch, p, names, expr, depth, ledger):
     assert tuple(counts.values()) == ledger, counts
 
 
-def test_theta_steps_stop_at_the_last_entry_and_at_a_repeat(monkeypatch):
+def test_theta_steps_stop_at_the_last_entry_and_at_a_repeat(monkeypatch, kept_steps):
     # a run steps theta past each committed entry but the last, and not at
     # all once a repeat is proven.  The p=7 Fermat quartic repeats at
     # theta_2, so any depth takes 2 steps; x0^2*x1 + 5*x2 at p = 5 keeps
@@ -1141,8 +1153,9 @@ def test_theta_steps_stop_at_the_last_entry_and_at_a_repeat(monkeypatch):
         h = hypersurface(p, names.split(","), expr)
         for depth, count in calls.items():
             steps.clear()
-            seq = splitting_sequence(h, depth)
-            assert len(steps) == count == seq.frontier_depth, (expr, depth, steps)
+            kept_steps.clear()
+            splitting_sequence(h, depth)
+            assert len(steps) == count == sum(kept_steps), (expr, depth, steps)
 
 
 def test_next_s_after_entries_below_the_ones_read():
@@ -1152,10 +1165,12 @@ def test_next_s_after_entries_below_the_ones_read():
     # and next_s must give the largest t whose capped chain over prefix +
     # (t,) is contained, each in a fresh workspace.  Reusing the chain's
     # contraction for every entry gives 2 after (0, 0) on this p = 5 cubic,
-    # whose entry there is 5, and goes wrong on 6 of these 600 prefixes
+    # whose entry there is 5, and goes wrong on 6 of these 600 prefixes.
+    # Once an entry has been below the one read, every later entry is p
+    # (``next_s``'s docstring)
     assert next_s(hypersurface(5, ["x0", "x1"], "20*x0^3 + 17*x0*x1^2 + 19*x1^3"), (0, 0)) == 5
     rng = random.Random(12)
-    prefixes = below = 0
+    prefixes = below = after_below = 0
     while prefixes < 600:
         p = rng.choice((2, 3, 5, 7))
         n = rng.randrange(1, 4)
@@ -1167,15 +1182,21 @@ def test_next_s_after_entries_below_the_ones_read():
         ctx = Context(p, [f"x{i}" for i in range(n)])
         h = validate(ctx, LiftPoly(ctx, f))
         prefix = ()
+        went_below = False
         read = max(t for t in range(p + 1) if capped_chain(h, (t,)))
         for _ in range(rng.randrange(1, 4)):
             l = rng.randrange(min(read, p - 1) + 1)
             below += l < read
+            went_below |= l < read
             prefix += (l,)
             read = max(t for t in range(p + 1) if capped_chain(h, prefix + (t,)))
             assert next_s(h, prefix) == read, (p, f, prefix)
+            if went_below:
+                assert read == p, (p, f, prefix)
+                after_below += 1
             prefixes += 1
     assert below > 200, below
+    assert after_below > 200, after_below
 
 
 def test_next_s_after_a_deep_prefix():
@@ -1223,7 +1244,7 @@ def test_shared_workspace_matches_fresh_chains_after_a_drop_back(monkeypatch):
     # entries can alternate 1, 0 at p = 2 and 5 (supersingular): there
     # chains meet equal powers and generators at different levels, which
     # an outcome key without the level would confuse
-    monkeypatch.setattr(ladder, "_theta_next", lambda ws, front: None)
+    monkeypatch.setattr(ladder, "_theta_next", lambda ws, theta: None)
     rng = random.Random(30)
     entries = set()
     for case in range(40):
@@ -1331,20 +1352,20 @@ def test_theta_chain_matches_the_whole_contraction_and_the_capped_chain():
         h = random_hypersurface(rng, p, rng.randrange(1, 4))
         n = h.ctx.n_vars
         ws = _Workspace(h)
-        front, prefix = _theta_0(h.ctx), ()
-        while front and len(prefix) < 5:
-            found = _theta_next(ws, front)
+        theta, prefix = _theta_0(h.ctx), ()
+        while theta is not None and len(prefix) < 5:
+            found = _theta_next(ws, theta)
             if found is None:
                 break
             for s in range(p + 1):
-                whole = not contract_terms(h.f_res_power(p - s).terms, front.theta, n, p)
+                whole = not contract_terms(h.f_res_power(p - s).terms, theta, n, p)
                 capped = capped_chain(h, prefix + (s,))
                 assert (s <= found[0]) == whole == capped, (p, h.f_lift, prefix, s)
             s = found[0]
             entries.add("0" if s == 0 else "p" if s == p else "between")
             if s == p:
                 break
-            front, prefix = _advance(ws, front, s, found[1]), prefix + (s,)
+            theta, prefix = _advance(ws, theta, s, found[1]), prefix + (s,)
     assert entries == {"0", "between", "p"}, entries
 
 
@@ -1363,7 +1384,7 @@ def test_theta_0_kills_exactly_what_the_cap_at_p_drops():
             for _ in range(rng.randrange(1, 4))
         }
         zero = not truncate_terms(g, *exponent_cap(ctx, p))
-        assert (contract_terms(g, _theta_0(ctx).theta, n, p) == {}) == zero, (p, g)
+        assert (contract_terms(g, _theta_0(ctx), n, p) == {}) == zero, (p, g)
         outcomes.add(zero)
     assert outcomes == {True, False}
 
@@ -1378,7 +1399,7 @@ def test_one_entry_chain_is_the_theta_0_contraction():
         (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4"),
     ):
         h = hypersurface(p, names.split(","), expr)
-        theta = _theta_0(h.ctx).theta
+        theta = _theta_0(h.ctx)
         outcomes = set()
         for s in range(p + 1):
             want = contract_terms(h.f_res_power(p - s).terms, theta, h.ctx.n_vars, p) == {}

@@ -16,7 +16,13 @@ from pptlab.ladder import (
 from pptlab.ring import Context, LiftPoly, ResPoly, frobenius_substitute, project_mod_p
 
 import property_suites as ps
-from oracles import capped_chain, capped_scan_sequence, reduce_mod, truncated_contained
+from oracles import (
+    capped_chain,
+    capped_scan_sequence,
+    record_kept_steps,
+    reduce_mod,
+    truncated_contained,
+)
 
 CASES = 200
 
@@ -141,10 +147,10 @@ def test_new_part_decides_containment_after_a_contained_prefix():
     # ladder ideal lies in (x_i^p), that test must give the exact containment
     # of the whole ladder ideal, for every last slot, from the entry that
     # the chain of theta_k of the whole prefix reads when theta keeps up, as
-    # well as from the capped chain over the whole index (frontier depth 0)
+    # well as from the capped chain over the whole index (depth 0)
     rng = random.Random(25)
     outcomes = set()
-    frontier_depths = set()
+    depths = set()
     prefixes = 0
     while prefixes < CASES:
         p = rng.choice((2, 3, 5, 7))
@@ -155,10 +161,10 @@ def test_new_part_decides_containment_after_a_contained_prefix():
             continue
         prefixes += 1
         ws = _Workspace(h)
-        front = _theta_0(ctx)
+        theta = _theta_0(ctx)
         for l in prefix:
-            front = front and _advance(ws, front, l)
-        found = front and _theta_next(ws, front)
+            theta = None if theta is None else _advance(ws, theta, l)
+        found = None if theta is None else _theta_next(ws, theta)
         for s in range(p + 1):
             entries = prefix + (s,)
             exact = ideal_in_frobenius_power(compute_ladder(h, entries), 1)
@@ -167,18 +173,19 @@ def test_new_part_decides_containment_after_a_contained_prefix():
                 got[len(prefix)] = s <= found[0]
             for depth, contained in got.items():
                 assert contained == exact, (p, h.f_lift, entries, depth)
-            frontier_depths.update(got)
+            depths.update(got)
             outcomes.add((len(prefix), any(prefix), exact))
     assert len(outcomes) == 8
-    assert frontier_depths == {0, 1, 2}
+    assert depths == {0, 1, 2}
 
 
-def test_sequence_matches_capped_scan_oracle():
+def test_sequence_matches_capped_scan_oracle(monkeypatch):
     # carrying theta must give the entries of the scan that reads each one
     # off the whole chain from theta_0; both paths must run, and the theta
     # path must reach past the first few depths
     rng = random.Random(26)
     kept = []
+    steps = record_kept_steps(monkeypatch)
     for _ in range(400):
         p = rng.choice((2, 3, 5, 7))
         n = rng.randrange(1, 5)
@@ -195,9 +202,10 @@ def test_sequence_matches_capped_scan_oracle():
         ctx = Context(p, [f"x{i}" for i in range(n)])
         h = validate(ctx, LiftPoly(ctx, f))
         depth = rng.randrange(2, 9)
+        steps.clear()
         seq = splitting_sequence(h, depth)
+        kept.append((sum(steps), len(seq.computed_values()) - 2))
         assert seq.values == capped_scan_sequence(h, depth), (p, h.f_lift, depth)
-        kept.append((seq.frontier_depth, len(seq.computed_values()) - 2))
     assert any(k < last for k, last in kept)
     assert max(k for k, _ in kept) == 7
 

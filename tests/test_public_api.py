@@ -1,8 +1,11 @@
 """The package's public surface: every entry point README names imports
 from ``pptlab`` itself, so dropping or renaming one fails here."""
 
+import dataclasses
+
 from pptlab import (
     Context,
+    SplitSequence,
     analyze,
     check_quick_criteria,
     compute_ladder,
@@ -33,3 +36,9 @@ def test_readme_entry_points_import_from_the_package():
     ]
     for obj in entry_points:
         assert callable(obj), obj
+
+
+def test_split_sequence_fields_are_pinned():
+    # the result type's fields, in order: a later field is added on purpose
+    names = [f.name for f in dataclasses.fields(SplitSequence)]
+    assert names == ["p", "depth", "values", "terminated_at_p", "per_depth_ms", "repeat"]

@@ -41,7 +41,7 @@ def test_big_prime_upward_scan(monkeypatch):
         scans.append(ws.prefix)
         return scan_next(ws)
 
-    monkeypatch.setattr(ladder, "_theta_next", lambda ws, front: None)
+    monkeypatch.setattr(ladder, "_theta_next", lambda ws, theta: None)
     monkeypatch.setattr(ladder, "_scan_next", counted)
     for p, expr, depth in ((11, "11 - x^2", 3), (13, "13 - x^3", 2)):
         scans.clear()
