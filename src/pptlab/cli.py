@@ -282,13 +282,13 @@ def make_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--emax", type=int, default=5, help="nu-function depth (fpt)")
         cmd.add_argument(
-            "--max-monomials",
-            type=int,
-            default=500_000,
-            help="workspace cap on distinct monomials",
+            "--max-monomials", type=int, default=500_000,
+            help="cap on distinct monomials per workspace, nu root steps included;"
+            " past it theta falls back to the scan instead of failing",
         )
         cmd.add_argument(
-            "--max-generators", type=int, default=10_000, help="generator cap per step"
+            "--max-generators", type=int, default=10_000,
+            help="generator cap per step of the exact ladder, which only --trace runs",
         )
         cmd.add_argument("--cache-dir", default=None, help="result cache directory (or $PPTLAB_CACHE)")
 

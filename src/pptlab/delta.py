@@ -32,7 +32,7 @@ class Hypersurface:
     ladder (``compute_ladder``, ``--trace``) reads each distinct power
     once per call.  The sequence engine calls neither: it reads the terms
     of ``delta_f`` and ``f_res`` in place and forms its own powers
-    (``ladder._Workspace._power``).
+    (``ladder._Workspace.power``).
     """
 
     __slots__ = ("ctx", "f_lift", "f_res", "delta_f")

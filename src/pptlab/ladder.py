@@ -1,161 +1,88 @@
 """The ideal ladder and the splitting-order sequence engine.
 
-The ladder ideal for an index (l_1, ..., l_n) is built inside-out:
-start from the principal ideal (fbar^(p - l_n)) and, for i = n-1 down
-to 1, replace K by
+The ladder.  The ladder ideal for an index (l_1, ..., l_n) is built
+inside-out: start from the principal ideal (fbar^(p - l_n)) and, for
+i = n-1 down to 1, replace K by
 
     fbar^(p-l_i-1) * u(F_*(delta(f)^(l_i) * K))  +  (fbar^(p-l_i)).
 
 The sequence entry s_n is the largest s in 0..p whose ladder ideal for
-(s_1, ..., s_(n-1), s) lies in (x_1^p, ..., x_N^p).  Containment is
-downward-closed in s because the base ideal grows with the last slot and
-every recursion step preserves inclusions; the sequence engine relies on
-that (below).
+(s_1, ..., s_(n-1), s) lies in m^[p] = (x_1^p, ..., x_N^p), where
+m = (x_1, ..., x_N).  Containment is downward-closed in s because the
+base ideal grows with the last slot and every recursion step preserves
+inclusions.  ``compute_ladder`` runs the recursion exactly.
 
-``compute_ladder`` runs that recursion exactly, with the public ideal
-operations: each K is a ``ResIdeal`` (an RREF span), u is ``u_image``,
-and fbar^(p-l_i) is added at every stage; that is the ideal ``--trace``
-prints.  RREF is canonical and u is F_p-linear, so the span does not
-depend on which generators of a stage reach the next.  The sequence
-tests only what the last slot adds, the linear chain applied to
-(fbar^(p - s)), since every stage is additive and the prefix's own
-ladder ideal is already known to be contained.
+The dual element.  Write the linear part of stage j as
+T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)), which is additive in K
+(``_new_part_contained``), and for a committed prefix (l_0, ..., l_(k-1))
 
-The sequence state is one dual element.  Write the linear part of stage
-j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)) and, for a
-committed prefix (l_0, ..., l_(k-1)),
+    P_k = {g : T_0 ... T_(k-1)(g) lies in m^[p]},
 
-    P_k = {g : T_0 ... T_(k-1)(g) lies in (x_1^p, ..., x_N^p)},
-
-an ideal because every stage is additive; s_(k+1) is the largest s with
-fbar^(p-s) in P_k.  The adjunction u(F_* I) in J <=> I in J^[p] (Fedder;
-Blickle-Mustata-Smith) gives
+an ideal; s_(k+1) is the largest s with fbar^(p-s) in P_k.  The
+adjunction u(F_* I) in J <=> I in J^[p] (Fedder; Blickle-Mustata-Smith)
+gives
 
     P_(k+1) = ((P_k : fbar^(p-l_k-1))^[p] : delta^(l_k)).
 
-Every P_k contains a power of (x_1, ..., x_N), as (x_i^p) does and
-colons and Frobenius powers keep that.  In the inverse system
-E = F_p[y_1..y_N], where y^b pairs with x^b and x^t ⌟ y^b = y^(b-t)
-when t <= b (0 otherwise), Matlis duality then gives
-Ann_E(J : g) = g ⌟ Ann_E(J) and Ann_E(J^[p]) = R * F(Ann_E(J)) for the
-Frobenius F(y^b) = y^(p*b + p-1) of E (Katzman-Schwede), and
-R * F(R * theta) = R * F(theta).  Ann_E(P_0) is generated by
-theta_0 = y^(p-1, ..., p-1), so Ann_E(P_k) = R * theta_k stays cyclic,
+Every P_k contains a power of m, as m^[p] does and colons and Frobenius
+powers keep that.  In the inverse system E = F_p[y_1..y_N], where y^b
+pairs with x^b and x^t ⌟ y^b = y^(b-t) when t <= b (0 otherwise), Matlis
+duality then gives Ann_E(J : g) = g ⌟ Ann_E(J) and
+Ann_E(J^[p]) = R * F(Ann_E(J)) for the Frobenius F(y^b) = y^(p*b + p-1)
+of E (Katzman-Schwede), and R * F(R * theta) = R * F(theta).
+Ann_E(P_0) is generated by theta_0 = y^(p-1, ..., p-1), so
+Ann_E(P_k) = R * theta_k stays cyclic,
 
     theta_(k+1) = delta ⌟ ... ⌟ delta ⌟ F(fbar^(p-l_k-1) ⌟ theta_k)
 
-with l_k single contractions by delta, and g lies in P_k iff
-g ⌟ theta_k = 0.  So the sequence is one walk on the run's
-``_Workspace``, which holds theta as its term dict: ``read`` gives the
-next entry off theta_k, and ``commit`` appends an entry l_k and steps to
-theta_(k+1) (``_advance``).  s_(k+1) is the largest s with
-fbar^(p-s) ⌟ theta_k = 0.  E is an R-module, so psi_j = fbar^j ⌟ theta_k
-is one chain, psi_(j+1) = fbar ⌟ psi_j, and psi_j = 0 makes every later
-psi 0: s_(k+1) = p - j for the first j with psi_j = 0 (``_theta_next``).
-The chain decides every candidate at once, by contractions with the
-small fbar, and its contained set is the interval [0, s] by
-construction.  It starts past a leading-term bound: min(fbar^J) is
-J * min(fbar), so psi_J != 0 while J * min(fbar) divides max(theta_k),
-up to some j_lo (``_leading_bound``), and the first psi it forms is
-fbar^(j_lo+1) ⌟ theta_k, from a power capped to theta's box.  The last
-nonzero psi, fbar^(p-s-1) ⌟ theta_k, is the first contraction of the
-step to theta_(k+1).
+with l_k single contractions by delta (``_advance``), and g lies in P_k
+iff g ⌟ theta_k = 0.
 
-theta grows about p-fold per depth on some inputs, so a step gives up,
-and the workspace holds no theta for the rest of the run, whose reads
-each run the capped scan over the whole prefix, when
+The chain.  s_(k+1) is the largest s with fbar^(p-s) ⌟ theta_k = 0.  E is
+an R-module, so psi_j = fbar^j ⌟ theta_k is one chain,
+psi_(j+1) = fbar ⌟ psi_j, and psi_j = 0 makes every later psi 0:
+s_(k+1) = p - j for the first j with psi_j = 0 (``_theta_next``).  The
+chain decides every candidate, so its contained set is the interval
+[0, s] by construction.  It starts past ``_leading_bound``, and its last
+nonzero psi is the first contraction of the step to theta_(k+1).
 
-- the kept theta would have more than p^N terms, the size of the
-  capped scan's base box (p, ..., p);
+Drop-back.  theta grows about p-fold per depth on some inputs, so a step
+gives up, and the run holds no theta for the rest of the run, when
+
+- the kept theta would have more than p^N terms, the size of the capped
+  scan's base box (p, ..., p);
 - an intermediate of the step, or of the chain that reads the entry,
   would have more than ``max_workspace_monomials`` terms;
 - F would push an exponent to 2^31 or beyond, past what a packed
   monomial holds (``ring.dual_frobenius`` returns None).
 
-The chain's contractions and the first contraction of a step stop as
-soon as they have reached more monomials than these bounds let them keep
-(``ring.contract_terms``'s limit), so a drop-back costs no more than the
-bound.  Terms reached so far may still cancel, so this can send a step
-to the scan where the whole contraction would have fitted; both paths
-are exact, so only the path can change, never an entry.
+These contractions stop as soon as they have reached more monomials than
+the bounds let them keep (``ring.contract_terms``'s limit), so a
+drop-back costs no more than the bound.  Terms reached so far may still
+cancel, so this can send a step to the scan where the whole contraction
+would have fitted; both paths are exact, so only the path can change,
+never an entry.  After a drop-back each read runs the capped scan over
+the whole prefix (``_scan_next``).
 
-With no theta, ``_new_part_contained`` is the capped scan: one capped
-product and one u step per live box, which keeps only the monomials that
-can still reach a final monomial below (p, ..., p), each u step keeping
-the ideal of its rows rather than their F_p-span
-(``ideals.root_generators``, the root kernel the nu chains share; the
-``MonomialAntichain`` docstring says why this is exact).  Its final test
-reads no theta: x^t ⌟ theta_0 is nonzero iff every t_i < p, and
-distinct t give distinct y^(p-1-t), so g ⌟ theta_0 = 0 iff g is empty
-modulo (x_i^p).  Every cap is one ``ring.exponent_cap`` test.  Every
-power of fbar and delta, capped to a box or in full, comes from
-``_Workspace._power``.  The contraction, F, the Frobenius
-substitution, the products, the u-bucket split, the leading-term bound,
-the 2^31 range test and the per-variable exponent maxima and minima are
-``ring`` kernels, beside the packed monomial whose fields they read.
+A repeat.  s_(k+1) and P_(k+1) depend only on P_k, and P_k is the
+annihilator of R * theta_k.  So theta_k = c * theta_j with j < k and
+c != 0 gives R * theta_k = R * theta_j, hence P_k = P_j, and every later
+entry repeats the block s_(j+1)..s_k (the finiteness argument of
+Blickle-Mustata-Smith).  theta = 0 makes the next entry p, so every
+block entry is below p.
 
-After a drop-back, every later depth runs the chain over the run's
-committed prefix, once per candidate s, and the chains of one run share
-their stages.  The run's ``_Workspace`` holds that prefix, which only
-grows, and its live boxes, each formed once, one ``live_box`` step past
-the last.  At the top of its level j the rest of a chain reads only
-prefix[:j], k_j and the generators of I_j, and prefix[:j] is fixed for
-the run, so the workspace memoizes the outcome under (j, k_j,
-generators) (``_new_part_contained``).  A chain that reaches a level
-some earlier chain passed stops there.
-
-The top stages of a chain sit under live boxes that grow p-fold per
-level, and a stage reads its box B only through min(B, R), where R
-bounds the exponents of its products: 1 + the largest exponent of its
-generators plus k * d_f + l * d_delta, with the degree bounds of
-``_Workspace``.  So the workspace also memoizes a stage's generators
-under (generators, k, l, min(B, R)) (``_stage``), and the top stages,
-past R, are the same at every depth: after a drop-back, each depth
-forms only the products and u steps of the levels its new entry reaches.
-The u step stays a function of its rows, and the rows under B and under
-min(B, R) are the same.
-
-After a drop-back each depth walks its candidates upward from s = 0, a
-capped chain each, to the first that is not contained (``_scan_next``),
-as the entries there are small: an entry s takes s + 2 probes, so an
-entry 0 takes s = 0 and s = 1.  For p <= 5 the candidates above the walk
-are evaluated after it, and the contained set is checked to be the
-interval [0, s].  The check runs there only: it tests the monotonicity
-that lets the walk stop at its first failure, and theta's chain skips
-no candidate.
-
-A proven repeat ends the scan.  s_(k+1) and P_(k+1) depend only on P_k,
-and P_k is the annihilator of R * theta_k.  So theta_k = c * theta_j with
-j < k and c != 0 gives R * theta_k = R * theta_j, hence P_k = P_j, and
-every later entry repeats the block s_(j+1)..s_k (the finiteness argument
-of Blickle-Mustata-Smith).  ``splitting_sequence`` keys each theta by its
-terms scaled so that its largest monomial has coefficient 1, and on a
-repeat lets theta go, so it takes no further step, and reads the later
-entries off the block instead of scanning them.  It keys theta_0 at
-depth 0, which is P_0, and after that the theta each ``commit`` carries;
-after a drop-back the run holds no theta and keys nothing.  theta = 0 is
-never keyed, as it makes the next entry p.  Every block entry is below
-p.  ``next_s`` keys nothing, as its entries are given.  On the p=7
-Fermat quartic theta_2 is a multiple of theta_0, so only depths 1 and 2
-run a chain, at any depth: 13 contractions, one capped power and two
-theta steps at depth 5 and at depth 24.
-
-An F-pure fibre ends the run at s_1: s_1 = 0 proves every later entry 0,
-so ``splitting_sequence`` records the repeat (0, 1) and lets theta go, as
-on a theta repeat, and reads the later entries off the block (0,).
-Write m = (x_1, ..., x_N).  With l = 0, delta takes no part:
-P_(k+1) = (P_k : fbar^(p-1))^[p].  Frobenius is flat on F_p[x] (Kunz),
-so (I : g)^[p] = (I^[p] : g^p), and while s_1, ..., s_k are 0, induction
-from P_0 = m^[p] gives P_k = (m^[q] : fbar^(q-p)) with q = p^(k+1).  So
-s_(k+1) is the largest s with fbar^(q-s) in m^[q]; s = 0 always
-qualifies, as fbar lies in m (``validate``), and s_(k+1) = 0 iff
+An F-pure fibre.  s_1 = 0 proves every later entry 0.  With l = 0, delta
+takes no part: P_(k+1) = (P_k : fbar^(p-1))^[p].  Frobenius is flat on
+F_p[x] (Kunz), so (I : g)^[p] = (I^[p] : g^p), and while s_1, ..., s_k
+are 0, induction from P_0 = m^[p] gives P_k = (m^[q] : fbar^(q-p)) with
+q = p^(k+1).  So s_(k+1) is the largest s with fbar^(q-s) in m^[q]; s = 0
+always qualifies, as fbar lies in m (``validate``), and s_(k+1) = 0 iff
 fbar^(q-1) is not in m^[q].  For q = p that is s_1 = 0, and it carries
 from q to p*q (Fedder): if fbar^(q-1) is not in m^[q], the colon
 (m^[q] : fbar^(q-1)) is a proper ideal that contains m^[q], so it lies
 in m, the only maximal ideal over m^[q], and fbar^(pq-1) =
 fbar^(p-1) * (fbar^(q-1))^p in m^[pq] = (m^[q])^[p] would put
 fbar^(p-1) in (m^[q] : fbar^(q-1))^[p], inside m^[p], against s_1 = 0.
-``next_s`` reads no entry off s_1, as its entries are given.
 """
 
 from __future__ import annotations
@@ -169,7 +96,7 @@ from .delta import Hypersurface
 from .errors import InputError, InvalidIndexError, MonotonicityViolationError
 from .ideals import ResIdeal, principal_ideal, root_generators, u_image
 # ladder-level names: perfbench times the scan's products as ladder._mul_terms;
-# the full powers of _Workspace._power call mul_terms under its ring name.
+# the full powers of _Workspace.power call mul_terms under its ring name.
 # The scan splits buckets in ideals.root_generators; _u_buckets stays bound
 # here only because perfbench also wraps ladder._u_buckets by name.
 from .ring import (
@@ -195,10 +122,8 @@ class SplitSequence:
     Once an entry equals p, all later entries are p; ``terminated_at_p``
     records the first such index, and is None when no entry is p.
     ``repeat`` is (j, k) when the carried theta_k is a multiple of theta_j,
-    which proves that s_(k+1), s_(k+2), ... repeat the block
-    s_(j+1)..s_k; those entries were read off the block, not scanned.
-    It is also (0, 1) when s_1 = 0, which proves every later entry 0
-    (module docstring).
+    or (0, 1) when s_1 = 0: s_(k+1), s_(k+2), ... repeat the block
+    s_(j+1)..s_k (module docstring), and were read off it, not scanned.
     ``per_depth_ms`` holds the time of each depth, read-off depths
     included; depth n commits s_(n-1), so its time includes the theta
     step past s_(n-1).  Neither takes part in comparisons.
@@ -258,23 +183,15 @@ def _check_index(p: int, entries: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Workspace:
-    """One run of the sequence walk, with a per-run memo of delta- and
-    f-power term dicts (``_power``).  The capped scan takes its powers
-    inside its live boxes (``live_box``), and theta's steps and
-    contractions take fbar^k and delta inside theta's box; a box is
-    per-variable bounds.  The capped chain clamps each stage's box by the
-    powers' degree bounds too (``_stage``).
-
-    The walk is ``read`` then ``commit``, once per entry.  The workspace
-    holds the committed prefix, which only ``commit`` extends; ``front``,
-    the term dict of the dual element theta_k of that prefix (module
-    docstring), {} when theta is 0 and None once the run has let theta
-    go; and the capped chain's state over the prefix: ``boxes`` the live
-    boxes B_0 = (p, ..., p), B_1, ... of the prefix, each formed the first
-    time a chain needs it (``_new_part_contained``); ``memo`` the outcomes
-    of chain suffixes; ``stages`` the generators that single stages
-    produced (``_stage``), apart from ``memo``, whose values are outcomes;
-    and ``unit``, the unit ideal every chain starts from.
+    """One run of the sequence walk: ``read`` then ``commit``, once per
+    entry.  It holds the committed prefix, which only ``commit`` extends;
+    ``front``, the term dict of theta_k for that prefix (module
+    docstring), {} when theta is 0 and None once the run has let theta go;
+    the capped scan's state over the prefix: ``boxes``, its live boxes
+    B_0 = (p, ..., p), B_1, ..., ``memo`` (``_new_part_contained``) and
+    ``stages`` (``_stage``); ``unit``, the unit ideal every scan chain
+    starts from; and the run's powers of fbar and delta (``power``).  A
+    box is per-variable exponent bounds.
     """
 
     __slots__ = (
@@ -312,8 +229,8 @@ class _Workspace:
     def commit(self, l: int) -> None:
         """Append the next entry l < p to the committed prefix and step
         theta past it (``_advance``), letting theta go on a drop-back.  The
-        step reuses the chain's fbar^(p-l-1) ⌟ theta_k only when l is the
-        entry ``read`` just returned."""
+        step gets the chain's last contraction only when l is the entry
+        ``read`` just returned."""
         s, formed = self._found or (None, None)
         self._found = None
         self.prefix += (l,)
@@ -329,7 +246,7 @@ class _Workspace:
         the capped power, which the workspace memoizes; all zeros when
         fbar^k has no such monomial.
         """
-        below = self.f_terms(k, out)
+        below = self.power("f", k, out)
         if not below:
             return (0,) * len(out)
         return tuple(o - m for o, m in zip(out, exponent_floor(below, len(out))))
@@ -339,16 +256,12 @@ class _Workspace:
         no monomial: R_i = k * d_i + 1."""
         return tuple(k * d + 1 for d in self._degrees[kind])
 
-    def delta_terms(self, l: int, box: tuple[int, ...]) -> dict[int, int]:
-        return self._power("d", l, box)
-
-    def f_terms(self, k: int, box: tuple[int, ...]) -> dict[int, int]:
-        return self._power("f", k, box)
-
-    def _power(self, kind: str, k: int, box: tuple[int, ...]) -> dict[int, int]:
+    def power(self, kind: str, k: int, box: tuple[int, ...]) -> dict[int, int]:
         """g^k for g = delta (kind "d") or fbar (kind "f") without the
         monomials at or past ``box``, as a term dict memoized per run under
-        (kind, k, box).  This is the one place a power is formed.
+        (kind, k, box).  Every power the sequence engine uses comes from
+        here: the capped scan's inside its live boxes, theta's inside
+        theta's box.
 
         On a miss the box is clamped to the reach R_i = k * d_i + 1, where
         d_i bounds g's degree in x_i: deg_(x_i) fbar for fbar, and
@@ -362,11 +275,10 @@ class _Workspace:
 
         Dropping the monomials at or past a box B is reduction modulo a
         monomial ideal, which is a ring map, so any split of k is exact:
-        trunc(g^k) = trunc(trunc(g^a) * trunc(g^(k-a))).  Each power k >= 2
-        halves its exponent, g^k = g^(k//2) * g^(k - k//2), so fbar^12 takes
-        four products (12, 6, 3, 2) instead of eleven, capped to the box
-        below the reach and a plain ring product at it.  At k = p it takes
-        none: over F_p, g^p is the Frobenius image phi(g) of x_i -> x_i^p
+        trunc(g^k) = trunc(trunc(g^a) * trunc(g^(k-a))).  So g^k, k >= 2, is
+        g^(k//2) * g^(k - k//2), a product capped to the box below the reach
+        and a plain ring product at it.  At k = p there is no product: over
+        F_p, g^p is the Frobenius image phi(g) of x_i -> x_i^p
         (``ring.frobenius_terms``), and p * m_i < B_i iff
         m_i < ceil(B_i / p), so trunc_B(phi(g)) = phi(trunc_ceil(B/p)(g)),
         whose exponents stay below B; at the reach, ceil(R / p) is g's own
@@ -374,10 +286,10 @@ class _Workspace:
 
         Before g^k, k >= 2, is formed at its reach, its degree in each
         variable goes to ``ring.check_exponent_range``, the 2^31 test that
-        ``Poly.__mul__`` also calls.  deg_(x_i)(g^k) is
-        exactly k * deg_(x_i)(g): the top x_i-degree part of g^k is the
-        k-th power of g's, which is nonzero because F_p[x] is a domain.  So
-        the degrees come from g's actual terms, not from the bounds d.
+        ``Poly.__mul__`` also calls.  deg_(x_i)(g^k) is exactly
+        k * deg_(x_i)(g): the top x_i-degree part of g^k is the k-th power
+        of g's, which is nonzero because F_p[x] is a domain.  So the degrees
+        come from g's actual terms, not from the bounds d.
         """
         key = (kind, k, box)
         got = self._cache.get(key)
@@ -390,7 +302,7 @@ class _Workspace:
             clamped = tuple(map(min, box, reach))
             full = clamped == reach
             if clamped != box:
-                got = self._power(kind, k, clamped)
+                got = self.power(kind, k, clamped)
             elif k <= 1:
                 got = g if k else {0: 1}  # the monomial 1 packs to 0
                 if not full:
@@ -401,9 +313,9 @@ class _Workspace:
                 if k == p:
                     # m_i < ceil(B_i / p) iff p * m_i < B_i
                     inner = tuple(-(-b // p) for b in box)
-                    got = frobenius_terms(self._power(kind, 1, inner), p)
+                    got = frobenius_terms(self.power(kind, 1, inner), p)
                 else:
-                    halves = self._power(kind, k // 2, box), self._power(kind, k - k // 2, box)
+                    halves = self.power(kind, k // 2, box), self.power(kind, k - k // 2, box)
                     got = mul_terms(*halves, p) if full else _mul_terms(*halves, p, *exponent_cap(ctx, box))
             self._cache[key] = got
         return got
@@ -467,19 +379,14 @@ def _leading_bound(ctx, fbar: dict[int, int], theta: dict[int, int]) -> int:
 def _theta_next(
     ws: _Workspace, theta: dict[int, int]
 ) -> tuple[int, dict[int, int] | None] | None:
-    """The entry after ws.prefix, whose theta_k ``theta`` is, read off the
-    chain psi_j = fbar^j ⌟ theta_k, with fbar^(p-s-1) ⌟ theta_k when the
-    chain formed it (for ``_advance``); None when an intermediate would
-    have more than ``max_workspace_monomials`` terms, a drop-back.
+    """(s, last) for the entry s after ws.prefix, whose theta_k ``theta``
+    is, read off the chain psi_j = fbar^j ⌟ theta_k (module docstring);
+    ``last`` is its last nonzero psi, fbar^(p-s-1) ⌟ theta_k, when the chain
+    formed one (for ``_advance``).  None on a drop-back.
 
-    The new part of prefix + (s,) is contained iff psi_(p-s) = 0, and
-    psi_(j+1) = fbar ⌟ psi_j, so psi_j = 0 makes every later psi 0 and the
-    entry is p - j for the first j with psi_j = 0: every candidate is
-    decided, and the contained set is the interval [0, s].  No psi up to
-    ``_leading_bound`` is 0; the chain forms the next one from the
-    workspace's capped power, then contracts by fbar, both capped to
-    theta's box (``ring.exponent_box``).  theta = 0 gives s = p.
-    psi_p != 0 would leave no candidate, not even s = 0, contained, which
+    The first psi past ``_leading_bound`` comes from a capped power, the
+    rest by contracting with fbar, all inside theta's box.  theta = 0
+    gives s = p; psi_p != 0 would leave not even s = 0 contained, which
     only a fault can do.
     """
     ctx = ws.h.ctx
@@ -488,12 +395,12 @@ def _theta_next(
         return p, None
     limit = ctx.max_workspace_monomials
     box = exponent_box(theta, n)
-    fbar = ws.f_terms(1, box)
+    fbar = ws.power("f", 1, box)
     j = _leading_bound(ctx, fbar, theta)
     last, psi = None, theta
     if j < p:
         j += 1
-        psi = _contract(ws.f_terms(j, box), theta, n, p, limit)
+        psi = _contract(ws.power("f", j, box), theta, n, p, limit)
         while psi and j < p:
             j += 1
             last, psi = psi, _contract(fbar, psi, n, p, limit)
@@ -517,7 +424,7 @@ def _advance(
     all of them.
 
     ``formed``, when given, is that first contraction, as the chain that
-    found l formed it (``_theta_next``); it is reused under the same size
+    read l formed it (``_theta_next``); it is reused under the same size
     test.  A whole contraction may pass that test where the limited one
     gives up on terms that later cancel; both paths are exact, so this can
     change only the path, never an entry.
@@ -527,14 +434,14 @@ def _advance(
     limit, keep = ctx.max_workspace_monomials, p**n
     # F keeps the term count: with no delta contraction this is the kept size
     first = limit if l else min(limit, keep)
-    theta = formed or _contract(ws.f_terms(p - l - 1, exponent_box(theta, n)), theta, n, p, first)
+    theta = formed or _contract(ws.power("f", p - l - 1, exponent_box(theta, n)), theta, n, p, first)
     if theta is None or len(theta) > first:
         return None
     theta = dual_frobenius(ctx, theta)
     if theta is None:
         return None
     if l:
-        delta = ws.delta_terms(1, exponent_box(theta, n))
+        delta = ws.power("d", 1, exponent_box(theta, n))
         for _ in range(l):
             if not theta:  # delta ⌟ 0 = 0
                 break
@@ -585,9 +492,9 @@ def _stage(ws: _Workspace, ideal: _Gens, k: int, l: int, box: tuple[int, ...]) -
     got = ws.stages.get(key)
     if got is None:
         cap = exponent_cap(ctx, clamped)
-        w = ws.f_terms(k, clamped)
+        w = ws.power("f", k, clamped)
         if l:  # delta^0 = 1
-            w = _mul_terms(w, ws.delta_terms(l, clamped), p, *cap)
+            w = _mul_terms(w, ws.power("d", l, clamped), p, *cap)
         got = _gens(ctx, root_generators(ctx, (_mul_terms(g, w, p, *cap) for g in ideal.gens)))
         ws.stages[key] = got
     return got
@@ -598,10 +505,10 @@ def _new_part_contained(ws: _Workspace, s: int) -> bool:
     (s,) lies in (x_1^p, ..., x_N^p): the capped chain over the whole
     index, which the run uses once it holds no theta.
 
-    Write the prefix as (l_0, ..., l_(m-2)) and the linear part of its
-    stage j as T_j(K) = fbar^(p-l_j-1) * u(F_*(delta^(l_j) * K)), so stage
-    j maps K to T_j(K) + (fbar^(p-l_j)).  T_j is additive in K, because
-    the u-image of a sum of ideals is the sum of the u-images, so
+    Write the prefix as (l_0, ..., l_(m-2)); stage j maps K to
+    T_j(K) + (fbar^(p-l_j)), with T_j of the module docstring.  T_j is
+    additive in K, as the u-image of a sum of ideals is the sum of the
+    u-images, so
 
         L(l_0, ..., l_(m-2), s) = T_0 ... T_(m-2) (fbar^(p-s))
                                   + L(l_0, ..., l_(m-2)).
@@ -611,11 +518,11 @@ def _new_part_contained(ws: _Workspace, s: int) -> bool:
     to be contained, the new part alone decides containment, and this
     chain never forms the generators fbar^(p-l_j).
 
-    Write D(B) for the monomial ideal
-    (x_1^B_1, ..., x_N^B_N), take B_0 = (p, ..., p) and B_(j+1) = p * U_j
-    with U_j = ``live_box(p-l_j-1, B_j)``, so x^b * fbar^(p-l_j-1) lies in
-    D(B_j) once some b_i >= U_j,i.  Then
-    u(F_* D(p * U_j)) lies in D(U_j), as u(F_*(x^(p*c) g)) = x^c * u(F_* g);
+    Write D(B) for the monomial ideal (x_1^B_1, ..., x_N^B_N), take
+    B_0 = (p, ..., p) and B_(j+1) = p * U_j with
+    U_j = ``live_box(p-l_j-1, B_j)``, so x^b * fbar^(p-l_j-1) lies in D(B_j)
+    once some b_i >= U_j,i.  Then u(F_* D(p * U_j)) lies in D(U_j), as
+    u(F_*(x^(p*c) g)) = x^c * u(F_* g);
     fbar^(p-l_j-1) * D(U_j) lies in D(B_j); and delta^(l_j) * D(B_(j+1))
     lies in D(B_(j+1)).  So T_j(K) + D(B_j) depends only on
     K + D(B_(j+1)), and every product may drop what reaches the box it
@@ -675,7 +582,7 @@ def _new_part_contained(ws: _Workspace, s: int) -> bool:
             break
         visited.append(key)
         if not j:
-            fmul = ws.f_terms(k, boxes[0])
+            fmul = ws.power("f", k, boxes[0])
             cap = exponent_cap(ctx, boxes[0])
             got = not any(_mul_terms(g, fmul, p, *cap) for g in ideal.gens)
             break
@@ -693,13 +600,12 @@ def _scan_next(ws: _Workspace) -> int:
     """Largest s with the ladder ideal for ws.prefix + (s,) contained,
     once the run holds no theta.
 
-    The prefix's own ladder ideal must be contained; then the new part
-    decides containment, the capped chain over prefix + (s,)
-    (``_new_part_contained``), one chain per candidate.
+    The prefix's own ladder ideal must be contained; each candidate is
+    one capped chain over prefix + (s,) (``_new_part_contained``).
 
     The walk rides the monotonicity upward: s = 0 must be contained, then
     s = 1, 2, ... are probed up to the first that is not, so an entry s
-    takes s + 2 probes (p + 1 for s = p), and scanned entries are small.
+    takes s + 2 probes (p + 1 for s = p).
 
     For p <= 5 the candidates s + 2..p are evaluated after the walk, and
     any of them contained means the contained set is not the interval
@@ -732,12 +638,10 @@ def next_s(h: Hypersurface, prefix: Sequence[int]) -> int:
     committed prefix's does.  The walk is the one ``splitting_sequence``
     makes: each given entry must be at most the entry the workspace reads
     there (``_Workspace.read``) before it is committed, and the answer is
-    one last read.  No theta is keyed, as a repeat of theta proves only
-    that the run's own entries repeat, and a given entry may be below the
-    one read.  Nor is an F-pure fibre read off s_1, on purpose: the
-    entries are given, and each read here runs theta's chain or the
-    capped scan, which makes ``next_s`` the scan-side reference that
-    ``splitting_sequence``'s read-offs are checked against.
+    one last read.  It takes no read-off, neither a theta repeat nor an
+    F-pure fibre: a given entry may be below the one read, and every read
+    runs theta's chain or the capped scan, which makes ``next_s`` the
+    reference that ``splitting_sequence``'s read-offs are checked against.
 
     An entry below the one read ends the ladder.  If the entry l at
     position k is below the entry s read there, s is the largest with
@@ -761,11 +665,10 @@ def splitting_sequence(h: Hypersurface, depth: int) -> SplitSequence:
     """Compute s_0..s_depth on one workspace, timing each depth: depth n
     commits s_(n-1), which steps theta past it, and reads s_n, so no theta
     step is taken past the last entry.  Once an entry hits p the tail is
-    filled with p, and once a committed theta_k is a scalar multiple of an
-    earlier theta_j the run lets theta go and the later entries repeat the
-    block s_(j+1)..s_k (module docstring).  s_1 = 0 does the same with the
-    block (0,): an F-pure fibre takes no theta step, chain or scan past
-    its first read.
+    filled with p.  Once a committed theta_k is a scalar multiple of an
+    earlier theta_j (``_theta_key``), or s_1 = 0, the run lets theta go and
+    reads the later entries off the block s_(j+1)..s_k, or (0,), which
+    the module docstring proves they repeat.
 
     The exact ladder ideal of a step n is ``compute_ladder(h,
     values[1:n+1])``; ``cli`` builds ``--trace`` from it.

@@ -15,13 +15,10 @@ in a window is only ever reported as proven when the input has a
 certificate; otherwise it is conjectural.
 
 nu(p^e) is read from short chains of p-th-root ideals, one step per
-base-p digit of the exponent, so no power of fbar beyond fbar^(p-1) is
-ever formed; the argument is in ``nu``.  A step takes its root only
-when its products lie in m^[p]; otherwise the root is the unit ideal
-(Fedder) and no root is taken.  The chains never form an
-exponent near p^e, so the check that p^e stays below 2^31 only sets the
-supported range of e.  All products, here and in the quick criteria, are
-``ring.mul_terms``.
+base-p digit of the exponent, with the argument in ``nu``.  The chains
+form no power of fbar beyond fbar^(p-1) and no exponent near p^e, so
+the check that p^e stays below 2^31 only sets the supported range of e.
+All products, here and in the quick criteria, are ``ring.mul_terms``.
 """
 
 from __future__ import annotations
@@ -237,14 +234,15 @@ class _RootChains:
 
     def step(self, rows: tuple, d: int) -> tuple:
         """Generators of I_1(J * fbar^d) for J generated by ``rows``, or of
-        the unit ideal when that root is the unit ideal.
+        the unit ideal in place of a root that leaves m (exact for the
+        final test, ``nu``).
 
-        The root is the unit ideal iff J * fbar^d leaves m^[p] (Fedder):
-        I_1(K) is the least L with K inside L^[p], so I_1(K) lies in m iff
-        K lies in m^[p], and as m^[p] is monomial, K lies in it iff every
-        generator product does.  So a product with a monomial whose every
-        exponent is below p decides the step, and only a step whose
-        products all lie in m^[p] takes the root."""
+        The root leaves m iff J * fbar^d leaves m^[p] (Fedder): I_1(K) is
+        the least L with K inside L^[p], so I_1(K) lies in m iff K lies in
+        m^[p], and as m^[p] is monomial, K lies in it iff every generator
+        product does.  So a product with a monomial whose every exponent is
+        below p decides the step, and only a step whose products all lie in
+        m^[p] takes the root."""
         key = (rows, d)
         if key not in self.steps:
             p = self.ctx.p
@@ -311,29 +309,30 @@ def nu(f_res: ResPoly, e: int, *, chains: _RootChains | None = None) -> int:
     ends in J_k = I_k(fbar^N), and fbar^N is outside m^[p^k] iff some
     generator of J_k has a nonzero constant term.  Each step multiplies by
     one of the precomputed fbar^d, d < p, and takes the root only when the
-    products lie in m^[p]: otherwise I_1 of them is the unit ideal
-    (Fedder's criterion, ``_RootChains.step``), decided without a root.
+    products lie in m^[p]: otherwise the root leaves m (Fedder's
+    criterion, ``_RootChains.step``), decided without a root.
 
-    A step whose ideal has a generator u with a nonzero constant term is
-    replaced by the unit ideal.  That is exact for the final test: writing
-    M for the rest of N, J_k is I_(k-j)(J_j * fbar^M), so the test asks
-    whether J_j * fbar^M leaves m^[p^(k-j)].  That ideal lies inside
+    A step whose root leaves m, so has a generator u with a nonzero
+    constant term, is replaced by the unit ideal (1), which need not be
+    that root.  That is exact for the final test: writing M for the rest
+    of N, J_k is I_(k-j)(J_j * fbar^M), so the test asks whether
+    J_j * fbar^M leaves m^[p^(k-j)].  That ideal lies inside
     (fbar^M) and contains u * fbar^M, and u * fbar^M leaves the m-primary
     m^[p^(k-j)] iff fbar^M does, u being a unit modulo it; so J_j and (1)
     give the same answer.  A step whose ideal is zero stays zero, so the
     chain ends with "inside".
 
-    Level k starts from N = p * nu(p^(k-1)): fbar^(p*n) = (fbar^n)^p lies in
-    m^[p^k] iff fbar^n lies in m^[p^(k-1)], so nu(p^k) lies in
-    p * nu(p^(k-1)) + {0, ..., p-1}, its lowest digit d is the only new one,
-    and once fbar^N is inside so is fbar^(N+1), so a binary search finds d.  ``chains``
-    carries the levels already found and the step memo from one call to the
-    next, which is how ``nu_table`` computes every level once.  A root's
+    Level k starts from N = p * nu(p^(k-1)): fbar^(p*n) = (fbar^n)^p lies
+    in m^[p^k] iff fbar^n lies in m^[p^(k-1)], so nu(p^k) lies in
+    p * nu(p^(k-1)) + {0, ..., p-1}, its lowest digit d is the only new
+    one, and once fbar^N is inside so is fbar^(N+1), so a binary search
+    finds d.  ``chains`` carries the levels already found and the step memo
+    from one call to the next, which is how ``nu_table`` computes every
+    level once.  A root's
     workspace touching more than ``max_workspace_monomials`` monomials
     raises ``ResourceLimitError``; a step that takes no root touches none,
-    so the cap bounds only the steps that take a root: a capped request
-    can fail less often than if every step took one, and never gets a
-    different answer.
+    so the cap bounds only the steps that take a root, and a capped
+    request never gets a different answer.
     """
     _check_exponent(f_res.ctx.p, e)
     if chains is None:
@@ -434,9 +433,9 @@ def check_quick_criteria(h: Hypersurface) -> QuickCriteria:
     box = (q,) * ctx.n_vars
     cap = exponent_cap(ctx, q)
     ws = _Workspace(h)
-    delta_pow = ws.delta_terms(p - 1, box)
+    delta_pow = ws.power("d", p - 1, box)
     # C1: compare against the single monomial (x_1...x_N)^(p^2-1)
-    residue = mul_terms(ws.f_terms(p - 1, box), delta_pow, p, *cap)
+    residue = mul_terms(ws.power("f", p - 1, box), delta_pow, p, *cap)
     target = ctx.encode_monomial((q - 1,) * ctx.n_vars)
     if set(residue) == {target}:
         fired.add("C1")

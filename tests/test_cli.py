@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,10 +234,8 @@ def test_json_error_object(capsys):
 
 
 def test_resource_limit_exits_3(capsys):
-    # the scan's live-box caps keep small inputs far below any cap: at depth
-    # 3 this quartic touches at most 4 monomials per workspace, so the
-    # workspace cap is tripped one depth further, where a stage still needs
-    # more than 10
+    # the scan's live-box caps keep small inputs far below any cap, yet at
+    # depth 4 a stage of this quartic still needs more than 10 monomials
     code, _, err = run_cli(
         capsys,
         [
@@ -254,15 +253,15 @@ def test_resource_limit_exits_3(capsys):
 
 def test_trace_generator_cap_exits_3(capsys):
     # the scan counts no generators; the exact ladder that --trace prints
-    # bounds each u step's distinct buckets by --max-generators: 12 of 18 here
+    # bounds each u step's distinct buckets by --max-generators
     argv = ["sequence", "--p", "5", "--vars", "x,y,z", "--f", "x^3+y^3+z^3", "--depth", "2"]
     code, _, _ = run_cli(capsys, argv + ["--max-generators", "4"])
     assert code == 0
     code, _, err = run_cli(capsys, argv + ["--max-generators", "4", "--trace"])
     assert code == 3
     assert "--max-generators" in err
-    # the corpus row fermat-quartic-p7 finishes at the default 10,000: its u
-    # steps have 12,706 and 11,848 buckets but only 193 and 1,268 distinct
+    # the corpus row fermat-quartic-p7 finishes at the default 10,000, as
+    # the cap counts a u step's distinct buckets, not all of them
     quartic = ["--p", "7", "--vars", "x1..x4", "--f", "x1^4+x2^4+x3^4+x4^4", "--depth", "4"]
     code, _, _ = run_cli(capsys, ["sequence", *quartic, "--trace"])
     assert code == 0
@@ -642,3 +641,31 @@ def test_calls_in_one_process_print_what_each_prints_alone(capsys, monkeypatch):
         assert (code, untimed(out, argv), err) == (
             alone.returncode, untimed(alone.stdout, argv), alone.stderr
         ), argv
+
+
+def test_readme_examples_hold(capsys, monkeypatch):
+    # every "$ pptlab ..." line of README's command-line block exits 0, the
+    # first printing the lines shown under it, and each commented value of
+    # the "Library use" snippet is the repr of its expression
+    monkeypatch.delenv("PPTLAB_CACHE", raising=False)
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1].splitlines()
+    commands = [i for i, line in enumerate(block) if line.startswith("$ pptlab ")]
+    shown = block[commands[0] + 1 : block.index("...")]
+    assert len(commands) == 6 and len(shown) == 4, block
+    for i in commands:
+        code, out, err = run_cli(capsys, shlex.split(block[i])[2:])
+        assert code == 0, (block[i], err)
+        if i == commands[0]:
+            assert out.splitlines()[: len(shown)] == shown, out
+    snippet = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    values = 0
+    for line in snippet.splitlines():
+        expr, _, want = line.partition("#")
+        if want:
+            assert repr(eval(expr, namespace)) == want.strip(), line
+            values += 1
+        elif line:
+            exec(line, namespace)
+    assert values == 3

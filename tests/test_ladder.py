@@ -470,10 +470,10 @@ def test_capped_powers_match_truncated_full_powers():
         shared.append((EXPONENT_LIMIT,) + tuple(rng.randrange(1, p * p) for _ in range(n - 1)))
         shared.append((0,) * n)
         powers = (
-            (ws.delta_terms, h.delta_power, p - 1, d_deg),
-            (ws.f_terms, h.f_res_power, p, f_deg),
+            ("d", h.delta_power, p - 1, d_deg),
+            ("f", h.f_res_power, p, f_deg),
         )
-        for get, full, top, degrees in powers:
+        for kind, full, top, degrees in powers:
             for k in range(top + 1):
                 reach = [k * d + 1 for d in degrees]
                 boxes = shared + [
@@ -485,7 +485,7 @@ def test_capped_powers_match_truncated_full_powers():
                 terms = full(k).terms
                 for box in boxes:
                     want = _truncate(terms, *exponent_cap(ctx, box))
-                    assert get(k, box) == want, (p, h.f_lift, box, k)
+                    assert ws.power(kind, k, box) == want, (p, h.f_lift, box, k)
 
 
 def test_halved_and_frobenius_powers_match_poly_powers():
@@ -509,9 +509,9 @@ def test_halved_and_frobenius_powers_match_poly_powers():
             ws = _Workspace(h)
             f_deg = [b - 1 for b in exponent_box(h.f_res.terms, n)]
             d_deg = [p * (b - 1) for b in exponent_box(h.f_lift.terms, n)]
-            for get, full, top, degrees in (
-                (ws.f_terms, h.f_res_power, p, f_deg),
-                (ws.delta_terms, h.delta_power, p - 1, d_deg),
+            for kind, full, top, degrees in (
+                ("f", h.f_res_power, p, f_deg),
+                ("d", h.delta_power, p - 1, d_deg),
             ):
                 for k in rng.sample(range(top + 1), top + 1):
                     reach = [k * d + 1 for d in degrees]
@@ -520,7 +520,7 @@ def test_halved_and_frobenius_powers_match_poly_powers():
                     terms = full(k).terms
                     for box in (inside, past, (p,) * n):
                         want = truncate_terms(terms, *exponent_cap(ctx, box))
-                        assert get(k, box) == want, (p, h.f_lift, k, box)
+                        assert ws.power(kind, k, box) == want, (p, h.f_lift, k, box)
                         frobenius += k == p and tuple(map(min, box, reach)) != tuple(reach) and bool(want)
     assert frobenius >= 10, frobenius
 
@@ -549,7 +549,7 @@ def test_full_powers_match_poly_powers():
         rng.shuffle(order)
         for kind, k in order:
             g = h.f_res if kind == "f" else h.delta_f
-            assert ws._power(kind, k, ws._reach(kind, k)) == (g**k).terms, (p, f, kind, k)
+            assert ws.power(kind, k, ws._reach(kind, k)) == (g**k).terms, (p, f, kind, k)
     assert zero_delta >= 4, zero_delta
 
 
@@ -566,9 +566,9 @@ def test_full_power_keeps_exponents_below_2_31():
         reach = ws._reach("f", 2)
         if overflows:
             with pytest.raises(ExponentOverflowError, match=r"^exponents of x reach 2147483648 >= 2\*\*31$"):
-                ws._power("f", 2, reach)
+                ws.power("f", 2, reach)
         else:
-            assert ws._power("f", 2, reach) == {ctx.encode_monomial((2 * e, 0)): 1}
+            assert ws.power("f", 2, reach) == {ctx.encode_monomial((2 * e, 0)): 1}
 
 
 def test_capped_scan_never_forms_full_powers(monkeypatch):
@@ -586,7 +586,7 @@ def test_capped_scan_never_forms_full_powers(monkeypatch):
         "f": [b - 1 for b in exponent_box(h.f_res.terms, 2)],
     }
     boxes = []  # the boxes of the workspace powers being built, innermost last
-    power = _Workspace._power
+    power = _Workspace.power
     shared = []
 
     def tracked(self, kind, k, box):
@@ -611,7 +611,7 @@ def test_capped_scan_never_forms_full_powers(monkeypatch):
             return real(self, k)
 
         monkeypatch.setattr(Hypersurface, name, counted)
-    monkeypatch.setattr(_Workspace, "_power", tracked)
+    monkeypatch.setattr(_Workspace, "power", tracked)
     assert splitting_sequence(h, 3).values == (0, 7, 13, 13)
     assert shared
     assert read == [], read
@@ -658,8 +658,7 @@ def test_deformed_sequences_are_frozen(p, names, expr, values):
 
 def test_capped_u_stage_inserts_few_rows(monkeypatch):
     # the capped u stage keeps monomial rows as minimal monomials and
-    # reduces the other rows by them before the echelon sees them; keeping
-    # the whole F_p-span of every u-row took 54,781 inserts here
+    # reduces the other rows by them before the echelon sees them
     inserts = []
     insert = Echelon.insert
 
@@ -847,9 +846,8 @@ def test_theta_drops_back_before_an_exponent_reaches_2_31(monkeypatch, kept_step
 
 
 def test_theta_zero_makes_the_next_entry_p(kept_steps):
-    # this input took about a minute on the capped scan alone, nearly all
-    # of it in products by large delta^l; theta_2 = 0, so P_2 is the unit
-    # ideal and s_3 = p
+    # theta_2 = 0, so P_2 is the unit ideal and s_3 = p, read off theta:
+    # both steps keep it, so no depth runs the capped scan
     h = hypersurface(
         7, ["x", "y", "z"], "27*x^4 + 38*y^4 + 20*z^4 + 31*x*y^2*z + 6*y^2*z + 7*x^2*y*z^3"
     )
@@ -917,9 +915,7 @@ def test_scan_stage_work_is_the_same_at_depth_12_and_24(monkeypatch):
     # clamped to the reach of its products, and the live boxes grow p-fold
     # per level, so the top stages of every chain are past that reach and
     # the same at every depth: depth 24 forms no product and runs no u step
-    # that depth 12 does not.  With the stages keyed by the tail, x + y^3 at
-    # p = 13 took 71 products and 30 u steps at depth 12, 143 and 66 at
-    # depth 24; it has s_1 = 0, so it forms no product at all
+    # that depth 12 does not
     counts = {"_mul_terms": 0, "root_generators": 0}
 
     def count(name):
@@ -945,9 +941,8 @@ def test_scan_stage_work_is_the_same_at_depth_12_and_24(monkeypatch):
 
 def test_scan_builds_each_depths_boxes_once(monkeypatch):
     # the box chain of a committed tail extends its parent's by one live
-    # box, so each depth after the first costs one live_box call; every
-    # candidate walking the whole tail took 252 calls at depth 12 and 1,092
-    # at depth 24 on x + y^3 at p = 13.  theta drops back here after depth 5
+    # box, so each depth after the first costs one live_box call.  theta
+    # drops back here after depth 5
     calls = []
     live_box = _Workspace.live_box
 
@@ -965,10 +960,7 @@ def test_scan_builds_each_depths_boxes_once(monkeypatch):
 
 def test_scan_memo_grows_linearly_with_depth(monkeypatch):
     # the outcome memo keys a level by its index j, as prefix[:j] is fixed
-    # for the run, and the workspace keeps one box per committed entry.
-    # Keyed by the tail prefix tail[:j], the memo carried 110, 506 and 2,162
-    # tail entries at depths 12, 24 and 48 (8,930 at 96), and per-tail box
-    # chains held 78, 300 and 1,176 boxes (4,656 at 96), on x + y^3 at p = 13
+    # for the run, and the workspace keeps one box per committed entry
     spaces = []
     new_part = ladder._new_part_contained
 
@@ -990,8 +982,7 @@ def test_scan_memo_grows_linearly_with_depth(monkeypatch):
 def test_scan_probes_candidates_upward_from_zero(monkeypatch, kept_steps):
     # once the run holds no theta, the scan probes s = 0, 1, 2, ... up to
     # the first candidate that is not contained, so an entry s takes s + 2
-    # probes.  Bisecting [0, p] probed 7, 3, 1, 0 for each entry 0 on
-    # x + y^3 at p = 13.  Here theta drops back after depth 9, on 2^31, so
+    # probes.  Here theta drops back after depth 9, on 2^31, so
     # no repeat is keyed and every later depth is scanned, 3, 7, 3, ...
     probes = []
     new_part = ladder._new_part_contained
@@ -1040,8 +1031,7 @@ def test_theta_chain_contractions_are_pinned(monkeypatch):
     # has j_lo = 0, and depth 2 forms psi_1..psi_7 (s_2 = 0, 7
     # contractions).  Each step reuses the chain's last nonzero psi, and
     # theta_1's two delta contractions make 13.  theta_2 is a multiple of
-    # theta_0, so depth 24 does the same.  The probe search took 6 probes,
-    # 4 contractions and 8 capped products
+    # theta_0, so depth 24 does the same
     counts = dict.fromkeys(("_new_part_contained", "_mul_terms", "_contract"), 0)
     bounds = []
     leading_bound = ladder._leading_bound
@@ -1165,8 +1155,8 @@ def test_next_s_after_entries_below_the_ones_read():
     # and next_s must give the largest t whose capped chain over prefix +
     # (t,) is contained, each in a fresh workspace.  Reusing the chain's
     # contraction for every entry gives 2 after (0, 0) on this p = 5 cubic,
-    # whose entry there is 5, and goes wrong on 6 of these 600 prefixes.
-    # Once an entry has been below the one read, every later entry is p
+    # whose entry there is 5.  Once an entry has been below the one read,
+    # every later entry is p
     # (``next_s``'s docstring)
     assert next_s(hypersurface(5, ["x0", "x1"], "20*x0^3 + 17*x0*x1^2 + 19*x1^3"), (0, 0)) == 5
     rng = random.Random(12)

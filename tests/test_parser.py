@@ -103,3 +103,12 @@ def test_expand_var_spec():
         expand_var_spec("")
     with pytest.raises(InputError, match=r"x1\.\.x7"):
         expand_var_spec("x1..x7")
+
+
+def test_nesting_limit_is_100_levels():
+    ctx = Context(2, ["x"])
+    for deep in ("(" * 100 + "x" + ")" * 100, "-" * 100 + "x"):
+        assert not parse_poly(deep, ctx).is_zero()
+    for deeper in ("(" * 101 + "x" + ")" * 101, "-" * 101 + "x"):
+        with pytest.raises(ParseError, match="^nesting deeper than 100 levels"):
+            parse_poly(deeper, ctx)

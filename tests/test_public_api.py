@@ -4,8 +4,12 @@ from ``pptlab`` itself, so dropping or renaming one fails here."""
 import dataclasses
 
 from pptlab import (
+    Analysis,
     Context,
+    QfsResult,
+    QuickCriteria,
     SplitSequence,
+    Verdict,
     analyze,
     check_quick_criteria,
     compute_ladder,
@@ -42,3 +46,19 @@ def test_split_sequence_fields_are_pinned():
     # the result type's fields, in order: a later field is added on purpose
     names = [f.name for f in dataclasses.fields(SplitSequence)]
     assert names == ["p", "depth", "values", "terminated_at_p", "per_depth_ms", "repeat"]
+
+
+def test_record_source_fields_are_pinned():
+    # cli.build_record and perfbench's analysis_output read these fields,
+    # and the vars() of the last three are record blocks
+    pinned = {
+        Analysis: [
+            "seq", "verdict", "criteria", "certificate", "qfs",
+            "partial", "exact", "preperiod", "period", "conjectural",
+        ],
+        Verdict: ["kind", "basis", "up_to_depth", "r", "flagged_r1", "reason"],
+        QfsResult: ["kind", "height", "depth"],
+        QuickCriteria: ["fired", "hypothesis_met", "note"],
+    }
+    for cls, names in pinned.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls

@@ -249,20 +249,23 @@ def naive_nu_table(f, p, n, e_max):
 
 
 def test_nu_matches_naive_untruncated_powers():
-    # the Frobenius climb against untruncated powers of f; the untruncated
-    # f^N grows like N^n monomials, so p^e_max shrinks as n grows
+    # the root chains against untruncated powers of f; the untruncated
+    # f^N grows like N^n monomials, so p^e_max shrinks as n grows.  The
+    # fixed inputs fbar = x + x^(p+1) have the root (1 + x)^(p-1) of
+    # fbar^(p-1): it leaves m but is not (1), which the chains put in its
+    # place
     max_q = {1: 7**3, 2: 125, 3: 27}
+    inputs = [(p, 1, {(1,): 1, (p + 1,): 1}) for p in (2, 3, 5)]
     rng = random.Random(602)
-    cases = 0
-    while cases < 90:
+    while len(inputs) < 93:
         p = rng.choice([2, 3, 5, 7])
         n = rng.randrange(1, 4)
-        e_max = max(e for e in (1, 2, 3) if p**e <= max_q[n])
         f = reduce_mod(random_int_poly(rng, n, max_terms=4, max_exp=3, max_coeff=8), p)
         f.pop((0,) * n, None)
-        if not f:
-            continue
-        cases += 1
+        if f:
+            inputs.append((p, n, f))
+    for p, n, f in inputs:
+        e_max = max(e for e in (1, 2, 3) if p**e <= max_q[n])
         ctx = Context(p, [f"x{i}" for i in range(n)])
         f_res = ResPoly(ctx, f)
         want = naive_nu_table(f, p, n, e_max)

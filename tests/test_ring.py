@@ -52,7 +52,7 @@ def test_context_rejects_bad_parameters():
     with pytest.raises(InputError):
         Context(2, ["not an identifier!"])
     # p**N over the multiplier cap
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^p\*\*N = 28561 exceeds the supported cap 20000;"):
         Context(13, ["a", "b", "c", "d"])
 
 

@@ -263,7 +263,7 @@ def test_nu_rejects_zero():
     ctx = Context(2, ["x"])
     with pytest.raises(InputError):
         nu(ResPoly.zero(ctx), 1)
-    # a unit never enters the ideal, so the climb would not end
+    # a unit never enters the ideal, so no largest N exists
     unit = ResPoly(Context(3, ["x"]), {(0,): 1, (1,): 1})
     for call in (lambda: nu(unit, 1), lambda: nu_table(unit, 2), lambda: fpt_approx(unit, 2)):
         with pytest.raises(InputError):
@@ -309,8 +309,8 @@ def test_nu_table_past_the_capped_climb_reach(p, names, expr, e_max, fpt):
 
 
 def test_nu_never_forms_large_powers(monkeypatch):
-    # the capped power of the p = 2 Fermat cubic holds 101,268 terms at
-    # e = 12; the root chains multiply small ideal generators by fbar^d, d < p
+    # the root chains multiply small ideal generators by fbar^d, d < p,
+    # never a power of fbar near p^e
     full = verdict.mul_terms
     sizes = []
 
@@ -327,8 +327,7 @@ def test_nu_never_forms_large_powers(monkeypatch):
 def test_nu_chain_roots_keep_the_ideal_not_its_span(monkeypatch):
     # the E8 surface at p = 5, a frozen table (4 * 5^(e-1) - 1).  Each root
     # step keeps generators of its ideal, so the chain makes 4 products for
-    # the powers fbar^d and 10 for its steps; keeping the whole F_p-span of
-    # every root made 56
+    # the powers fbar^d and 10 for its steps
     full = verdict.mul_terms
     calls = []
 
@@ -343,8 +342,8 @@ def test_nu_chain_roots_keep_the_ideal_not_its_span(monkeypatch):
 
 
 def test_nu_step_decides_the_unit_root_from_its_products():
-    # Fedder: I_1(K) is the unit ideal iff K leaves m^[p], so the step's
-    # answer, read off the products, must be the one the root gives.
+    # Fedder: I_1(K) leaves m iff K leaves m^[p], so the step's answer,
+    # read off the products, must be the one the root gives.
     # Row exponents reach p + 1 so that products land on both sides of the
     # cap, and J has up to four rows so that a later product decides
     rng = random.Random(3434)
@@ -385,7 +384,7 @@ def test_nu_step_decides_the_unit_root_from_its_products():
 )
 def test_nu_root_ledger_is_pinned(monkeypatch, p, names, expr, e_max, fpt, roots):
     # a step whose products leave m^[p] ends in the unit ideal without a
-    # root; taking every root made 6, 9, 4, 8 and 6 of them
+    # root
     full = verdict.root_generators
     calls = []
 
