@@ -31,7 +31,7 @@ from .errors import (
 from .ladder import compute_ladder
 from .parser import expand_var_spec, parse_poly
 from .pipeline import Analysis, analyze
-from .ring import Context, render
+from .ring import DEFAULT_MAX_GENERATORS, DEFAULT_MAX_WORKSPACE_MONOMIALS, Context, render
 from .verdict import QfsResult, QuickCriteria, check_quick_criteria, nu_table, regularity_test
 
 SCHEMA_ID = "pptlab/result/1"
@@ -200,8 +200,6 @@ def _print_human(record: dict) -> None:
         for step, gens in enumerate(record["trace"], start=1):
             inside = ", ".join(gens) or "0"
             print(f"ladder ideal at step {step}: ({inside})")
-    for note in record["annotations"]:
-        print(f"note: {note}")
 
 
 def _run_corpus(args: argparse.Namespace) -> None:
@@ -282,12 +280,12 @@ def make_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--emax", type=int, default=5, help="nu-function depth (fpt)")
         cmd.add_argument(
-            "--max-monomials", type=int, default=500_000,
+            "--max-monomials", type=int, default=DEFAULT_MAX_WORKSPACE_MONOMIALS,
             help="cap on distinct monomials per workspace, nu root steps included;"
             " past it theta falls back to the scan instead of failing",
         )
         cmd.add_argument(
-            "--max-generators", type=int, default=10_000,
+            "--max-generators", type=int, default=DEFAULT_MAX_GENERATORS,
             help="generator cap per step of the exact ladder, which only --trace runs",
         )
         cmd.add_argument("--cache-dir", default=None, help="result cache directory (or $PPTLAB_CACHE)")

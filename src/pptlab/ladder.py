@@ -423,11 +423,13 @@ def _advance(
     and the delta contractions only shrink it, so one capped delta serves
     all of them.
 
-    ``formed``, when given, is that first contraction, as the chain that
-    read l formed it (``_theta_next``); it is reused under the same size
-    test.  A whole contraction may pass that test where the limited one
-    gives up on terms that later cancel; both paths are exact, so this can
-    change only the path, never an entry.
+    Every contraction takes the cap (``ring.contract_terms``'s limit):
+    ``max_workspace_monomials``, or p^N for the first when no delta
+    contraction follows.  ``formed``, when given, is that first
+    contraction, as the chain that read l formed it (``_theta_next``); it
+    is reused under the same size test.  A whole contraction may pass that
+    test where the limited one gives up on terms that later cancel; both
+    paths are exact, so this can change only the path, never an entry.
     """
     ctx = ws.h.ctx
     p, n = ctx.p, ctx.n_vars
@@ -438,17 +440,13 @@ def _advance(
     if theta is None or len(theta) > first:
         return None
     theta = dual_frobenius(ctx, theta)
-    if theta is None:
-        return None
-    if l:
+    if theta and l:
         delta = ws.power("d", 1, exponent_box(theta, n))
         for _ in range(l):
-            if not theta:  # delta ⌟ 0 = 0
+            theta = _contract(delta, theta, n, p, limit)
+            if not theta:  # None: a drop-back; {}: delta ⌟ 0 = 0
                 break
-            theta = _contract(delta, theta, n, p)
-            if len(theta) > limit:
-                return None
-    return None if len(theta) > keep else theta
+    return None if theta is None or len(theta) > keep else theta
 
 
 class _Gens(NamedTuple):

@@ -48,21 +48,12 @@ FIELD_BITS = 64
 FIELD_MASK = (1 << FIELD_BITS) - 1
 EXPONENT_LIMIT = 1 << 31
 
-MAX_PRIME = 13
+PRIMES = (2, 3, 5, 7, 11, 13)
+MAX_PRIME = PRIMES[-1]
 MAX_VARS = 6
 MAX_MULTIPLIERS = 20_000  # cap on p**N, keeps Frobenius-root fans bounded
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality check by trial division."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+DEFAULT_MAX_WORKSPACE_MONOMIALS = 500_000
+DEFAULT_MAX_GENERATORS = 10_000
 
 
 class Context:
@@ -86,14 +77,15 @@ class Context:
         p: int,
         var_names: Iterable[str],
         *,
-        max_workspace_monomials: int = 500_000,
-        max_generators: int = 10_000,
+        max_workspace_monomials: int = DEFAULT_MAX_WORKSPACE_MONOMIALS,
+        max_generators: int = DEFAULT_MAX_GENERATORS,
     ):
         names = tuple(var_names)
-        # the range first: trial division of a huge p would not finish
+        if type(p) is not int:
+            raise InputError(f"p must be an int, got {p!r}")
         if not 2 <= p <= MAX_PRIME:
             raise InputError(f"p = {p} outside supported range 2..{MAX_PRIME}")
-        if not is_prime(p):
+        if p not in PRIMES:
             raise InputError(f"p = {p} is not prime")
         if not 1 <= len(names) <= MAX_VARS:
             raise InputError(f"variable count {len(names)} outside 1..{MAX_VARS}")

@@ -260,8 +260,6 @@ class _RootChains:
         rows = _UNIT_ROWS
         for d in digits:
             rows = self.step(rows, d)
-            if not rows:
-                return False
         return rows == _UNIT_ROWS
 
     def level(self, e: int) -> int:
@@ -319,8 +317,9 @@ def nu(f_res: ResPoly, e: int, *, chains: _RootChains | None = None) -> int:
     J_j * fbar^M leaves m^[p^(k-j)].  That ideal lies inside
     (fbar^M) and contains u * fbar^M, and u * fbar^M leaves the m-primary
     m^[p^(k-j)] iff fbar^M does, u being a unit modulo it; so J_j and (1)
-    give the same answer.  A step whose ideal is zero stays zero, so the
-    chain ends with "inside".
+    give the same answer.  No step's ideal is zero: the chain starts at
+    (1), a nonzero J gives nonzero products J * fbar^d, as F_p[x] is a
+    domain, and J lies in I_1(J)^[p], so each root is nonzero too.
 
     Level k starts from N = p * nu(p^(k-1)): fbar^(p*n) = (fbar^n)^p lies
     in m^[p^k] iff fbar^n lies in m^[p^(k-1)], so nu(p^k) lies in

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pptlab.errors import InputError, ResourceLimitError
+from pptlab.errors import ContextMismatchError, InputError, ResourceLimitError
 from pptlab.ideals import (
     Echelon,
     MonomialAntichain,
@@ -17,7 +17,7 @@ from pptlab.ideals import (
     u_image,
     u_single,
 )
-from pptlab.ring import EXPONENT_LIMIT, FIELD_BITS, Context, ResPoly
+from pptlab.ring import EXPONENT_LIMIT, FIELD_BITS, Context, LiftPoly, ResPoly
 
 from oracles import u_image_bruteforce
 
@@ -191,6 +191,8 @@ def test_echelon_scalar_dependence():
 def test_echelon_drops_zero():
     ctx = ctx2()
     assert echelon_reduce(ctx, [ResPoly.zero(ctx)]) == []
+    with pytest.raises(ContextMismatchError, match="expects ResPoly generators"):
+        echelon_reduce(ctx, [LiftPoly.one(ctx)])
 
 
 def test_echelon_same_span_two_generators():

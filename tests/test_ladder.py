@@ -158,6 +158,9 @@ def test_sequence_invariants_enforced():
         SplitSequence(p=2, depth=3, values=(0, 1, 2, 2), terminated_at_p=None)
     with pytest.raises(InputError):
         SplitSequence(p=2, depth=3, values=(0, 1, 1, 1), terminated_at_p=2)
+    for values in ((0, 3, 1), (0, -1, 1)):
+        with pytest.raises(InputError, match=r"^s_1 = -?\d outside 0\.\.2$"):
+            SplitSequence(p=2, depth=2, values=values, terminated_at_p=None)
 
 
 def test_sequence_repeat_must_be_followed():
@@ -1071,6 +1074,23 @@ def test_theta_chain_contractions_are_pinned(monkeypatch):
     assert splitting_sequence(h, 3).values == (0, 2, 2, 2)
     assert bounds == [2, 2, 2], bounds
     assert counts["_new_part_contained"] == 0
+
+
+def test_every_theta_contraction_takes_the_cap(monkeypatch):
+    # a drop-back costs no more than the bound only if every contraction of
+    # the theta step and chain stops at it; the p=7 Fermat quartic commits
+    # entries of 2, so its steps run delta contractions too
+    limits = []
+    contract = ladder._contract
+
+    def recorded(g, theta, n, p, limit=None):
+        limits.append(limit)
+        return contract(g, theta, n, p, limit)
+
+    monkeypatch.setattr(ladder, "_contract", recorded)
+    h = hypersurface(7, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
+    assert splitting_sequence(h, 4).values == (0, 2, 0, 2, 0)
+    assert limits and None not in limits, limits
 
 
 LEDGER_CASES = [

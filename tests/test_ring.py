@@ -43,6 +43,10 @@ def test_context_rejects_bad_parameters():
     # a prime far past the range: rejected before any primality test runs
     with pytest.raises(InputError, match="outside supported range"):
         Context(1000000000000000003, ["x"])
+    # p must be an int: a float, a string or None is rejected by name
+    for p in (7.0, 5.5, "3", None):
+        with pytest.raises(InputError, match="^p must be an int"):
+            Context(p, ["x", "y"])
     with pytest.raises(InputError):
         Context(2, [])
     with pytest.raises(InputError):
@@ -54,6 +58,9 @@ def test_context_rejects_bad_parameters():
     # p**N over the multiplier cap
     with pytest.raises(InputError, match=r"^p\*\*N = 28561 exceeds the supported cap 20000;"):
         Context(13, ["a", "b", "c", "d"])
+    for caps in ({"max_workspace_monomials": 0}, {"max_generators": 0}):
+        with pytest.raises(InputError, match="workspace caps must be positive"):
+            Context(2, ["x"], **caps)
 
 
 def test_context_accepts_supported_range():
@@ -87,6 +94,10 @@ def test_pow_basics():
     assert f ** 2 == ResPoly(ctx, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     x = ResPoly.variable(ctx, "x")
     assert x ** 5 == ResPoly(ctx, {(5, 0): 1})
+    with pytest.raises(InputError, match="non-negative integer, got -1"):
+        x ** -1
+    with pytest.raises(InputError, match="unknown variable 'z'"):
+        ResPoly.variable(ctx, "z")
 
 
 def test_mul_matches_integer_expansion():
@@ -134,6 +145,8 @@ def test_frobenius_substitute():
     assert frobenius_substitute(x + y + one) == LiftPoly(
         ctx, {(2, 0): 1, (0, 2): 1, (0, 0): 1}
     )
+    with pytest.raises(ContextMismatchError, match="expects a LiftPoly"):
+        frobenius_substitute(ResPoly.one(ctx))
 
 
 def test_project_mod_p():
@@ -143,6 +156,8 @@ def test_project_mod_p():
     assert project_mod_p(LiftPoly(ctx, {(1, 0): 4})) == ResPoly(ctx, {(1, 0): 1})
     g = LiftPoly(ctx, {(2, 0): 1, (0, 1): 3})
     assert project_mod_p(g) == ResPoly(ctx, {(2, 0): 1})
+    with pytest.raises(ContextMismatchError, match="expects a LiftPoly"):
+        project_mod_p(ResPoly.one(ctx))
 
 
 def test_exact_div_p():
@@ -153,6 +168,8 @@ def test_exact_div_p():
     assert exact_div_p(f) == ResPoly(ctx, {(1, 0): 1, (0, 1): 1})
     with pytest.raises(NotDivisibleError):
         exact_div_p(LiftPoly(ctx, {(1, 0): 1}))
+    with pytest.raises(ContextMismatchError, match="expects a LiftPoly"):
+        exact_div_p(ResPoly.one(ctx))
 
 
 def test_exact_div_p_inverts_lift_scaling():
@@ -162,6 +179,8 @@ def test_exact_div_p_inverts_lift_scaling():
         ctx = Context(p, ["x", "y"])
         b = ResPoly(ctx, random_int_poly(rng, 2))
         assert exact_div_p(lift_of(b).scale(p)) == b
+    with pytest.raises(ContextMismatchError, match="expects a ResPoly"):
+        lift_of(LiftPoly.one(ctx))
 
 
 def test_render_canonical_form():
@@ -181,6 +200,8 @@ def test_leading_monomial_is_graded_lex_max():
     ctx = Context(5, ["x", "y", "z"])
     f = ResPoly(ctx, {(1, 1, 1): 1, (0, 4, 0): 2, (2, 0, 0): 3})
     assert ctx.decode_monomial(f.leading_monomial()) == (0, 4, 0)
+    with pytest.raises(InputError, match="zero polynomial"):
+        ResPoly.zero(ctx).leading_monomial()
 
 
 def test_exponent_overflow_guard():
@@ -247,6 +268,13 @@ def test_monomial_encoding_roundtrip():
     for _ in range(200):
         exps = tuple(rng.randrange(50) for _ in range(4))
         assert ctx.decode_monomial(ctx.encode_monomial(exps)) == exps
+    for exps, message in (
+        ((1, 2, 3), "expected 4 exponents, got 3"),
+        ((1, 2, 3, 4, 5), "expected 4 exponents, got 5"),
+        ((1, -1, 0, 0), "negative exponents"),
+    ):
+        with pytest.raises(InputError, match=message):
+            ctx.encode_monomial(exps)
 
 
 def test_delta_oracle_consistency_of_kernel_ops():

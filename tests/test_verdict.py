@@ -66,6 +66,8 @@ def test_classify_certificate_removes_depth_qualifier():
     assert v.kind == VERDICT_PERFECTOID_PURE
     assert v.basis == "C3"
     assert v.certified
+    with pytest.raises(InputError, match="unknown certificate 'C9'"):
+        classify(seq_of(2, (0, 1, 1, 1)), certificate="C9")
 
 
 def test_classify_r1_pattern_flagged_by_default():
@@ -129,6 +131,11 @@ def test_ppt_closed_form_values():
     assert ppt_closed_form(seq_of(2, (0, 1, 1, 1)), 0, 1) == 0
     # p=7 alternating (0,2): (p^2-2p-1)/(p^2-1) = 34/48 = 17/24
     assert ppt_closed_form(seq_of(7, (0, 2, 0, 2, 0)), 0, 2) == Fraction(17, 24)
+    for a, pi in ((-1, 2), (0, 0), (2, 2)):
+        with pytest.raises(InputError, match="does not fit depth 3"):
+            ppt_closed_form(seq_of(2, (0, 1, 0, 1)), a, pi)
+    with pytest.raises(SequenceHitPError):
+        ppt_closed_form(seq_of(2, (0, 1, 2, 2), terminated=2), 0, 1)
 
 
 def test_ppt_closed_form_with_preperiod():
@@ -268,6 +275,8 @@ def test_nu_rejects_zero():
     for call in (lambda: nu(unit, 1), lambda: nu_table(unit, 2), lambda: fpt_approx(unit, 2)):
         with pytest.raises(InputError):
             call()
+    with pytest.raises(InputError, match="e must be >= 1, got 0"):
+        nu(ResPoly(ctx, {(1,): 1}), 0)
 
 
 
@@ -479,6 +488,8 @@ def test_criteria_match_ladder_predictions():
         assert criterion in crit.fired
         assert unroll(*criterion_pattern(criterion, p), 4) == values
         assert splitting_sequence(h, 4).values == values
+    with pytest.raises(InputError, match="unknown criterion 'C9'"):
+        criterion_pattern("C9", 2)
 
 
 def full_power_criteria(h):
@@ -577,4 +588,7 @@ def test_fermat_degree_recognition():
     assert fermat_degree(h) is None
     # p <= N
     h = hypersurface(3, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
+    assert fermat_degree(h) is None
+    # a mixed term
+    h = hypersurface(5, ["x", "y"], "x*y + y^2")
     assert fermat_degree(h) is None
