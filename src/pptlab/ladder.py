@@ -187,32 +187,31 @@ class _Workspace:
     entry.  It holds the committed prefix, which only ``commit`` extends;
     ``front``, the term dict of theta_k for that prefix (module
     docstring), {} when theta is 0 and None once the run has let theta go;
-    the capped scan's state over the prefix: ``boxes``, its live boxes
-    B_0 = (p, ..., p), B_1, ..., ``memo`` (``_new_part_contained``) and
-    ``stages`` (``_stage``); ``unit``, the unit ideal every scan chain
-    starts from; and the run's powers of fbar and delta (``power``).  A
-    box is per-variable exponent bounds.
+    and the run's powers of fbar and delta (``power``), with the degree
+    bounds they are clamped by, each computed when a power or a scan stage
+    first needs it (``degrees``).  A box is per-variable exponent bounds.
+
+    Only the capped scan reads ``boxes``, its live boxes B_0 = (p, ..., p),
+    B_1, ..., ``memo`` (``_new_part_contained``) and ``stages``
+    (``_stage``).  A new workspace holds B_0 and two empty dicts; the scan
+    builds the rest, its unit ideal included, once a run drops back.  A
+    run that keeps theta builds theta_0, the powers of fbar its chains
+    take and, once it commits an entry above 0, delta's degree bound and
+    the capped delta its steps contract by.
     """
 
-    __slots__ = (
-        "h", "_cache", "_degrees", "prefix", "front", "_found", "boxes", "memo", "stages", "unit"
-    )
+    __slots__ = ("h", "_cache", "_degrees", "prefix", "front", "_found", "boxes", "memo", "stages")
 
     def __init__(self, h: Hypersurface):
         self.h = h
         self._cache: dict[tuple, dict[int, int]] = {}
-        p, n = h.ctx.p, h.ctx.n_vars
+        self._degrees: dict[str, tuple[int, ...]] = {}
         self.prefix: tuple[int, ...] = ()
         self.front: dict[int, int] | None = _theta_0(h.ctx)
         self._found: tuple[int, dict[int, int] | None] | None = None
-        self.boxes = [(p,) * n]
+        self.boxes = [(h.ctx.p,) * h.ctx.n_vars]
         self.memo: dict[tuple, bool] = {}
         self.stages: dict[tuple, _Gens] = {}
-        self.unit = _gens(h.ctx, [{0: 1}])  # the unit ideal: the monomial 1 packs to 0
-        self._degrees = {
-            "f": tuple(b - 1 for b in exponent_box(h.f_res.terms, n)),
-            "d": tuple(p * (b - 1) for b in exponent_box(h.f_lift.terms, n)),
-        }
 
     def read(self) -> int:
         """The entry after the committed prefix: off theta's chain
@@ -251,10 +250,24 @@ class _Workspace:
             return (0,) * len(out)
         return tuple(o - m for o, m in zip(out, exponent_floor(below, len(out))))
 
+    def degrees(self, kind: str) -> tuple[int, ...]:
+        """Per-variable degrees, computed once per run: deg_(x_i) fbar for
+        kind "f"; for kind "d" the bound p * deg_(x_i) f_lift on delta's, as
+        delta = (f^p - phi(f))/p; for kind "delta" delta's actual degrees
+        (-1 where delta is 0), which only the 2^31 test reads."""
+        got = self._degrees.get(kind)
+        if got is None:
+            h = self.h
+            g = {"f": h.f_res, "d": h.f_lift, "delta": h.delta_f}[kind]
+            scale = h.ctx.p if kind == "d" else 1
+            got = tuple([scale * (b - 1) for b in exponent_box(g.terms, h.ctx.n_vars)])
+            self._degrees[kind] = got
+        return got
+
     def _reach(self, kind: str, k: int) -> tuple[int, ...]:
         """The box past which delta^k (kind "d") or fbar^k (kind "f") has
         no monomial: R_i = k * d_i + 1."""
-        return tuple(k * d + 1 for d in self._degrees[kind])
+        return tuple([k * d + 1 for d in self.degrees(kind)])
 
     def power(self, kind: str, k: int, box: tuple[int, ...]) -> dict[int, int]:
         """g^k for g = delta (kind "d") or fbar (kind "f") without the
@@ -289,30 +302,30 @@ class _Workspace:
         ``Poly.__mul__`` also calls.  deg_(x_i)(g^k) is exactly
         k * deg_(x_i)(g): the top x_i-degree part of g^k is the k-th power
         of g's, which is nonzero because F_p[x] is a domain.  So the degrees
-        come from g's actual terms, not from the bounds d.
+        come from g's actual terms, not from the bounds d (``degrees``).
         """
         key = (kind, k, box)
         got = self._cache.get(key)
         if got is None:
-            h = self.h
-            ctx = h.ctx
-            p = ctx.p
-            g = (h.delta_f if kind == "d" else h.f_res).terms
             reach = self._reach(kind, k)
             clamped = tuple(map(min, box, reach))
             full = clamped == reach
+            ctx = self.h.ctx
             if clamped != box:
                 got = self.power(kind, k, clamped)
             elif k <= 1:
-                got = g if k else {0: 1}  # the monomial 1 packs to 0
+                g = self.h.delta_f if kind == "d" else self.h.f_res
+                got = g.terms if k else {0: 1}  # the monomial 1 packs to 0
                 if not full:
                     got = _truncate(got, *exponent_cap(ctx, box))
             else:
+                p = ctx.p
                 if full:
-                    check_exponent_range(ctx, (k * (b - 1) for b in exponent_box(g, ctx.n_vars)))
+                    tops = self.degrees("f" if kind == "f" else "delta")
+                    check_exponent_range(ctx, [k * d for d in tops])
                 if k == p:
                     # m_i < ceil(B_i / p) iff p * m_i < B_i
-                    inner = tuple(-(-b // p) for b in box)
+                    inner = tuple([-(-b // p) for b in box])
                     got = frobenius_terms(self.power(kind, 1, inner), p)
                 else:
                     halves = self.power(kind, k // 2, box), self.power(kind, k - k // 2, box)
@@ -474,17 +487,17 @@ def _stage(ws: _Workspace, ideal: _Gens, k: int, l: int, box: tuple[int, ...]) -
 
     Every monomial of g * fbar^k * delta^l, for a generator g, lies below
     R = ideal.box + k * d_f + l * d_delta, with the degree bounds d of
-    ``_Workspace``.  Dropping the monomials at or past ``box`` drops the
-    same ones as dropping those at or past c = min(box, R), and the powers
-    taken inside c are the ones taken inside ``box``, as each power's own
-    reach lies inside R.  So the products, hence the u step's rows and its
-    generators, depend on ``box`` only through c.  The result is memoized on
-    the workspace under (ideal.key, k, l, c): the top stages of a chain,
-    whose live boxes are past R, are the same at every depth.
+    ``_Workspace.degrees``.  Dropping the monomials at or past ``box``
+    drops the same ones as dropping those at or past c = min(box, R), and
+    the powers taken inside c are the ones taken inside ``box``, as each
+    power's own reach lies inside R.  So the products, hence the u step's
+    rows and its generators, depend on ``box`` only through c.  The result
+    is memoized on the workspace under (ideal.key, k, l, c): the top stages
+    of a chain, whose live boxes are past R, are the same at every depth.
     """
     ctx = ws.h.ctx
     p = ctx.p
-    degrees = zip(box, ideal.box, ws._degrees["f"], ws._degrees["d"])
+    degrees = zip(box, ideal.box, ws.degrees("f"), ws.degrees("d"))
     clamped = tuple(min(b, g + k * f + l * d) for b, g, f, d in degrees)
     key = (ideal.key, k, l, clamped)
     got = ws.stages.get(key)
@@ -571,7 +584,7 @@ def _new_part_contained(ws: _Workspace, s: int) -> bool:
         boxes.append(tuple(p * b for b in ws.live_box(p - l - 1, boxes[-1])))
     memo = ws.memo
     visited = []
-    ideal = ws.unit
+    ideal = _Gens(({0: 1},), (((0, 1),),), (1,) * ctx.n_vars)  # the unit ideal: 1 packs to 0
     k = p - s
     for j in range(len(prefix), -1, -1):
         key = (j, k, ideal.key)

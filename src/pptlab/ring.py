@@ -19,7 +19,8 @@ image exponent to ``check_exponent_range``, the one place that raises.
 The same headroom makes two field-wise tests one integer operation each:
 ``exponent_cap`` (some exponent reaches a bound) and ``exponent_guard``
 (x^a divides x^b), and one C-level ``max`` or ``min`` per variable reads
-the exponent range of a support (``exponent_box``, ``exponent_floor``).
+the exponent range of a support (``exponent_box``, ``exponent_floor``);
+``pure_powers`` packs x_1^e, ..., x_N^e without encoding each.
 No other module reads packed fields, so the kernels live here too:
 ``mul_terms``, ``contract_terms``, ``u_buckets`` (the split by Frobenius
 shift), ``exponent_quotient`` (how many times x^t divides x^b),
@@ -218,6 +219,13 @@ def exponent_quotient(t: int, b: int, n_vars: int, cap: int) -> int:
     return cap
 
 
+# (mask, shift) of each exponent field in variable order, per variable count
+_FIELDS = tuple(
+    tuple((FIELD_MASK << s, s) for s in range(FIELD_BITS * (n - 1), -1, -FIELD_BITS))
+    for n in range(MAX_VARS + 1)
+)
+
+
 def exponent_box(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
     """1 + the largest exponent of each variable over the packed monomials
     ``terms``, in variable order; all zeros for no terms.
@@ -226,10 +234,7 @@ def exponent_box(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
     the largest exponent: one C-level ``max`` over ``map`` per variable."""
     if not terms:
         return (0,) * n_vars
-    return tuple(
-        (max(map((FIELD_MASK << shift).__and__, terms)) >> shift) + 1
-        for shift in range(FIELD_BITS * (n_vars - 1), -1, -FIELD_BITS)
-    )
+    return tuple([(max(map(mask.__and__, terms)) >> shift) + 1 for mask, shift in _FIELDS[n_vars]])
 
 
 def exponent_floor(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
@@ -238,10 +243,12 @@ def exponent_floor(terms: Collection[int], n_vars: int) -> tuple[int, ...]:
     ``exponent_box`` masking, with ``min`` for ``max``."""
     if not terms:
         return (0,) * n_vars
-    return tuple(
-        min(map((FIELD_MASK << shift).__and__, terms)) >> shift
-        for shift in range(FIELD_BITS * (n_vars - 1), -1, -FIELD_BITS)
-    )
+    return tuple([min(map(mask.__and__, terms)) >> shift for mask, shift in _FIELDS[n_vars]])
+
+
+def pure_powers(n_vars: int, e: int) -> list[int]:
+    """The packed monomials x_1^e, ..., x_N^e (N = ``n_vars``)."""
+    return [(e << (FIELD_BITS * n_vars)) | (e << shift) for _, shift in _FIELDS[n_vars]]
 
 
 def truncate_terms(terms: dict[int, int], add: int, high: int) -> dict[int, int]:

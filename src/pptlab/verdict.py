@@ -39,7 +39,7 @@ from .errors import (
 )
 from .ideals import member_frobenius_power, root_generators
 from .ladder import SplitSequence, _Workspace
-from .ring import EXPONENT_LIMIT, ResPoly, exponent_cap, mul_terms, truncate_terms
+from .ring import EXPONENT_LIMIT, ResPoly, exponent_cap, mul_terms, pure_powers, truncate_terms
 
 VERDICT_PERFECTOID_PURE = "perfectoid_pure"
 VERDICT_NOT_PERFECTOID_PURE = "not_perfectoid_pure"
@@ -118,10 +118,10 @@ def series(p: int, head: Sequence[int], block: Sequence[int] = ()) -> Fraction:
         return n
 
     shift = p ** len(head)
-    total = Fraction(digits(head), shift)
-    if block:
-        total += Fraction(digits(block), (p ** len(block) - 1) * shift)
-    return total
+    if not block:
+        return Fraction(digits(head), shift)
+    period = p ** len(block) - 1
+    return Fraction(digits(head) * period + digits(block), period * shift)
 
 
 def unroll(head: Sequence[int], block: Sequence[int], depth: int) -> tuple[int, ...]:
@@ -450,26 +450,15 @@ def check_quick_criteria(h: Hypersurface) -> QuickCriteria:
 
 
 def fermat_degree(h: Hypersurface) -> int | None:
-    """N when f is exactly x_1^N + ... + x_N^N with p > N, else None."""
+    """N when f is exactly x_1^N + ... + x_N^N with p > N >= 2, else None:
+    f's terms are then the N pure powers x_i^N, each with coefficient 1
+    mod p^2."""
     ctx = h.ctx
     n = ctx.n_vars
-    terms = h.f_lift.terms_by_exponent()
-    if len(terms) != n:
+    terms = h.f_lift.terms
+    if not 2 <= n < ctx.p or len(terms) != n:
         return None
-    degrees = set()
-    for exps, c in terms.items():
-        if c != 1:
-            return None
-        nonzero = [e for e in exps if e]
-        if len(nonzero) != 1:
-            return None
-        degrees.add(nonzero[0])
-    if len(degrees) != 1:
-        return None
-    deg = degrees.pop()
-    if deg != n or deg < 2 or ctx.p <= deg:
-        return None
-    return deg
+    return n if terms == dict.fromkeys(pure_powers(n, n), 1) else None
 
 
 def fermat_block(n_vars: int, p: int) -> tuple[int, ...]:

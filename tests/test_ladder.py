@@ -572,6 +572,20 @@ def test_full_power_keeps_exponents_below_2_31():
                 ws.power("f", 2, reach)
         else:
             assert ws.power("f", 2, reach) == {ctx.encode_monomial((2 * e, 0)): 1}
+    # delta's test reads delta's own terms, not the bound p * deg f_lift
+    # that sets its reach (2^30 in y here): delta = y^(2^30) has no square,
+    # and y^(2^29), below the bound, has one
+    top = EXPONENT_LIMIT // 4
+    for e, overflows in ((EXPONENT_LIMIT // 2, True), (top, False)):
+        f = LiftPoly.monomial(ctx, (0, top))
+        h = Hypersurface(ctx, f, ResPoly.monomial(ctx, (0, top)), ResPoly.monomial(ctx, (0, e)))
+        ws = _Workspace(h)
+        reach = ws._reach("d", 2)
+        if overflows:
+            with pytest.raises(ExponentOverflowError, match=r"^exponents of y reach 2147483648 >= 2\*\*31$"):
+                ws.power("d", 2, reach)
+        else:
+            assert ws.power("d", 2, reach) == {ctx.encode_monomial((0, 2 * e)): 1}
 
 
 def test_capped_scan_never_forms_full_powers(monkeypatch):
@@ -1138,6 +1152,41 @@ def test_scan_work_ledger_is_pinned(monkeypatch, p, names, expr, depth, ledger):
         count(_Workspace if name == "live_box" else ladder, name)
     splitting_sequence(hypersurface(p, names.split(","), expr), depth)
     assert tuple(counts.values()) == ledger, counts
+
+
+@pytest.mark.parametrize(
+    "p, names, expr, depth, ledger",
+    LEDGER_CASES,
+    ids=[f"{p}-{expr}-{depth}" for p, _, expr, depth, _ in LEDGER_CASES],
+)
+def test_a_run_builds_only_what_its_path_reads(monkeypatch, p, names, expr, depth, ledger):
+    # the workspace builds none of the capped scan's ideals up front: a run
+    # that keeps theta to its end (ledger[0], its capped-chain candidates,
+    # is 0) never calls _gens, and one that drops back still does, with
+    # the work test_scan_work_ledger_is_pinned pins.  A run whose entries
+    # are all 0 forms no delta power and reads no degree of delta
+    gens, kinds = [], []
+    real_gens, real_degrees, real_power = ladder._gens, _Workspace.degrees, _Workspace.power
+
+    def counted_gens(ctx, g):
+        gens.append(len(g))
+        return real_gens(ctx, g)
+
+    def counted_degrees(self, kind):
+        kinds.append(kind)
+        return real_degrees(self, kind)
+
+    def counted_power(self, kind, k, box):
+        kinds.append(kind)
+        return real_power(self, kind, k, box)
+
+    monkeypatch.setattr(ladder, "_gens", counted_gens)
+    monkeypatch.setattr(_Workspace, "degrees", counted_degrees)
+    monkeypatch.setattr(_Workspace, "power", counted_power)
+    seq = splitting_sequence(hypersurface(p, names.split(","), expr), depth)
+    assert bool(gens) == bool(ledger[0]), (gens, ledger)
+    if not any(seq.values):
+        assert kinds and set(kinds) == {"f"}, kinds
 
 
 def test_theta_steps_stop_at_the_last_entry_and_at_a_repeat(monkeypatch, kept_steps):

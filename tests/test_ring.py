@@ -27,6 +27,7 @@ from pptlab.ring import (
     frobenius_terms,
     lift_of,
     project_mod_p,
+    pure_powers,
     render,
 )
 
@@ -268,6 +269,10 @@ def test_monomial_encoding_roundtrip():
     for _ in range(200):
         exps = tuple(rng.randrange(50) for _ in range(4))
         assert ctx.decode_monomial(ctx.encode_monomial(exps)) == exps
+    # pure_powers packs x_i^e as encode_monomial does, in variable order
+    for e in (0, 1, 7, EXPONENT_LIMIT - 1):
+        want = [ctx.encode_monomial([e if i == j else 0 for j in range(4)]) for i in range(4)]
+        assert pure_powers(4, e) == want, e
     for exps, message in (
         ((1, 2, 3), "expected 4 exponents, got 3"),
         ((1, 2, 3, 4, 5), "expected 4 exponents, got 5"),

@@ -592,3 +592,49 @@ def test_fermat_degree_recognition():
     # a mixed term
     h = hypersurface(5, ["x", "y"], "x*y + y^2")
     assert fermat_degree(h) is None
+    # a coefficient that is 1 mod p but not mod p^2
+    h = hypersurface(5, ["x", "y"], "x^2 + 6*y^2")
+    assert fermat_degree(h) is None
+    # a constant term p
+    h = hypersurface(5, ["x", "y"], "x^2 + y^2 + p")
+    assert fermat_degree(h) is None
+    # N = 1
+    h = hypersurface(3, ["x"], "x")
+    assert fermat_degree(h) is None
+
+
+def test_fermat_degree_matches_its_decoded_definition():
+    # N exactly when f = x_1^N + ... + x_N^N mod p^2 with p > N >= 2,
+    # read off the decoded terms; the inputs are pure powers of one degree
+    # with some coefficients moved, terms dropped or added, or a constant
+    # term p*c
+    rng = random.Random(452)
+    found = []
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        n = rng.randrange(1, 5)
+        if p**n > 20000:
+            continue
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        e = n if rng.random() < 0.8 else rng.randrange(1, 6)
+        coeffs = {tuple(e if i == j else 0 for j in range(n)): 1 for i in range(n)}
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            change = rng.randrange(4)
+            exps = rng.choice(sorted(coeffs)) if coeffs else (0,) * n
+            if change == 0:
+                coeffs[exps] = rng.choice([1 + p, 1 - p, 2, p * p + 1])
+            elif change == 1:
+                coeffs.pop(exps, None)
+            elif change == 2:
+                coeffs[tuple(rng.randrange(e + 2) for _ in range(n))] = rng.randrange(1, p * p)
+            else:
+                coeffs[(0,) * n] = p * rng.randrange(1, p + 1)
+        try:
+            h = validate(ctx, LiftPoly(ctx, coeffs))
+        except InputError:
+            continue
+        pure = {tuple(n if i == j else 0 for j in range(n)): 1 for i in range(n)}
+        want = n if 2 <= n < p and h.f_lift.terms_by_exponent() == pure else None
+        assert fermat_degree(h) == want, (p, coeffs)
+        found.append(want is not None)
+    assert sum(found) >= 50 and len(found) - sum(found) >= 50, (sum(found), len(found))
