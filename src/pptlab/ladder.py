@@ -124,6 +124,8 @@ class SplitSequence:
     ``repeat`` is (j, k) when the carried theta_k is a multiple of theta_j,
     or (0, 1) when s_1 = 0: s_(k+1), s_(k+2), ... repeat the block
     s_(j+1)..s_k (module docstring), and were read off it, not scanned.
+    That proves the whole sequence, so ``pipeline.analyze`` certifies its
+    pattern (basis ``"repeat"``, or ``"fpure"`` when s_1 = 0).
     ``per_depth_ms`` holds the time of each depth, read-off depths
     included; depth n commits s_(n-1), so its time includes the theta
     step past s_(n-1).  Neither takes part in comparisons.

@@ -9,10 +9,12 @@ p-1 is written as a pattern (head, block): s_0 = 0, then ``head``, then
     sum_(n>=1) (p - 1 - s_n) / p^n
 
 is the base-p fraction with those digits, evaluated exactly.  Every
-certificate (a fired quick criterion or the Fermat predictor) predicts
-such a pattern; ``unroll`` writes it out to a depth.  A period detected
-in a window is only ever reported as proven when the input has a
-certificate; otherwise it is conjectural.
+certificate predicts such a pattern: a fired quick criterion, the Fermat
+predictor, or a run's proven repeat (``SplitSequence.repeat``, basis
+``"repeat"``, or ``"fpure"`` when s_1 = 0).  ``unroll`` writes a pattern
+out to a depth, and ``minimal_pattern`` gives the shortest one that
+writes the same sequence.  A period detected in a window, with no
+certificate behind it, is only ever reported as conjectural.
 
 nu(p^e) is read from short chains of p-th-root ideals, one step per
 base-p digit of the exponent, with the argument in ``nu``.  The chains
@@ -49,13 +51,13 @@ BASIS_ALL_BOUNDED = "all_bounded"
 REASON_DEPTH_EXHAUSTED = "depth_exhausted"
 REASON_UNCLASSIFIED_PATTERN = "unclassified_pattern"
 
-CERTIFICATES = ("C1", "C3", "fermat")
+CERTIFICATES = ("C1", "C3", "fermat", "repeat", "fpure")
 
 
 @dataclass(frozen=True)
 class Verdict:
     kind: str
-    basis: str | None = None  # all_bounded, C1, C3 or fermat (pure verdicts)
+    basis: str | None = None  # all_bounded or a name in CERTIFICATES (pure verdicts)
     up_to_depth: int | None = None  # set when purity is only depth-checked
     r: int | None = None  # length of the (p-1)-run (non-pure verdicts)
     flagged_r1: bool = False
@@ -72,7 +74,9 @@ def classify(
     """Classify a sequence.
 
     All entries bounded by p-1 give a pure verdict, qualified "up to
-    depth" unless a certificate extends it to all n.  A run
+    depth" unless a certificate, one of ``CERTIFICATES``, extends it to
+    all n: a fired C1 or C3, the Fermat predictor, or a proven repeat of
+    the run (``"repeat"``, or ``"fpure"`` for an F-pure fibre).  A run
     s_1 = ... = s_r = p-1 followed by s_(r+1) = p is not perfectoid pure
     for r >= 2; the r = 1 case carries the same conclusion here but is
     flagged (strict mode downgrades it to inconclusive).  Any other way
@@ -133,6 +137,17 @@ def unroll(head: Sequence[int], block: Sequence[int], depth: int) -> tuple[int, 
             raise InputError(f"a pattern with no block stops at depth {len(head)}")
         values.extend(block)
     return tuple(values[: depth + 1])
+
+
+def minimal_pattern(head: tuple[int, ...], block: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The shortest (head, block) that writes the same infinite sequence,
+    for a nonempty block: the block cut to its least rotation period,
+    then the head shortened while its last entry equals the block's last,
+    rotating that entry into the block."""
+    block = block[: next(d for d in range(1, len(block) + 1) if block[d:] + block[:d] == block)]
+    while head and head[-1] == block[-1]:
+        head, block = head[:-1], head[-1:] + block[:-1]
+    return head, block
 
 
 def ppt_partial(seq: SplitSequence) -> Fraction:

@@ -509,9 +509,9 @@ FROZEN_OUTPUT_DIGESTS = {
     "fermat-quartic-p5": "9cd623ccce0a7d508ea24c5a860bfa1cf02534c58819eed77b4cdedfaeaa59d7",
     "fermat-cubic-p7": "b766d2335fdca786d55975d4e2d9cc77617b99b143c4370d501f22c29e19f674",
     "fermat-quartic-p7": "5b23515d220507238aee4453a0e1671a5534b3bab3d72632b3830a638ac32a06",
-    "regular-parabola-p3": "582c4adb86a07cdcee8841bb5b2ce4f32c9a77c7065735cadb489ce5ff276c0b",
-    "regular-line-cube-p2": "e5fe0af55fccee329cedcae7f4d267703ca9d647780b11c894095d686ceacfb9",
-    "regular-line-cube-p3": "614874c672d9aec905c6fad2db0f5ccf361e898b7130c1a4daf13f2246df46f3",
+    "regular-parabola-p3": "a5b426e6f2a41d10570bf5487bd0db0620b4f4ef4a4d8d5c25e28a19d0672a9c",
+    "regular-line-cube-p2": "a648ad915eea46678d89c6aaf9be85dd4c055e0e0559e54987a5db1d1a088bb2",
+    "regular-line-cube-p3": "e772a2c3a590977cd9956e33213fbb5754b56ff1ee8c87828ec27aeccf5656c4",
     "corpus": "f8053228eae4a0890c0d2e4f394800704e0102de9c29e33d9c0a553ded8a7741",
 }
 FROZEN_COMMANDS = (["sequence"], ["ppt"], ["classify"], ["qfs-height"], ["fpt", "--emax", "3"], ["criteria"])

@@ -22,10 +22,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PINNED = {
-    "scan-heavy": "4df82e7e822d2c7d664de463ab83ce348dc1a271d30d17ba8611966b4a26cce7",
-    "nu-crosscheck": "f3aa34d26dfe0daeaee04f8fa7837f506cd375312204f5148001da70d42da025",
-    "cli-light": "6af756ae365966c7041c7a33eb3513b983a5482f5f31d11f4d34e42073b6eecb",
-    "cli-cached": "a3ffaf82c5225dea6a48dbde666acc9f4085fe54c1a82dc0e0eb33f80a26c75e",
+    "scan-heavy": "6c0eb009a74ef7405f7a51b25d2a098eb434f8681c32d691011d6cf8c0598ad6",
+    "nu-crosscheck": "4ab1f2a60fc5a9faf146d0eb293394277825cebd9abdba02d33d51339313ffa7",
+    "cli-light": "351cd31a1946ba5e5cd4f2d62a84af4ad44970c1678e9bdeaf5f69bf96b1cc2f",
+    "cli-cached": "7bb6d4f3b282e201713a9f22915f17bdf93674daec5172b15e716d10ccef4961",
 }
 
 
