@@ -35,6 +35,11 @@ from .ring import DEFAULT_MAX_GENERATORS, DEFAULT_MAX_WORKSPACE_MONOMIALS, Conte
 from .verdict import QfsResult, QuickCriteria, check_quick_criteria, nu_table, regularity_test
 
 SCHEMA_ID = "pptlab/result/1"
+# Raised whenever what a record says for an input changes while
+# ``__version__`` and the schema stay.  Cache lines are keyed by both, so a
+# line written under an earlier revision misses.  2: proven repeats and
+# F-pure read-offs are certified (basis "repeat" / "fpure").
+RECORD_REVISION = 2
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -326,13 +331,14 @@ def run(args: argparse.Namespace) -> dict | None:
     f = parse_poly(args.f, ctx)
     inp = _input_block(args, ctx, f)
     input_hash = content_hash({**inp, "command": args.command})
+    version = f"{__version__}+r{RECORD_REVISION}"
     if cache is not None:
-        cached = cache.get(input_hash, __version__)
+        cached = cache.get(input_hash, version)
         if cached is not None:
             return cached
     record = build_record(args, ctx, f, inp, input_hash)
     if cache is not None:
-        cache.put(input_hash, __version__, record)
+        cache.put(input_hash, version, record)
     return record
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from .errors import FDivisibleByPError, FIsUnitError, InputError
+from math import comb, prod
+
+from .errors import FDivisibleByPError, FIsUnitError, InputError, ResourceLimitError
 from .ring import (
     Context,
     LiftPoly,
     ResPoly,
     exact_div_p,
+    exponent_box,
     frobenius_substitute,
     project_mod_p,
 )
@@ -65,6 +68,15 @@ def validate(ctx: Context, f_lift: LiftPoly) -> Hypersurface:
     Requires f nonzero mod p (so (p, f) is a regular sequence over the
     regular base) and constant term divisible by p (so f lies in the
     maximal ideal and the quotient is a nontrivial local ring).
+
+    Before delta forms f^p, its term count is bounded by the products of p
+    of f's terms, C(|f| + p - 1, p), and by its exponent box,
+    prod(p * deg_(x_i) f + 1).  Both grow with the power, so they bound
+    every partial power of ``Poly.__pow__`` too.  Past the larger of
+    ``max_workspace_monomials`` and p^N it raises ``ResourceLimitError``.
+    The engine's powers inside the capped scan's base box (p, ..., p)
+    reach p^N terms whatever the cap, so a cap set below p^N to force its
+    drop-backs rejects no input whose f^p has at most p^N terms.
     """
     ctx.check_same(f_lift.ctx)
     f_res = project_mod_p(f_lift)
@@ -74,5 +86,14 @@ def validate(ctx: Context, f_lift: LiftPoly) -> Hypersurface:
         )
     if f_lift.constant_coefficient() % ctx.p:
         raise FIsUnitError("f has a unit constant term; f must be a non-unit")
-    d = delta(f_lift)
-    return Hypersurface(ctx, f_lift, f_res, d)
+    p, n = ctx.p, ctx.n_vars
+    limit = max(ctx.max_workspace_monomials, p**n)
+    bound = comb(len(f_lift) + p - 1, p)
+    if bound > limit:  # the box bound only where the cheap one does not settle it
+        bound = min(bound, prod(p * (b - 1) + 1 for b in exponent_box(f_lift.terms, n)))
+        if bound > limit:
+            raise ResourceLimitError(
+                f"f^p may have {bound} terms, over the workspace cap {limit}; "
+                "raise max_workspace_monomials (--max-monomials)"
+            )
+    return Hypersurface(ctx, f_lift, f_res, delta(f_lift))

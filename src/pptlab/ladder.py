@@ -35,8 +35,9 @@ Ann_E(P_k) = R * theta_k stays cyclic,
 
     theta_(k+1) = delta ⌟ ... ⌟ delta ⌟ F(fbar^(p-l_k-1) ⌟ theta_k)
 
-with l_k single contractions by delta (``_advance``), and g lies in P_k
-iff g ⌟ theta_k = 0.
+with l_k contractions by delta, and g lies in P_k iff g ⌟ theta_k = 0.
+As delta ⌟ (delta ⌟ theta) = delta^2 ⌟ theta, a step may take the first
+two in one contraction by delta^2 (``_advance`` says when).
 
 The chain.  s_(k+1) is the largest s with fbar^(p-s) ⌟ theta_k = 0.  E is
 an R-module, so psi_j = fbar^j ⌟ theta_k is one chain,
@@ -57,8 +58,9 @@ gives up, and the run holds no theta for the rest of the run, when
   monomial holds (``ring.dual_frobenius`` returns None).
 
 These contractions stop as soon as they have reached more monomials than
-the bounds let them keep (``ring.contract_terms``'s limit), so a
-drop-back costs no more than the bound.  Terms reached so far may still
+the bounds let them keep (``ring.contract_terms``'s limit), and a step
+forms delta^2 only when its products fit under ``max_workspace_monomials``,
+so a drop-back costs no more than the bound.  Terms reached so far may still
 cancel, so this can send a step to the scan where the whole contraction
 would have fitted; both paths are exact, so only the path can change,
 never an entry.  After a drop-back each read runs the capped scan over
@@ -292,7 +294,9 @@ class _Workspace:
         monomial ideal, which is a ring map, so any split of k is exact:
         trunc(g^k) = trunc(trunc(g^a) * trunc(g^(k-a))).  So g^k, k >= 2, is
         g^(k//2) * g^(k - k//2), a product capped to the box below the reach
-        and a plain ring product at it.  At k = p there is no product: over
+        and a plain ring product at it.  At an even k both halves are the
+        one memoized dict, so ``ring.mul_terms`` squares it, forming each
+        unordered pair of terms once.  At k = p there is no product: over
         F_p, g^p is the Frobenius image phi(g) of x_i -> x_i^p
         (``ring.frobenius_terms``), and p * m_i < B_i iff
         m_i < ceil(B_i / p), so trunc_B(phi(g)) = phi(trunc_ceil(B/p)(g)),
@@ -445,6 +449,16 @@ def _advance(
     is reused under the same size test.  A whole contraction may pass that
     test where the limited one gives up on terms that later cancel; both
     paths are exact, so this can change only the path, never an entry.
+
+    When F(...) is one term and l >= 2, the first two delta contractions
+    are one contraction by delta^2, taken inside the same box
+    (``_Workspace.power``), as delta ⌟ (delta ⌟ theta) = delta^2 ⌟ theta;
+    the other l - 2 stay single.  With n = |delta| inside the box, squaring
+    forms n(n+1)/2 products and contracting a monomial by delta^2 at most
+    as many, against n + n^2 for the two single contractions.  The
+    square's products are not limited as a contraction is, so the path is
+    taken only when n(n+1)/2 <= ``max_workspace_monomials``; otherwise
+    the two single contractions run under their limit.
     """
     ctx = ws.h.ctx
     p, n = ctx.p, ctx.n_vars
@@ -456,11 +470,14 @@ def _advance(
         return None
     theta = dual_frobenius(ctx, theta)
     if theta and l:
-        delta = ws.power("d", 1, exponent_box(theta, n))
-        for _ in range(l):
+        box = exponent_box(theta, n)
+        delta = ws.power("d", 1, box)
+        if l > 1 and len(theta) == 1 and len(delta) * (len(delta) + 1) // 2 <= limit:
+            theta = _contract(ws.power("d", 2, box), theta, n, p, limit)
+            l -= 2
+        while theta and l:  # None: a drop-back; {}: delta ⌟ 0 = 0
             theta = _contract(delta, theta, n, p, limit)
-            if not theta:  # None: a drop-back; {}: delta ⌟ 0 = 0
-                break
+            l -= 1
     return None if theta is None or len(theta) > keep else theta
 
 

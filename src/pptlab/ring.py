@@ -65,7 +65,8 @@ class Context:
     spans, each u step of the capped scan and each root step of the nu
     chains, which raise ``ResourceLimitError`` past it.  It also bounds the
     intermediates of the sequence's dual element theta, where exceeding it
-    sends the run to the capped scan instead of raising.
+    sends the run to the capped scan instead of raising, and, when above
+    p^N, the terms ``delta.validate`` lets f^p have.
     ``max_generators`` bounds the generators fed into one exact reduction
     (``ideals.echelon_reduce``, under ``ladder.compute_ladder`` and
     ``ideals.u_image``), which only ``--trace`` runs.
@@ -262,13 +263,38 @@ def mul_terms(
     a: dict[int, int], b: dict[int, int], mod: int, add: int = 0, high: int = 0
 ) -> dict[int, int]:
     """Product of two term dicts mod ``mod``, dropping the monomials the
-    ``exponent_cap`` masks (add, high) flag; (0, 0) drops nothing."""
+    ``exponent_cap`` masks (add, high) flag; (0, 0) drops nothing.
+
+    When both factors are the same dict (``a is b``, as every square of
+    ``ladder._Workspace.power`` and ``Poly.__pow__`` is), the product is
+    formed from the pairs i <= j only: c_i^2 at 2*m_i and 2*c_i*c_j at
+    m_i + m_j, half the products, under the same cap test.  Every term
+    adds to what is there, as m_i + m_k = 2*m_j can meet a square."""
     if not a or not b:
         return {}
-    if len(a) > len(b):
-        a, b = b, a
     out: dict[int, int] = {}
     get = out.get
+    if a is b:
+        terms = list(a.items())
+        for i, (ma, ca) in enumerate(terms):
+            shifted = ma + add
+            if not (shifted + ma) & high:
+                m = ma + ma
+                out[m] = get(m, 0) + ca * ca
+            ca += ca
+            if high:
+                for mb, cb in terms[i + 1 :]:
+                    if (shifted + mb) & high:
+                        continue
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+            else:
+                for mb, cb in terms[i + 1 :]:
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+        return {m: v for m, c in out.items() if (v := c % mod)}
+    if len(a) > len(b):
+        a, b = b, a
     if high:
         for ma, ca in a.items():
             shifted = ma + add

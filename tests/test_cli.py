@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,6 +252,18 @@ def test_resource_limit_exits_3(capsys):
     assert "--max-monomials" in err
 
 
+def test_validate_exits_3_before_forming_a_large_f_to_the_p(capsys):
+    # (x+y)^500 at p = 13: f^p may have 6501^2 terms, the product of its
+    # exponent ranges, far over the default cap, and forming it for delta
+    # takes seconds, so validate refuses it first
+    argv = ["criteria", "--p", "13", "--vars", "x,y", "--f", "(x+y)^500", "--depth", "1"]
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "may have 42263001 terms" in err and "--max-monomials" in err
+
+
 def test_trace_generator_cap_exits_3(capsys):
     # the scan counts no generators; the exact ladder that --trace prints
     # bounds each u step's distinct buckets by --max-generators
@@ -398,6 +411,26 @@ def test_cli_cache_misses_after_a_version_change(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, argv)[0] == 0
         lines.append(len((tmp_path / "cache.jsonl").read_text().splitlines()))
     assert lines == [1, 1, 2, 2]
+
+
+def test_cli_cache_misses_a_record_written_before_the_record_revision(tmp_path, capsys):
+    # a line keyed by the bare __version__, as every line was before
+    # RECORD_REVISION, is never served: this one says "up to depth 4"
+    # where the run now certifies a repeat
+    argv = [
+        "classify", "--p", "3", "--vars", "x", "--f", "3 - x^2", "--depth", "4",
+        "--cache-dir", str(tmp_path),
+    ]
+    code, record, _ = run_json(capsys, argv)
+    assert code == 0 and record["verdict"]["basis"] == "repeat"
+    stale = json.loads(json.dumps(record))
+    stale["verdict"].update(basis="all_bounded", up_to_depth=4)
+    (tmp_path / "cache.jsonl").write_text("")
+    ResultCache(tmp_path).put(record["input_hash"], pptlab.__version__, stale)
+    code, fresh, _ = run_json(capsys, argv)
+    assert code == 0
+    assert {**fresh, "timings": None} == {**record, "timings": None}
+    assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
 
 
 def test_cache_corrupted_line_skipped(tmp_path, capsys):

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from pptlab.delta import Hypersurface, delta, validate
-from pptlab.errors import FDivisibleByPError, FIsUnitError, InputError
+from pptlab.errors import FDivisibleByPError, FIsUnitError, InputError, ResourceLimitError
 from pptlab.ring import Context, LiftPoly, ResPoly
 
 from oracles import delta_int, random_int_poly
@@ -75,6 +75,26 @@ def test_validate_rejects_units():
 def test_validate_accepts_constant_term_p():
     ctx = Context(3, ["x"])
     validate(ctx, LiftPoly(ctx, {(0,): 3, (2,): -1}))
+
+
+def test_validate_bounds_the_terms_of_f_to_the_p():
+    # at p = 2 over x, p^N = 2 is below every cap here.  x + x^2 has
+    # C(2 + 1, 2) = 3 products of two terms, as many as f^2 has; x + ... +
+    # x^10 has the box bound 2 * 10 + 1 = 21, below C(11, 2) = 55.  A cap
+    # at the bound passes and one below it raises
+    for k, bound in ((2, 3), (10, 21)):
+        for cap in (bound, bound - 1):
+            ctx = Context(2, ["x"], max_workspace_monomials=cap)
+            f = LiftPoly(ctx, {(e,): 1 for e in range(1, k + 1)})
+            assert len(f ** 2) <= bound
+            if cap < bound:
+                with pytest.raises(ResourceLimitError, match=f"may have {bound} terms"):
+                    validate(ctx, f)
+            else:
+                validate(ctx, f)
+    # a cap below p^N never rejects: the Fermat quartic's f^7 has 120 terms
+    ctx = Context(7, ["a", "b", "c", "d"], max_workspace_monomials=3)
+    validate(ctx, LiftPoly(ctx, {tuple(4 * (i == j) for j in range(4)): 1 for i in range(4)}))
 
 
 def test_delta_power_memoization_and_range():

@@ -41,6 +41,7 @@ from pptlab.ring import (
     LiftPoly,
     ResPoly,
     contract_terms,
+    dual_frobenius,
     exponent_box,
     exponent_cap,
     mul_terms,
@@ -1046,9 +1047,11 @@ def test_theta_chain_contractions_are_pinned(monkeypatch):
     # depth 1 forms psi_2 from fbar^2, the one capped product, and
     # contracts by fbar up to psi_5 = 0 (s_1 = 2, 4 contractions); theta_1
     # has j_lo = 0, and depth 2 forms psi_1..psi_7 (s_2 = 0, 7
-    # contractions).  Each step reuses the chain's last nonzero psi, and
-    # theta_1's two delta contractions make 13.  theta_2 is a multiple of
-    # theta_0, so depth 24 does the same
+    # contractions).  Each step reuses the chain's last nonzero psi.  F of
+    # theta_1's step is one term, so its two delta contractions are one
+    # contraction by delta^2, squared as a second capped product: 2 products
+    # and 12 contractions.  theta_2 is a multiple of theta_0, so depth 24
+    # does the same
     counts = dict.fromkeys(("_new_part_contained", "_mul_terms", "_contract"), 0)
     bounds = []
     leading_bound = ladder._leading_bound
@@ -1077,7 +1080,7 @@ def test_theta_chain_contractions_are_pinned(monkeypatch):
         assert seq.values == (0,) + (2, 0) * (depth // 2) + (2,) * (depth % 2)
         assert seq.repeat == (0, 2)
         assert bounds == [1, 0], bounds
-        assert tuple(counts.values()) == (0, 1, 13), counts
+        assert tuple(counts.values()) == (0, 2, 12), counts
     # fbar = x0^2*x1 divides each theta_k of x0^2*x1 + 5*x2 at p = 5 twice
     # and no more, so the bound decides every candidate from s = 3 up, and
     # psi_3, from fbar^3, which keeps no term inside theta's box, decides
@@ -1092,27 +1095,71 @@ def test_theta_chain_contractions_are_pinned(monkeypatch):
 
 def test_every_theta_contraction_takes_the_cap(monkeypatch):
     # a drop-back costs no more than the bound only if every contraction of
-    # the theta step and chain stops at it; the p=7 Fermat quartic commits
-    # entries of 2, so its steps run delta contractions too
-    limits = []
-    contract = ladder._contract
+    # the theta step and chain stops at it, and delta^2 is squared only when
+    # its n(n+1)/2 products fit under it.  The p=7 Fermat quartic commits
+    # entries of 2 and its step past s_1 contracts the monomial F(...) by
+    # the n = 104 terms of delta inside its box: 5,460 products square
+    # them, so a cap of 5,459 or 104 runs the two single contractions
+    limits, powers = [], []
+    contract, power = ladder._contract, _Workspace.power
 
     def recorded(g, theta, n, p, limit=None):
         limits.append(limit)
         return contract(g, theta, n, p, limit)
 
+    def recorded_power(ws, kind, k, box):
+        powers.append((kind, k))
+        return power(ws, kind, k, box)
+
     monkeypatch.setattr(ladder, "_contract", recorded)
-    h = hypersurface(7, ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4")
-    assert splitting_sequence(h, 4).values == (0, 2, 0, 2, 0)
-    assert limits and None not in limits, limits
+    monkeypatch.setattr(_Workspace, "power", recorded_power)
+    names, expr = ["x1", "x2", "x3", "x4"], "x1^4 + x2^4 + x3^4 + x4^4"
+    for cap, squared in ((500_000, True), (5_460, True), (5_459, False), (104, False)):
+        limits.clear()
+        powers.clear()
+        ctx = Context(7, names, max_workspace_monomials=cap)
+        assert splitting_sequence(validate(ctx, parse_poly(expr, ctx)), 4).values == (0, 2, 0, 2, 0)
+        assert limits and None not in limits, (cap, limits)
+        assert (("d", 2) in powers) == squared, (cap, powers)
+
+
+def test_a_delta_squared_step_gives_the_theta_of_single_contractions():
+    # every theta step of seeded diagonal inputs against the recursion of
+    # the module docstring with uncapped powers and l single contractions
+    # by the whole delta; entries l >= 2 on a one-term F(...) take delta^2
+    rng = random.Random(403)
+    squared = 0
+    for _ in range(40):
+        p = rng.choice((5, 7, 11))
+        n = rng.randrange(2, 4 if p == 11 else 5)
+        d = rng.randrange(2, 6)
+        names = [f"x{i}" for i in range(n)]
+        ctx = Context(p, names)
+        f = {tuple(d if j == i else 0 for j in range(n)): rng.randrange(1, p) for i in range(n)}
+        h = validate(ctx, LiftPoly(ctx, f))
+        ws = _Workspace(h)
+        for _ in range(4):
+            theta = ws.front
+            s = ws.read()
+            if not theta or ws.front is None or s == p:
+                break
+            want = dual_frobenius(ctx, contract_terms(h.f_res_power(p - s - 1).terms, theta, n, p))
+            for _ in range(s):
+                want = contract_terms(h.delta_f.terms, want, n, p)
+            ws.commit(s)
+            if ws.front is None:
+                break
+            assert ws.front == want, (p, f, ws.prefix)
+        squared += any(key[:2] == ("d", 2) for key in ws._cache)
+    assert squared >= 10, squared
 
 
 LEDGER_CASES = [
-    (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 5, (0, 1, 13, 0, 0)),
+    (7, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 5, (0, 2, 12, 0, 0)),
     (5, "x,y,z", "x^3 + y^3 + z^3", 4, (0, 1, 9, 0, 0)),
     (5, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 4, (0, 1, 4, 0, 0)),
     (7, "x,y,z", "x^3 + y^3 + z^3", 4, (0, 1, 5, 0, 0)),
-    (3, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 6, (0, 0, 7, 0, 0)),
+    (3, "x1,x2,x3,x4", "x1^4 + x2^4 + x3^4 + x4^4", 6, (0, 1, 6, 0, 0)),
     (13, "x1,x2", "11*x1^4*x2 + 2*x2^4 + 2*x1^3*x2^2 + 13*x1*x2", 12, (0, 1, 4, 0, 0)),
     # s_1 = 0: one chain, then every entry is read off s_1
     (13, "x,y", "x + y^3", 12, (0, 0, 1, 0, 0)),

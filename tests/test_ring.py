@@ -26,6 +26,7 @@ from pptlab.ring import (
     frobenius_substitute,
     frobenius_terms,
     lift_of,
+    mul_terms,
     project_mod_p,
     pure_powers,
     render,
@@ -409,6 +410,34 @@ def test_contract_terms_limit_gives_the_whole_contraction_or_none():
             got = contract_terms(g, theta, n, p, limit)
             assert got == (None if limit < len(reached) else full), (p, g, theta, limit)
     assert cancelled
+
+
+def test_mul_terms_square_matches_the_general_product():
+    # a is b takes the pairs i <= j only; a copy of a takes the general
+    # product.  Seeded dicts with and without a cap, and dicts where
+    # m_i + m_k = 2*m_j, so a cross term lands on a square's monomial
+    rng = random.Random(402)
+    met = 0
+    for case in range(300):
+        p = (2, 3, 5, 13)[case % 4]
+        n = rng.randrange(1, 4 if p == 13 else 5)  # p**N <= 20,000
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        exps = [tuple(rng.randrange(5) for _ in range(n)) for _ in range(rng.randrange(1, 8))]
+        if case % 3 == 0:  # an arithmetic progression m_j - d, m_j, m_j + d
+            mid = tuple(rng.randrange(2, 5) for _ in range(n))
+            step = tuple(rng.randrange(3) for _ in range(n))
+            exps += [tuple(m - d for m, d in zip(mid, step)), mid, tuple(m + d for m, d in zip(mid, step))]
+        a = {ctx.encode_monomial(e): rng.randrange(1, p) for e in exps}
+        met += any(x + y == 2 * z for x in a for y in a if x != y for z in a)
+        caps = [(0, 0), exponent_cap(ctx, tuple(rng.randrange(1, 10) for _ in range(n)))]
+        for cap in caps:
+            assert mul_terms(a, a, p, *cap) == mul_terms(a, dict(a), p, *cap), (p, exps, cap)
+    assert met >= 50, met
+    # the smallest such case: (1 + x + x^2)^2 = 1 + 2x + 3x^2 + 2x^3 + x^4
+    ctx = Context(13, ["x"])
+    a = {ctx.encode_monomial((e,)): 1 for e in range(3)}
+    want = {ctx.encode_monomial((e,)): c for e, c in enumerate((1, 2, 3, 2, 1))}
+    assert mul_terms(a, a, 13) == want
 
 
 def test_dual_frobenius_matches_per_field_map():
