@@ -36,6 +36,16 @@ def test_sequence_command(capsys):
     assert "perfectoid_pure" in out
 
 
+def test_undecided_run_prints_its_depth_and_a_conjectural_threshold(capsys):
+    code, out, _ = run_cli(
+        capsys, ["sequence", "--p", "2", "--vars", "x,y", "--f", "3*x*y^2 + 2", "--depth", "12"]
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "verdict: perfectoid_pure [basis: all_bounded] (up to depth 12)" in lines
+    assert "ppt exact: 1/2 (preperiod 1, period 1, conjectural)" in lines
+
+
 def test_ppt_command_json(capsys):
     code, record, _ = run_json(
         capsys,

@@ -6,12 +6,12 @@ import pytest
 import pptlab.pipeline
 from pptlab import cli
 from pptlab.delta import validate
-from pptlab.errors import CrossCheckFailureError, InternalCheckError
+from pptlab.errors import CrossCheckFailureError, InputError, InternalCheckError
 from pptlab.ladder import next_s
 from pptlab.parser import expand_var_spec, parse_poly
 from pptlab.pipeline import analyze
 from pptlab.ring import Context, LiftPoly
-from pptlab.verdict import minimal_pattern, unroll
+from pptlab.verdict import detect_period, fermat_degree, minimal_pattern, ppt_closed_form, unroll
 
 import property_suites as ps
 from oracles import random_int_poly
@@ -104,11 +104,54 @@ def test_family_period_fills_in_short_windows():
     assert a.exact >= a.partial
 
 
+def test_an_unproven_tail_is_the_window_period_and_conjectural():
+    # Family B (delta a unit): 200 valid inputs, p in {2, 3, 5}, N <= 2,
+    # depth 8.  A run below p that nothing proves reads its threshold off
+    # the window's period, conjecturally; a proof always comes first
+    rng = random.Random(41)
+    kept = conjectural = 0
+    while kept < 200:
+        p = rng.choice((2, 3, 5))
+        n = rng.randrange(1, 3)
+        ctx = Context(p, [f"x{i}" for i in range(n)])
+        terms = random_int_poly(rng, n)
+        terms[(0,) * n] = p * (rng.randrange(1, p) + p * rng.randrange(5))
+        try:
+            h = validate(ctx, LiftPoly(ctx, terms))
+        except InputError:
+            continue
+        kept += 1
+        a = analyze(h, 8)
+        if a.seq.terminated_at_p is not None:
+            continue
+        proven = a.criteria.fired or fermat_degree(h) is not None or a.seq.repeat is not None
+        found = detect_period(a.seq)
+        if proven:
+            assert a.certificate is not None and a.conjectural is False, (p, terms)
+        elif found is None:
+            assert a.exact is None and a.conjectural is None, (p, terms)
+        else:
+            assert a.certificate is None and a.conjectural is True, (p, terms)
+            assert (a.preperiod, a.period) == found, (p, terms)
+            assert a.exact == ppt_closed_form(a.seq, *found), (p, terms)
+            conjectural += 1
+    assert conjectural == 62
+
+
 def test_terminated_sequence_has_no_threshold_block():
     a = analyze(prepare(2, "x1..x4", "x1^4 + x2^4 + x3^4 + x4^4"), 3)
     assert a.seq.terminated_at_p == 2
     assert a.partial is None and a.exact is None
     assert a.period is None and a.conjectural is None
+
+
+def test_c2_on_a_depth_one_window_gives_no_threshold():
+    # C2 predicts (0, 1, 2, ...): its pattern writes the window (0, 1) but
+    # reaches p, so it is no certificate and has no series
+    a = analyze(prepare(2, "x1..x4", "x1^4 + x2^4 + x3^4 + x4^4"), 1)
+    assert "C2" in a.criteria.fired and a.seq.values == (0, 1)
+    assert a.certificate is None and a.verdict.up_to_depth == 1
+    assert a.partial == 0 and a.exact is None and a.conjectural is None
 
 
 def test_strict_r1_flows_through():
